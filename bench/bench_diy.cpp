@@ -117,7 +117,6 @@ struct Measurement {
   unsigned long long IcCandidatesTotal = 0;
   unsigned long long IcPrunedCandidates = 0;
   unsigned long long IcPartialCuts = 0;
-  unsigned long long IcSymmetryReused = 0;
 };
 
 /// Materializes a slice's tests up front, so backend passes time judging
@@ -266,7 +265,6 @@ Measurement measure(unsigned Jobs, unsigned Repeats) {
   M.IcCandidatesTotal = obs::counter("judge.candidates_total").value();
   M.IcPrunedCandidates = obs::counter("judge.pruned.candidates").value();
   M.IcPartialCuts = obs::counter("judge.pruned.partial").value();
-  M.IcSymmetryReused = obs::counter("judge.symmetry.reused").value();
   return M;
 }
 
@@ -312,7 +310,6 @@ JsonValue toJson(const Measurement &M, unsigned Jobs, unsigned Repeats) {
   Ic.set("candidates_total", M.IcCandidatesTotal);
   Ic.set("pruned_candidates", M.IcPrunedCandidates);
   Ic.set("pruned_partial_cuts", M.IcPartialCuts);
-  Ic.set("symmetry_reused", M.IcSymmetryReused);
   Ic.set("prune_rate",
          M.IcCandidatesTotal
              ? static_cast<double>(M.IcPrunedCandidates) /
@@ -427,10 +424,9 @@ int main(int argc, char **argv) {
                 static_cast<double>(M.IcCandidatesTotal)
           : 0.0;
   std::printf("internal-com slice: %llu candidates, %llu pruned on "
-              "partial assignments (%.1f%% prune rate, %llu cuts), "
-              "%llu restituted by symmetry\n",
+              "partial assignments (%.1f%% prune rate, %llu cuts)\n",
               M.IcCandidatesTotal, M.IcPrunedCandidates, 100.0 * PruneRate,
-              M.IcPartialCuts, M.IcSymmetryReused);
+              M.IcPartialCuts);
   std::printf("deterministic: %s\n", M.Deterministic ? "yes" : "NO");
 
   if (!M.Deterministic) {

@@ -38,6 +38,10 @@ uint64_t fnv1a64(const std::string &Text, uint64_t Seed) {
 
 std::string cats::resultCacheKey(const LitmusTest &Test,
                                  const std::vector<const Model *> &Models) {
+  // The judging backend is deliberately not hashed: every backend
+  // produces byte-identical results (tests/differential.cpp), so an entry
+  // stored by one is a valid answer for any other
+  // (ResultCache.EntriesAreBackendIndependent in tests/campaign.cpp).
   std::string Content = std::string(CacheFormatVersion) + "\n";
   Content += Test.toString();
   Content += "\nmodels:";

@@ -42,113 +42,10 @@ struct CoLocation {
   std::vector<EventId> ProgramWrites;
 };
 
-/// One element of the thread-symmetry group: a permutation of identical
-/// threads, expanded to events (thread t's k-th event maps to thread
-/// sigma(t)'s k-th event; initial writes are fixed).
-struct SymElem {
-  std::vector<ThreadId> ThreadMap;
-  std::vector<EventId> EventMap;
-  /// ReadIndexMap[i]: position in reads() of EventMap[reads()[i]].
-  std::vector<size_t> ReadIndexMap;
-  bool Identity = true;
-};
-
-/// The full group (product of symmetric groups over each class of
-/// identical threads), expanded up to MaxGroupSize elements; larger
-/// groups disable the reduction rather than truncate it.
-struct SymmetryGroup {
-  std::vector<SymElem> Elems;
-  bool active() const { return Elems.size() > 1; }
-};
-
-constexpr unsigned long long MaxGroupSize = 64;
-
-SymmetryGroup buildGroup(const CompiledTest &Compiled) {
-  SymmetryGroup G;
-  const LitmusTest &Test = Compiled.test();
-  const Execution &Skel = Compiled.skeleton();
-  const unsigned NumThreads = Test.numThreads();
-
-  // Classes of literally identical thread code.
-  std::vector<std::vector<ThreadId>> Classes;
-  for (ThreadId T = 0; T < static_cast<ThreadId>(NumThreads); ++T) {
-    bool Placed = false;
-    for (std::vector<ThreadId> &C : Classes)
-      if (Test.Threads[C.front()] == Test.Threads[T]) {
-        C.push_back(T);
-        Placed = true;
-        break;
-      }
-    if (!Placed)
-      Classes.push_back({T});
-  }
-
-  unsigned long long Size = 1;
-  for (const std::vector<ThreadId> &C : Classes)
-    for (size_t I = 2; I <= C.size() && Size <= MaxGroupSize; ++I)
-      Size *= I;
-  if (Size <= 1 || Size > MaxGroupSize)
-    return G;
-
-  // All permutations per class, then their cross product.
-  std::vector<std::vector<std::vector<ThreadId>>> ClassPerms;
-  for (const std::vector<ThreadId> &C : Classes) {
-    std::vector<ThreadId> P = C;
-    std::vector<std::vector<ThreadId>> Perms;
-    do
-      Perms.push_back(P);
-    while (std::next_permutation(P.begin(), P.end()));
-    ClassPerms.push_back(std::move(Perms));
-  }
-
-  std::vector<std::vector<EventId>> ThreadEvents(NumThreads);
-  for (ThreadId T = 0; T < static_cast<ThreadId>(NumThreads); ++T)
-    ThreadEvents[T] = Skel.threadEvents(T);
-  const auto &Reads = Compiled.reads();
-  std::vector<size_t> PosOfRead(Skel.numEvents(), 0);
-  for (size_t I = 0; I < Reads.size(); ++I)
-    PosOfRead[Reads[I]] = I;
-
-  std::vector<size_t> Pick(Classes.size(), 0);
-  while (true) {
-    SymElem S;
-    S.ThreadMap.resize(NumThreads);
-    for (size_t C = 0; C < Classes.size(); ++C)
-      for (size_t K = 0; K < Classes[C].size(); ++K)
-        S.ThreadMap[Classes[C][K]] = ClassPerms[C][Pick[C]][K];
-    S.Identity = true;
-    for (ThreadId T = 0; T < static_cast<ThreadId>(NumThreads); ++T)
-      if (S.ThreadMap[T] != T)
-        S.Identity = false;
-    S.EventMap.resize(Skel.numEvents());
-    for (EventId E = 0; E < Skel.numEvents(); ++E)
-      S.EventMap[E] = E;
-    for (ThreadId T = 0; T < static_cast<ThreadId>(NumThreads); ++T)
-      for (size_t K = 0; K < ThreadEvents[T].size(); ++K)
-        S.EventMap[ThreadEvents[T][K]] = ThreadEvents[S.ThreadMap[T]][K];
-    S.ReadIndexMap.resize(Reads.size());
-    for (size_t I = 0; I < Reads.size(); ++I)
-      S.ReadIndexMap[I] = PosOfRead[S.EventMap[Reads[I]]];
-    G.Elems.push_back(std::move(S));
-
-    size_t C = 0;
-    for (; C < Classes.size(); ++C) {
-      if (++Pick[C] < ClassPerms[C].size())
-        break;
-      Pick[C] = 0;
-    }
-    if (C == Classes.size())
-      break;
-  }
-  // The all-sorted starting permutations put the identity first.
-  return G;
-}
-
 } // namespace
 
 EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
-                                            MultiModelChecker &Checker,
-                                            bool SkipKnownOutcomes) {
+                                            MultiModelChecker &Checker) {
   EnumerationStats Stats;
   const Execution &Skel = Compiled.skeleton();
   const auto &Reads = Compiled.reads();
@@ -195,27 +92,14 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
     for (EventId W : L.ProgramWrites)
       InitCo.set(L.InitWrite, W);
 
-  // One scratch execution, mutated in place and re-judged per canonical
-  // leaf; the memo tiers keep whatever stays valid across the mutation.
+  // One scratch execution, mutated in place and re-judged per leaf; the
+  // memo tiers keep whatever stays valid across the mutation.
   Execution Scratch = Skel;
   Scratch.enableDerivedCache();
-
-  SymmetryGroup G = buildGroup(Compiled);
-  if (Checker.numModels() > 64)
-    SkipKnownOutcomes = false; // the outcome memo's mask is 64 bits wide
-  const unsigned long long FullMask =
-      Checker.numModels() >= 64 ? ~0ull
-                                : ((1ull << Checker.numModels()) - 1);
-  std::map<std::string, unsigned long long> OutcomeMask;
-  unsigned long long Survivors = 0;
 
   std::vector<std::vector<EventId>> Perm(BranchIdx.size());
   std::vector<std::vector<std::pair<EventId, EventId>>> ReadsOfBranchLoc(
       BranchIdx.size());
-  // Reused across leaves: the orbit-image outcomes of the current leaf
-  // (storage plus the pointer view handed to the checker).
-  std::vector<Outcome> ImageStorage;
-  std::vector<const Outcome *> ImageOutcomes;
   // Reused across rf choices: per-location final-value sets of the
   // closed-form outcome pass.
   std::vector<std::vector<Value>> ValueSets(AllLocs.size());
@@ -307,22 +191,6 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
       }
     }
 
-    // Symmetry: only the lexicographically least rf image of each orbit
-    // is searched further; its judged leaves replay over the whole orbit.
-    std::vector<const SymElem *> Stab;
-    if (G.active()) {
-      std::vector<EventId> Img(RfVec.size());
-      for (size_t E = 1; E < G.Elems.size(); ++E) {
-        const SymElem &S = G.Elems[E];
-        for (size_t I = 0; I < RfVec.size(); ++I)
-          Img[S.ReadIndexMap[I]] = S.EventMap[RfVec[I]];
-        if (Img < RfVec)
-          return; // not canonical: a smaller image will be searched
-        if (Img == RfVec)
-          Stab.push_back(&S);
-      }
-    }
-
     Scratch.Rf = Relation(N);
     for (size_t I = 0; I < Reads.size(); ++I)
       Scratch.Rf.set(RfVec[I], Reads[I]);
@@ -396,22 +264,6 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
                                                 : L.ProgramWrites.front()];
 
     auto leaf = [&]() {
-      // Canonical leaf within the rf stabilizer: the lexicographically
-      // least concatenated coherence sequence of its orbit slice.
-      for (const SymElem *S : Stab) {
-        int Cmp = 0;
-        for (size_t D = 0; D < Perm.size() && Cmp == 0; ++D)
-          for (size_t K = 0; K < Perm[D].size(); ++K) {
-            EventId A = S->EventMap[Perm[D][K]], B = Perm[D][K];
-            if (A != B) {
-              Cmp = A < B ? -1 : 1;
-              break;
-            }
-          }
-        if (Cmp < 0)
-          return; // not canonical
-      }
-
       // The leaf's outcome: the rf-level sole outcome when the final
       // memory state is forced, otherwise built from the template with
       // each multi-write location's co-last value.
@@ -425,71 +277,6 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
         Built.enableKeyCache();
       }
       const Outcome &O = SoleOutcome ? *SoleOutcome : Built;
-
-      // Distinct orbit images of this assignment. Two group elements
-      // yielding the same serialized (rf, co) denote the same candidate
-      // (they differ by an assignment stabilizer), so images deduplicate
-      // by that key; each distinct image is exactly one naive candidate.
-      std::vector<const SymElem *> ImageElems;
-      if (G.active()) {
-        std::vector<std::vector<EventId>> SeenKeys;
-        std::vector<EventId> Key;
-        for (const SymElem &S : G.Elems) {
-          Key.assign(RfVec.size(), 0);
-          for (size_t I = 0; I < RfVec.size(); ++I)
-            Key[S.ReadIndexMap[I]] = S.EventMap[RfVec[I]];
-          for (size_t D = 0; D < Perm.size(); ++D)
-            for (EventId W : Perm[D])
-              Key.push_back(S.EventMap[W]);
-          if (std::find(SeenKeys.begin(), SeenKeys.end(), Key) ==
-              SeenKeys.end()) {
-            SeenKeys.push_back(Key);
-            ImageElems.push_back(&S);
-          }
-        }
-      } else {
-        ImageElems.push_back(nullptr); // identity only
-      }
-
-      // Image outcomes: thread sigma(t) of the image runs exactly thread
-      // t's data-flow, so registers permute and memory is unchanged. The
-      // identity image aliases O instead of copying it — on trivial
-      // orbits (the common case) no outcome is materialized at all.
-      ImageStorage.clear();
-      ImageStorage.reserve(ImageElems.size());
-      ImageOutcomes.clear();
-      ImageOutcomes.reserve(ImageElems.size());
-      for (const SymElem *S : ImageElems) {
-        if (!S || S->Identity) {
-          ImageOutcomes.push_back(&O);
-          continue;
-        }
-        Outcome IO;
-        IO.Regs.resize(O.Regs.size());
-        for (size_t T = 0; T < O.Regs.size(); ++T)
-          IO.Regs[S->ThreadMap[T]] = O.Regs[T];
-        IO.Memory = O.Memory;
-        IO.enableKeyCache();
-        ImageStorage.push_back(std::move(IO));
-        ImageOutcomes.push_back(&ImageStorage.back());
-      }
-
-      Survivors += ImageOutcomes.size();
-
-      if (SkipKnownOutcomes) {
-        bool AllKnown = true;
-        for (const Outcome *IO : ImageOutcomes) {
-          auto It = OutcomeMask.find(IO->key());
-          if (It == OutcomeMask.end() || It->second != FullMask) {
-            AllKnown = false;
-            break;
-          }
-        }
-        if (AllKnown) {
-          Stats.BmcOutcomeHits += ImageOutcomes.size();
-          return; // outcome already proven allowed under every model
-        }
-      }
 
       Relation Co = InitCo;
       for (size_t D = 0; D < Perm.size(); ++D)
@@ -521,19 +308,8 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
         ScAllowed = ScG.isAcyclic();
       }
 
-      const std::vector<Verdict> &Vs = Checker.judge(Scratch, ScAllowed);
+      Checker.accountImage(Checker.judge(Scratch, ScAllowed), O);
       ++Stats.JudgedCandidates;
-      Stats.SymmetryReused += ImageOutcomes.size() - 1;
-
-      unsigned long long Mask = 0;
-      for (size_t M = 0; M < Vs.size() && M < 64; ++M)
-        if (Vs[M].Allowed)
-          Mask |= 1ull << M;
-      for (const Outcome *IO : ImageOutcomes) {
-        Checker.accountImage(Vs, *IO);
-        if (SkipKnownOutcomes)
-          OutcomeMask[IO->key()] |= Mask;
-      }
     };
 
     // Commit one coherence permutation per multi-write location, pruning
@@ -602,10 +378,10 @@ EnumerationStats cats::enumerateIncremental(const CompiledTest &Compiled,
       break;
   }
 
-  // Everything consistent but never surviving to a judged orbit was cut
-  // on a po-loc | com cycle: rejected by SC PER LOCATION under every
-  // model, with no outcome or allowance to account.
-  Stats.PrunedCandidates = Checker.consistentCount() - Survivors;
+  // Everything consistent but never reaching a judged leaf was cut on a
+  // po-loc | com cycle: rejected by SC PER LOCATION under every model,
+  // with no outcome or allowance to account.
+  Stats.PrunedCandidates = Checker.consistentCount() - Stats.JudgedCandidates;
   Checker.accountPrunedMass(Stats.PrunedCandidates);
   return Stats;
 }

@@ -5,19 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The incremental backtracking enumerator behind the Pruned and Bmc
-/// judging backends (docs/enumeration.md). Instead of materialising every
-/// rf x co candidate and judging it afterwards (forEachCandidate), the
-/// search commits the rf map first, then one per-location coherence
-/// permutation at a time, maintaining the partial po-loc | com graph and
-/// abandoning a partial assignment the moment it acquires a cycle — a
-/// violation of SC PER LOCATION that no completion and no model of the
-/// framework can undo.
-///
-/// On top of the pruning, threads with literally identical code are
-/// detected and only canonical representatives of each symmetry orbit are
-/// judged; the orbit images are replayed onto the per-model tallies, so
-/// every count and outcome set stays byte-identical to the naive backend.
+/// The incremental backtracking enumerator behind the Pruned judging
+/// backend (docs/enumeration.md). Instead of materialising every rf x co
+/// candidate and judging it afterwards (forEachCandidate), the search
+/// commits the rf map first, then one per-location coherence permutation
+/// at a time, maintaining the partial po-loc | com graph and abandoning a
+/// partial assignment the moment it acquires a cycle — a violation of SC
+/// PER LOCATION that no completion and no model of the framework can
+/// undo. Every count and outcome set stays byte-identical to the naive
+/// backend.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,14 +25,11 @@
 namespace cats {
 
 /// Runs the incremental search over \p Compiled, feeding \p Checker
-/// through its bulk-accounting interface. With \p SkipKnownOutcomes the
-/// bmc outcome memo additionally skips judging candidates whose outcome
-/// has already been proven allowed under every model (the Bmc backend).
-/// Returns the pass's counters; the caller hands them to
-/// MultiModelChecker::setEnumerationStats before take().
+/// through its bulk-accounting interface. Returns the pass's counters;
+/// the caller hands them to MultiModelChecker::setEnumerationStats before
+/// take().
 EnumerationStats enumerateIncremental(const CompiledTest &Compiled,
-                                      MultiModelChecker &Checker,
-                                      bool SkipKnownOutcomes = false);
+                                      MultiModelChecker &Checker);
 
 } // namespace cats
 

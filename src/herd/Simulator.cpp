@@ -44,25 +44,11 @@ const ModelCounters &modelCounters(const Model &M) {
 
 } // namespace
 
-const char *cats::judgeBackendName(JudgeBackend B) {
-  switch (B) {
-  case JudgeBackend::Naive:
-    return "naive";
-  case JudgeBackend::Pruned:
-    return "pruned";
-  case JudgeBackend::Bmc:
-    return "bmc";
-  }
-  return "?";
-}
-
 bool cats::parseJudgeBackend(const std::string &Name, JudgeBackend &Out) {
   if (Name == "naive")
     Out = JudgeBackend::Naive;
   else if (Name == "pruned")
     Out = JudgeBackend::Pruned;
-  else if (Name == "bmc")
-    Out = JudgeBackend::Bmc;
   else
     return false;
   return true;
@@ -300,34 +286,20 @@ MultiModelChecker::judgeImpl(const Execution &Exe, const bool *ScHint) {
 
 void MultiModelChecker::accountConsistentOutcome(const Outcome &O) {
   auto [It, New] = OutcomeNotes.try_emplace(O.key());
-  OutcomeNote &Note = It->second;
-  if (New)
-    Note.Satisfies = O.satisfies(Final);
-  // A note may predate the set insert: accountImage creates notes for
-  // orbit-image outcomes, and a canonical leaf can be judged before the
-  // image rf's own closed-form pass reaches this call. Membership is
-  // therefore tracked in the note, not inferred from its existence —
-  // otherwise the image outcome never lands in ConsistentOutcomes and
-  // take()'s mask materialization silently skips it.
-  if (Note.InConsistentSet)
+  if (!New)
     return;
-  Note.InConsistentSet = true;
+  It->second.Satisfies = O.satisfies(Final);
   Result.ConsistentOutcomes.insert(O);
 }
 
 void MultiModelChecker::accountImage(const std::vector<Verdict> &Verdicts,
                                      const Outcome &O) {
-  // Every image outcome has been through accountConsistentOutcome (the
-  // closed-form pass covers each consistent rf's whole outcome cross
-  // product), so the note is normally a hit; the emplace covers direct
-  // callers outside the enumerator.
-  auto [It, New] = OutcomeNotes.try_emplace(O.key());
+  // The closed-form pass of the leaf's rf covers that rf's whole outcome
+  // cross product, so the leaf's outcome already has its note.
+  auto It = OutcomeNotes.find(O.key());
+  assert(It != OutcomeNotes.end() && "leaf outcome was never accounted");
   OutcomeNote &Note = It->second;
-  if (New)
-    Note.Satisfies = O.satisfies(Final);
-  // The first image after a judge() is the identity one, whose outcome
-  // belongs to the judged execution itself — the only image the witness
-  // snapshot is valid for (later images permute threads).
+  // The leaf's outcome belongs to the execution judge() just checked.
   if (WitnessMode && PendingJudged) {
     const Execution &Judged = *PendingJudged;
     PendingJudged = nullptr;
@@ -338,7 +310,7 @@ void MultiModelChecker::accountImage(const std::vector<Verdict> &Verdicts,
   // The per-model AllowedOutcomes sets and ConditionReachable flags are
   // not touched here: they are reconstructed in take() from the per-
   // outcome allowed masks, so the per-leaf cost is counter bumps and one
-  // mask OR instead of up to numModels() ordered-set inserts.
+  // mask OR instead of up to one ordered-set insert per model.
   unsigned long long Mask = 0;
   for (size_t I = 0; I < Models.size(); ++I) {
     const Verdict &V = Verdicts[I];
@@ -406,8 +378,8 @@ MultiSimulationResult MultiModelChecker::take() {
 
   // Assemble the captured witness slots now that every verdict is final.
   // A slot can be empty when the backend never materialized evidence for
-  // the verdict (pruned subtree, bmc outcome hit); completeWitnesses
-  // fills those gaps on demand.
+  // the verdict (a pruned subtree); completeWitnesses fills those gaps on
+  // demand.
   if (WitnessMode) {
     for (size_t I = 0; I < Models.size(); ++I) {
       const SimulationResult &R = Result.PerModel[I];
@@ -450,14 +422,9 @@ MultiSimulationResult MultiModelChecker::take() {
       static obs::Counter &CPartial = obs::counter("judge.pruned.partial");
       static obs::Counter &CPruned = obs::counter("judge.pruned.candidates");
       static obs::Counter &CJudged = obs::counter("judge.candidates_judged");
-      static obs::Counter &CReused = obs::counter("judge.symmetry.reused");
-      static obs::Counter &CBmcHits = obs::counter("judge.bmc.outcome_hits");
       CPartial.add(Stats.PartialCuts);
       CPruned.add(Stats.PrunedCandidates);
       CJudged.add(Stats.JudgedCandidates);
-      CReused.add(Stats.SymmetryReused);
-      if (Stats.BmcOutcomeHits)
-        CBmcHits.add(Stats.BmcOutcomeHits);
     }
   }
   return std::move(Result);
@@ -476,10 +443,7 @@ cats::simulateAll(const CompiledTest &Compiled,
       return true;
     });
   } else {
-    Checker.setEnumerationStats(
-        enumerateIncremental(Compiled, Checker,
-                             /*SkipKnownOutcomes=*/Opts.Backend ==
-                                 JudgeBackend::Bmc));
+    Checker.setEnumerationStats(enumerateIncremental(Compiled, Checker));
   }
   MultiSimulationResult Result = Checker.take();
   if (Opts.Witness) {

@@ -89,34 +89,26 @@ void forEachCandidate(const CompiledTest &Compiled,
                       const std::function<bool(const Candidate &)> &Fn);
 
 /// Which engine walks the candidate space behind simulateAll
-/// (docs/enumeration.md). All three produce identical verdicts and outcome
-/// sets; the differential harness (tests/differential.cpp) pins them to
-/// each other over the litmus catalogue and generated diy corpora.
+/// (docs/enumeration.md). Both produce identical verdicts, counts and
+/// outcome sets; the differential harness (tests/differential.cpp) pins
+/// them to each other over the litmus catalogue and generated diy corpora.
 enum class JudgeBackend : uint8_t {
   /// Materialize every full candidate and judge it afterwards — the
-  /// reference semantics the other backends are checked against.
+  /// reference semantics the pruned search is checked against.
   Naive,
   /// Incremental backtracking search (src/herd/Enumerator.cpp): commit
-  /// rf then per-location coherence choices, prune a partial assignment
-  /// as soon as po-loc | com is cyclic, and enumerate only canonical
-  /// representatives of the thread-symmetry group with multiplicity
-  /// accounting. Byte-identical results to Naive; the default.
+  /// rf then per-location coherence choices and prune a partial
+  /// assignment as soon as po-loc | com is cyclic. Byte-identical results
+  /// to Naive; the default.
   Pruned,
-  /// Pruned search plus the bounded outcome memo of src/bmc: candidates
-  /// whose outcome is already proven allowed under every model are not
-  /// re-judged. Verdicts and outcome sets stay exact; CandidatesAllowed
-  /// becomes a lower bound. Opt-in (--backend bmc).
-  Bmc,
 };
 
-/// Display/CLI name: "naive", "pruned", "bmc".
-const char *judgeBackendName(JudgeBackend B);
-
-/// Parses a CLI backend name; returns false on unknown input.
+/// Parses a CLI backend name ("naive" or "pruned"); returns false on
+/// unknown input.
 bool parseJudgeBackend(const std::string &Name, JudgeBackend &Out);
 
 /// Counters produced by one incremental-enumeration pass; flushed to the
-/// judge.pruned.* / judge.symmetry.* / judge.bmc.* metrics by
+/// judge.pruned.* and judge.candidates_judged metrics by
 /// MultiModelChecker::take (docs/observability.md).
 struct EnumerationStats {
   /// Partial rf/co assignments abandoned mid-search on a po-loc | com
@@ -125,12 +117,9 @@ struct EnumerationStats {
   /// Consistent candidates never materialized because every completion
   /// was provably rejected by SC PER LOCATION (the pruned mass).
   unsigned long long PrunedCandidates = 0;
-  /// Canonical leaves actually judged by the models.
+  /// Leaves actually judged by the models; with PrunedCandidates they
+  /// cover the consistent candidates exactly.
   unsigned long long JudgedCandidates = 0;
-  /// Symmetric orbit images accounted without re-judging.
-  unsigned long long SymmetryReused = 0;
-  /// Leaves skipped by the bmc outcome memo (Bmc backend only).
-  unsigned long long BmcOutcomeHits = 0;
 };
 
 /// Accumulates per-model verdicts over a stream of candidates, computing
@@ -153,10 +142,9 @@ public:
   // Incremental-backend interface (src/herd/Enumerator.cpp)
   //
   // The pruned search never materializes full Candidates: it accounts the
-  // model-independent tallies in bulk (closed forms per rf choice), judges
-  // one scratch execution per canonical leaf, and replays the verdict over
-  // the leaf's symmetry orbit. A checker instance is driven either by
-  // feed() or by these calls, never both.
+  // model-independent tallies in bulk (closed forms per rf choice) and
+  // judges one scratch execution per surviving leaf. A checker instance is
+  // driven either by feed() or by these calls, never both.
   //===--------------------------------------------------------------------===//
 
   /// Adds \p N raw candidates to the shared total.
@@ -169,25 +157,25 @@ public:
 
   /// Records one model-independent consistent outcome. First sighting of
   /// a key pays the set insert and the final-condition evaluation; repeats
-  /// are a hash lookup (the note then also feeds accountImage).
+  /// are a hash lookup.
   void accountConsistentOutcome(const Outcome &O);
 
   unsigned long long consistentCount() const {
     return Result.CandidatesConsistent;
   }
 
-  size_t numModels() const { return Models.size(); }
-
   /// Checks \p Exe against every model; the returned buffer is owned by
   /// the checker and reused across calls. No accounting happens here —
-  /// pair with accountImage per orbit image.
+  /// pair with accountImage for the judged leaf.
   ///
   /// The checks exploit the registry's model-strength forest
   /// (strongerModel): models are visited stronger-first, and a model whose
   /// designated ancestor in the set already allowed \p Exe is marked
-  /// allowed without running its axioms. The shortcut is disabled while
-  /// metrics are on so the per-axiom judge.kill.* tallies stay exact; the
-  /// differential harness proves the two paths agree.
+  /// allowed without running its axioms. The shortcut runs whether metrics
+  /// are on or off (a skipped model is allowed, and the judge.kill.*
+  /// tallies only record violations); only witness capture bypasses it.
+  /// The differential harness pins the shortcut to the naive backend's
+  /// full per-model checks.
   const std::vector<Verdict> &judge(const Execution &Exe);
 
   /// As above, with the enumerator's incrementally-maintained SC verdict:
@@ -200,8 +188,9 @@ public:
   /// un-hinted one over the catalogue and the diy corpora.
   const std::vector<Verdict> &judge(const Execution &Exe, bool ScAllowed);
 
-  /// Accounts one candidate (an orbit image of a judged leaf) with the
-  /// verdicts of its canonical representative and its own outcome.
+  /// Accounts one judged leaf: \p Verdicts from judge() and the leaf's
+  /// outcome \p O, which accountConsistentOutcome already recorded during
+  /// the closed-form pass of the leaf's rf.
   void accountImage(const std::vector<Verdict> &Verdicts, const Outcome &O);
 
   /// Accounts \p N consistent candidates whose every coherence completion
@@ -279,11 +268,6 @@ private:
   /// plain reference loop and take()'s reconstruction is then a no-op.
   struct OutcomeNote {
     bool Satisfies = false;
-    /// Whether the outcome itself has been inserted into the shared
-    /// ConsistentOutcomes set. accountImage creates notes ahead of the
-    /// closed-form pass, so note existence alone does not imply set
-    /// membership.
-    bool InConsistentSet = false;
     unsigned long long AllowedMask = 0;
   };
   std::unordered_map<std::string, OutcomeNote> OutcomeNotes;
@@ -302,9 +286,8 @@ private:
     Axiom KillAxiom = Axiom::ScPerLocation;
   };
   std::vector<WitnessSlot> Slots;
-  /// The execution judgeImpl last checked; accountImage consumes it on
-  /// the first (identity) orbit image, whose outcome belongs to exactly
-  /// this execution. Null between leaves.
+  /// The execution judgeImpl last checked; accountImage consumes it for
+  /// the witness snapshot of the leaf's outcome. Null between leaves.
   const Execution *PendingJudged = nullptr;
   bool HaveCut = false;
   Execution CutExe;
@@ -319,8 +302,8 @@ struct SimulateOptions {
   JudgeBackend Backend = JudgeBackend::Pruned;
   /// Capture verdict witnesses (MultiSimulationResult::Witnesses). The
   /// capture piggybacks on the main pass; verdicts the pass never
-  /// materialized evidence for (pruned subtrees, bmc outcome hits) are
-  /// completed afterwards by a targeted naive walk.
+  /// materialized evidence for (pruned subtrees) are completed afterwards
+  /// by a targeted naive walk.
   bool Witness = false;
 };
 

@@ -44,13 +44,6 @@ struct Operand {
     return {Kind::Imm, static_cast<int>(V)};
   }
 
-  friend bool operator==(const Operand &A, const Operand &B) {
-    return A.OpKind == B.OpKind && A.Payload == B.Payload;
-  }
-  friend bool operator!=(const Operand &A, const Operand &B) {
-    return !(A == B);
-  }
-
   bool isReg() const { return OpKind == Kind::Reg; }
   bool isImm() const { return OpKind == Kind::Imm; }
   Register asReg() const {
@@ -158,17 +151,6 @@ struct Instruction {
   /// in ctrl+cfence dependencies rather than the propagation order.
   bool isControlFence() const {
     return Op == Opcode::Fence && (FenceName == "isync" || FenceName == "isb");
-  }
-
-  /// Structural equality; the symmetry reduction uses it to detect
-  /// threads with literally identical code.
-  friend bool operator==(const Instruction &A, const Instruction &B) {
-    return A.Op == B.Op && A.Dst == B.Dst && A.Src1 == B.Src1 &&
-           A.Src2 == B.Src2 && A.Loc == B.Loc && A.AddrDep == B.AddrDep &&
-           A.FenceName == B.FenceName;
-  }
-  friend bool operator!=(const Instruction &A, const Instruction &B) {
-    return !(A == B);
   }
 
   /// Renders in the pseudo-assembly syntax accepted by the parser.

@@ -7,7 +7,6 @@
 #include "repair/RepairEngine.h"
 
 #include "herd/Simulator.h"
-#include "litmus/Compiler.h"
 #include "model/Registry.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -57,39 +56,18 @@ bool goalMet(RepairGoal Goal, const MultiSimulationResult &R) {
   return R.PerModel[0].AllowedOutcomes == R.PerModel[1].AllowedOutcomes;
 }
 
-/// Judges every mutant job: one batched SweepEngine pass (each mutant's
-/// models checked against one shared candidate enumeration), or — for the
-/// bench comparison — one simulate() per (mutant, model).
+/// Judges every mutant job in one batched SweepEngine pass, each mutant's
+/// models checked against one shared candidate enumeration.
 std::vector<JudgeOutcome> judge(const std::vector<SweepJob> &Jobs,
-                                RepairGoal Goal, unsigned Workers,
-                                bool Legacy) {
+                                RepairGoal Goal, unsigned Workers) {
   std::vector<JudgeOutcome> Out(Jobs.size());
-  if (!Legacy) {
-    SweepEngine Engine(SweepOptions{Workers});
-    SweepReport Report = Engine.run(Jobs);
-    for (size_t I = 0; I < Jobs.size(); ++I) {
-      if (!Report.Tests[I].Error.empty())
-        Out[I].Error = Report.Tests[I].Error;
-      else
-        Out[I].GoalMet = goalMet(Goal, Report.Tests[I].Result);
-    }
-    return Out;
-  }
+  SweepEngine Engine(SweepOptions{Workers});
+  SweepReport Report = Engine.run(Jobs);
   for (size_t I = 0; I < Jobs.size(); ++I) {
-    std::string Invalid = Jobs[I].Test.validate();
-    if (!Invalid.empty()) {
-      Out[I].Error = Invalid;
-      continue;
-    }
-    auto Compiled = CompiledTest::compile(Jobs[I].Test);
-    if (!Compiled) {
-      Out[I].Error = Compiled.message();
-      continue;
-    }
-    MultiSimulationResult R;
-    for (const Model *M : Jobs[I].Models)
-      R.PerModel.push_back(simulate(*Compiled, *M));
-    Out[I].GoalMet = goalMet(Goal, R);
+    if (!Report.Tests[I].Error.empty())
+      Out[I].Error = Report.Tests[I].Error;
+    else
+      Out[I].GoalMet = goalMet(Goal, Report.Tests[I].Result);
   }
   return Out;
 }
@@ -297,8 +275,7 @@ RepairReport RepairEngine::run(const std::vector<LitmusTest> &Tests) const {
       obs::histogram("repair.round_mutants").record(Jobs.size());
     }
 
-    std::vector<JudgeOutcome> Verdicts =
-        judge(Jobs, Opts.Goal, Opts.Jobs, Opts.LegacyEvaluation);
+    std::vector<JudgeOutcome> Verdicts = judge(Jobs, Opts.Goal, Opts.Jobs);
 
     for (size_t J = 0; J < Jobs.size(); ++J) {
       auto [SI, PI] = JobOrigin[J];

@@ -72,9 +72,6 @@ struct RepairOptions {
   unsigned long long MaxMutantsPerTest = 200000;
   /// Add the write-write-only fences (eieio, dmb.st) to the vocabulary.
   bool IncludeWWOnlyFences = false;
-  /// Bench-only: judge each mutant with one simulate() per model instead
-  /// of the batched shared-enumeration pass.
-  bool LegacyEvaluation = false;
   /// Progress hook: called after every lock-step round with the rounds
   /// completed, mutants judged so far, and the tests still searching
   /// (cats_repair --progress feeds its reporter from this).

@@ -58,7 +58,7 @@ struct SweepOptions {
   /// CPU-bound, so oversubscription only adds context switching.
   unsigned Jobs = 0;
   /// Judging backend for every job (docs/enumeration.md). Pruned is
-  /// byte-identical to Naive; Bmc is opt-in (lower-bound allowed counts).
+  /// byte-identical to Naive, the reference it is checked against.
   JudgeBackend Backend = JudgeBackend::Pruned;
   /// Capture per-(test, model) witnesses (docs/explain.md). Off by
   /// default: the report rendering is then byte-identical to a

@@ -255,6 +255,38 @@ TEST(ResultCache, HitsAreByteIdenticalAndMutationsMiss) {
   EXPECT_TRUE(Cache->lookup(Tests[0], Models, Out));
 }
 
+TEST(ResultCache, EntriesAreBackendIndependent) {
+  // The key hashes no judging backend, so an entry one backend stored is
+  // served to the other: every hit must equal a fresh run of the reader.
+  const std::string Dir = scratchDir("cache_backend");
+  auto Cache = ResultCache::open(Dir);
+  ASSERT_TRUE(static_cast<bool>(Cache)) << Cache.message();
+
+  const std::vector<LitmusTest> Tests = catalogueTests();
+  const std::vector<const Model *> &Models = allModels();
+  SweepOptions NaiveOpts;
+  NaiveOpts.Jobs = 2;
+  NaiveOpts.Backend = JudgeBackend::Naive;
+  SweepOptions PrunedOpts;
+  PrunedOpts.Jobs = 2;
+  PrunedOpts.Backend = JudgeBackend::Pruned;
+
+  SweepReport Filled = SweepEngine(NaiveOpts).runStreamed(
+      vectorSource(Tests), Models, 8, Cache->hooks(Models));
+  EXPECT_EQ(Filled.CacheMisses, Tests.size());
+  SweepReport Warm = SweepEngine(PrunedOpts).runStreamed(
+      vectorSource(Tests), Models, 8, Cache->hooks(Models));
+  EXPECT_EQ(Warm.CacheHits, Tests.size());
+  SweepReport Fresh = SweepEngine(PrunedOpts).runStreamed(
+      vectorSource(Tests), Models, 8);
+
+  ASSERT_EQ(Warm.Tests.size(), Fresh.Tests.size());
+  for (size_t I = 0; I < Fresh.Tests.size(); ++I)
+    EXPECT_EQ(zeroWallTimes(sweepTestResultToJson(Warm.Tests[I])).dump(),
+              zeroWallTimes(sweepTestResultToJson(Fresh.Tests[I])).dump())
+        << Fresh.Tests[I].TestName;
+}
+
 TEST(ResultCache, ModelDefinitionEditsMiss) {
   // The key covers Model::definitionFingerprint(), so editing a model's
   // *definition* — not just its display name — invalidates its entries.

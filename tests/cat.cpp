@@ -223,6 +223,14 @@ struct CrossCase {
   const char *NativeName; ///< registry name
 };
 
+/// Without a printer gtest lists a case as the raw bytes of its two
+/// pointers, which move with address-space layout randomisation, so the
+/// test's listed name would differ from one build to the next. The stem
+/// already names the case; the native model completes it.
+static void PrintTo(const CrossCase &Case, std::ostream *OS) {
+  *OS << Case.NativeName;
+}
+
 class CatCrossValidation : public ::testing::TestWithParam<CrossCase> {};
 
 TEST_P(CatCrossValidation, AgreesWithNativeModelOnCatalog) {

@@ -347,8 +347,9 @@ TEST_P(FuzzDifferential, PrunedMatchesNaive) {
 }
 
 TEST_P(FuzzDifferential, PrunedMatchesNaiveWithDuplicatedThread) {
-  // Duplicating a thread forces a non-trivial symmetry group, so this
-  // variant stresses the canonical-orbit accounting specifically.
+  // Duplicating a thread yields two threads with identical code, a shape
+  // the random generator alone rarely produces; the pruned search must
+  // account it exactly like any other program.
   for (Arch Target : {Arch::Power, Arch::ARM}) {
     LitmusTest Test = randomTest(GetParam(), Target);
     Test.Threads.push_back(Test.Threads[0]);

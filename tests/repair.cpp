@@ -467,26 +467,6 @@ TEST(Repair, DeterministicAcrossWorkerCounts) {
   }
 }
 
-TEST(Repair, LegacyEvaluationMatchesBatched) {
-  std::vector<LitmusTest> Battery = {familyTest("mp", Arch::Power),
-                                     familyTest("r", Arch::Power)};
-  RepairOptions Legacy;
-  Legacy.LegacyEvaluation = true;
-  Legacy.Goal = RepairGoal::ScEquivalence;
-  RepairOptions Batched;
-  Batched.Goal = RepairGoal::ScEquivalence;
-  RepairReport A = RepairEngine(Legacy).run(Battery);
-  RepairReport B = RepairEngine(Batched).run(Battery);
-  ASSERT_EQ(A.Tests.size(), B.Tests.size());
-  for (size_t I = 0; I < A.Tests.size(); ++I) {
-    ASSERT_EQ(A.Tests[I].MinimalRepairs.size(),
-              B.Tests[I].MinimalRepairs.size());
-    for (size_t J = 0; J < A.Tests[I].MinimalRepairs.size(); ++J)
-      EXPECT_EQ(A.Tests[I].MinimalRepairs[J].name(),
-                B.Tests[I].MinimalRepairs[J].name());
-  }
-}
-
 TEST(Repair, BatteryCampaignRepairsEveryAllowedFamily) {
   // The battery -> repair pipeline: every classic family on Power either
   // already meets the goal or is repairable; none errors.

@@ -53,7 +53,7 @@ int usage(const char *Argv0) {
       {"--catalogue", "add the built-in figure catalogue to the inputs"},
       {"--diy REGEX", "add diy-synthesized tests whose canonical cycle\n"
                       "name matches (see cats_diy)"},
-      {"--backend B", "judging backend: pruned (default), naive, or bmc.\n"
+      {"--backend B", "judging backend: pruned (default) or naive.\n"
                       "pruned also records its first subtree cut as a\n"
                       "model-independent prune-cut witness"},
       {"--dot DIR", "write one DOT execution graph per witness into DIR"},
@@ -159,7 +159,7 @@ int main(int argc, char **argv) {
       if (!parseJudgeBackend(V, Backend)) {
         std::fprintf(stderr,
                      "cats_explain: unknown backend '%s' (expected "
-                     "naive, pruned, or bmc)\n",
+                     "naive or pruned)\n",
                      V);
         return 2;
       }

@@ -46,9 +46,9 @@ int usage(const char *Argv0) {
       {"--filter REGEX", "keep only tests whose name matches"},
       {"--catalogue", "add the built-in figure catalogue to the inputs"},
       {"--batch N", "streaming batch size for campaign runs (default: 64)"},
-      {"--backend B", "judging backend: pruned (default), naive, or bmc\n"
-                      "(bmc reports lower-bound allowed counts; see\n"
-                      "docs/enumeration.md)"},
+      {"--backend B", "judging backend: pruned (default) or naive, the\n"
+                      "reference search; both give identical results\n"
+                      "(docs/enumeration.md)"},
       {"--json FILE", "write the cats-sweep-report/1 JSON report"},
       {"--witness", "capture per-(test, model) witnesses into the JSON\n"
                     "report's cats-witness/1 section (docs/explain.md)"},
@@ -118,7 +118,7 @@ int main(int argc, char **argv) {
       if (!parseJudgeBackend(V, Backend)) {
         std::fprintf(stderr,
                      "cats_sweep: unknown backend '%s' (expected "
-                     "naive, pruned, or bmc)\n",
+                     "naive or pruned)\n",
                      V);
         return 2;
       }
