@@ -50,7 +50,9 @@ int main(int Argc, char **Argv) {
 
   const Model &M = modelFor(Test->TargetArch);
   SimulationResult Sim = simulate(*Test, M);
-  std::printf("%s", herdStyleReport(Sim, Test->Final).c_str());
+  std::printf("%s",
+              herdStyleReport(Sim, Sim.ConsistentOutcomes, Test->Final)
+                  .c_str());
 
   std::vector<HardwareProfile> Fleet =
       Test->TargetArch == Arch::Power ? HardwareProfile::powerFleet()

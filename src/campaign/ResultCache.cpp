@@ -87,9 +87,27 @@ bool ResultCache::lookup(const LitmusTest &Test,
   if (!Parsed)
     return false;
   // Guard against key collisions and hand-edited entries: the stored
-  // result must belong to this very test.
-  if (Parsed->TestName != Test.Name)
+  // result must belong to this very test, answer for exactly the
+  // requested models in order, and every verdict must follow from its
+  // allowed states and the test's condition. The reader already checked
+  // the entry's own invariants; a corrupt entry is a miss, never a
+  // served verdict.
+  const MultiSimulationResult &R = Parsed->Result;
+  if (Parsed->TestName != Test.Name || R.PerModel.size() != Models.size())
     return false;
+  std::vector<char> Satisfies(R.ConsistentOutcomes.size());
+  for (size_t I = 0; I < Satisfies.size(); ++I)
+    Satisfies[I] = R.ConsistentOutcomes[I].satisfies(Test.Final);
+  for (size_t I = 0; I < Models.size(); ++I) {
+    const SimulationResult &M = R.PerModel[I];
+    if (M.ModelName != Models[I]->name())
+      return false;
+    bool Reachable = false;
+    for (uint32_t Idx : M.AllowedOutcomes)
+      Reachable |= Satisfies[Idx] != 0;
+    if (Reachable != M.ConditionReachable)
+      return false;
+  }
   Out = Parsed.take();
   return true;
 }

@@ -10,9 +10,11 @@
 #include "model/Registry.h"
 #include "model/SimpleModels.h"
 #include "obs/Metrics.h"
+#include "support/Bits.h"
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 using namespace cats;
 
@@ -103,6 +105,7 @@ MultiModelChecker::MultiModelChecker(const CompiledTest &Compiled,
   Metrics = obs::metricsEnabled();
   if (Metrics)
     AxiomKills.assign(Models.size(), {});
+  Words = (Models.size() + 63) / 64;
 
   // Resolve the model-strength forest against this model set: an edge
   // only exists when the designated stronger registry instance is itself
@@ -156,33 +159,22 @@ void MultiModelChecker::feed(const Candidate &Cand) {
   // The candidate is final by now: let every model check share one
   // computation of the derived relations (fr, po-loc, com, ...). The
   // outcome's key cache is already on (enabled by concretize), so the
-  // outcome-set inserts below compare memoized keys instead of
-  // rebuilding the key string per comparison.
+  // note lookup hashes a memoized key.
   Cand.Exe.enableDerivedCache();
 
-  // Model-independent work, once per candidate.
-  Result.ConsistentOutcomes.insert(Cand.Out);
-  const bool SatisfiesFinal = Cand.Out.satisfies(Final);
+  // Model-independent work, once per distinct outcome.
+  const uint32_t Id = noteFor(Cand.Out);
 
-  for (size_t I = 0; I < Models.size(); ++I) {
-    // check() evaluates all four axioms without short-circuiting either
-    // way, so reading the full verdict (for the per-axiom kill tallies)
-    // costs the same as the boolean allows().
-    const Verdict V = Models[I]->check(Cand.Exe);
-    if (WitnessMode && SatisfiesFinal)
-      captureWitness(I, V, Cand.Exe, Cand.Out);
-    if (!V.Allowed) {
-      if (Metrics)
-        for (Axiom A : V.Violated)
-          ++AxiomKills[I][static_cast<size_t>(A)];
-      continue;
-    }
-    SimulationResult &R = Result.PerModel[I];
-    ++R.CandidatesAllowed;
-    R.AllowedOutcomes.insert(Cand.Out);
-    if (SatisfiesFinal)
-      R.ConditionReachable = true;
-  }
+  // check() evaluates all four axioms without short-circuiting either
+  // way, so reading the full verdict (for the per-axiom kill tallies)
+  // costs the same as the boolean allows().
+  JudgeBuf.resize(Models.size());
+  for (size_t I = 0; I < Models.size(); ++I)
+    JudgeBuf[I] = Models[I]->check(Cand.Exe);
+  if (WitnessMode && Notes[Id].Satisfies)
+    for (size_t I = 0; I < Models.size(); ++I)
+      captureWitness(I, JudgeBuf[I], Cand.Exe, Cand.Out);
+  accountVerdicts(JudgeBuf, Id);
 }
 
 void MultiModelChecker::enableWitnessCapture() {
@@ -284,34 +276,19 @@ MultiModelChecker::judgeImpl(const Execution &Exe, const bool *ScHint) {
   return JudgeBuf;
 }
 
-void MultiModelChecker::accountConsistentOutcome(const Outcome &O) {
-  auto [It, New] = OutcomeNotes.try_emplace(O.key());
-  if (!New)
-    return;
-  It->second.Satisfies = O.satisfies(Final);
-  Result.ConsistentOutcomes.insert(O);
+uint32_t MultiModelChecker::noteFor(const Outcome &O) {
+  auto [It, New] =
+      NoteIds.try_emplace(O.key(), static_cast<uint32_t>(Notes.size()));
+  if (New) {
+    Notes.push_back({O, O.satisfies(Final)});
+    AllowedWords.resize(AllowedWords.size() + Words);
+  }
+  return It->second;
 }
 
-void MultiModelChecker::accountImage(const std::vector<Verdict> &Verdicts,
-                                     const Outcome &O) {
-  // The closed-form pass of the leaf's rf covers that rf's whole outcome
-  // cross product, so the leaf's outcome already has its note.
-  auto It = OutcomeNotes.find(O.key());
-  assert(It != OutcomeNotes.end() && "leaf outcome was never accounted");
-  OutcomeNote &Note = It->second;
-  // The leaf's outcome belongs to the execution judge() just checked.
-  if (WitnessMode && PendingJudged) {
-    const Execution &Judged = *PendingJudged;
-    PendingJudged = nullptr;
-    if (Note.Satisfies)
-      for (size_t I = 0; I < Models.size(); ++I)
-        captureWitness(I, Verdicts[I], Judged, O);
-  }
-  // The per-model AllowedOutcomes sets and ConditionReachable flags are
-  // not touched here: they are reconstructed in take() from the per-
-  // outcome allowed masks, so the per-leaf cost is counter bumps and one
-  // mask OR instead of up to one ordered-set insert per model.
-  unsigned long long Mask = 0;
+void MultiModelChecker::accountVerdicts(const std::vector<Verdict> &Verdicts,
+                                        uint32_t Id) {
+  uint64_t *Row = AllowedWords.data() + size_t(Id) * Words;
   for (size_t I = 0; I < Models.size(); ++I) {
     const Verdict &V = Verdicts[I];
     if (!V.Allowed) {
@@ -321,18 +298,26 @@ void MultiModelChecker::accountImage(const std::vector<Verdict> &Verdicts,
       continue;
     }
     ++Result.PerModel[I].CandidatesAllowed;
-    if (I < 64) {
-      Mask |= 1ull << I;
-    } else {
-      // Past the mask width the deferral has nowhere to record the
-      // model, so those entries materialize immediately (the insert
-      // dedups repeats on its own).
-      Result.PerModel[I].AllowedOutcomes.insert(O);
-      if (Note.Satisfies)
-        Result.PerModel[I].ConditionReachable = true;
-    }
+    Row[I / 64] |= 1ull << (I % 64);
   }
-  Note.AllowedMask |= Mask;
+}
+
+void MultiModelChecker::accountImage(const std::vector<Verdict> &Verdicts,
+                                     const Outcome &O) {
+  // The closed-form pass of the leaf's rf covers that rf's whole outcome
+  // cross product, so the leaf's outcome already has its note.
+  auto It = NoteIds.find(O.key());
+  assert(It != NoteIds.end() && "leaf outcome was never accounted");
+  const uint32_t Id = It->second;
+  // The leaf's outcome belongs to the execution judge() just checked.
+  if (WitnessMode && PendingJudged) {
+    const Execution &Judged = *PendingJudged;
+    PendingJudged = nullptr;
+    if (Notes[Id].Satisfies)
+      for (size_t I = 0; I < Models.size(); ++I)
+        captureWitness(I, Verdicts[I], Judged, O);
+  }
+  accountVerdicts(Verdicts, Id);
 }
 
 void MultiModelChecker::accountPrunedMass(unsigned long long N) {
@@ -343,38 +328,32 @@ void MultiModelChecker::accountPrunedMass(unsigned long long N) {
 }
 
 MultiSimulationResult MultiModelChecker::take() {
-  // Materialize the per-model allowed sets and reachability flags the
-  // incremental path deferred (feed() fills them directly and leaves the
-  // notes' masks empty, so this loop is a no-op after a naive run).
-  // ConsistentOutcomes iterates in key order and every note key is a
-  // consistent outcome's key, so each model's inserts arrive ascending
-  // and the end() hint keeps them search-free.
-  for (const Outcome &O : Result.ConsistentOutcomes) {
-    auto It = OutcomeNotes.find(O.key());
-    if (It == OutcomeNotes.end() || !It->second.AllowedMask)
-      continue;
-    const OutcomeNote &Note = It->second;
-    for (size_t I = 0; I < Models.size() && I < 64; ++I) {
-      if (!(Note.AllowedMask >> I & 1))
-        continue;
-      SimulationResult &R = Result.PerModel[I];
-      R.AllowedOutcomes.insert(R.AllowedOutcomes.end(), O);
-      if (Note.Satisfies)
-        R.ConditionReachable = true;
-    }
+  // The outcome table is the notes in key order; each model's allowed
+  // indices then come out of one pass over it, ascending by construction.
+  std::vector<uint32_t> Order(Notes.size());
+  std::iota(Order.begin(), Order.end(), 0u);
+  std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+    return Notes[A].Out < Notes[B].Out;
+  });
+  Result.ConsistentOutcomes.reserve(Notes.size());
+  for (uint32_t Pos = 0; Pos < Order.size(); ++Pos) {
+    OutcomeNote &Note = Notes[Order[Pos]];
+    Result.ConsistentOutcomes.push_back(std::move(Note.Out));
+    const uint64_t *Row = AllowedWords.data() + size_t(Order[Pos]) * Words;
+    for (size_t W = 0; W < Words; ++W)
+      for (uint64_t Bits = Row[W]; Bits; Bits &= Bits - 1) {
+        SimulationResult &R = Result.PerModel[W * 64 + countrZero(Bits)];
+        R.AllowedOutcomes.push_back(Pos);
+        if (Note.Satisfies)
+          R.ConditionReachable = true;
+      }
   }
 
-  // Mirror the shared counts so each PerModel entry stands alone. The
-  // ConsistentOutcomes set is only copied in the single-model case (the
-  // simulate() facade returns that lone entry detached from the multi
-  // result); with many models the copies dominate take() itself, so
-  // multi-model consumers read the shared set on MultiSimulationResult.
+  // Mirror the shared counts so each PerModel entry stands alone.
   for (SimulationResult &R : Result.PerModel) {
     R.CandidatesTotal = Result.CandidatesTotal;
     R.CandidatesConsistent = Result.CandidatesConsistent;
   }
-  if (Result.PerModel.size() == 1)
-    Result.PerModel.front().ConsistentOutcomes = Result.ConsistentOutcomes;
 
   // Assemble the captured witness slots now that every verdict is final.
   // A slot can be empty when the backend never materialized evidence for
@@ -561,7 +540,11 @@ cats::simulateAll(const LitmusTest &Test,
 
 SimulationResult cats::simulate(const CompiledTest &Compiled,
                                 const Model &M) {
-  return simulateAll(Compiled, {&M}).PerModel.front();
+  // Detach the lone entry with the table its indices point into.
+  MultiSimulationResult Multi = simulateAll(Compiled, {&M});
+  SimulationResult R = std::move(Multi.PerModel.front());
+  R.ConsistentOutcomes = std::move(Multi.ConsistentOutcomes);
+  return R;
 }
 
 SimulationResult cats::simulate(const LitmusTest &Test, const Model &M) {
@@ -575,14 +558,15 @@ bool cats::allowedBy(const LitmusTest &Test, const Model &M) {
 }
 
 std::string cats::herdStyleReport(const SimulationResult &Result,
+                                  const std::vector<Outcome> &Table,
                                   const Condition &Final) {
   std::string Out = "Test " + Result.TestName + " " +
                     (Result.ConditionReachable ? "Allowed" : "Forbidden") +
                     "\n";
   Out += "States " + std::to_string(Result.AllowedOutcomes.size()) + "\n";
-  for (const Outcome &State : Result.AllowedOutcomes) {
+  for (uint32_t State : Result.AllowedOutcomes) {
     // The key is already "t:rN=v;loc=v;..." — reformat with spaces.
-    std::string Line = State.key();
+    std::string Line = Table[State].key();
     std::string Spaced;
     for (char C : Line) {
       Spaced += C;

@@ -22,8 +22,8 @@
 #include "obs/Witness.h"
 
 #include <array>
+#include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,12 +40,15 @@ struct SimulationResult {
   unsigned long long CandidatesConsistent = 0;
   /// Candidates allowed by the model.
   unsigned long long CandidatesAllowed = 0;
-  /// Distinct outcomes of allowed candidates.
-  std::set<Outcome> AllowedOutcomes;
-  /// Distinct outcomes over all consistent candidates (any model).
-  /// Populated by the single-model simulate(); in a multi-model sweep the
-  /// set is shared and lives on MultiSimulationResult instead.
-  std::set<Outcome> ConsistentOutcomes;
+  /// Distinct outcomes of allowed candidates, as strictly ascending
+  /// indices into the test's outcome table: the ConsistentOutcomes of the
+  /// enclosing MultiSimulationResult, or this entry's own when simulate()
+  /// returned it detached. Ascending index order is key order.
+  std::vector<uint32_t> AllowedOutcomes;
+  /// The outcome table of a detached simulate() result (every distinct
+  /// consistent outcome, in key order). Empty on the entries of a
+  /// MultiSimulationResult, which holds the one table all models share.
+  std::vector<Outcome> ConsistentOutcomes;
   /// True if some allowed candidate satisfies the test's final condition.
   bool ConditionReachable = false;
 
@@ -65,13 +68,12 @@ struct MultiSimulationResult {
   unsigned long long CandidatesTotal = 0;
   /// Candidates surviving value-consistency; shared.
   unsigned long long CandidatesConsistent = 0;
-  /// Distinct outcomes over all consistent candidates; shared.
-  std::set<Outcome> ConsistentOutcomes;
+  /// The test's outcome table: every distinct outcome of a consistent
+  /// candidate, in key order, stored once. Each model's AllowedOutcomes
+  /// indexes into it.
+  std::vector<Outcome> ConsistentOutcomes;
   /// One entry per requested model, in request order. The shared counts
-  /// above are mirrored into each entry; the shared ConsistentOutcomes set
-  /// is not (copying it per model dominates take() on wide sweeps) except
-  /// when exactly one model was requested, so simulate()'s detached return
-  /// value stays a complete SimulationResult.
+  /// above are mirrored into each entry; the table is not.
   std::vector<SimulationResult> PerModel;
   /// Verdict evidence, only populated when witness capture was enabled
   /// (docs/explain.md): per model one witness backing its verdict, plus
@@ -156,9 +158,9 @@ public:
   }
 
   /// Records one model-independent consistent outcome. First sighting of
-  /// a key pays the set insert and the final-condition evaluation; repeats
-  /// are a hash lookup.
-  void accountConsistentOutcome(const Outcome &O);
+  /// a key pays the note (a copy of \p O) and the final-condition
+  /// evaluation; repeats are a hash lookup.
+  void accountConsistentOutcome(const Outcome &O) { noteFor(O); }
 
   unsigned long long consistentCount() const {
     return Result.CandidatesConsistent;
@@ -258,19 +260,28 @@ private:
   /// Lemma 4.1 reference formulation instead of the four-axiom check.
   enum class RefFormulation : uint8_t { None, Sc, Tso };
   std::vector<RefFormulation> RefPath;
-  /// Incremental-path memo per distinct outcome key: whether the outcome
-  /// satisfies the final condition, and which models (bit I = Models[I],
-  /// capped at 64) allowed some candidate with this outcome. accountImage
-  /// only bumps counters and ORs the mask; take() reconstructs each
-  /// model's AllowedOutcomes set and ConditionReachable flag from the
-  /// notes in one ordered pass, so no per-leaf ordered-set inserts happen
-  /// at all. feed() leaves the masks empty: the naive path stays the
-  /// plain reference loop and take()'s reconstruction is then a no-op.
+  /// One note per distinct consistent outcome, with a dense id in
+  /// first-sighting order: the outcome and whether it satisfies the final
+  /// condition. Which models allowed some candidate with the outcome is
+  /// kept in AllowedWords, Words = ceil(models / 64) words per note (bit I
+  /// of note N's row = Models[I]). feed() and accountImage() only bump
+  /// counters and set bits; take() sorts the notes into the key-ordered
+  /// outcome table and emits every model's allowed indices and
+  /// ConditionReachable flag in one pass, so no outcome is copied per
+  /// model.
   struct OutcomeNote {
+    Outcome Out;
     bool Satisfies = false;
-    unsigned long long AllowedMask = 0;
   };
-  std::unordered_map<std::string, OutcomeNote> OutcomeNotes;
+  std::vector<OutcomeNote> Notes;
+  std::unordered_map<std::string, uint32_t> NoteIds;
+  size_t Words = 0;
+  std::vector<uint64_t> AllowedWords;
+  /// The dense id of \p O's note, created on first sighting.
+  uint32_t noteFor(const Outcome &O);
+  /// Sets the allowed bits of the models \p Verdicts allows on note \p Id
+  /// and books their allowed counts and kill tallies.
+  void accountVerdicts(const std::vector<Verdict> &Verdicts, uint32_t Id);
   EnumerationStats Stats;
   bool HaveStats = false;
   /// Witness capture (enableWitnessCapture). Slots hold, per model, the
@@ -366,8 +377,10 @@ bool allowedBy(const LitmusTest &Test, const Model &M);
 ///   Ok
 ///   Condition exists (1:r1=1 /\ 1:r2=0)
 ///
+/// \p Table is the outcome table \p Result's allowed indices point into;
 /// \p Final is the test's condition (echoed in the footer).
 std::string herdStyleReport(const SimulationResult &Result,
+                            const std::vector<Outcome> &Table,
                             const Condition &Final);
 
 } // namespace cats

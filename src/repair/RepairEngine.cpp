@@ -49,7 +49,9 @@ struct JudgeOutcome {
 };
 
 /// The goal predicate over the per-model results of one mutant: entry 0 is
-/// the target model, entry 1 (ScEquivalence only) the SC reference.
+/// the target model, entry 1 (ScEquivalence only) the SC reference. Both
+/// allowed lists index the mutant's one outcome table, so equal index
+/// lists are equal outcome sets.
 bool goalMet(RepairGoal Goal, const MultiSimulationResult &R) {
   if (Goal == RepairGoal::ForbidFinal)
     return !R.PerModel[0].ConditionReachable;

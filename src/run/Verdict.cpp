@@ -10,8 +10,8 @@
 #include "litmus/Compiler.h"
 #include "model/Registry.h"
 
+#include <algorithm>
 #include <cassert>
-#include <set>
 
 using namespace cats;
 
@@ -52,19 +52,21 @@ namespace {
 /// The shared judging core over precomputed simulation results. The
 /// aggregate counters are disjoint: a bucket outside the enumeration is
 /// counted only there (it is necessarily also outside every model's
-/// allowed set — AllowedOutcomes is a subset of ConsistentOutcomes — and
+/// allowed set — the allowed states index into the outcome table — and
 /// counting it twice would misreport the violation magnitude).
 void judgeWith(const LitmusTest &Test, const SimulationResult &Ref,
-               const SimulationResult &Sc,
-               const std::set<Outcome> &ConsistentOutcomes,
+               const SimulationResult &Sc, const std::vector<Outcome> &Table,
                RunTestResult &Result) {
-  std::set<std::string> AllowedRef, AllowedSc, Consistent;
-  for (const Outcome &O : Ref.AllowedOutcomes)
-    AllowedRef.insert(O.key());
-  for (const Outcome &O : Sc.AllowedOutcomes)
-    AllowedSc.insert(O.key());
-  for (const Outcome &O : ConsistentOutcomes)
-    Consistent.insert(O.key());
+  // The table is in key order, so a bucket's key resolves to its table
+  // index by binary search, and the allowed lists are ascending indices.
+  std::vector<std::string> Keys;
+  Keys.reserve(Table.size());
+  for (const Outcome &O : Table)
+    Keys.push_back(O.key());
+  auto Allows = [](const SimulationResult &R, size_t Idx) {
+    return std::binary_search(R.AllowedOutcomes.begin(),
+                              R.AllowedOutcomes.end(), Idx);
+  };
 
   Result.ModelName = Ref.ModelName;
   Result.ConditionAllowedByModel = Ref.ConditionReachable;
@@ -72,9 +74,11 @@ void judgeWith(const LitmusTest &Test, const SimulationResult &Ref,
   Result.ConditionObserved = false;
   Result.OutsideModel = Result.OutsideSc = Result.OutsideEnumeration = 0;
   for (RunBucket &B : Result.Histogram) {
-    B.AllowedByModel = AllowedRef.count(B.Key) != 0;
-    B.AllowedBySc = AllowedSc.count(B.Key) != 0;
-    B.Consistent = Consistent.count(B.Key) != 0;
+    auto It = std::lower_bound(Keys.begin(), Keys.end(), B.Key);
+    const size_t Idx = static_cast<size_t>(It - Keys.begin());
+    B.Consistent = It != Keys.end() && *It == B.Key;
+    B.AllowedByModel = B.Consistent && Allows(Ref, Idx);
+    B.AllowedBySc = B.Consistent && Allows(Sc, Idx);
     B.MatchesFinal = B.Out.satisfies(Test.Final);
     if (B.MatchesFinal)
       Result.ConditionObserved = true;

@@ -9,6 +9,7 @@
 #include "obs/Witness.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 using namespace cats;
@@ -86,8 +87,9 @@ JsonValue cats::sweepTestResultToJson(const SweepTestResult &T) {
   Entry.set("candidates_total", T.Result.CandidatesTotal);
   Entry.set("candidates_consistent", T.Result.CandidatesConsistent);
 
+  const std::vector<Outcome> &Table = T.Result.ConsistentOutcomes;
   JsonValue States = JsonValue::array();
-  for (const Outcome &O : T.Result.ConsistentOutcomes)
+  for (const Outcome &O : Table)
     States.push(O.key());
   Entry.set("consistent_states", std::move(States));
 
@@ -98,8 +100,8 @@ JsonValue cats::sweepTestResultToJson(const SweepTestResult &T) {
     M.set("verdict", R.verdict());
     M.set("candidates_allowed", R.CandidatesAllowed);
     JsonValue Allowed = JsonValue::array();
-    for (const Outcome &O : R.AllowedOutcomes)
-      Allowed.push(O.key());
+    for (uint32_t Idx : R.AllowedOutcomes)
+      Allowed.push(Table[Idx].key());
     M.set("allowed_states", std::move(Allowed));
     Models.push(std::move(M));
   }
@@ -154,18 +156,64 @@ std::string stringOf(const JsonValue &Obj, const char *Key) {
   return V && V->isString() ? V->asString() : std::string();
 }
 
-Status parseOutcomeSet(const JsonValue *Array, std::set<Outcome> &Out) {
+/// The elements of state list \p Array, all strings; an absent list reads
+/// as empty.
+Expected<const std::vector<JsonValue> *> stateList(const JsonValue *Array) {
+  using Ret = Expected<const std::vector<JsonValue> *>;
+  static const std::vector<JsonValue> None;
   if (!Array)
-    return Status::success();
+    return &None;
   if (!Array->isArray())
-    return Status::error("state list is not an array");
-  for (const JsonValue &Key : Array->elements()) {
+    return Ret::error("state list is not an array");
+  for (const JsonValue &Key : Array->elements())
     if (!Key.isString())
-      return Status::error("state key is not a string");
-    auto O = outcomeFromKey(Key.asString());
+      return Ret::error("state key is not a string");
+  return &Array->elements();
+}
+
+/// Parses "consistent_states" into the outcome table. Every key must parse
+/// and render back to itself, and the keys must be strictly ascending (the
+/// table's key order, which the allowed indices rely on).
+Status parseOutcomeTable(const std::vector<JsonValue> &Keys,
+                         std::vector<Outcome> &Table) {
+  Table.reserve(Keys.size());
+  for (size_t I = 0; I < Keys.size(); ++I) {
+    const std::string &Key = Keys[I].asString();
+    if (I && !(Keys[I - 1].asString() < Key))
+      return Status::error("consistent states are not strictly ascending at '" +
+                           Key + "'");
+    auto O = outcomeFromKey(Key);
     if (!O)
       return Status::error(O.message());
-    Out.insert(O.take());
+    if (O->key() != Key)
+      return Status::error("state key '" + Key + "' is not canonical");
+    Table.push_back(O.take());
+  }
+  return Status::success();
+}
+
+/// Resolves the allowed-state keys \p Allowed against the table's keys
+/// \p TableKeys into strictly ascending indices. A state missing from the
+/// table, a repeat or an out-of-order state is an error.
+Status resolveAllowed(const std::vector<JsonValue> &Allowed,
+                      const std::vector<JsonValue> &TableKeys,
+                      std::vector<uint32_t> &Out) {
+  auto KeyLess = [](const JsonValue &A, const std::string &B) {
+    return A.asString() < B;
+  };
+  Out.reserve(Allowed.size());
+  for (const JsonValue &State : Allowed) {
+    const std::string &Key = State.asString();
+    auto It =
+        std::lower_bound(TableKeys.begin(), TableKeys.end(), Key, KeyLess);
+    if (It == TableKeys.end() || It->asString() != Key)
+      return Status::error("allowed state '" + Key +
+                           "' is not a consistent state");
+    const auto Idx = static_cast<uint32_t>(It - TableKeys.begin());
+    if (!Out.empty() && Idx <= Out.back())
+      return Status::error("allowed states are not strictly ascending at '" +
+                           Key + "'");
+    Out.push_back(Idx);
   }
   return Status::success();
 }
@@ -189,8 +237,10 @@ Expected<SweepTestResult> cats::sweepTestResultFromJson(const JsonValue &E) {
   Out.Result.TestName = Out.TestName;
   Out.Result.CandidatesTotal = countOf(E, "candidates_total");
   Out.Result.CandidatesConsistent = countOf(E, "candidates_consistent");
-  if (Status S =
-          parseOutcomeSet(E.get("consistent_states"), Out.Result.ConsistentOutcomes);
+  auto TableKeys = stateList(E.get("consistent_states"));
+  if (!TableKeys)
+    return Ret::error(Out.TestName + ": " + TableKeys.message());
+  if (Status S = parseOutcomeTable(**TableKeys, Out.Result.ConsistentOutcomes);
       S.failed())
     return Ret::error(Out.TestName + ": " + S.message());
 
@@ -206,21 +256,28 @@ Expected<SweepTestResult> cats::sweepTestResultFromJson(const JsonValue &E) {
       R.ModelName = stringOf(M, "model");
       if (R.ModelName.empty())
         return Ret::error(Out.TestName + ": model entry without a name");
-      R.ConditionReachable = stringOf(M, "verdict") == "Allow";
+      const std::string Verdict = stringOf(M, "verdict");
+      if (Verdict != "Allow" && Verdict != "Forbid")
+        return Ret::error(Out.TestName + ": model " + R.ModelName +
+                          " has no Allow/Forbid verdict");
+      R.ConditionReachable = Verdict == "Allow";
       R.CandidatesAllowed = countOf(M, "candidates_allowed");
-      if (Status S = parseOutcomeSet(M.get("allowed_states"), R.AllowedOutcomes);
+      auto Allowed = stateList(M.get("allowed_states"));
+      if (!Allowed)
+        return Ret::error(Out.TestName + ": " + Allowed.message());
+      if (Status S = resolveAllowed(**Allowed, **TableKeys, R.AllowedOutcomes);
           S.failed())
-        return Ret::error(Out.TestName + ": " + S.message());
+        return Ret::error(Out.TestName + ": model " + R.ModelName + ": " +
+                          S.message());
+      if (R.CandidatesAllowed < R.AllowedOutcomes.size())
+        return Ret::error(Out.TestName + ": model " + R.ModelName +
+                          " allows fewer candidates than states");
       // Mirror the shared counts so every entry stands alone, exactly as
-      // the live engine produces them (the shared ConsistentOutcomes set
-      // stays on the multi result, matching MultiModelChecker::take()).
+      // the live engine produces them.
       R.CandidatesTotal = Out.Result.CandidatesTotal;
       R.CandidatesConsistent = Out.Result.CandidatesConsistent;
       Out.Result.PerModel.push_back(std::move(R));
     }
-    if (Out.Result.PerModel.size() == 1)
-      Out.Result.PerModel.front().ConsistentOutcomes =
-          Out.Result.ConsistentOutcomes;
   }
   return Out;
 }

@@ -14,8 +14,10 @@
 /// prefix, and cats_merge folds shard reports into one.
 ///
 /// Rendering a parsed entry is byte-identical to rendering the original:
-/// outcome keys reparse into Outcomes whose key() rebuilds the same
-/// string, and every count is integral (exact in the JSON number type).
+/// the reader only accepts outcome keys whose reparsed Outcome rebuilds
+/// the same string, allowed states resolve to indices into the parsed
+/// consistent-state table, and every count is integral (exact in the JSON
+/// number type).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +32,8 @@
 namespace cats {
 
 /// Parses an Outcome::key() string ("0:r1=1;x=2;...") back into an
-/// Outcome. The rebuilt outcome's key() equals \p Key exactly.
+/// Outcome. The rebuilt outcome's key() equals \p Key exactly when \p Key
+/// is canonical (as every key Outcome::key() renders is).
 Expected<Outcome> outcomeFromKey(const std::string &Key);
 
 /// Renders one per-test entry of the "tests" array (the same rendering
@@ -38,7 +41,12 @@ Expected<Outcome> outcomeFromKey(const std::string &Key);
 JsonValue sweepTestResultToJson(const SweepTestResult &Result);
 
 /// Parses one per-test entry. Unknown members are ignored (forward
-/// compatibility within the /1 schema).
+/// compatibility within the /1 schema). Besides syntax, an entry must keep
+/// the writer's invariants (docs/report-schemas.md): "consistent_states"
+/// canonical and strictly ascending, every model's verdict "Allow" or
+/// "Forbid", its allowed states a strictly ascending subset of the
+/// consistent states, and its "candidates_allowed" at least its number of
+/// allowed states.
 Expected<SweepTestResult> sweepTestResultFromJson(const JsonValue &Entry);
 
 /// Parses a whole cats-sweep-report/1 document. Fails on a wrong or

@@ -28,10 +28,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
+#include <sstream>
 
 using namespace cats;
 
@@ -197,6 +200,56 @@ TEST(ReportIO, SweepReportRoundTripsByteIdentically) {
   EXPECT_EQ(sweepReportToJson(*Parsed).dump(), Root.dump());
 }
 
+TEST(ReportIO, ReaderEnforcesEntryInvariants) {
+  // A sound one-model entry, then one breach per invariant of the entry
+  // reader; each breach must be rejected by the reader itself.
+  auto Entry = [](const std::string &States, const std::string &Model) {
+    return R"({"name": "t", "candidates_total": 4,)"
+           R"( "candidates_consistent": 4, "consistent_states": )" +
+           States + R"(, "models": [)" + Model + "]}";
+  };
+  auto Model = [](const std::string &Verdict, int Allowed,
+                  const std::string &States) {
+    return R"({"model": "SC", )" + Verdict +
+           R"( "candidates_allowed": )" + std::to_string(Allowed) +
+           R"(, "allowed_states": )" + States + "}";
+  };
+  const std::string Table = R"(["x=1;", "x=2;"])";
+  const std::string Allow = R"("verdict": "Allow",)";
+  auto Parse = [](const std::string &Text) {
+    auto Doc = JsonValue::parse(Text);
+    EXPECT_TRUE(static_cast<bool>(Doc)) << Text;
+    return sweepTestResultFromJson(*Doc);
+  };
+
+  auto Sound = Parse(Entry(Table, Model(Allow, 3, Table)));
+  ASSERT_TRUE(static_cast<bool>(Sound)) << Sound.message();
+  EXPECT_EQ(Sound->Result.PerModel[0].AllowedOutcomes,
+            (std::vector<uint32_t>{0, 1}));
+
+  const std::vector<std::pair<std::string, std::string>> Breaches = {
+      {"verdict missing", Entry(Table, Model("", 2, Table))},
+      {"verdict not Allow/Forbid",
+       Entry(Table, Model(R"("verdict": "allow",)", 2, Table))},
+      {"consistent states out of order",
+       Entry(R"(["x=2;", "x=1;"])", Model(Allow, 0, "[]"))},
+      {"consistent state repeated",
+       Entry(R"(["x=1;", "x=1;"])", Model(Allow, 0, "[]"))},
+      {"state key not canonical",
+       Entry(R"(["x=01;", "x=2;"])", Model(Allow, 0, "[]"))},
+      {"allowed state missing from consistent states",
+       Entry(Table, Model(Allow, 2, R"(["x=3;"])"))},
+      {"allowed states out of order",
+       Entry(Table, Model(Allow, 2, R"(["x=2;", "x=1;"])"))},
+      {"allowed state repeated",
+       Entry(Table, Model(Allow, 2, R"(["x=1;", "x=1;"])"))},
+      {"candidates_allowed below the allowed-state count",
+       Entry(Table, Model(Allow, 1, Table))},
+  };
+  for (const auto &[What, Text] : Breaches)
+    EXPECT_FALSE(static_cast<bool>(Parse(Text))) << What;
+}
+
 TEST(ReportIO, ReaderRejectsWrongSchema) {
   JsonValue Root = JsonValue::object();
   Root.set("schema", "cats-run-report/1");
@@ -321,9 +374,9 @@ TEST(ResultCache, ModelDefinitionEditsMiss) {
 
   // Store under the v1 definition; the same name with the v2 definition
   // must miss, and v1 must still hit.
-  SweepTestResult Stored;
-  Stored.TestName = Test.Name;
-  ASSERT_FALSE(Cache->store(Test, WithV1, Stored).failed());
+  SweepReport Judged = SweepEngine({1}).run(makeJobs({Test}, WithV1));
+  ASSERT_TRUE(Judged.allOk());
+  ASSERT_FALSE(Cache->store(Test, WithV1, Judged.Tests[0]).failed());
   SweepTestResult Out;
   EXPECT_TRUE(Cache->lookup(Test, WithV1, Out));
   EXPECT_FALSE(Cache->lookup(Test, WithV2, Out));
@@ -357,6 +410,123 @@ TEST(ResultCache, CollisionGuardRejectsForeignEntries) {
                                        ToKey + ".json");
   SweepTestResult Out;
   EXPECT_FALSE(Cache->lookup(Tests[1], Models, Out));
+}
+
+namespace {
+
+/// A copy of JSON object \p Obj with member \p Key replaced by \p V, or
+/// dropped when \p V is null; member order is kept.
+JsonValue withMember(const JsonValue &Obj, const std::string &Key,
+                     const JsonValue &V) {
+  JsonValue Out = JsonValue::object();
+  for (const auto &[K, Val] : Obj.members())
+    if (K != Key)
+      Out.set(K, Val);
+    else if (!V.isNull())
+      Out.set(K, V);
+  return Out;
+}
+
+/// \p Obj with its array member \p Key passed through \p Edit.
+JsonValue editList(const JsonValue &Obj, const std::string &Key,
+                   const std::function<void(std::vector<JsonValue> &)> &Edit) {
+  std::vector<JsonValue> Items = Obj.get(Key)->elements();
+  Edit(Items);
+  JsonValue List = JsonValue::array();
+  for (JsonValue &Item : Items)
+    List.push(std::move(Item));
+  return withMember(Obj, Key, List);
+}
+
+} // namespace
+
+TEST(ResultCache, CorruptWellFormedEntriesMiss) {
+  // One hand-corrupted but syntactically valid entry per invariant of the
+  // entry reader and of the cache lookup: each must be a miss, and the
+  // warm run that re-judges it must equal the cold run.
+  const std::string Dir = scratchDir("cache_corrupt");
+  auto Cache = ResultCache::open(Dir);
+  ASSERT_TRUE(static_cast<bool>(Cache));
+  const std::vector<const Model *> &Models = allModels();
+  const CatalogEntry *Target = catalogEntry("mp+lwsync+addr");
+  ASSERT_NE(Target, nullptr);
+  const std::vector<LitmusTest> Tests = {catalogEntry("mp")->Test,
+                                         Target->Test,
+                                         catalogEntry("sb")->Test};
+  SweepEngine Engine({2});
+  SweepReport Cold = Engine.runStreamed(vectorSource(Tests), Models, 4,
+                                        Cache->hooks(Models));
+  ASSERT_EQ(Cold.CacheMisses, Tests.size());
+
+  const std::string Path =
+      Dir + "/" + resultCacheKey(Target->Test, Models).substr(0, 2) + "/" +
+      resultCacheKey(Target->Test, Models) + ".json";
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  auto Pristine = JsonValue::parse(Buf.str());
+  ASSERT_TRUE(static_cast<bool>(Pristine)) << Pristine.message();
+  const JsonValue Entry = *Pristine->get("result");
+  // Model block 2 is PSO, which allows the condition of mp+lwsync+addr.
+  const JsonValue &Pso = Entry.get("models")->elements()[2];
+  ASSERT_EQ(Pso.get("model")->asString(), "PSO");
+  ASSERT_EQ(Pso.get("verdict")->asString(), "Allow");
+  ASSERT_FALSE(Pso.get("allowed_states")->elements().empty());
+  const JsonValue FirstAllowed = Pso.get("allowed_states")->elements()[0];
+
+  using Items = std::vector<JsonValue>;
+  auto EditModels = [&](const std::function<void(Items &)> &Edit) {
+    return editList(Entry, "models", Edit);
+  };
+  auto EditStates = [&](const std::function<void(Items &)> &Edit) {
+    return editList(Entry, "consistent_states", Edit);
+  };
+  const std::vector<std::pair<std::string, JsonValue>> Corruptions = {
+      // Reader invariants.
+      {"PSO verdict dropped", EditModels([](Items &M) {
+         M[2] = withMember(M[2], "verdict", JsonValue());
+       })},
+      {"consistent states out of order",
+       EditStates([](Items &S) { std::swap(S[0], S[1]); })},
+      {"state key not canonical", EditStates([](Items &S) {
+         S.back() = JsonValue(S.back().asString() + "x=0;");
+       })},
+      {"allowed state missing from consistent states",
+       EditStates([&](Items &S) {
+         S.erase(std::find(S.begin(), S.end(), FirstAllowed));
+       })},
+      {"candidates_allowed below the allowed-state count",
+       EditModels([](Items &M) {
+         M[2] = withMember(M[2], "candidates_allowed", JsonValue(0));
+       })},
+      // Lookup invariants.
+      {"PSO model block dropped",
+       EditModels([](Items &M) { M.erase(M.begin() + 2); })},
+      {"model blocks reordered",
+       EditModels([](Items &M) { std::swap(M[2], M[3]); })},
+      {"extra model block", EditModels([](Items &M) { M.push_back(M[2]); })},
+      {"PSO verdict contradicts its allowed states", EditModels([](Items &M) {
+         M[2] = withMember(M[2], "verdict", JsonValue("Forbid"));
+       })},
+  };
+  for (const auto &[What, Corrupt] : Corruptions) {
+    {
+      std::ofstream Out(Path);
+      Out << withMember(*Pristine, "result", Corrupt).dump();
+    }
+    SweepTestResult Served;
+    EXPECT_FALSE(Cache->lookup(Target->Test, Models, Served)) << What;
+    SweepReport Warm = Engine.runStreamed(vectorSource(Tests), Models, 4,
+                                          Cache->hooks(Models));
+    EXPECT_EQ(Warm.CacheMisses, 1ull) << What;
+    ASSERT_EQ(Warm.Tests.size(), Cold.Tests.size());
+    for (size_t I = 0; I < Cold.Tests.size(); ++I)
+      EXPECT_EQ(zeroWallTimes(sweepTestResultToJson(Warm.Tests[I])).dump(),
+                zeroWallTimes(sweepTestResultToJson(Cold.Tests[I])).dump())
+          << What << ": " << Cold.Tests[I].TestName;
+    // The miss re-stored a sound entry.
+    EXPECT_TRUE(Cache->lookup(Target->Test, Models, Served)) << What;
+  }
 }
 
 TEST(ResultCache, ErroredResultsAreNotCached) {

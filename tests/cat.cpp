@@ -318,13 +318,15 @@ TEST(Herd, HerdStyleReportFormat) {
   const CatalogEntry *Entry = catalogEntry("mp");
   ASSERT_NE(Entry, nullptr);
   SimulationResult R = simulate(Entry->Test, *modelByName("Power"));
-  std::string Report = herdStyleReport(R, Entry->Test.Final);
+  std::string Report =
+      herdStyleReport(R, R.ConsistentOutcomes, Entry->Test.Final);
   EXPECT_NE(Report.find("Test mp Allowed"), std::string::npos) << Report;
   EXPECT_NE(Report.find("States 4"), std::string::npos) << Report;
   EXPECT_NE(Report.find("Ok"), std::string::npos);
   EXPECT_NE(Report.find("Condition exists"), std::string::npos);
   SimulationResult RSc = simulate(Entry->Test, *modelByName("SC"));
-  std::string ReportSc = herdStyleReport(RSc, Entry->Test.Final);
+  std::string ReportSc =
+      herdStyleReport(RSc, RSc.ConsistentOutcomes, Entry->Test.Final);
   EXPECT_NE(ReportSc.find("Test mp Forbidden"), std::string::npos);
   EXPECT_NE(ReportSc.find("No"), std::string::npos);
 }

@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,12 +36,23 @@ using namespace cats;
 
 namespace {
 
-/// Renders an outcome set as sorted keys, for readable mismatch output.
-std::vector<std::string> keysOf(const std::set<Outcome> &Outcomes) {
+/// Renders an outcome table as its keys, for readable mismatch output.
+std::vector<std::string> keysOf(const std::vector<Outcome> &Table) {
   std::vector<std::string> Keys;
-  Keys.reserve(Outcomes.size());
-  for (const Outcome &O : Outcomes)
+  Keys.reserve(Table.size());
+  for (const Outcome &O : Table)
     Keys.push_back(O.key());
+  return Keys;
+}
+
+/// Renders \p R's allowed states as keys, resolved against \p Table (never
+/// compare raw indices across two results: each indexes its own table).
+std::vector<std::string> keysOf(const SimulationResult &R,
+                                const std::vector<Outcome> &Table) {
+  std::vector<std::string> Keys;
+  Keys.reserve(R.AllowedOutcomes.size());
+  for (uint32_t Idx : R.AllowedOutcomes)
+    Keys.push_back(Table.at(Idx).key());
   return Keys;
 }
 
@@ -60,7 +72,8 @@ void expectIdentical(const MultiSimulationResult &A,
     const std::string Where = What + " [" + MA.ModelName + "]";
     EXPECT_EQ(MA.ModelName, MB.ModelName) << Where;
     EXPECT_EQ(MA.CandidatesAllowed, MB.CandidatesAllowed) << Where;
-    EXPECT_EQ(keysOf(MA.AllowedOutcomes), keysOf(MB.AllowedOutcomes))
+    EXPECT_EQ(keysOf(MA, A.ConsistentOutcomes),
+              keysOf(MB, B.ConsistentOutcomes))
         << Where;
     EXPECT_EQ(MA.ConditionReachable, MB.ConditionReachable) << Where;
   }

@@ -255,8 +255,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzArm,
 
 namespace {
 
+/// The keys of \p R's allowed states, resolved against \p Table.
+std::vector<std::string> allowedKeys(const SimulationResult &R,
+                                     const std::vector<Outcome> &Table) {
+  std::vector<std::string> Keys;
+  for (uint32_t Idx : R.AllowedOutcomes)
+    Keys.push_back(Table.at(Idx).key());
+  return Keys;
+}
+
 /// Full equality of the two backends' results (shared counts, outcome
-/// sets, every per-model tally and verdict).
+/// tables, every per-model tally, allowed key set and verdict).
 bool sameResults(const MultiSimulationResult &A,
                  const MultiSimulationResult &B) {
   if (A.CandidatesTotal != B.CandidatesTotal ||
@@ -266,7 +275,8 @@ bool sameResults(const MultiSimulationResult &A,
     return false;
   for (size_t I = 0; I < A.PerModel.size(); ++I) {
     if (A.PerModel[I].CandidatesAllowed != B.PerModel[I].CandidatesAllowed ||
-        A.PerModel[I].AllowedOutcomes != B.PerModel[I].AllowedOutcomes ||
+        allowedKeys(A.PerModel[I], A.ConsistentOutcomes) !=
+            allowedKeys(B.PerModel[I], B.ConsistentOutcomes) ||
         A.PerModel[I].ConditionReachable !=
             B.PerModel[I].ConditionReachable)
       return false;

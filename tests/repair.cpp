@@ -424,9 +424,11 @@ TEST(Repair, ScEquivalenceGoalOnMp) {
     auto Mutant = applyRepair(Mp, Set.Actions);
     ASSERT_TRUE(static_cast<bool>(Mutant));
     MultiSimulationResult Multi = simulateAll(*Mutant, {&Power, &Sc});
-    EXPECT_EQ(Multi.PerModel[0].AllowedOutcomes,
-              Multi.PerModel[1].AllowedOutcomes)
-        << Set.name();
+    std::vector<std::string> Keys[2];
+    for (int M = 0; M < 2; ++M)
+      for (uint32_t Idx : Multi.PerModel[M].AllowedOutcomes)
+        Keys[M].push_back(Multi.ConsistentOutcomes.at(Idx).key());
+    EXPECT_EQ(Keys[0], Keys[1]) << Set.name();
   }
 }
 

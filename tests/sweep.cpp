@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "diy/Enumerate.h"
 #include "litmus/Catalog.h"
 #include "litmus/Compiler.h"
 #include "model/Registry.h"
@@ -19,17 +20,31 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 using namespace cats;
 
 namespace {
 
+/// What the reference below computes: the SimulationResult fields, with
+/// plain outcome sets instead of a table and indices.
+struct NaiveResult {
+  std::string TestName;
+  std::string ModelName;
+  unsigned long long CandidatesTotal = 0;
+  unsigned long long CandidatesConsistent = 0;
+  unsigned long long CandidatesAllowed = 0;
+  std::set<Outcome> AllowedOutcomes;
+  std::set<Outcome> ConsistentOutcomes;
+  bool ConditionReachable = false;
+};
+
 /// The legacy per-model algorithm, re-implemented here as an independent
 /// reference: one full candidate enumeration per model, exactly what
 /// simulate() did before the shared MultiModelChecker path existed.
-SimulationResult naiveSimulate(const CompiledTest &Compiled, const Model &M) {
-  SimulationResult Result;
+NaiveResult naiveSimulate(const CompiledTest &Compiled, const Model &M) {
+  NaiveResult Result;
   Result.TestName = Compiled.test().Name;
   Result.ModelName = M.name();
   const Condition &Final = Compiled.test().Final;
@@ -50,20 +65,36 @@ SimulationResult naiveSimulate(const CompiledTest &Compiled, const Model &M) {
   return Result;
 }
 
-void expectSameResult(const SimulationResult &A, const SimulationResult &B,
-                      const std::string &Context,
-                      bool CompareConsistentOutcomes = true) {
+/// The keys of an outcome set or table, in its order.
+template <typename Outcomes>
+std::vector<std::string> keysOf(const Outcomes &Os) {
+  std::vector<std::string> Keys;
+  for (const Outcome &O : Os)
+    Keys.push_back(O.key());
+  return Keys;
+}
+
+/// The keys of \p R's allowed states, resolved against \p Table.
+std::vector<std::string> allowedKeys(const SimulationResult &R,
+                                     const std::vector<Outcome> &Table) {
+  std::vector<std::string> Keys;
+  for (uint32_t Idx : R.AllowedOutcomes)
+    Keys.push_back(Table.at(Idx).key());
+  return Keys;
+}
+
+/// Compares the reference \p A with \p B, whose allowed indices point into
+/// \p Table.
+void expectSameResult(const NaiveResult &A, const SimulationResult &B,
+                      const std::vector<Outcome> &Table,
+                      const std::string &Context) {
   EXPECT_EQ(A.TestName, B.TestName) << Context;
   EXPECT_EQ(A.ModelName, B.ModelName) << Context;
   EXPECT_EQ(A.CandidatesTotal, B.CandidatesTotal) << Context;
   EXPECT_EQ(A.CandidatesConsistent, B.CandidatesConsistent) << Context;
   EXPECT_EQ(A.CandidatesAllowed, B.CandidatesAllowed) << Context;
-  EXPECT_EQ(A.AllowedOutcomes, B.AllowedOutcomes) << Context;
-  // Per-model entries of a multi-model sweep do not carry the shared
-  // ConsistentOutcomes set; callers with such entries compare the shared
-  // set on the MultiSimulationResult themselves.
-  if (CompareConsistentOutcomes)
-    EXPECT_EQ(A.ConsistentOutcomes, B.ConsistentOutcomes) << Context;
+  EXPECT_EQ(keysOf(A.AllowedOutcomes), allowedKeys(B, Table)) << Context;
+  EXPECT_EQ(keysOf(A.ConsistentOutcomes), keysOf(Table)) << Context;
   EXPECT_EQ(A.ConditionReachable, B.ConditionReachable) << Context;
 }
 
@@ -87,14 +118,10 @@ TEST(MultiModel, MatchesNaivePerModelOnFullCatalogue) {
     ASSERT_TRUE(static_cast<bool>(Compiled)) << Entry.Test.Name;
     MultiSimulationResult Multi = simulateAll(*Compiled, Models);
     ASSERT_EQ(Multi.PerModel.size(), Models.size());
-    for (size_t I = 0; I < Models.size(); ++I) {
-      SimulationResult Ref = naiveSimulate(*Compiled, *Models[I]);
-      EXPECT_EQ(Ref.ConsistentOutcomes, Multi.ConsistentOutcomes)
-          << Entry.Test.Name;
-      expectSameResult(Ref, Multi.PerModel[I],
-                       Entry.Test.Name + " under " + Models[I]->name(),
-                       /*CompareConsistentOutcomes=*/false);
-    }
+    for (size_t I = 0; I < Models.size(); ++I)
+      expectSameResult(naiveSimulate(*Compiled, *Models[I]), Multi.PerModel[I],
+                       Multi.ConsistentOutcomes,
+                       Entry.Test.Name + " under " + Models[I]->name());
   }
 }
 
@@ -103,8 +130,10 @@ TEST(MultiModel, SingleModelSimulateStillMatchesReference) {
   for (const CatalogEntry &Entry : figureCatalog()) {
     auto Compiled = CompiledTest::compile(Entry.Test);
     ASSERT_TRUE(static_cast<bool>(Compiled)) << Entry.Test.Name;
-    expectSameResult(naiveSimulate(*Compiled, Power),
-                     simulate(*Compiled, Power), Entry.Test.Name);
+    // The detached result carries the table its indices point into.
+    SimulationResult R = simulate(*Compiled, Power);
+    expectSameResult(naiveSimulate(*Compiled, Power), R, R.ConsistentOutcomes,
+                     Entry.Test.Name);
   }
 }
 
@@ -115,11 +144,104 @@ TEST(MultiModel, SharedFieldsComputedOnceAndMirrored) {
   for (const SimulationResult &R : Multi.PerModel) {
     EXPECT_EQ(R.CandidatesTotal, Multi.CandidatesTotal);
     EXPECT_EQ(R.CandidatesConsistent, Multi.CandidatesConsistent);
-    // The shared outcome set is NOT mirrored in a multi-model sweep:
-    // copying it into every entry dominated take() on wide model lists.
+    // The outcome table is held once, not mirrored into every entry.
     EXPECT_TRUE(R.ConsistentOutcomes.empty());
   }
   EXPECT_FALSE(Multi.ConsistentOutcomes.empty());
+}
+
+namespace {
+
+/// Tests of a diy slice (Power, \p Edges edges), for checks that should
+/// reach past the catalogue.
+std::vector<LitmusTest> diySlice(unsigned Edges, unsigned Cap) {
+  EnumerateOptions Opts;
+  Opts.Target = Arch::Power;
+  Opts.MinEdges = Edges;
+  Opts.MaxEdges = Edges;
+  Opts.Limit = Cap;
+  auto Source = makeDiyTestSource(Opts);
+  EXPECT_TRUE(static_cast<bool>(Source)) << Source.message();
+  std::vector<LitmusTest> Tests;
+  LitmusTest Test;
+  while (Source && Tests.size() < Cap && (*Source)(Test))
+    Tests.push_back(Test);
+  return Tests;
+}
+
+} // namespace
+
+// The representation itself: the table is strictly key-ascending, every
+// model's indices are strictly ascending and in range, and the verdict is
+// "some indexed outcome satisfies the condition" — under both backends.
+TEST(MultiModel, AllowedIndicesResolveIntoTable) {
+  std::vector<LitmusTest> Tests = catalogueTests();
+  std::vector<LitmusTest> Diy = diySlice(5, 60);
+  ASSERT_GE(Diy.size(), 20u);
+  Tests.insert(Tests.end(), Diy.begin(), Diy.end());
+  for (const LitmusTest &Test : Tests) {
+    auto Compiled = CompiledTest::compile(Test);
+    ASSERT_TRUE(static_cast<bool>(Compiled)) << Test.Name;
+    for (JudgeBackend Backend : {JudgeBackend::Naive, JudgeBackend::Pruned}) {
+      MultiSimulationResult Multi =
+          simulateAll(*Compiled, allModels(), Backend);
+      const std::vector<Outcome> &Table = Multi.ConsistentOutcomes;
+      EXPECT_FALSE(Table.empty()) << Test.Name;
+      for (size_t I = 1; I < Table.size(); ++I)
+        EXPECT_LT(Table[I - 1].key(), Table[I].key()) << Test.Name;
+      for (const SimulationResult &R : Multi.PerModel) {
+        bool Satisfied = false;
+        for (size_t J = 0; J < R.AllowedOutcomes.size(); ++J) {
+          const uint32_t Idx = R.AllowedOutcomes[J];
+          ASSERT_LT(Idx, Table.size()) << Test.Name << " " << R.ModelName;
+          if (J) {
+            EXPECT_LT(R.AllowedOutcomes[J - 1], Idx)
+                << Test.Name << " " << R.ModelName;
+          }
+          Satisfied |= Table[Idx].satisfies(Test.Final);
+        }
+        EXPECT_EQ(R.ConditionReachable, Satisfied)
+            << Test.Name << " " << R.ModelName;
+      }
+    }
+  }
+}
+
+// Wider model lists than one 64-bit word of allowed bits: 72 entries (the
+// nine registry models eight times over) must each equal their nine-model
+// counterpart, under both backends.
+TEST(MultiModel, MoreThan64ModelEntries) {
+  const std::vector<const Model *> &Nine = allModels();
+  std::vector<const Model *> Wide;
+  for (int Copy = 0; Copy < 8; ++Copy)
+    Wide.insert(Wide.end(), Nine.begin(), Nine.end());
+  ASSERT_EQ(Wide.size(), 72u);
+  for (const LitmusTest &Test : catalogueTests()) {
+    auto Compiled = CompiledTest::compile(Test);
+    ASSERT_TRUE(static_cast<bool>(Compiled)) << Test.Name;
+    for (JudgeBackend Backend : {JudgeBackend::Naive, JudgeBackend::Pruned}) {
+      MultiSimulationResult Ref = simulateAll(*Compiled, Nine, Backend);
+      MultiSimulationResult Multi = simulateAll(*Compiled, Wide, Backend);
+      ASSERT_EQ(Multi.PerModel.size(), Wide.size());
+      EXPECT_EQ(keysOf(Multi.ConsistentOutcomes),
+                keysOf(Ref.ConsistentOutcomes))
+          << Test.Name;
+      for (size_t I = 0; I < Wide.size(); ++I) {
+        const SimulationResult &A = Multi.PerModel[I];
+        const SimulationResult &B = Ref.PerModel[I % Nine.size()];
+        const std::string Where =
+            Test.Name + " entry " + std::to_string(I) + " " + A.ModelName;
+        EXPECT_EQ(A.ModelName, B.ModelName) << Where;
+        EXPECT_EQ(A.ConditionReachable, B.ConditionReachable) << Where;
+        EXPECT_EQ(A.CandidatesAllowed, B.CandidatesAllowed) << Where;
+        EXPECT_EQ(A.CandidatesTotal, B.CandidatesTotal) << Where;
+        EXPECT_EQ(A.CandidatesConsistent, B.CandidatesConsistent) << Where;
+        EXPECT_EQ(allowedKeys(A, Multi.ConsistentOutcomes),
+                  allowedKeys(B, Ref.ConsistentOutcomes))
+            << Where;
+      }
+    }
+  }
 }
 
 TEST(MultiModel, ForModelLookup) {

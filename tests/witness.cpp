@@ -298,7 +298,12 @@ TEST(Witness, CaptureDoesNotChangeVerdicts) {
       EXPECT_EQ(A.PerModel[I].CandidatesAllowed,
                 B.PerModel[I].CandidatesAllowed)
           << Entry.Test.Name << " @ " << A.PerModel[I].ModelName;
-      EXPECT_EQ(A.PerModel[I].AllowedOutcomes, B.PerModel[I].AllowedOutcomes)
+      std::vector<std::string> KeysA, KeysB;
+      for (uint32_t Idx : A.PerModel[I].AllowedOutcomes)
+        KeysA.push_back(A.ConsistentOutcomes.at(Idx).key());
+      for (uint32_t Idx : B.PerModel[I].AllowedOutcomes)
+        KeysB.push_back(B.ConsistentOutcomes.at(Idx).key());
+      EXPECT_EQ(KeysA, KeysB)
           << Entry.Test.Name << " @ " << A.PerModel[I].ModelName;
     }
     EXPECT_TRUE(B.Witnesses.empty()) << Entry.Test.Name;
@@ -393,8 +398,9 @@ TEST(Witness, DotStructurallyValid) {
     }
     // Every witness with events draws them; ones with edges draw edges.
     EXPECT_EQ(Declared.size(), W.Events.size());
-    if (!W.Edges.empty() || !W.Cycle.empty())
+    if (!W.Edges.empty() || !W.Cycle.empty()) {
       EXPECT_GT(EdgeCount, 0u);
+    }
     // The file stem is filesystem-safe.
     const std::string Stem = obs::witnessFileStem(W);
     EXPECT_FALSE(Stem.empty());

@@ -257,7 +257,10 @@ int main(int argc, char **argv) {
       if (!T.Error.empty())
         continue;
       for (const SimulationResult &R : T.Result.PerModel)
-        std::printf("\n%s", herdStyleReport(R, Tests[I].Final).c_str());
+        std::printf("\n%s",
+                    herdStyleReport(R, T.Result.ConsistentOutcomes,
+                                    Tests[I].Final)
+                        .c_str());
     }
   }
 
