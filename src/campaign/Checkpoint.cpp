@@ -72,18 +72,15 @@ Expected<CheckpointState> cats::loadCheckpoint(const std::string &Path,
     const JsonValue *Progress = Doc->get("progress");
     if (!Progress || !Progress->isObject())
       break; // unknown line kind: treat as torn
-    auto Count = [&](const char *Key) -> unsigned long long {
-      const JsonValue *V = Progress->get(Key);
-      return V && V->isNumber()
-                 ? static_cast<unsigned long long>(V->asNumber())
-                 : 0;
-    };
-    const unsigned long long Consumed = Count("consumed");
-    if (Consumed > Entries.size())
+    unsigned long long Consumed = 0, Hits = 0, Misses = 0;
+    if (!countFromJson(Progress->get("consumed"), Consumed) ||
+        !countFromJson(Progress->get("hits"), Hits) ||
+        !countFromJson(Progress->get("misses"), Misses) ||
+        Consumed > Entries.size())
       break; // inconsistent: trust only what precedes it
     State.Consumed = Consumed;
-    State.CacheHits = Count("hits");
-    State.CacheMisses = Count("misses");
+    State.CacheHits = Hits;
+    State.CacheMisses = Misses;
   }
   Entries.resize(static_cast<size_t>(State.Consumed));
   State.Tests = std::move(Entries);

@@ -11,26 +11,33 @@
 #include "obs/Metrics.h"
 #include "obs/Witness.h"
 #include "support/StringUtils.h"
+#include "sweep/ReportIO.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace cats;
 
-JsonValue cats::zeroWallTimes(const JsonValue &V) {
+namespace {
+
+void zeroWallTimesInPlace(JsonValue &V) {
   if (V.isArray()) {
-    JsonValue Out = JsonValue::array();
-    for (const JsonValue &E : V.elements())
-      Out.push(zeroWallTimes(E));
-    return Out;
+    for (JsonValue &E : V.elements())
+      zeroWallTimesInPlace(E);
+  } else if (V.isObject()) {
+    for (auto &[Key, Member] : V.members()) {
+      if (Key == "wall_seconds" && Member.isNumber())
+        Member = JsonValue(0);
+      else
+        zeroWallTimesInPlace(Member);
+    }
   }
-  if (V.isObject()) {
-    JsonValue Out = JsonValue::object();
-    for (const auto &[Key, Member] : V.members())
-      Out.set(Key, Key == "wall_seconds" && Member.isNumber()
-                       ? JsonValue(0)
-                       : zeroWallTimes(Member));
-    return Out;
-  }
+}
+
+} // namespace
+
+JsonValue cats::zeroWallTimes(JsonValue V) {
+  zeroWallTimesInPlace(V);
   return V;
 }
 
@@ -73,22 +80,23 @@ std::string foldMetricsSections(const std::vector<JsonValue> &Inputs,
 /// already tagged with its test and model). Reports without a witness
 /// section contribute nothing; when none carries one, \p Root stays
 /// witness-free. Returns a non-empty error string on a malformed section.
-std::string foldWitnessSections(const std::vector<JsonValue> &Inputs,
+/// The witnesses move out of \p Inputs.
+std::string foldWitnessSections(std::vector<JsonValue> &Inputs,
                                 JsonValue &Root) {
   JsonValue Merged = JsonValue::array();
   bool Any = false;
   for (size_t I = 0; I < Inputs.size(); ++I) {
-    const JsonValue *Section = Inputs[I].get("witness");
+    JsonValue *Section = Inputs[I].get("witness");
     if (!Section)
       continue;
     const JsonValue *Schema = Section->get("schema");
-    const JsonValue *List = Section->get("witnesses");
+    JsonValue *List = Section->get("witnesses");
     if (!Section->isObject() || !Schema || !Schema->isString() ||
         Schema->asString() != obs::WitnessSchema || !List || !List->isArray())
       return strFormat("input %zu: malformed witness section", I + 1);
     Any = true;
-    for (const JsonValue &W : List->elements())
-      Merged.push(W);
+    for (JsonValue &W : List->elements())
+      Merged.push(std::move(W));
   }
   if (Any) {
     JsonValue Section = JsonValue::object();
@@ -106,68 +114,78 @@ struct SweepInput {
   bool CacheUsed = false;
   unsigned long long CacheHits = 0;
   unsigned long long CacheMisses = 0;
-  const JsonValue *Tests = nullptr;
+  std::vector<JsonValue> *Tests = nullptr;
   bool HasShard = false;
   ShardSpec Shard;
 };
 
+/// Reads the merge's view of sweep report \p Doc, checking every test
+/// entry with the entry reader. Returns a non-empty reason on failure.
+std::string readSweepInput(JsonValue &Doc, SweepInput &Part) {
+  if (schemaOf(Doc) != "cats-sweep-report/1")
+    return "not a cats-sweep-report/1 document";
+  unsigned long long Jobs = 0;
+  if (!countFromJson(Doc.get("jobs"), Jobs) ||
+      Jobs > std::numeric_limits<unsigned>::max())
+    return "'jobs' is not a count";
+  Part.Jobs = static_cast<unsigned>(Jobs);
+  if (const JsonValue *Wall = Doc.get("wall_seconds"))
+    Part.WallSeconds = Wall->isNumber() ? Wall->asNumber() : 0;
+  if (const JsonValue *Cache = Doc.get("cache")) {
+    if (!Cache->isObject())
+      return "'cache' is not an object";
+    Part.CacheUsed = true;
+    if (!countFromJson(Cache->get("hits"), Part.CacheHits) ||
+        !countFromJson(Cache->get("misses"), Part.CacheMisses))
+      return "'cache' hits/misses are not counts";
+  }
+  JsonValue *Tests = Doc.get("tests");
+  if (!Tests || !Tests->isArray())
+    return "report without a 'tests' array";
+  Part.Tests = &Tests->elements();
+  for (size_t I = 0; I < Part.Tests->size(); ++I) {
+    const JsonValue &Entry = (*Part.Tests)[I];
+    if (auto Parsed = sweepTestResultFromJson(Entry); !Parsed)
+      return testEntryLabel(Entry, I) + ": " + Parsed.message();
+  }
+  if (const JsonValue *Shard = Doc.get("shard")) {
+    auto Spec = shardFromJson(*Shard);
+    if (!Spec)
+      return Spec.message();
+    Part.HasShard = true;
+    Part.Shard = Spec.take();
+  }
+  return std::string();
+}
+
 } // namespace
 
-Expected<JsonValue>
-cats::mergeSweepReports(const std::vector<JsonValue> &Inputs) {
+Expected<JsonValue> cats::mergeSweepReports(std::vector<JsonValue> Inputs) {
   using Ret = Expected<JsonValue>;
   if (Inputs.empty())
     return Ret::error("nothing to merge");
 
-  std::vector<SweepInput> Parts;
+  std::vector<SweepInput> Parts(Inputs.size());
   unsigned Sharded = 0;
   for (size_t I = 0; I < Inputs.size(); ++I) {
-    auto Where = [&](const std::string &Why) {
-      return Ret::error(strFormat("input %zu: %s", I + 1, Why.c_str()));
-    };
-    const JsonValue &Doc = Inputs[I];
-    if (schemaOf(Doc) != "cats-sweep-report/1")
-      return Where("not a cats-sweep-report/1 document");
-    SweepInput Part;
-    if (const JsonValue *Jobs = Doc.get("jobs"))
-      Part.Jobs = Jobs->isNumber() ? static_cast<unsigned>(Jobs->asNumber())
-                                   : 0;
-    if (const JsonValue *Wall = Doc.get("wall_seconds"))
-      Part.WallSeconds = Wall->isNumber() ? Wall->asNumber() : 0;
-    if (const JsonValue *Cache = Doc.get("cache")) {
-      if (!Cache->isObject())
-        return Where("'cache' is not an object");
-      Part.CacheUsed = true;
-      if (const JsonValue *Hits = Cache->get("hits"))
-        Part.CacheHits = Hits->isNumber()
-                             ? static_cast<unsigned long long>(Hits->asNumber())
-                             : 0;
-      if (const JsonValue *Misses = Cache->get("misses"))
-        Part.CacheMisses =
-            Misses->isNumber()
-                ? static_cast<unsigned long long>(Misses->asNumber())
-                : 0;
-    }
-    Part.Tests = Doc.get("tests");
-    if (!Part.Tests || !Part.Tests->isArray())
-      return Where("report without a 'tests' array");
-    if (const JsonValue *Shard = Doc.get("shard")) {
-      auto Spec = shardFromJson(*Shard);
-      if (!Spec)
-        return Where(Spec.message());
-      Part.HasShard = true;
-      Part.Shard = Spec.take();
-      ++Sharded;
-    }
-    Parts.push_back(Part);
+    if (std::string Error = readSweepInput(Inputs[I], Parts[I]);
+        !Error.empty())
+      return Ret::error(strFormat("input %zu: %s", I + 1, Error.c_str()));
+    Sharded += Parts[I].HasShard;
   }
 
   if (Sharded != 0 && Sharded != Parts.size())
     return Ret::error("cannot mix sharded and unsharded reports");
 
-  // The merged tests array: either the exact inverse of the round-robin
-  // partition, or plain concatenation for unsharded inputs.
-  std::vector<const JsonValue *> Ordered;
+  // The merged tests array, its entries moved out of the inputs: either
+  // the exact inverse of the round-robin partition, or plain
+  // concatenation for unsharded inputs.
+  size_t Total = 0;
+  for (const SweepInput &Part : Parts)
+    Total += Part.Tests->size();
+  JsonValue Tests = JsonValue::array();
+  std::vector<JsonValue> &Merged = Tests.elements();
+  Merged.reserve(Total);
   if (Sharded) {
     const unsigned N = Parts[0].Shard.Count;
     if (Parts.size() != N)
@@ -188,22 +206,14 @@ cats::mergeSweepReports(const std::vector<JsonValue> &Inputs) {
     }
     // Stream position Seq lived in shard (Seq % N) at offset Seq / N;
     // walking offsets round-robin over shards 1..N replays the stream.
-    for (size_t Offset = 0;; ++Offset) {
-      bool Appended = false;
-      for (unsigned K = 0; K < N; ++K) {
-        const auto &Tests = ByIndex[K]->Tests->elements();
-        if (Offset < Tests.size()) {
-          Ordered.push_back(&Tests[Offset]);
-          Appended = true;
-        }
-      }
-      if (!Appended)
-        break;
-    }
+    for (size_t Offset = 0; Merged.size() < Total; ++Offset)
+      for (const SweepInput *Part : ByIndex)
+        if (Offset < Part->Tests->size())
+          Merged.push_back(std::move((*Part->Tests)[Offset]));
   } else {
     for (const SweepInput &Part : Parts)
-      for (const JsonValue &Test : Part.Tests->elements())
-        Ordered.push_back(&Test);
+      for (JsonValue &Test : *Part.Tests)
+        Merged.push_back(std::move(Test));
   }
 
   unsigned Jobs = 0;
@@ -228,9 +238,6 @@ cats::mergeSweepReports(const std::vector<JsonValue> &Inputs) {
     Cache.set("misses", CacheMisses);
     Root.set("cache", std::move(Cache));
   }
-  JsonValue Tests = JsonValue::array();
-  for (const JsonValue *Test : Ordered)
-    Tests.push(*Test);
   Root.set("tests", std::move(Tests));
   if (std::string Error = foldMetricsSections(Inputs, Root); !Error.empty())
     return Ret::error(Error);
@@ -239,8 +246,7 @@ cats::mergeSweepReports(const std::vector<JsonValue> &Inputs) {
   return Root;
 }
 
-Expected<JsonValue>
-cats::mergeMineReports(const std::vector<JsonValue> &Inputs) {
+Expected<JsonValue> cats::mergeMineReports(std::vector<JsonValue> Inputs) {
   using Ret = Expected<JsonValue>;
   if (Inputs.empty())
     return Ret::error("nothing to merge");
@@ -261,7 +267,7 @@ cats::mergeMineReports(const std::vector<JsonValue> &Inputs) {
   return Root;
 }
 
-Expected<JsonValue> cats::mergeReports(const std::vector<JsonValue> &Inputs) {
+Expected<JsonValue> cats::mergeReports(std::vector<JsonValue> Inputs) {
   using Ret = Expected<JsonValue>;
   if (Inputs.empty())
     return Ret::error("nothing to merge");
@@ -273,9 +279,9 @@ Expected<JsonValue> cats::mergeReports(const std::vector<JsonValue> &Inputs) {
           "time",
           Schema.c_str(), schemaOf(Inputs[I]).c_str()));
   if (Schema == "cats-sweep-report/1")
-    return mergeSweepReports(Inputs);
+    return mergeSweepReports(std::move(Inputs));
   if (Schema == "cats-mine-report/1")
-    return mergeMineReports(Inputs);
+    return mergeMineReports(std::move(Inputs));
   if (Schema.empty())
     return Ret::error("input 1 has no 'schema' member");
   return Ret::error(

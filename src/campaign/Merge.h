@@ -25,6 +25,11 @@
 /// normalizes them away so CI can compare merged output to a reference
 /// run with a plain byte cmp (docs/sweep.md's determinism contract).
 ///
+/// The merges and zeroWallTimes take their documents by value: a caller
+/// that moves its inputs in (as cats_merge does) hands every test entry
+/// to the output without a copy, while an lvalue argument is copied first
+/// and left untouched.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CATS_CAMPAIGN_MERGE_H
@@ -37,24 +42,26 @@
 
 namespace cats {
 
-/// A copy of \p V with every numeric "wall_seconds" member, at any
-/// nesting depth, replaced by 0.
-JsonValue zeroWallTimes(const JsonValue &V);
+/// \p V with every numeric "wall_seconds" member, at any nesting depth,
+/// replaced by 0 (in place, on the argument's own tree).
+JsonValue zeroWallTimes(JsonValue V);
 
 /// Merges cats-sweep-report/1 documents. All inputs sharded (a complete
 /// 1..N set, N == inputs) interleave back to source order; all inputs
 /// unsharded concatenate in argument order; a mix is an error. jobs is
 /// the max, wall_seconds the sum, cache hits/misses the sums (the stanza
 /// appears iff any input carries one), and the "shard" stanza is dropped
-/// from the merged document.
-Expected<JsonValue> mergeSweepReports(const std::vector<JsonValue> &Inputs);
+/// from the merged document. Every test entry must pass the entry reader
+/// (sweepTestResultFromJson) and every count countFromJson; the merged
+/// document keeps each entry's own JSON, unknown members included.
+Expected<JsonValue> mergeSweepReports(std::vector<JsonValue> Inputs);
 
 /// Merges cats-mine-report/1 documents (delegates to src/mole). Inputs
 /// carrying static analyses are refused.
-Expected<JsonValue> mergeMineReports(const std::vector<JsonValue> &Inputs);
+Expected<JsonValue> mergeMineReports(std::vector<JsonValue> Inputs);
 
 /// Dispatches on the inputs' "schema" member (all inputs must share it).
-Expected<JsonValue> mergeReports(const std::vector<JsonValue> &Inputs);
+Expected<JsonValue> mergeReports(std::vector<JsonValue> Inputs);
 
 } // namespace cats
 

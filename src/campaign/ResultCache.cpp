@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <sstream>
 #include <thread>
 
 using namespace cats;
@@ -72,12 +71,10 @@ std::string ResultCache::entryPath(const std::string &Key) const {
 bool ResultCache::lookup(const LitmusTest &Test,
                          const std::vector<const Model *> &Models,
                          SweepTestResult &Out) const {
-  std::ifstream In(entryPath(resultCacheKey(Test, Models)));
-  if (!In)
+  std::string Text;
+  if (!readWholeFile(entryPath(resultCacheKey(Test, Models)), Text))
     return false;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  auto Doc = JsonValue::parse(Buf.str());
+  auto Doc = JsonValue::parse(Text);
   if (!Doc)
     return false;
   const JsonValue *Entry = Doc->get("result");

@@ -8,8 +8,6 @@
 
 #include "support/StringUtils.h"
 
-#include <fstream>
-#include <sstream>
 
 using namespace cats;
 
@@ -41,15 +39,13 @@ Expected<CatAdapterModel> CatAdapterModel::fromSource(
 }
 
 Expected<CatAdapterModel> CatAdapterModel::fromFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
+  std::string Text;
+  if (!readWholeFile(Path, Text))
     return Expected<CatAdapterModel>::error("cannot open cat file: " + Path);
-  std::ostringstream Text;
-  Text << In.rdbuf();
   auto Compiled = cat::CatModel::fromFile(Path);
   if (!Compiled)
     return Expected<CatAdapterModel>::error(Compiled.message());
-  return CatAdapterModel(Compiled.take(), Text.str());
+  return CatAdapterModel(Compiled.take(), Text);
 }
 
 std::string CatAdapterModel::name() const { return Cat->name(); }

@@ -9,9 +9,7 @@
 #include "cat/CatParser.h"
 #include "support/StringUtils.h"
 
-#include <fstream>
 #include <map>
-#include <sstream>
 
 using namespace cats;
 using namespace cats::cat;
@@ -217,11 +215,9 @@ Expected<CatModel> CatModel::fromSource(const std::string &Source,
 }
 
 Expected<CatModel> CatModel::fromFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
+  std::string Text;
+  if (!readWholeFile(Path, Text))
     return Expected<CatModel>::error("cannot open cat file " + Path);
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
   // Derive a display name from the file stem.
   std::string Name = Path;
   size_t Slash = Name.find_last_of('/');
@@ -229,7 +225,7 @@ Expected<CatModel> CatModel::fromFile(const std::string &Path) {
     Name = Name.substr(Slash + 1);
   if (endsWith(Name, ".cat"))
     Name = Name.substr(0, Name.size() - 4);
-  return fromSource(Buffer.str(), Name);
+  return fromSource(Text, Name);
 }
 
 Expected<CatModel> CatModel::builtin(const std::string &Stem) {

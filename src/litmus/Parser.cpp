@@ -9,8 +9,6 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
-#include <fstream>
-#include <sstream>
 
 using namespace cats;
 
@@ -390,10 +388,8 @@ Expected<LitmusTest> cats::parseLitmus(const std::string &Text) {
 }
 
 Expected<LitmusTest> cats::parseLitmusFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
+  std::string Text;
+  if (!readWholeFile(Path, Text))
     return Expected<LitmusTest>::error("cannot open litmus file " + Path);
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  return parseLitmus(Buffer.str());
+  return parseLitmus(Text);
 }

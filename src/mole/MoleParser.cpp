@@ -8,8 +8,6 @@
 
 #include "support/StringUtils.h"
 
-#include <fstream>
-#include <sstream>
 
 using namespace cats;
 
@@ -82,12 +80,10 @@ Expected<MoleProgram> cats::parseMoleProgram(const std::string &Text) {
 }
 
 Expected<MoleProgram> cats::parseMoleFile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In)
+  std::string Text;
+  if (!readWholeFile(Path, Text))
     return Expected<MoleProgram>::error("cannot open mole file " + Path);
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  return parseMoleProgram(Buffer.str());
+  return parseMoleProgram(Text);
 }
 
 std::string cats::moleProgramToString(const MoleProgram &Program) {

@@ -138,3 +138,26 @@ bool cats::parseUnsignedArg(const char *Text, unsigned &Out) {
   Out = static_cast<unsigned>(Wide);
   return true;
 }
+
+bool cats::readWholeFile(const std::string &Path, std::string &Out) {
+  std::FILE *File = std::fopen(Path.c_str(), "rb");
+  if (!File)
+    return false;
+  Out.clear();
+  // A regular file is read into a buffer of its size in one go; the
+  // chunked loop then only confirms the end (or reads a pipe).
+  if (std::fseek(File, 0, SEEK_END) == 0) {
+    const long Size = std::ftell(File);
+    std::rewind(File);
+    if (Size > 0) {
+      Out.resize(static_cast<size_t>(Size));
+      Out.resize(std::fread(Out.data(), 1, Out.size(), File));
+    }
+  }
+  char Chunk[4096];
+  while (size_t Got = std::fread(Chunk, 1, sizeof(Chunk), File))
+    Out.append(Chunk, Got);
+  const bool Ok = !std::ferror(File);
+  std::fclose(File);
+  return Ok;
+}

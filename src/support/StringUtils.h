@@ -60,6 +60,11 @@ bool parseUnsignedArg(const char *Text, unsigned long long &Out);
 /// As above, additionally rejecting values that do not fit an unsigned.
 bool parseUnsignedArg(const char *Text, unsigned &Out);
 
+/// Replaces \p Out with the whole of file \p Path, read with one sized
+/// read (no intermediate stream buffer to copy out of). False when the
+/// file cannot be opened or read.
+bool readWholeFile(const std::string &Path, std::string &Out);
+
 } // namespace cats
 
 #endif // CATS_SUPPORT_STRINGUTILS_H

@@ -6,60 +6,80 @@
 
 #include "sweep/Json.h"
 
+#include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <iterator>
+#include <string_view>
 
 using namespace cats;
 
+static_assert(sizeof(JsonValue) <= 40, "a JSON node is one tagged union");
+
 JsonValue JsonValue::array() {
   JsonValue V;
-  V.ValueKind = Kind::Array;
+  V.Value.emplace<Array>();
   return V;
 }
 
 JsonValue JsonValue::object() {
   JsonValue V;
-  V.ValueKind = Kind::Object;
+  V.Value.emplace<Object>();
   return V;
 }
 
 bool JsonValue::asBool() const {
   assert(isBool() && "not a bool");
-  return BoolValue;
+  const bool *B = std::get_if<bool>(&Value);
+  return B && *B;
 }
 
 double JsonValue::asNumber() const {
   assert(isNumber() && "not a number");
-  return NumberValue;
+  const double *N = std::get_if<double>(&Value);
+  return N ? *N : 0;
 }
 
 const std::string &JsonValue::asString() const {
   assert(isString() && "not a string");
-  return StringValue;
+  static const std::string Empty;
+  const std::string *S = std::get_if<std::string>(&Value);
+  return S ? *S : Empty;
 }
 
 const std::vector<JsonValue> &JsonValue::elements() const {
   assert(isArray() && "not an array");
-  return Elements;
+  static const Array Empty;
+  const Array *A = std::get_if<Array>(&Value);
+  return A ? *A : Empty;
 }
 
-void JsonValue::push(JsonValue V) {
+std::vector<JsonValue> &JsonValue::elements() {
   assert(isArray() && "not an array");
-  Elements.push_back(std::move(V));
+  return std::get<Array>(Value);
 }
+
+void JsonValue::push(JsonValue V) { elements().push_back(std::move(V)); }
 
 const std::vector<std::pair<std::string, JsonValue>> &
 JsonValue::members() const {
   assert(isObject() && "not an object");
-  return Members;
+  static const Object Empty;
+  const Object *O = std::get_if<Object>(&Value);
+  return O ? *O : Empty;
+}
+
+std::vector<std::pair<std::string, JsonValue>> &JsonValue::members() {
+  assert(isObject() && "not an object");
+  return std::get<Object>(Value);
 }
 
 void JsonValue::set(const std::string &Key, JsonValue V) {
-  assert(isObject() && "not an object");
+  Object &Members = members();
   for (auto &[K, Existing] : Members)
     if (K == Key) {
       Existing = std::move(V);
@@ -69,32 +89,21 @@ void JsonValue::set(const std::string &Key, JsonValue V) {
 }
 
 const JsonValue *JsonValue::get(const std::string &Key) const {
-  if (!isObject())
+  const Object *Members = std::get_if<Object>(&Value);
+  if (!Members)
     return nullptr;
-  for (const auto &[K, V] : Members)
+  for (const auto &[K, V] : *Members)
     if (K == Key)
       return &V;
   return nullptr;
 }
 
+JsonValue *JsonValue::get(const std::string &Key) {
+  return const_cast<JsonValue *>(std::as_const(*this).get(Key));
+}
+
 bool JsonValue::operator==(const JsonValue &Other) const {
-  if (ValueKind != Other.ValueKind)
-    return false;
-  switch (ValueKind) {
-  case Kind::Null:
-    return true;
-  case Kind::Bool:
-    return BoolValue == Other.BoolValue;
-  case Kind::Number:
-    return NumberValue == Other.NumberValue;
-  case Kind::String:
-    return StringValue == Other.StringValue;
-  case Kind::Array:
-    return Elements == Other.Elements;
-  case Kind::Object:
-    return Members == Other.Members;
-  }
-  return false;
+  return Value == Other.Value;
 }
 
 //===----------------------------------------------------------------------===//
@@ -103,211 +112,329 @@ bool JsonValue::operator==(const JsonValue &Other) const {
 
 namespace {
 
-void appendEscaped(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
-void appendNumber(std::string &Out, double N) {
-  // Integral values (all the sweep counts) print without a decimal point;
-  // everything else gets enough digits to round-trip.
-  if (std::isfinite(N) && N == std::floor(N) && std::fabs(N) < 1e15) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), "%.0f", N);
-    Out += Buf;
-    return;
-  }
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.17g", N);
-  Out += Buf;
+/// True when a byte of \p Word needs an escape: a control character, '"'
+/// or '\\'. (The classic has-zero-byte and has-byte-less-than bit tricks.)
+bool needsEscape(uint64_t Word) {
+  constexpr uint64_t Ones = 0x0101010101010101ull;
+  constexpr uint64_t Highs = 0x8080808080808080ull;
+  auto HasZero = [](uint64_t X) { return (X - Ones) & ~X & Highs; };
+  return ((Word - 0x20 * Ones) & ~Word & Highs) | HasZero(Word ^ ('"' * Ones)) |
+         HasZero(Word ^ ('\\' * Ones));
 }
 
 } // namespace
 
-std::string JsonValue::dump(unsigned Indent) const {
+namespace cats {
+
+/// The printer: one recursive walk writing through a cursor into one
+/// buffer. The buffer starts at bound()'s size, so it is allocated once;
+/// every write still checks for room, and an escape-heavy string merely
+/// grows it.
+class JsonWriter {
+public:
+  JsonWriter(const JsonValue &Root, unsigned Indent) : Indent(Indent) {
+    Out.resize(bound(Root, 0) + 1);
+    P = Out.data();
+  }
+
+  /// At least the size value() renders for \p V, unless its strings need
+  /// escapes. Numbers count the widest "%.17g" rendering.
+  size_t bound(const JsonValue &V, unsigned Depth) const {
+    // Each element costs a separator and a newline with its indentation.
+    const size_t Line = Indent ? 1 + size_t(Indent) * (Depth + 1) : 0;
+    switch (V.kind()) {
+    case JsonValue::Kind::Null:
+    case JsonValue::Kind::Bool:
+      return 5;
+    case JsonValue::Kind::Number:
+      return NumberWidth;
+    case JsonValue::Kind::String:
+      return std::get<std::string>(V.Value).size() + 2;
+    case JsonValue::Kind::Array: {
+      size_t Size = 2 + Line;
+      for (const JsonValue &E : std::get<JsonValue::Array>(V.Value))
+        Size += 1 + Line + bound(E, Depth + 1);
+      return Size;
+    }
+    case JsonValue::Kind::Object: {
+      size_t Size = 2 + Line;
+      for (const auto &[Key, Member] : std::get<JsonValue::Object>(V.Value))
+        Size += 1 + Line + Key.size() + 4 + bound(Member, Depth + 1);
+      return Size;
+    }
+    }
+    return 0;
+  }
+
+  void value(const JsonValue &V, unsigned Depth) {
+    switch (V.kind()) {
+    case JsonValue::Kind::Null:
+      put("null", 4);
+      return;
+    case JsonValue::Kind::Bool:
+      if (std::get<bool>(V.Value))
+        put("true", 4);
+      else
+        put("false", 5);
+      return;
+    case JsonValue::Kind::Number:
+      number(std::get<double>(V.Value));
+      return;
+    case JsonValue::Kind::String:
+      string(std::get<std::string>(V.Value));
+      return;
+    case JsonValue::Kind::Array: {
+      const JsonValue::Array &Elements = std::get<JsonValue::Array>(V.Value);
+      if (Elements.empty()) {
+        put("[]", 2);
+        return;
+      }
+      put("[", 1);
+      for (size_t I = 0; I < Elements.size(); ++I) {
+        if (I)
+          put(",", 1);
+        newline(Depth + 1);
+        value(Elements[I], Depth + 1);
+      }
+      newline(Depth);
+      put("]", 1);
+      return;
+    }
+    case JsonValue::Kind::Object: {
+      const JsonValue::Object &Members = std::get<JsonValue::Object>(V.Value);
+      if (Members.empty()) {
+        put("{}", 2);
+        return;
+      }
+      put("{", 1);
+      for (size_t I = 0; I < Members.size(); ++I) {
+        if (I)
+          put(",", 1);
+        newline(Depth + 1);
+        string(Members[I].first);
+        put(": ", Indent ? 2 : 1);
+        value(Members[I].second, Depth + 1);
+      }
+      newline(Depth);
+      put("}", 1);
+      return;
+    }
+    }
+  }
+
+  std::string finish() {
+    if (Indent)
+      put("\n", 1);
+    Out.resize(static_cast<size_t>(P - Out.data()));
+    return std::move(Out);
+  }
+
+private:
+  static constexpr size_t NumberWidth = 24;
+
+  void room(size_t N) {
+    const size_t Used = static_cast<size_t>(P - Out.data());
+    if (Out.size() - Used >= N)
+      return;
+    Out.resize(std::max(2 * Out.size(), Used + N));
+    P = Out.data() + Used;
+  }
+
+  void put(const char *S, size_t N) {
+    room(N);
+    std::memcpy(P, S, N);
+    P += N;
+  }
+
+  void newline(unsigned Depth) {
+    if (Indent == 0)
+      return;
+    const size_t Spaces = size_t(Indent) * Depth;
+    room(1 + Spaces);
+    *P++ = '\n';
+    std::memset(P, ' ', Spaces);
+    P += Spaces;
+  }
+
+  void number(double N) {
+    // Integral values (all the sweep counts) print without a decimal
+    // point, exactly as "%.0f" would (including "-0" for a negative zero);
+    // everything else gets enough digits to round-trip, as "%.17g".
+    room(NumberWidth);
+    char *const Limit = P + NumberWidth;
+    if (std::fabs(N) < 1e15) {
+      const auto I = static_cast<long long>(N);
+      if (static_cast<double>(I) == N) {
+        if (I == 0 && std::signbit(N))
+          *P++ = '-';
+        P = std::to_chars(P, Limit, I).ptr;
+        return;
+      }
+    }
+    P = std::to_chars(P, Limit, N, std::chars_format::general, 17).ptr;
+  }
+
+  void string(const std::string &S) {
+    static constexpr char Hex[] = "0123456789abcdef";
+    put("\"", 1);
+    const char *Run = S.data();
+    const char *const End = Run + S.size();
+    const char *Q = Run;
+    while (Q != End) {
+      // Skip eight clean bytes at a time; most strings need no escape.
+      if (End - Q >= 8) {
+        uint64_t Word;
+        std::memcpy(&Word, Q, 8);
+        if (!needsEscape(Word)) {
+          Q += 8;
+          continue;
+        }
+      }
+      const auto C = static_cast<unsigned char>(*Q++);
+      if (C >= 0x20 && C != '"' && C != '\\')
+        continue;
+      put(Run, static_cast<size_t>(Q - 1 - Run));
+      Run = Q;
+      switch (C) {
+      case '"':
+        put("\\\"", 2);
+        break;
+      case '\\':
+        put("\\\\", 2);
+        break;
+      case '\n':
+        put("\\n", 2);
+        break;
+      case '\t':
+        put("\\t", 2);
+        break;
+      case '\r':
+        put("\\r", 2);
+        break;
+      default: {
+        const char Code[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xF]};
+        put(Code, sizeof(Code));
+      }
+      }
+    }
+    put(Run, static_cast<size_t>(End - Run));
+    put("\"", 1);
+  }
+
   std::string Out;
-  // Recursive lambda over (value, current depth).
-  std::function<void(const JsonValue &, unsigned)> Emit =
-      [&](const JsonValue &V, unsigned Depth) {
-        auto Newline = [&](unsigned D) {
-          if (Indent == 0)
-            return;
-          Out += '\n';
-          Out.append(static_cast<size_t>(Indent) * D, ' ');
-        };
-        switch (V.kind()) {
-        case Kind::Null:
-          Out += "null";
-          break;
-        case Kind::Bool:
-          Out += V.BoolValue ? "true" : "false";
-          break;
-        case Kind::Number:
-          appendNumber(Out, V.NumberValue);
-          break;
-        case Kind::String:
-          appendEscaped(Out, V.StringValue);
-          break;
-        case Kind::Array: {
-          if (V.Elements.empty()) {
-            Out += "[]";
-            break;
-          }
-          Out += '[';
-          for (size_t I = 0; I < V.Elements.size(); ++I) {
-            if (I)
-              Out += ',';
-            Newline(Depth + 1);
-            Emit(V.Elements[I], Depth + 1);
-          }
-          Newline(Depth);
-          Out += ']';
-          break;
-        }
-        case Kind::Object: {
-          if (V.Members.empty()) {
-            Out += "{}";
-            break;
-          }
-          Out += '{';
-          for (size_t I = 0; I < V.Members.size(); ++I) {
-            if (I)
-              Out += ',';
-            Newline(Depth + 1);
-            appendEscaped(Out, V.Members[I].first);
-            Out += Indent == 0 ? ":" : ": ";
-            Emit(V.Members[I].second, Depth + 1);
-          }
-          Newline(Depth);
-          Out += '}';
-          break;
-        }
-        }
-      };
-  Emit(*this, 0);
-  if (Indent != 0)
-    Out += '\n';
-  return Out;
+  char *P;
+  const unsigned Indent;
+};
+
+} // namespace cats
+
+std::string JsonValue::dump(unsigned Indent) const {
+  JsonWriter Writer(*this, Indent);
+  Writer.value(*this, 0);
+  return Writer.finish();
 }
 
 //===----------------------------------------------------------------------===//
 // Parser
 //===----------------------------------------------------------------------===//
 
-namespace {
+namespace cats {
 
-class Parser {
+/// One parse of one document. Every parse function fills its output value
+/// in place and returns false after recording the first error.
+class JsonParser {
 public:
-  explicit Parser(const std::string &Text) : Text(Text) {}
+  explicit JsonParser(const std::string &Text)
+      : Begin(Text.data()), P(Begin), End(Begin + Text.size()) {}
 
   Expected<JsonValue> run() {
-    auto V = parseValue();
-    if (!V)
-      return V;
+    JsonValue Root;
+    if (!parseValue(Root, 0))
+      return Expected<JsonValue>::error(Error);
     skipWs();
-    if (Pos != Text.size())
-      return fail("trailing characters after document");
-    return V;
+    if (P != End) {
+      fail("trailing characters after document");
+      return Expected<JsonValue>::error(Error);
+    }
+    return Root;
   }
 
 private:
-  Expected<JsonValue> fail(const std::string &Why) {
-    return Expected<JsonValue>::error("JSON error at offset " +
-                                      std::to_string(Pos) + ": " + Why);
+  using Array = JsonValue::Array;
+  using Object = JsonValue::Object;
+
+  bool fail(const std::string &Why) {
+    Error = "JSON error at offset " + std::to_string(P - Begin) + ": " + Why;
+    return false;
   }
 
   void skipWs() {
-    while (Pos < Text.size() &&
-           (Text[Pos] == ' ' || Text[Pos] == '\t' || Text[Pos] == '\n' ||
-            Text[Pos] == '\r'))
-      ++Pos;
+    while (P != End && (*P == ' ' || *P == '\t' || *P == '\n' || *P == '\r'))
+      ++P;
   }
 
   bool consume(char C) {
-    if (Pos < Text.size() && Text[Pos] == C) {
-      ++Pos;
+    if (P != End && *P == C) {
+      ++P;
       return true;
     }
     return false;
   }
 
-  bool consumeWord(const char *W) {
-    size_t Len = std::strlen(W);
-    if (Text.compare(Pos, Len, W) == 0) {
-      Pos += Len;
-      return true;
-    }
-    return false;
+  bool consumeWord(std::string_view W) {
+    if (static_cast<size_t>(End - P) < W.size() ||
+        std::string_view(P, W.size()) != W)
+      return false;
+    P += W.size();
+    return true;
   }
 
-  Expected<JsonValue> parseValue() {
+  bool parseValue(JsonValue &Out, unsigned Depth) {
     skipWs();
-    if (Pos >= Text.size())
+    if (P == End)
       return fail("unexpected end of input");
-    char C = Text[Pos];
-    if (C == '{')
-      return parseObject();
-    if (C == '[')
-      return parseArray();
-    if (C == '"') {
-      auto S = parseString();
-      if (!S)
-        return Expected<JsonValue>::error(S.message());
-      return JsonValue(S.take());
+    const char C = *P;
+    if (C == '{' || C == '[') {
+      if (Depth == JsonValue::MaxDepth)
+        return fail("nesting deeper than " +
+                    std::to_string(JsonValue::MaxDepth) + " levels");
+      return C == '{' ? parseObject(Out, Depth + 1)
+                      : parseArray(Out, Depth + 1);
     }
-    if (consumeWord("null"))
-      return JsonValue();
-    if (consumeWord("true"))
-      return JsonValue(true);
-    if (consumeWord("false"))
-      return JsonValue(false);
+    if (C == '"')
+      return parseString(Out.Value.emplace<std::string>());
+    if (consumeWord("null")) {
+      Out.Value.emplace<std::monostate>();
+      return true;
+    }
+    if (consumeWord("true")) {
+      Out.Value.emplace<bool>(true);
+      return true;
+    }
+    if (consumeWord("false")) {
+      Out.Value.emplace<bool>(false);
+      return true;
+    }
     if (C == '-' || (C >= '0' && C <= '9'))
-      return parseNumber();
+      return parseNumber(Out);
     return fail(std::string("unexpected character '") + C + "'");
   }
 
-  Expected<std::string> parseString() {
-    assert(Text[Pos] == '"');
-    ++Pos;
-    std::string Out;
-    while (Pos < Text.size()) {
-      char C = Text[Pos++];
-      if (C == '"')
-        return Out;
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
-      if (Pos >= Text.size())
-        break;
-      char E = Text[Pos++];
+  bool parseString(std::string &Out) {
+    ++P; // '"'
+    while (true) {
+      // Copy the run up to the next quote or escape in one append.
+      const char *Run = P;
+      while (P != End && *P != '"' && *P != '\\')
+        ++P;
+      Out.append(Run, P);
+      if (P == End)
+        return fail("unterminated string");
+      if (*P++ == '"')
+        return true;
+      if (P == End)
+        return fail("unterminated string");
+      const char E = *P++;
       switch (E) {
       case '"':
       case '\\':
@@ -329,112 +456,145 @@ private:
       case 'f':
         Out += '\f';
         break;
-      case 'u': {
-        if (Pos + 4 > Text.size())
-          return Expected<std::string>::error("truncated \\u escape");
-        unsigned Code = 0;
-        for (int I = 0; I < 4; ++I) {
-          char H = Text[Pos++];
-          Code <<= 4;
-          if (H >= '0' && H <= '9')
-            Code += H - '0';
-          else if (H >= 'a' && H <= 'f')
-            Code += H - 'a' + 10;
-          else if (H >= 'A' && H <= 'F')
-            Code += H - 'A' + 10;
-          else
-            return Expected<std::string>::error("bad \\u escape digit");
-        }
-        // UTF-8 encode (no surrogate-pair handling; the reports are ASCII).
-        if (Code < 0x80) {
-          Out += static_cast<char>(Code);
-        } else if (Code < 0x800) {
-          Out += static_cast<char>(0xC0 | (Code >> 6));
-          Out += static_cast<char>(0x80 | (Code & 0x3F));
-        } else {
-          Out += static_cast<char>(0xE0 | (Code >> 12));
-          Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
-          Out += static_cast<char>(0x80 | (Code & 0x3F));
-        }
+      case 'u':
+        if (!parseUnicodeEscape(Out))
+          return false;
         break;
-      }
       default:
-        return Expected<std::string>::error("unknown escape");
+        return fail("unknown escape");
       }
     }
-    return Expected<std::string>::error("unterminated string");
   }
 
-  Expected<JsonValue> parseNumber() {
-    size_t Start = Pos;
-    if (consume('-')) {
+  bool parseUnicodeEscape(std::string &Out) {
+    if (End - P < 4)
+      return fail("truncated \\u escape");
+    unsigned Code = 0;
+    for (int I = 0; I < 4; ++I) {
+      const char H = *P++;
+      Code <<= 4;
+      if (H >= '0' && H <= '9')
+        Code += H - '0';
+      else if (H >= 'a' && H <= 'f')
+        Code += H - 'a' + 10;
+      else if (H >= 'A' && H <= 'F')
+        Code += H - 'A' + 10;
+      else
+        return fail("bad \\u escape digit");
     }
-    while (Pos < Text.size() &&
-           ((Text[Pos] >= '0' && Text[Pos] <= '9') || Text[Pos] == '.' ||
-            Text[Pos] == 'e' || Text[Pos] == 'E' || Text[Pos] == '+' ||
-            Text[Pos] == '-'))
-      ++Pos;
-    const std::string Tok = Text.substr(Start, Pos - Start);
-    char *End = nullptr;
-    double N = std::strtod(Tok.c_str(), &End);
-    if (End != Tok.c_str() + Tok.size())
-      return fail("malformed number '" + Tok + "'");
-    return JsonValue(N);
+    // UTF-8 encode (no surrogate-pair handling; the reports are ASCII).
+    if (Code < 0x80) {
+      Out += static_cast<char>(Code);
+    } else if (Code < 0x800) {
+      Out += static_cast<char>(0xC0 | (Code >> 6));
+      Out += static_cast<char>(0x80 | (Code & 0x3F));
+    } else {
+      Out += static_cast<char>(0xE0 | (Code >> 12));
+      Out += static_cast<char>(0x80 | ((Code >> 6) & 0x3F));
+      Out += static_cast<char>(0x80 | (Code & 0x3F));
+    }
+    return true;
   }
 
-  Expected<JsonValue> parseArray() {
-    ++Pos; // '['
-    JsonValue Out = JsonValue::array();
+  bool parseNumber(JsonValue &Out) {
+    // The token is the longest run of number characters; all of it must
+    // be one number.
+    const char *Start = P;
+    ++P; // '-' or the first digit
+    while (P != End && ((*P >= '0' && *P <= '9') || *P == '.' || *P == 'e' ||
+                        *P == 'E' || *P == '+' || *P == '-'))
+      ++P;
+    double N = 0;
+    auto [Stop, Ec] = std::from_chars(Start, P, N);
+    if (Ec == std::errc::result_out_of_range) {
+      // Overflow and underflow round as strtod rounds them (to infinity
+      // or zero), not to an error.
+      const std::string Token(Start, P);
+      char *TokenEnd = nullptr;
+      N = std::strtod(Token.c_str(), &TokenEnd);
+      Stop = Start + (TokenEnd - Token.c_str());
+    }
+    if (Stop != P)
+      return fail("malformed number '" + std::string(Start, P) + "'");
+    Out.Value.emplace<double>(N);
+    return true;
+  }
+
+  bool parseArray(JsonValue &Out, unsigned Depth) {
+    ++P; // '['
+    const size_t Base = Items.size();
     skipWs();
-    if (consume(']'))
-      return Out;
-    while (true) {
-      auto V = parseValue();
-      if (!V)
-        return V;
-      Out.push(V.take());
-      skipWs();
-      if (consume(']'))
-        return Out;
-      if (!consume(','))
-        return fail("expected ',' or ']' in array");
+    if (!consume(']')) {
+      while (true) {
+        JsonValue V;
+        if (!parseValue(V, Depth))
+          return false;
+        Items.push_back(std::move(V));
+        skipWs();
+        if (consume(']'))
+          break;
+        if (!consume(','))
+          return fail("expected ',' or ']' in array");
+      }
     }
+    Array &A = Out.Value.emplace<Array>();
+    A.assign(std::make_move_iterator(Items.begin() + Base),
+             std::make_move_iterator(Items.end()));
+    Items.resize(Base);
+    return true;
   }
 
-  Expected<JsonValue> parseObject() {
-    ++Pos; // '{'
-    JsonValue Out = JsonValue::object();
+  bool parseObject(JsonValue &Out, unsigned Depth) {
+    ++P; // '{'
+    const size_t Base = Fields.size();
     skipWs();
-    if (consume('}'))
-      return Out;
-    while (true) {
-      skipWs();
-      if (Pos >= Text.size() || Text[Pos] != '"')
-        return fail("expected string key in object");
-      auto K = parseString();
-      if (!K)
-        return Expected<JsonValue>::error(K.message());
-      skipWs();
-      if (!consume(':'))
-        return fail("expected ':' after object key");
-      auto V = parseValue();
-      if (!V)
-        return V;
-      Out.set(K.take(), V.take());
-      skipWs();
-      if (consume('}'))
-        return Out;
-      if (!consume(','))
-        return fail("expected ',' or '}' in object");
+    if (!consume('}')) {
+      while (true) {
+        skipWs();
+        if (P == End || *P != '"')
+          return fail("expected string key in object");
+        std::string Key;
+        if (!parseString(Key))
+          return false;
+        skipWs();
+        if (!consume(':'))
+          return fail("expected ':' after object key");
+        JsonValue V;
+        if (!parseValue(V, Depth))
+          return false;
+        auto Same = std::find_if(
+            Fields.begin() + Base, Fields.end(),
+            [&](const auto &Field) { return Field.first == Key; });
+        if (Same != Fields.end())
+          Same->second = std::move(V);
+        else
+          Fields.emplace_back(std::move(Key), std::move(V));
+        skipWs();
+        if (consume('}'))
+          break;
+        if (!consume(','))
+          return fail("expected ',' or '}' in object");
+      }
     }
+    Object &O = Out.Value.emplace<Object>();
+    O.assign(std::make_move_iterator(Fields.begin() + Base),
+             std::make_move_iterator(Fields.end()));
+    Fields.resize(Base);
+    return true;
   }
 
-  const std::string &Text;
-  size_t Pos = 0;
+  const char *const Begin;
+  const char *P;
+  const char *const End;
+  /// Scratch stacks: the elements and members of every container still
+  /// open, innermost last.
+  Array Items;
+  Object Fields;
+  std::string Error;
 };
 
-} // namespace
+} // namespace cats
 
 Expected<JsonValue> JsonValue::parse(const std::string &Text) {
-  return Parser(Text).run();
+  return JsonParser(Text).run();
 }

@@ -6,13 +6,31 @@
 ///
 /// \file
 /// A small self-contained JSON library for the sweep reports: a value type
-/// over null/bool/number/string/array/object, a recursive-descent parser,
-/// and a deterministic pretty-printer. Objects preserve insertion order so
+/// over null/bool/number/string/array/object, a one-pass parser, and a
+/// deterministic pretty-printer. Objects preserve insertion order so
 /// emitted reports read in schema order and round-trip byte-identically.
 ///
-/// No external dependency; numbers are stored as double (integral values
-/// print without a decimal point), which covers every count the sweep
-/// reports carry.
+/// Every report, cache entry and checkpoint line cats reads or writes goes
+/// through this one document tree, so its layout is the IO cost of a
+/// campaign:
+///
+/// - A value is one 40-byte tagged union (a std::variant over the six
+///   kinds). An array or object owns one vector of its elements or
+///   members; a string (or object key) longer than the small-string
+///   buffer owns one heap block; scalars own none.
+/// - The parser builds each value in place. Array elements and object
+///   members collect on scratch stacks shared by the whole parse and move
+///   into an exactly-sized vector when their container closes. Nesting
+///   deeper than JsonValue::MaxDepth is an error, never a stack overflow.
+/// - The printer is one recursive walk writing through a cursor into a
+///   single buffer, sized up front by a walk that bounds the output.
+///   Integral numbers of magnitude below 1e15 print as integers (a
+///   negative zero as "-0"); every other number prints as "%.17g" would.
+/// - Moving a value moves its whole subtree, so a merge can hand test
+///   entries from its inputs to its output without copying them.
+///
+/// No external dependency; numbers are stored as double, which holds
+/// every count the reports carry exactly (integers up to 2^53).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +41,7 @@
 
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace cats {
@@ -32,45 +51,55 @@ class JsonValue {
 public:
   enum class Kind : uint8_t { Null, Bool, Number, String, Array, Object };
 
-  JsonValue() : ValueKind(Kind::Null) {}
-  JsonValue(bool B) : ValueKind(Kind::Bool), BoolValue(B) {}
-  JsonValue(double N) : ValueKind(Kind::Number), NumberValue(N) {}
-  JsonValue(int N) : ValueKind(Kind::Number), NumberValue(N) {}
-  JsonValue(unsigned N) : ValueKind(Kind::Number), NumberValue(N) {}
-  JsonValue(unsigned long long N)
-      : ValueKind(Kind::Number), NumberValue(static_cast<double>(N)) {}
+  /// The deepest array/object nesting parse() accepts: far above any
+  /// document cats writes, far below what would exhaust the stack.
+  static constexpr unsigned MaxDepth = 256;
+
+  JsonValue() = default;
+  JsonValue(bool B) : Value(std::in_place_type<bool>, B) {}
+  JsonValue(double N) : Value(std::in_place_type<double>, N) {}
+  JsonValue(int N) : JsonValue(static_cast<double>(N)) {}
+  JsonValue(unsigned N) : JsonValue(static_cast<double>(N)) {}
+  JsonValue(unsigned long long N) : JsonValue(static_cast<double>(N)) {}
   JsonValue(std::string S)
-      : ValueKind(Kind::String), StringValue(std::move(S)) {}
-  JsonValue(const char *S) : ValueKind(Kind::String), StringValue(S) {}
+      : Value(std::in_place_type<std::string>, std::move(S)) {}
+  JsonValue(const char *S) : Value(std::in_place_type<std::string>, S) {}
 
   /// Creates an empty array / object.
   static JsonValue array();
   static JsonValue object();
 
-  Kind kind() const { return ValueKind; }
-  bool isNull() const { return ValueKind == Kind::Null; }
-  bool isBool() const { return ValueKind == Kind::Bool; }
-  bool isNumber() const { return ValueKind == Kind::Number; }
-  bool isString() const { return ValueKind == Kind::String; }
-  bool isArray() const { return ValueKind == Kind::Array; }
-  bool isObject() const { return ValueKind == Kind::Object; }
+  Kind kind() const { return static_cast<Kind>(Value.index()); }
+  bool isNull() const { return kind() == Kind::Null; }
+  bool isBool() const { return kind() == Kind::Bool; }
+  bool isNumber() const { return kind() == Kind::Number; }
+  bool isString() const { return kind() == Kind::String; }
+  bool isArray() const { return kind() == Kind::Array; }
+  bool isObject() const { return kind() == Kind::Object; }
 
-  /// Scalar accessors; assert on kind mismatch.
+  /// Scalar accessors; assert on kind mismatch (and read as false, 0 or
+  /// the empty string when assertions are off).
   bool asBool() const;
   double asNumber() const;
   const std::string &asString() const;
 
-  /// Array access.
+  /// Array access. The mutable overload (for moving elements out or
+  /// editing them in place) requires an array.
   const std::vector<JsonValue> &elements() const;
+  std::vector<JsonValue> &elements();
   void push(JsonValue V);
 
   /// Object access. Members keep insertion order; set() replaces in place
-  /// when the key exists.
+  /// when the key exists. The mutable members() overload requires an
+  /// object; callers may edit values in place but must keep keys unique.
   const std::vector<std::pair<std::string, JsonValue>> &members() const;
+  std::vector<std::pair<std::string, JsonValue>> &members();
   void set(const std::string &Key, JsonValue V);
 
-  /// The member value for \p Key, or nullptr (also on non-objects).
+  /// The member value for \p Key, or nullptr (also on non-objects). The
+  /// mutable overload lets a caller edit or move the member in place.
   const JsonValue *get(const std::string &Key) const;
+  JsonValue *get(const std::string &Key);
 
   /// Renders the value. \p Indent > 0 pretty-prints with that step;
   /// 0 emits the compact single-line form. Output is deterministic and
@@ -81,16 +110,19 @@ public:
   bool operator!=(const JsonValue &Other) const { return !(*this == Other); }
 
   /// Parses \p Text as one JSON document (trailing whitespace allowed).
-  /// Errors carry a byte offset and reason.
+  /// A repeated object key keeps its first position and its last value,
+  /// as set() does. Errors carry a byte offset and reason.
   static Expected<JsonValue> parse(const std::string &Text);
 
 private:
-  Kind ValueKind;
-  bool BoolValue = false;
-  double NumberValue = 0;
-  std::string StringValue;
-  std::vector<JsonValue> Elements;
-  std::vector<std::pair<std::string, JsonValue>> Members;
+  friend class JsonParser;
+  friend class JsonWriter;
+  using Array = std::vector<JsonValue>;
+  using Object = std::vector<std::pair<std::string, JsonValue>>;
+
+  /// Alternatives in Kind order, so kind() is the variant index.
+  std::variant<std::monostate, bool, double, std::string, Array, Object>
+      Value;
 };
 
 } // namespace cats

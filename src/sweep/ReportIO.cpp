@@ -10,7 +10,8 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <limits>
 
 using namespace cats;
 
@@ -20,52 +21,58 @@ using namespace cats;
 
 namespace {
 
-/// Parses the whole of \p Text as a signed decimal value.
-bool parseValue(const std::string &Text, long long &Out) {
-  if (Text.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoll(Text.c_str(), &End, 10);
-  return End && *End == '\0';
+/// Parses the whole of \p Text as a decimal integer of type \p T.
+template <typename T> bool parseInteger(std::string_view Text, T &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Stop, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Stop == End;
 }
+
+/// Register fields name threads below this. The register table is sized
+/// by the largest thread index, so a corrupt index must not size it; no
+/// litmus test comes close.
+constexpr unsigned MaxKeyThreads = 1u << 16;
 
 } // namespace
 
-Expected<Outcome> cats::outcomeFromKey(const std::string &Key) {
+Expected<Outcome> cats::outcomeFromKey(std::string_view Key) {
   auto Bad = [&](const char *Why) {
-    return Expected<Outcome>::error(
-        strFormat("bad outcome key '%s': %s", Key.c_str(), Why));
+    return Expected<Outcome>::error("bad outcome key '" + std::string(Key) +
+                                    "': " + Why);
   };
   Outcome Out;
   size_t Pos = 0;
   while (Pos < Key.size()) {
     const size_t End = Key.find(';', Pos);
-    if (End == std::string::npos)
+    if (End == std::string_view::npos)
       return Bad("field without trailing ';'");
-    const std::string Field = Key.substr(Pos, End - Pos);
+    const std::string_view Field = Key.substr(Pos, End - Pos);
     Pos = End + 1;
     const size_t Eq = Field.rfind('=');
-    if (Eq == std::string::npos || Eq == 0)
+    if (Eq == std::string_view::npos || Eq == 0)
       return Bad("field without '='");
-    long long Val = 0;
-    if (!parseValue(Field.substr(Eq + 1), Val))
+    Value Val = 0;
+    if (!parseInteger(Field.substr(Eq + 1), Val))
       return Bad("unparsable value");
-    const std::string Left = Field.substr(0, Eq);
+    const std::string_view Left = Field.substr(0, Eq);
     // "T:rR" is a register field; anything else is a memory location
     // (litmus location names cannot contain ':').
     const size_t Colon = Left.find(':');
-    if (Colon != std::string::npos) {
-      long long Thread = 0, Reg = 0;
-      if (!parseValue(Left.substr(0, Colon), Thread) || Thread < 0 ||
-          Colon + 1 >= Left.size() || Left[Colon + 1] != 'r' ||
-          !parseValue(Left.substr(Colon + 2), Reg))
+    if (Colon != std::string_view::npos) {
+      unsigned Thread = 0;
+      Register Reg = 0;
+      if (!parseInteger(Left.substr(0, Colon), Thread) ||
+          Thread >= MaxKeyThreads || Colon + 1 >= Left.size() ||
+          Left[Colon + 1] != 'r' || !parseInteger(Left.substr(Colon + 2), Reg))
         return Bad("malformed register field");
-      if (Out.Regs.size() <= static_cast<size_t>(Thread))
-        Out.Regs.resize(static_cast<size_t>(Thread) + 1);
-      Out.Regs[static_cast<size_t>(Thread)][static_cast<Register>(Reg)] =
-          static_cast<Value>(Val);
+      if (Out.Regs.size() <= Thread)
+        Out.Regs.resize(Thread + 1);
+      // Canonical keys list fields in map order, so each insert lands at
+      // the end; a repeated field keeps its last value.
+      auto &Regs = Out.Regs[Thread];
+      Regs.insert_or_assign(Regs.end(), Reg, Val);
     } else {
-      Out.Memory[Left] = static_cast<Value>(Val);
+      Out.Memory.insert_or_assign(Out.Memory.end(), std::string(Left), Val);
     }
   }
   Out.enableKeyCache();
@@ -78,6 +85,7 @@ Expected<Outcome> cats::outcomeFromKey(const std::string &Key) {
 
 JsonValue cats::sweepTestResultToJson(const SweepTestResult &T) {
   JsonValue Entry = JsonValue::object();
+  Entry.members().reserve(T.Error.empty() ? 6 : 3);
   Entry.set("name", T.TestName);
   Entry.set("wall_seconds", T.WallSeconds);
   if (!T.Error.empty()) {
@@ -87,19 +95,25 @@ JsonValue cats::sweepTestResultToJson(const SweepTestResult &T) {
   Entry.set("candidates_total", T.Result.CandidatesTotal);
   Entry.set("candidates_consistent", T.Result.CandidatesConsistent);
 
+  // Containers are sized up front: the document then holds no slack and
+  // is built without a reallocation.
   const std::vector<Outcome> &Table = T.Result.ConsistentOutcomes;
   JsonValue States = JsonValue::array();
+  States.elements().reserve(Table.size());
   for (const Outcome &O : Table)
     States.push(O.key());
   Entry.set("consistent_states", std::move(States));
 
   JsonValue Models = JsonValue::array();
+  Models.elements().reserve(T.Result.PerModel.size());
   for (const SimulationResult &R : T.Result.PerModel) {
     JsonValue M = JsonValue::object();
+    M.members().reserve(4);
     M.set("model", R.ModelName);
     M.set("verdict", R.verdict());
     M.set("candidates_allowed", R.CandidatesAllowed);
     JsonValue Allowed = JsonValue::array();
+    Allowed.elements().reserve(R.AllowedOutcomes.size());
     for (uint32_t Idx : R.AllowedOutcomes)
       Allowed.push(Table[Idx].key());
     M.set("allowed_states", std::move(Allowed));
@@ -122,6 +136,7 @@ JsonValue cats::sweepReportToJson(const SweepReport &Report) {
   }
 
   JsonValue Tests = JsonValue::array();
+  Tests.elements().reserve(Report.Tests.size());
   for (const SweepTestResult &T : Report.Tests)
     Tests.push(sweepTestResultToJson(T));
   Root.set("tests", std::move(Tests));
@@ -141,19 +156,34 @@ JsonValue cats::sweepReportToJson(const SweepReport &Report) {
 // Reader
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// The member as an integral count; 0 when absent.
-unsigned long long countOf(const JsonValue &Obj, const char *Key) {
-  const JsonValue *V = Obj.get(Key);
-  return V && V->isNumber() ? static_cast<unsigned long long>(V->asNumber())
-                            : 0;
+bool cats::countFromJson(const JsonValue *V, unsigned long long &Out) {
+  Out = 0;
+  if (!V)
+    return true;
+  if (!V->isNumber())
+    return false;
+  const double N = V->asNumber();
+  // The range test fails on NaN too; inside it the cast is exact.
+  if (!(N >= 0 && N <= static_cast<double>(MaxJsonCount)))
+    return false;
+  Out = static_cast<unsigned long long>(N);
+  return static_cast<double>(Out) == N;
 }
+
+namespace {
 
 /// The member as a string; empty when absent.
 std::string stringOf(const JsonValue &Obj, const char *Key) {
   const JsonValue *V = Obj.get(Key);
   return V && V->isString() ? V->asString() : std::string();
+}
+
+/// Reads member \p Key of \p Obj with countFromJson.
+Status readCount(const JsonValue &Obj, const char *Key,
+                 unsigned long long &Out) {
+  if (countFromJson(Obj.get(Key), Out))
+    return Status::success();
+  return Status::error(strFormat("'%s' is not a count", Key));
 }
 
 /// The elements of state list \p Array, all strings; an absent list reads
@@ -193,29 +223,79 @@ Status parseOutcomeTable(const std::vector<JsonValue> &Keys,
 }
 
 /// Resolves the allowed-state keys \p Allowed against the table's keys
-/// \p TableKeys into strictly ascending indices. A state missing from the
-/// table, a repeat or an out-of-order state is an error.
+/// \p TableKeys (strictly ascending) into strictly ascending indices: one
+/// forward walk over both lists. A state missing from the table, a repeat
+/// or an out-of-order state is an error.
 Status resolveAllowed(const std::vector<JsonValue> &Allowed,
                       const std::vector<JsonValue> &TableKeys,
                       std::vector<uint32_t> &Out) {
-  auto KeyLess = [](const JsonValue &A, const std::string &B) {
-    return A.asString() < B;
-  };
   Out.reserve(Allowed.size());
+  size_t Next = 0;
   for (const JsonValue &State : Allowed) {
     const std::string &Key = State.asString();
-    auto It =
-        std::lower_bound(TableKeys.begin(), TableKeys.end(), Key, KeyLess);
-    if (It == TableKeys.end() || It->asString() != Key)
-      return Status::error("allowed state '" + Key +
-                           "' is not a consistent state");
-    const auto Idx = static_cast<uint32_t>(It - TableKeys.begin());
-    if (!Out.empty() && Idx <= Out.back())
-      return Status::error("allowed states are not strictly ascending at '" +
-                           Key + "'");
-    Out.push_back(Idx);
+    while (Next < TableKeys.size() && TableKeys[Next].asString() < Key)
+      ++Next;
+    if (Next < TableKeys.size() && TableKeys[Next].asString() == Key) {
+      Out.push_back(static_cast<uint32_t>(Next++));
+      continue;
+    }
+    // The walk passed the key: either it was never there, or it sorts
+    // before a state already resolved.
+    const bool Known = std::binary_search(
+        TableKeys.begin(), TableKeys.end(), State,
+        [](const JsonValue &A, const JsonValue &B) {
+          return A.asString() < B.asString();
+        });
+    return Status::error(
+        Known ? "allowed states are not strictly ascending at '" + Key + "'"
+              : "allowed state '" + Key + "' is not a consistent state");
   }
   return Status::success();
+}
+
+/// One model block of test entry \p Test, whose consistent-state keys
+/// are \p TableKeys.
+Expected<SimulationResult>
+modelFromJson(const JsonValue &M, const std::vector<JsonValue> &TableKeys,
+              const MultiSimulationResult &Test) {
+  using Ret = Expected<SimulationResult>;
+  if (!M.isObject())
+    return Ret::error("model entry is not an object");
+  SimulationResult R;
+  R.TestName = Test.TestName;
+  R.ModelName = stringOf(M, "model");
+  if (R.ModelName.empty())
+    return Ret::error("model entry without a name");
+  auto Fail = [&](const std::string &Why) {
+    return Ret::error("model " + R.ModelName + ": " + Why);
+  };
+  const std::string Verdict = stringOf(M, "verdict");
+  if (Verdict != "Allow" && Verdict != "Forbid")
+    return Fail("no Allow/Forbid verdict");
+  R.ConditionReachable = Verdict == "Allow";
+  if (Status S = readCount(M, "candidates_allowed", R.CandidatesAllowed);
+      S.failed())
+    return Fail(S.message());
+  auto Allowed = stateList(M.get("allowed_states"));
+  if (!Allowed)
+    return Fail(Allowed.message());
+  if (Status S = resolveAllowed(**Allowed, TableKeys, R.AllowedOutcomes);
+      S.failed())
+    return Fail(S.message());
+  if (R.CandidatesAllowed < R.AllowedOutcomes.size())
+    return Fail("allows fewer candidates than states");
+  if (R.CandidatesAllowed > Test.CandidatesConsistent)
+    return Fail("allows more candidates than are consistent");
+  // Every allowed candidate contributes its state, and an Allow verdict
+  // names a reachable one.
+  if (R.AllowedOutcomes.empty() &&
+      (R.CandidatesAllowed > 0 || R.ConditionReachable))
+    return Fail("allows candidates or the condition but no state");
+  // Mirror the shared counts so every entry stands alone, exactly as the
+  // live engine produces them.
+  R.CandidatesTotal = Test.CandidatesTotal;
+  R.CandidatesConsistent = Test.CandidatesConsistent;
+  return R;
 }
 
 } // namespace
@@ -234,50 +314,40 @@ Expected<SweepTestResult> cats::sweepTestResultFromJson(const JsonValue &E) {
   if (!Out.Error.empty())
     return Out;
 
-  Out.Result.TestName = Out.TestName;
-  Out.Result.CandidatesTotal = countOf(E, "candidates_total");
-  Out.Result.CandidatesConsistent = countOf(E, "candidates_consistent");
-  auto TableKeys = stateList(E.get("consistent_states"));
-  if (!TableKeys)
-    return Ret::error(Out.TestName + ": " + TableKeys.message());
-  if (Status S = parseOutcomeTable(**TableKeys, Out.Result.ConsistentOutcomes);
+  MultiSimulationResult &Result = Out.Result;
+  Result.TestName = Out.TestName;
+  if (Status S = readCount(E, "candidates_total", Result.CandidatesTotal);
       S.failed())
-    return Ret::error(Out.TestName + ": " + S.message());
-
+    return Ret::error(S.message());
+  if (Status S =
+          readCount(E, "candidates_consistent", Result.CandidatesConsistent);
+      S.failed())
+    return Ret::error(S.message());
+  if (Result.CandidatesConsistent > Result.CandidatesTotal)
+    return Ret::error("more consistent candidates than candidates");
+  // The writer always emits both lists; a missing one is corruption, not
+  // an empty list.
+  const JsonValue *States = E.get("consistent_states");
   const JsonValue *Models = E.get("models");
-  if (Models && !Models->isArray())
-    return Ret::error(Out.TestName + ": 'models' is not an array");
-  if (Models) {
-    for (const JsonValue &M : Models->elements()) {
-      if (!M.isObject())
-        return Ret::error(Out.TestName + ": model entry is not an object");
-      SimulationResult R;
-      R.TestName = Out.TestName;
-      R.ModelName = stringOf(M, "model");
-      if (R.ModelName.empty())
-        return Ret::error(Out.TestName + ": model entry without a name");
-      const std::string Verdict = stringOf(M, "verdict");
-      if (Verdict != "Allow" && Verdict != "Forbid")
-        return Ret::error(Out.TestName + ": model " + R.ModelName +
-                          " has no Allow/Forbid verdict");
-      R.ConditionReachable = Verdict == "Allow";
-      R.CandidatesAllowed = countOf(M, "candidates_allowed");
-      auto Allowed = stateList(M.get("allowed_states"));
-      if (!Allowed)
-        return Ret::error(Out.TestName + ": " + Allowed.message());
-      if (Status S = resolveAllowed(**Allowed, **TableKeys, R.AllowedOutcomes);
-          S.failed())
-        return Ret::error(Out.TestName + ": model " + R.ModelName + ": " +
-                          S.message());
-      if (R.CandidatesAllowed < R.AllowedOutcomes.size())
-        return Ret::error(Out.TestName + ": model " + R.ModelName +
-                          " allows fewer candidates than states");
-      // Mirror the shared counts so every entry stands alone, exactly as
-      // the live engine produces them.
-      R.CandidatesTotal = Out.Result.CandidatesTotal;
-      R.CandidatesConsistent = Out.Result.CandidatesConsistent;
-      Out.Result.PerModel.push_back(std::move(R));
-    }
+  if (!States || !Models)
+    return Ret::error("entry without 'consistent_states' or 'models'");
+  auto TableKeys = stateList(States);
+  if (!TableKeys)
+    return Ret::error(TableKeys.message());
+  if (Status S = parseOutcomeTable(**TableKeys, Result.ConsistentOutcomes);
+      S.failed())
+    return Ret::error(S.message());
+  if (Result.ConsistentOutcomes.size() > Result.CandidatesConsistent)
+    return Ret::error("more consistent states than consistent candidates");
+
+  if (!Models->isArray())
+    return Ret::error("'models' is not an array");
+  Result.PerModel.reserve(Models->elements().size());
+  for (const JsonValue &M : Models->elements()) {
+    auto R = modelFromJson(M, **TableKeys, Result);
+    if (!R)
+      return Ret::error(R.message());
+    Result.PerModel.push_back(R.take());
   }
   return Out;
 }
@@ -289,24 +359,39 @@ Expected<SweepReport> cats::sweepReportFromJson(const JsonValue &Root) {
   if (stringOf(Root, "schema") != "cats-sweep-report/1")
     return Ret::error("not a cats-sweep-report/1 document");
   SweepReport Out;
-  Out.Jobs = static_cast<unsigned>(countOf(Root, "jobs"));
+  unsigned long long Jobs = 0;
+  if (Status S = readCount(Root, "jobs", Jobs); S.failed())
+    return Ret::error(S.message());
+  if (Jobs > std::numeric_limits<unsigned>::max())
+    return Ret::error("'jobs' is out of range");
+  Out.Jobs = static_cast<unsigned>(Jobs);
   if (const JsonValue *W = Root.get("wall_seconds"))
     Out.WallSeconds = W->isNumber() ? W->asNumber() : 0;
   if (const JsonValue *Cache = Root.get("cache")) {
     if (!Cache->isObject())
       return Ret::error("'cache' is not an object");
     Out.CacheUsed = true;
-    Out.CacheHits = countOf(*Cache, "hits");
-    Out.CacheMisses = countOf(*Cache, "misses");
+    if (Status S = readCount(*Cache, "hits", Out.CacheHits); S.failed())
+      return Ret::error("cache: " + S.message());
+    if (Status S = readCount(*Cache, "misses", Out.CacheMisses); S.failed())
+      return Ret::error("cache: " + S.message());
   }
   const JsonValue *Tests = Root.get("tests");
   if (!Tests || !Tests->isArray())
     return Ret::error("report without a 'tests' array");
-  for (const JsonValue &E : Tests->elements()) {
-    auto T = sweepTestResultFromJson(E);
+  const std::vector<JsonValue> &Entries = Tests->elements();
+  for (size_t I = 0; I < Entries.size(); ++I) {
+    auto T = sweepTestResultFromJson(Entries[I]);
     if (!T)
-      return Ret::error(T.message());
+      return Ret::error(testEntryLabel(Entries[I], I) + ": " + T.message());
     Out.Tests.push_back(T.take());
   }
   return Out;
+}
+
+std::string cats::testEntryLabel(const JsonValue &Entry, size_t Index) {
+  const JsonValue *Name = Entry.get("name");
+  if (Name && Name->isString() && !Name->asString().empty())
+    return "test '" + Name->asString() + "'";
+  return strFormat("test #%zu", Index + 1);
 }

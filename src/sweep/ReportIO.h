@@ -16,8 +16,8 @@
 /// Rendering a parsed entry is byte-identical to rendering the original:
 /// the reader only accepts outcome keys whose reparsed Outcome rebuilds
 /// the same string, allowed states resolve to indices into the parsed
-/// consistent-state table, and every count is integral (exact in the JSON
-/// number type).
+/// consistent-state table, and every count is an integer in [0, 2^53]
+/// (exact in the JSON number type).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,13 +28,28 @@
 #include "sweep/SweepEngine.h"
 
 #include <string>
+#include <string_view>
 
 namespace cats {
 
 /// Parses an Outcome::key() string ("0:r1=1;x=2;...") back into an
 /// Outcome. The rebuilt outcome's key() equals \p Key exactly when \p Key
 /// is canonical (as every key Outcome::key() renders is).
-Expected<Outcome> outcomeFromKey(const std::string &Key);
+Expected<Outcome> outcomeFromKey(std::string_view Key);
+
+/// The largest count a report may carry: every integer up to 2^53 is
+/// exact in the JSON number type (a double).
+constexpr unsigned long long MaxJsonCount = 1ull << 53;
+
+/// Reads \p V as a count: a number that is an integer in
+/// [0, MaxJsonCount]. An absent value (nullptr) reads as 0. Anything else
+/// (a string, a fraction, a negative or larger number) is refused with
+/// false, where a cast to an integer type would be lossy or undefined.
+bool countFromJson(const JsonValue *V, unsigned long long &Out);
+
+/// How errors name the per-test entry \p Entry at position \p Index of a
+/// "tests" array: "test 'name'", or "test #N" for an entry without one.
+std::string testEntryLabel(const JsonValue &Entry, size_t Index);
 
 /// Renders one per-test entry of the "tests" array (the same rendering
 /// sweepReportToJson uses).
@@ -43,10 +58,17 @@ JsonValue sweepTestResultToJson(const SweepTestResult &Result);
 /// Parses one per-test entry. Unknown members are ignored (forward
 /// compatibility within the /1 schema). Besides syntax, an entry must keep
 /// the writer's invariants (docs/report-schemas.md): "consistent_states"
-/// canonical and strictly ascending, every model's verdict "Allow" or
-/// "Forbid", its allowed states a strictly ascending subset of the
-/// consistent states, and its "candidates_allowed" at least its number of
-/// allowed states.
+/// and "models" present unless the entry is an "error" one; every count
+/// read by countFromJson; "consistent_states" canonical and strictly
+/// ascending;
+/// every model's verdict "Allow" or "Forbid" and its allowed states a
+/// strictly ascending subset of the consistent states; and the counts
+/// ordered as the judge produces them: allowed states <=
+/// candidates_allowed <= candidates_consistent <= candidates_total, and
+/// consistent states <= candidates_consistent; and a model that allows a
+/// candidate or has an "Allow" verdict lists at least one allowed state.
+/// Error messages give the reason only; callers name the entry
+/// (testEntryLabel).
 Expected<SweepTestResult> sweepTestResultFromJson(const JsonValue &Entry);
 
 /// Parses a whole cats-sweep-report/1 document. Fails on a wrong or

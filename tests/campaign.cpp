@@ -181,8 +181,12 @@ TEST(ReportIO, OutcomeKeyRoundTripsEveryCatalogueState) {
 }
 
 TEST(ReportIO, OutcomeKeyRejectsGarbage) {
-  for (const char *Bad :
-       {"0:r0=1", "novalue;", "=1;", "0:q0=1;", "x:r0=1;", "0:r0=z;"})
+  // A thread index sizes the register table, so a corrupt one must be
+  // refused before it allocates.
+  for (const char *Bad : {"0:r0=1", "novalue;", "=1;", "0:q0=1;", "x:r0=1;",
+                          "0:r0=z;", "-1:r0=1;", "0:r=1;", "x=+1;",
+                          "x=99999999999999999999;", "70000:r0=1;",
+                          "99999999999:r0=1;"})
     EXPECT_FALSE(static_cast<bool>(outcomeFromKey(Bad))) << Bad;
   // The empty outcome is legal (a test with no observed locations).
   EXPECT_TRUE(static_cast<bool>(outcomeFromKey("")));
@@ -203,10 +207,13 @@ TEST(ReportIO, SweepReportRoundTripsByteIdentically) {
 TEST(ReportIO, ReaderEnforcesEntryInvariants) {
   // A sound one-model entry, then one breach per invariant of the entry
   // reader; each breach must be rejected by the reader itself.
-  auto Entry = [](const std::string &States, const std::string &Model) {
-    return R"({"name": "t", "candidates_total": 4,)"
-           R"( "candidates_consistent": 4, "consistent_states": )" +
-           States + R"(, "models": [)" + Model + "]}";
+  auto Entry = [](const std::string &States, const std::string &Model,
+                  const std::string &Total = "4",
+                  const std::string &Consistent = "4") {
+    return R"({"name": "t", "candidates_total": )" + Total +
+           R"(, "candidates_consistent": )" + Consistent +
+           R"(, "consistent_states": )" + States + R"(, "models": [)" +
+           Model + "]}";
   };
   auto Model = [](const std::string &Verdict, int Allowed,
                   const std::string &States) {
@@ -216,6 +223,7 @@ TEST(ReportIO, ReaderEnforcesEntryInvariants) {
   };
   const std::string Table = R"(["x=1;", "x=2;"])";
   const std::string Allow = R"("verdict": "Allow",)";
+  const std::string Forbid = R"("verdict": "Forbid",)";
   auto Parse = [](const std::string &Text) {
     auto Doc = JsonValue::parse(Text);
     EXPECT_TRUE(static_cast<bool>(Doc)) << Text;
@@ -232,11 +240,11 @@ TEST(ReportIO, ReaderEnforcesEntryInvariants) {
       {"verdict not Allow/Forbid",
        Entry(Table, Model(R"("verdict": "allow",)", 2, Table))},
       {"consistent states out of order",
-       Entry(R"(["x=2;", "x=1;"])", Model(Allow, 0, "[]"))},
+       Entry(R"(["x=2;", "x=1;"])", Model(Forbid, 0, "[]"))},
       {"consistent state repeated",
-       Entry(R"(["x=1;", "x=1;"])", Model(Allow, 0, "[]"))},
+       Entry(R"(["x=1;", "x=1;"])", Model(Forbid, 0, "[]"))},
       {"state key not canonical",
-       Entry(R"(["x=01;", "x=2;"])", Model(Allow, 0, "[]"))},
+       Entry(R"(["x=01;", "x=2;"])", Model(Forbid, 0, "[]"))},
       {"allowed state missing from consistent states",
        Entry(Table, Model(Allow, 2, R"(["x=3;"])"))},
       {"allowed states out of order",
@@ -245,6 +253,29 @@ TEST(ReportIO, ReaderEnforcesEntryInvariants) {
        Entry(Table, Model(Allow, 2, R"(["x=1;", "x=1;"])"))},
       {"candidates_allowed below the allowed-state count",
        Entry(Table, Model(Allow, 1, Table))},
+      // Counts are integers in [0, 2^53], ordered as the judge counts.
+      {"negative count", Entry(Table, Model(Allow, 3, Table), "-1")},
+      {"fractional count", Entry(Table, Model(Allow, 3, Table), "4", "2.5")},
+      {"count beyond 2^53",
+       Entry(Table, Model(Allow, 3, Table), "18014398509481984")},
+      {"count not a number", Entry(Table, Model(Allow, 3, Table), R"("4")")},
+      {"more consistent candidates than candidates",
+       Entry(Table, Model(Allow, 3, Table), "4", "5")},
+      {"more consistent states than consistent candidates",
+       Entry(Table, Model(Forbid, 0, "[]"), "4", "1")},
+      {"candidates_allowed above candidates_consistent",
+       Entry(Table, Model(Allow, 5, Table))},
+      {"models missing",
+       R"({"name": "t", "candidates_total": 4, "candidates_consistent": 4,)"
+       R"( "consistent_states": ["x=1;"]})"},
+      {"consistent_states missing",
+       R"({"name": "t", "candidates_total": 4, "candidates_consistent": 4,)"
+       R"( "models": []})"},
+      // Allowed candidates, or an Allow verdict, need an allowed state.
+      {"Allow verdict without allowed states",
+       Entry(Table, Model(Allow, 0, "[]"))},
+      {"allowed candidates without allowed states",
+       Entry(Table, Model(Forbid, 2, "[]"))},
   };
   for (const auto &[What, Text] : Breaches)
     EXPECT_FALSE(static_cast<bool>(Parse(Text))) << What;
@@ -499,6 +530,15 @@ TEST(ResultCache, CorruptWellFormedEntriesMiss) {
        EditModels([](Items &M) {
          M[2] = withMember(M[2], "candidates_allowed", JsonValue(0));
        })},
+      {"negative and fractional counts",
+       withMember(withMember(Entry, "candidates_total", JsonValue(-1)),
+                  "candidates_consistent", JsonValue(2.5))},
+      {"candidates_allowed above candidates_consistent",
+       EditModels([&](Items &M) {
+         M[2] = withMember(
+             M[2], "candidates_allowed",
+             JsonValue(Entry.get("candidates_consistent")->asNumber() + 1));
+       })},
       // Lookup invariants.
       {"PSO model block dropped",
        EditModels([](Items &M) { M.erase(M.begin() + 2); })},
@@ -527,6 +567,19 @@ TEST(ResultCache, CorruptWellFormedEntriesMiss) {
     // The miss re-stored a sound entry.
     EXPECT_TRUE(Cache->lookup(Target->Test, Models, Served)) << What;
   }
+
+  // An entry nested past the parser's depth limit is a miss too, not a
+  // stack overflow.
+  {
+    std::ofstream Out(Path);
+    Out << std::string(100000, '[');
+  }
+  SweepTestResult Served;
+  EXPECT_FALSE(Cache->lookup(Target->Test, Models, Served));
+  SweepReport Warm = Engine.runStreamed(vectorSource(Tests), Models, 4,
+                                        Cache->hooks(Models));
+  EXPECT_EQ(Warm.CacheMisses, 1ull);
+  EXPECT_TRUE(Cache->lookup(Target->Test, Models, Served));
 }
 
 TEST(ResultCache, ErroredResultsAreNotCached) {
@@ -604,6 +657,39 @@ TEST(Checkpoint, ResumeAfterKillEqualsUninterrupted) {
                        std::make_move_iterator(State->Tests.begin()),
                        std::make_move_iterator(State->Tests.end()));
   EXPECT_EQ(scrubbedDump(Resumed), Reference);
+}
+
+TEST(Checkpoint, CorruptProgressCountsTrimTheTail) {
+  // A progress line whose counts are not counts is treated like a torn
+  // one: resume trusts only the batches before it.
+  const std::string Dir = scratchDir("checkpoint_counts");
+  const std::string Path = Dir + "/c.jsonl";
+  const std::string Id = campaignId("spec");
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(2);
+  SweepReport Report =
+      SweepEngine({1}).run(makeJobs(Tests, {modelByName("SC")}));
+  {
+    auto Writer = CheckpointWriter::create(Path, Id);
+    ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
+    ASSERT_TRUE(Writer->appendBatch({Report.Tests[0]}, 1, 0, 1));
+  }
+  for (const char *Bad : {"-1", "1.5", "1e300", "\"2\""}) {
+    std::filesystem::copy_file(
+        Path, Path + ".bad", std::filesystem::copy_options::overwrite_existing);
+    {
+      std::ofstream Tail(Path + ".bad", std::ios::app);
+      Tail << R"({"entry":)" << sweepTestResultToJson(Report.Tests[1]).dump(0)
+           << "}\n";
+      Tail << R"({"progress":{"consumed":2,"hits":)" << Bad
+           << R"(,"misses":2}})" << "\n";
+    }
+    auto State = loadCheckpoint(Path + ".bad", Id);
+    ASSERT_TRUE(static_cast<bool>(State)) << State.message();
+    EXPECT_EQ(State->Consumed, 1ull) << Bad;
+    EXPECT_EQ(State->CacheMisses, 1ull) << Bad;
+    EXPECT_EQ(State->Tests.size(), 1u) << Bad;
+  }
 }
 
 TEST(Checkpoint, RefusesForeignCampaigns) {
@@ -696,6 +782,63 @@ TEST(Merge, RejectsBrokenShardSets) {
   auto Mixed =
       mergeSweepReports({shardReportDoc(Tests, Models, 1, 2), Plain});
   EXPECT_FALSE(static_cast<bool>(Mixed));
+}
+
+TEST(Merge, RejectsCorruptEntries) {
+  // The corruptions cats_merge used to copy into its output: each test
+  // entry must pass the entry reader, and the error names the input and
+  // the test.
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(6);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  const JsonValue Doc = sweepReportToJson(
+      SweepEngine({1}).runStreamed(vectorSource(Tests), Models, 8));
+  const JsonValue Entry = Doc.get("tests")->elements()[3];
+  const std::string Name = Entry.get("name")->asString();
+  // Model block 0 is SC, which allows at least one state of every test.
+  ASSERT_FALSE(Entry.get("models")->elements()[0].get("allowed_states")
+                   ->elements()
+                   .empty());
+
+  using Items = std::vector<JsonValue>;
+  auto EditSc = [&](const std::function<JsonValue(const JsonValue &)> &Edit) {
+    return editList(Entry, "models", [&](Items &M) { M[0] = Edit(M[0]); });
+  };
+  auto WithEntry = [&](const JsonValue &E) {
+    return editList(Doc, "tests", [&](Items &T) { T[3] = E; });
+  };
+
+  const std::vector<std::pair<std::string, JsonValue>> Corruptions = {
+      {"verdict deleted", EditSc([](const JsonValue &M) {
+         return withMember(M, "verdict", JsonValue());
+       })},
+      {"ill-formed allowed state appended", EditSc([](const JsonValue &M) {
+         return editList(M, "allowed_states",
+                         [](Items &S) { S.push_back(JsonValue("1:r3]=1")); });
+       })},
+      {"candidates_allowed zeroed", EditSc([](const JsonValue &M) {
+         return withMember(M, "candidates_allowed", JsonValue(0));
+       })},
+      {"allowed states deleted", EditSc([](const JsonValue &M) {
+         return withMember(M, "allowed_states", JsonValue::array());
+       })},
+  };
+  for (const auto &[What, Corrupt] : Corruptions) {
+    auto Merged = mergeSweepReports({Doc, WithEntry(Corrupt)});
+    ASSERT_FALSE(static_cast<bool>(Merged)) << What;
+    EXPECT_EQ(Merged.message().rfind("input 2: test '" + Name + "': ", 0), 0u)
+        << What << ": " << Merged.message();
+  }
+
+  // A sound entry keeps its own JSON, members the reader does not know
+  // included.
+  JsonValue Noted = Entry;
+  Noted.set("note", "kept");
+  const JsonValue Annotated = WithEntry(Noted);
+  auto Merged = mergeSweepReports({Annotated});
+  ASSERT_TRUE(static_cast<bool>(Merged)) << Merged.message();
+  EXPECT_EQ(Merged->dump(), Annotated.dump());
 }
 
 TEST(Merge, CacheCountersSumAcrossShards) {

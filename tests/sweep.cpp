@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "campaign/Merge.h"
 #include "diy/Enumerate.h"
 #include "litmus/Catalog.h"
 #include "litmus/Compiler.h"
@@ -20,7 +21,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <fstream>
+#include <random>
 #include <set>
+#include <sstream>
+#include <string_view>
 #include <thread>
 
 using namespace cats;
@@ -448,6 +455,10 @@ TEST(Json, ObjectPreservesInsertionOrderAndReplaces) {
   EXPECT_EQ(Obj.members()[0].first, "z");
   EXPECT_EQ(Obj.members()[0].second.asNumber(), 3);
   EXPECT_EQ(Obj.members()[1].first, "a");
+  // The parser resolves a repeated key the same way.
+  auto Parsed = JsonValue::parse(R"({"z": 1, "a": 2, "z": 3})");
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.message();
+  EXPECT_EQ(*Parsed, Obj);
 }
 
 TEST(Json, ParseErrors) {
@@ -459,7 +470,160 @@ TEST(Json, ParseErrors) {
   EXPECT_FALSE(static_cast<bool>(JsonValue::parse("nul")));
   EXPECT_FALSE(static_cast<bool>(JsonValue::parse("1 2")));
   EXPECT_FALSE(static_cast<bool>(JsonValue::parse("\"bad \\q escape\"")));
+  EXPECT_FALSE(static_cast<bool>(JsonValue::parse("[1e]")));
+  EXPECT_FALSE(static_cast<bool>(JsonValue::parse("[1-2]")));
+  EXPECT_FALSE(static_cast<bool>(JsonValue::parse("-")));
   // Errors carry an offset.
   auto E = JsonValue::parse("[1, 2");
   EXPECT_NE(E.message().find("offset"), std::string::npos);
+
+  // Nesting is bounded: a deep document is an error at the first level
+  // too deep, never a stack overflow.
+  for (const std::string_view Open : {"[", "{\"a\":"}) {
+    std::string Deep;
+    for (int I = 0; I < 100000; ++I)
+      Deep += Open;
+    auto D = JsonValue::parse(Deep);
+    ASSERT_FALSE(static_cast<bool>(D)) << Open;
+    EXPECT_NE(D.message().find("nesting deeper than 256"), std::string::npos)
+        << D.message();
+    const std::string Offset =
+        "offset " + std::to_string(JsonValue::MaxDepth * Open.size());
+    EXPECT_NE(D.message().find(Offset), std::string::npos) << D.message();
+  }
+  const std::string Deepest = std::string(JsonValue::MaxDepth, '[') +
+                              std::string(JsonValue::MaxDepth, ']');
+  EXPECT_TRUE(static_cast<bool>(JsonValue::parse(Deepest)));
+  EXPECT_FALSE(static_cast<bool>(JsonValue::parse("[" + Deepest + "]")));
+}
+
+TEST(Json, NumbersParseLikeStrtod) {
+  // Out-of-range literals round to infinity or zero rather than failing.
+  auto Huge = JsonValue::parse("[1e999, -1e999, 1e-999, 4.9e-324, -0]");
+  ASSERT_TRUE(static_cast<bool>(Huge)) << Huge.message();
+  const auto &N = Huge->elements();
+  EXPECT_TRUE(std::isinf(N[0].asNumber()) && N[0].asNumber() > 0);
+  EXPECT_TRUE(std::isinf(N[1].asNumber()) && N[1].asNumber() < 0);
+  EXPECT_EQ(N[2].asNumber(), 0);
+  EXPECT_GT(N[3].asNumber(), 0);
+  EXPECT_TRUE(std::signbit(N[4].asNumber()));
+  EXPECT_EQ(N[4].dump(0), "-0");
+}
+
+namespace {
+
+/// The fixtures in tests/fixtures were rendered by the printer this
+/// library replaced; every byte of them is part of the report formats.
+std::string readFixture(const std::string &Name) {
+  std::ifstream In(std::string(CATS_FIXTURE_DIR) + "/" + Name,
+                   std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+/// The value pinned by json-scalars.json: the number formats' edges
+/// (negative zero, the integer/%.17g switch at 1e15, 2^53, fractions),
+/// every escape, control characters and raw non-ASCII bytes.
+JsonValue fixtureScalars() {
+  JsonValue S = JsonValue::object();
+  S.set("negative_zero", -0.0);
+  S.set("below_1e15", 1e15 - 1);
+  S.set("1e15", 1e15);
+  S.set("2^53", 9007199254740992.0);
+  S.set("tenth", 0.1);
+  S.set("1e-7", 1e-7);
+  S.set("fifteen_digits", 123456789012345ull);
+  S.set("negative", -42);
+  S.set("huge", 1e300);
+  S.set("escapes", "quote\" backslash\\ slash/ newline\n tab\t return\r "
+                   "backspace\b formfeed\f");
+  S.set("controls", std::string("nul\x01 unit\x1f del\x7f utf8\xc3\xa9"));
+  S.set("key \"with\\ escapes\n", true);
+  S.set("false", false);
+  S.set("null", JsonValue());
+  JsonValue Nested = JsonValue::array();
+  Nested.push(JsonValue::array());
+  Nested.push(JsonValue::object());
+  Nested.push(-0.5);
+  S.set("nested", std::move(Nested));
+  return S;
+}
+
+/// A random value nested at most \p Depth deep: finite numbers of every
+/// magnitude, strings of arbitrary bytes, repeated object keys.
+JsonValue randomValue(std::mt19937_64 &Rng, unsigned Depth) {
+  auto Pick = [&](unsigned N) { return static_cast<unsigned>(Rng() % N); };
+  auto RandomString = [&] {
+    std::string S(Pick(12), ' ');
+    for (char &C : S)
+      C = static_cast<char>(Pick(4) ? "\"\\/\n\tab\x01"[Pick(8)] : Rng());
+    return S;
+  };
+  switch (Pick(Depth ? 7 : 5)) {
+  case 0:
+    return Pick(2) ? JsonValue() : JsonValue(Pick(2) == 1);
+  case 1: {
+    double D;
+    do {
+      const uint64_t Bits = Rng();
+      std::memcpy(&D, &Bits, sizeof(D));
+    } while (!std::isfinite(D));
+    return D;
+  }
+  case 2:
+    return static_cast<double>(static_cast<int64_t>(Rng()) >> Pick(64));
+  case 3:
+    return (Pick(2) ? -1.0 : 1.0) * Pick(1000) / 8;
+  case 4:
+    return RandomString();
+  case 5: {
+    JsonValue A = JsonValue::array();
+    for (unsigned I = Pick(5); I; --I)
+      A.push(randomValue(Rng, Depth - 1));
+    return A;
+  }
+  default: {
+    JsonValue O = JsonValue::object();
+    for (unsigned I = Pick(5); I; --I)
+      O.set(Pick(3) ? RandomString() : "k", randomValue(Rng, Depth - 1));
+    return O;
+  }
+  }
+}
+
+} // namespace
+
+TEST(Json, RendersTheCommittedFixturesByteForByte) {
+  std::vector<LitmusTest> Tests;
+  for (const CatalogEntry &Entry : figureCatalog())
+    Tests.push_back(Entry.Test);
+  const SweepReport Report = SweepEngine({1}).run(
+      makeJobs(Tests, {modelByName("SC"), modelByName("Power")}));
+  const std::pair<std::string, JsonValue> Cases[] = {
+      {"catalogue-sc-power.json", zeroWallTimes(sweepReportToJson(Report))},
+      {"json-scalars.json", fixtureScalars()}};
+  for (const auto &[Name, Fresh] : Cases) {
+    const std::string Pinned = readFixture(Name);
+    ASSERT_FALSE(Pinned.empty()) << Name;
+    EXPECT_EQ(Fresh.dump(), Pinned) << Name;
+    auto Parsed = JsonValue::parse(Pinned);
+    ASSERT_TRUE(static_cast<bool>(Parsed)) << Name << ": " << Parsed.message();
+    EXPECT_EQ(Parsed->dump(), Pinned) << Name;
+    EXPECT_EQ(*Parsed, Fresh) << Name;
+  }
+}
+
+TEST(Json, RandomTreesRoundTrip) {
+  std::mt19937_64 Rng(14);
+  for (int I = 0; I < 500; ++I) {
+    const JsonValue V = randomValue(Rng, 4);
+    for (unsigned Indent : {0u, 2u}) {
+      const std::string Text = V.dump(Indent);
+      auto Back = JsonValue::parse(Text);
+      ASSERT_TRUE(static_cast<bool>(Back)) << Back.message() << "\n" << Text;
+      EXPECT_EQ(*Back, V) << Text;
+      EXPECT_EQ(Back->dump(Indent), Text);
+    }
+  }
 }

@@ -22,10 +22,10 @@
 #include "CampaignCli.h"
 #include "CliCommon.h"
 #include "campaign/Merge.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -97,14 +97,12 @@ int main(int argc, char **argv) {
 
   std::vector<JsonValue> Inputs;
   for (const std::string &Path : Paths) {
-    std::ifstream In(Path);
-    if (!In) {
+    std::string Text;
+    if (!readWholeFile(Path, Text)) {
       std::fprintf(stderr, "cats_merge: cannot read %s\n", Path.c_str());
       return 2;
     }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    auto Doc = JsonValue::parse(Buf.str());
+    auto Doc = JsonValue::parse(Text);
     if (!Doc) {
       std::fprintf(stderr, "cats_merge: %s: %s\n", Path.c_str(),
                    Doc.message().c_str());
@@ -116,12 +114,14 @@ int main(int argc, char **argv) {
   }
   Progress.finish();
 
-  auto Merged = mergeReports(Inputs);
+  // The inputs move into the merge, and the merged document into the
+  // zeroing: each test entry exists once from parse to print.
+  auto Merged = mergeReports(std::move(Inputs));
   if (!Merged) {
     std::fprintf(stderr, "cats_merge: %s\n", Merged.message().c_str());
     return 1;
   }
-  JsonValue Out = ZeroWall ? zeroWallTimes(*Merged) : Merged.take();
+  JsonValue Out = ZeroWall ? zeroWallTimes(Merged.take()) : Merged.take();
 
   const std::string Text = Out.dump();
   if (OutPath.empty()) {

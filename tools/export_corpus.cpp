@@ -28,7 +28,6 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,28 +35,14 @@ using namespace cats;
 
 namespace {
 
-/// Reads a whole file; empty optional-style flag via OK.
-std::string readFile(const std::string &Path, bool &Ok) {
-  std::ifstream In(Path);
-  if (!In) {
-    Ok = false;
-    return "";
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  Ok = true;
-  return Buf.str();
-}
-
 int checkCorpus(const std::string &Dir, bool Quiet) {
   unsigned Problems = 0;
   std::set<std::string> Expected;
   for (const CatalogEntry &Entry : figureCatalog()) {
     const std::string Path = Dir + "/" + Entry.Test.Name + ".litmus";
     Expected.insert(Entry.Test.Name + ".litmus");
-    bool Ok = false;
-    const std::string OnDisk = readFile(Path, Ok);
-    if (!Ok) {
+    std::string OnDisk;
+    if (!readWholeFile(Path, OnDisk)) {
       std::fprintf(stderr, "MISSING %s\n", Path.c_str());
       ++Problems;
       continue;
