@@ -92,16 +92,23 @@ bool ResultCache::lookup(const LitmusTest &Test,
   const MultiSimulationResult &R = Parsed->Result;
   if (Parsed->TestName != Test.Name || R.PerModel.size() != Models.size())
     return false;
-  std::vector<char> Satisfies(R.ConsistentOutcomes.size());
-  for (size_t I = 0; I < Satisfies.size(); ++I)
-    Satisfies[I] = R.ConsistentOutcomes[I].satisfies(Test.Final);
+  // Only allowed states bear on a verdict, so only their keys are parsed,
+  // each at most once (-1: not parsed yet).
+  std::vector<signed char> Satisfies(R.ConsistentOutcomes.size(), -1);
+  auto SatisfiesAt = [&](uint32_t Idx) {
+    if (Satisfies[Idx] < 0) {
+      Expected<Outcome> O = outcomeFromKey(R.ConsistentOutcomes.key(Idx));
+      Satisfies[Idx] = O && O->satisfies(Test.Final);
+    }
+    return Satisfies[Idx] != 0;
+  };
   for (size_t I = 0; I < Models.size(); ++I) {
     const SimulationResult &M = R.PerModel[I];
     if (M.ModelName != Models[I]->name())
       return false;
     bool Reachable = false;
-    for (uint32_t Idx : M.AllowedOutcomes)
-      Reachable |= Satisfies[Idx] != 0;
+    for (size_t J = 0; J < M.AllowedOutcomes.size() && !Reachable; ++J)
+      Reachable = SatisfiesAt(M.AllowedOutcomes[J]);
     if (Reachable != M.ConditionReachable)
       return false;
   }

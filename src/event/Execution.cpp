@@ -59,6 +59,19 @@ void Execution::finalizeStructure(unsigned NumThreadsIn) {
       for (size_t J = I + 1; J < Thread.size(); ++J)
         Po.set(Thread[I], Thread[J]);
   }
+
+  // The masks behind the internal/external splits and po-loc, built once
+  // so those derived relations are one word operation per row.
+  SameThread = Relation(N);
+  SameLocation = Relation(N);
+  for (EventId A = 0; A < N; ++A)
+    for (EventId B = 0; B < N; ++B) {
+      if (Events[A].Thread != InitThread &&
+          Events[A].Thread == Events[B].Thread)
+        SameThread.set(A, B);
+      if (Events[A].Loc == Events[B].Loc)
+        SameLocation.set(A, B);
+    }
 }
 
 Relation Execution::fenceRelation(const std::string &Name) const {
@@ -134,13 +147,8 @@ Relation memoized(bool Enabled, std::optional<Relation> &Slot,
 } // namespace
 
 Relation Execution::poLoc() const {
-  return memoized(DerivedCacheEnabled, Cache.PoLoc, [&] {
-    Relation Out(numEvents());
-    for (auto [From, To] : Po.pairs())
-      if (Events[From].Loc == Events[To].Loc)
-        Out.set(From, To);
-    return Out;
-  });
+  return memoized(DerivedCacheEnabled, Cache.PoLoc,
+                  [&] { return Po & SameLocation; });
 }
 
 Relation Execution::fr() const {
@@ -156,25 +164,11 @@ Relation Execution::com() const {
 }
 
 Relation Execution::internal(const Relation &R) const {
-  Relation Out(numEvents());
-  for (auto [From, To] : R.pairs()) {
-    const Event &A = Events[From];
-    const Event &B = Events[To];
-    if (A.Thread != InitThread && A.Thread == B.Thread)
-      Out.set(From, To);
-  }
-  return Out;
+  return R & SameThread;
 }
 
 Relation Execution::external(const Relation &R) const {
-  Relation Out(numEvents());
-  for (auto [From, To] : R.pairs()) {
-    const Event &A = Events[From];
-    const Event &B = Events[To];
-    if (A.Thread == InitThread || A.Thread != B.Thread)
-      Out.set(From, To);
-  }
-  return Out;
+  return R - SameThread;
 }
 
 Relation Execution::rfe() const {

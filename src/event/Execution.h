@@ -234,6 +234,9 @@ private:
   std::vector<Event> Events;
   unsigned NumThreads = 0;
   std::map<std::string, Location> LocationIds;
+  /// Built by finalizeStructure: pairs of events of one program thread
+  /// (initial writes belong to none), and pairs of events on one location.
+  Relation SameThread, SameLocation;
 
   /// Lazily-filled memo slots, live only when DerivedCacheEnabled. Copies
   /// of the execution carry the cache along (same relations, still valid).

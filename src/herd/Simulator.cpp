@@ -29,6 +29,7 @@ namespace {
 struct ModelCounters {
   obs::Counter *Allowed = nullptr;
   std::array<obs::Counter *, 4> Kill{};
+  obs::Counter *ReferenceKills = nullptr;
 };
 
 const ModelCounters &modelCounters(const Model &M) {
@@ -40,6 +41,8 @@ const ModelCounters &modelCounters(const Model &M) {
     for (size_t A = 0; A < It->second.Kill.size(); ++A)
       It->second.Kill[A] = &obs::counter("judge.kill." + Name + "." +
                                          axiomName(static_cast<Axiom>(A)));
+    It->second.ReferenceKills =
+        &obs::counter("judge.reference_kills." + Name);
   }
   return It->second;
 }
@@ -103,8 +106,10 @@ MultiModelChecker::MultiModelChecker(const CompiledTest &Compiled,
     Result.PerModel[I].ModelName = Models[I]->name();
   }
   Metrics = obs::metricsEnabled();
-  if (Metrics)
+  if (Metrics) {
     AxiomKills.assign(Models.size(), {});
+    ReferenceKills.assign(Models.size(), 0);
+  }
   Words = (Models.size() + 63) / 64;
 
   // Resolve the model-strength forest against this model set: an edge
@@ -157,13 +162,14 @@ void MultiModelChecker::feed(const Candidate &Cand) {
   ++Result.CandidatesConsistent;
 
   // The candidate is final by now: let every model check share one
-  // computation of the derived relations (fr, po-loc, com, ...). The
-  // outcome's key cache is already on (enabled by concretize), so the
-  // note lookup hashes a memoized key.
+  // computation of the derived relations (fr, po-loc, com, ...).
   Cand.Exe.enableDerivedCache();
 
-  // Model-independent work, once per distinct outcome.
-  const uint32_t Id = noteFor(Cand.Out);
+  // Model-independent work: the condition once per distinct outcome.
+  bool New = false;
+  const uint32_t Id = internNote(Cand.Out.key(), New);
+  if (New)
+    NoteSatisfies.push_back(Cand.Out.satisfies(Final));
 
   // check() evaluates all four axioms without short-circuiting either
   // way, so reading the full verdict (for the per-axiom kill tallies)
@@ -171,7 +177,7 @@ void MultiModelChecker::feed(const Candidate &Cand) {
   JudgeBuf.resize(Models.size());
   for (size_t I = 0; I < Models.size(); ++I)
     JudgeBuf[I] = Models[I]->check(Cand.Exe);
-  if (WitnessMode && Notes[Id].Satisfies)
+  if (WitnessMode && NoteSatisfies[Id])
     for (size_t I = 0; I < Models.size(); ++I)
       captureWitness(I, JudgeBuf[I], Cand.Exe, Cand.Out);
   accountVerdicts(JudgeBuf, Id);
@@ -240,6 +246,8 @@ MultiModelChecker::judgeImpl(const Execution &Exe, const bool *ScHint) {
   // violated and the kill books there without a full check. Other
   // axioms possibly violated on the same candidate are not re-derived
   // on this path — the catalogue documents judge.kill as "at least".
+  // Such answers are also counted on their own (judge.reference_kills),
+  // so a reader can tell them from fully derived PROPAGATION kills.
   // Witness capture needs the failing axiom of every model, so it runs
   // the full check for each: a shortcut-skipped model has an empty
   // Violated list and a reference-formulation answer only attributes
@@ -250,10 +258,16 @@ MultiModelChecker::judgeImpl(const Execution &Exe, const bool *ScHint) {
     PendingJudged = &Exe;
     return JudgeBuf;
   }
+  // Verdicts answered here are written in place, keeping the Violated
+  // buffer of the previous leaf instead of reallocating it per kill.
+  auto Answer = [&](size_t I, bool Allowed) {
+    JudgeBuf[I].Allowed = Allowed;
+    JudgeBuf[I].Violated.clear();
+  };
   for (size_t I : EvalOrder) {
     int P = StrongerIdx[I];
     if (P >= 0 && JudgeBuf[static_cast<size_t>(P)].Allowed) {
-      JudgeBuf[I] = Verdict();
+      Answer(I, true);
       continue;
     }
     if (RefPath[I] != RefFormulation::None) {
@@ -261,14 +275,11 @@ MultiModelChecker::judgeImpl(const Execution &Exe, const bool *ScHint) {
           RefPath[I] == RefFormulation::Sc
               ? (ScHint ? *ScHint : isScReference(Exe))
               : isTsoReference(Exe);
-      if (RefAllowed) {
-        JudgeBuf[I] = Verdict();
-        continue;
-      }
-      JudgeBuf[I] = Verdict();
-      JudgeBuf[I].Allowed = false;
-      if (Metrics)
+      Answer(I, RefAllowed);
+      if (!RefAllowed && Metrics) {
         JudgeBuf[I].Violated.push_back(Axiom::Propagation);
+        ++ReferenceKills[I];
+      }
       continue;
     }
     JudgeBuf[I] = Models[I]->check(Exe);
@@ -276,14 +287,55 @@ MultiModelChecker::judgeImpl(const Execution &Exe, const bool *ScHint) {
   return JudgeBuf;
 }
 
-uint32_t MultiModelChecker::noteFor(const Outcome &O) {
-  auto [It, New] =
-      NoteIds.try_emplace(O.key(), static_cast<uint32_t>(Notes.size()));
-  if (New) {
-    Notes.push_back({O, O.satisfies(Final)});
-    AllowedWords.resize(AllowedWords.size() + Words);
+std::string_view MultiModelChecker::noteKey(uint32_t Id) const {
+  const uint32_t Begin = Id ? NoteEnds[Id - 1] : 0;
+  return std::string_view(NoteKeys).substr(Begin, NoteEnds[Id] - Begin);
+}
+
+void MultiModelChecker::growNoteIndex() {
+  NoteIndex.assign(NoteIndex.empty() ? 32 : 2 * NoteIndex.size(), 0);
+  const size_t Mask = NoteIndex.size() - 1;
+  for (uint32_t Id = 0; Id < NoteEnds.size(); ++Id) {
+    const uint64_t Hash = std::hash<std::string_view>{}(noteKey(Id));
+    size_t Slot = Hash & Mask;
+    while (NoteIndex[Slot])
+      Slot = (Slot + 1) & Mask;
+    NoteIndex[Slot] = (Hash >> 32 << 32) | (uint64_t{Id} + 1);
   }
-  return It->second;
+}
+
+uint32_t MultiModelChecker::internNote(std::string_view Key, bool &New) {
+  if (2 * (NoteEnds.size() + 1) > NoteIndex.size())
+    growNoteIndex();
+  const uint64_t Hash = std::hash<std::string_view>{}(Key);
+  const uint64_t Tag = Hash >> 32 << 32;
+  const size_t Mask = NoteIndex.size() - 1;
+  for (size_t Slot = Hash & Mask;; Slot = (Slot + 1) & Mask) {
+    const uint64_t Entry = NoteIndex[Slot];
+    if (!Entry) {
+      const uint32_t Id = static_cast<uint32_t>(NoteEnds.size());
+      NoteIndex[Slot] = Tag | (uint64_t{Id} + 1);
+      NoteKeys.append(Key);
+      NoteEnds.push_back(static_cast<uint32_t>(NoteKeys.size()));
+      AllowedWords.resize(AllowedWords.size() + Words);
+      New = true;
+      return Id;
+    }
+    const uint32_t Id = static_cast<uint32_t>(Entry) - 1;
+    if ((Entry & ~uint64_t{0xffffffff}) == Tag && noteKey(Id) == Key) {
+      New = false;
+      return Id;
+    }
+  }
+}
+
+uint32_t MultiModelChecker::accountConsistentOutcome(std::string_view Key,
+                                                     bool Satisfies) {
+  bool New = false;
+  const uint32_t Id = internNote(Key, New);
+  if (New)
+    NoteSatisfies.push_back(Satisfies);
+  return Id;
 }
 
 void MultiModelChecker::accountVerdicts(const std::vector<Verdict> &Verdicts,
@@ -303,21 +355,23 @@ void MultiModelChecker::accountVerdicts(const std::vector<Verdict> &Verdicts,
 }
 
 void MultiModelChecker::accountImage(const std::vector<Verdict> &Verdicts,
-                                     const Outcome &O) {
+                                     uint32_t NoteId) {
   // The closed-form pass of the leaf's rf covers that rf's whole outcome
   // cross product, so the leaf's outcome already has its note.
-  auto It = NoteIds.find(O.key());
-  assert(It != NoteIds.end() && "leaf outcome was never accounted");
-  const uint32_t Id = It->second;
-  // The leaf's outcome belongs to the execution judge() just checked.
+  assert(NoteId < NoteEnds.size() && "leaf outcome was never accounted");
+  // The leaf's outcome belongs to the execution judge() just checked; a
+  // witness snapshot needs it as an Outcome, parsed from the note key.
   if (WitnessMode && PendingJudged) {
     const Execution &Judged = *PendingJudged;
     PendingJudged = nullptr;
-    if (Notes[Id].Satisfies)
+    if (NoteSatisfies[NoteId]) {
+      Expected<Outcome> O = outcomeFromKey(noteKey(NoteId));
+      assert(O && "a note key is canonical by construction");
       for (size_t I = 0; I < Models.size(); ++I)
-        captureWitness(I, Verdicts[I], Judged, O);
+        captureWitness(I, Verdicts[I], Judged, *O);
+    }
   }
-  accountVerdicts(Verdicts, Id);
+  accountVerdicts(Verdicts, NoteId);
 }
 
 void MultiModelChecker::accountPrunedMass(unsigned long long N) {
@@ -329,22 +383,30 @@ void MultiModelChecker::accountPrunedMass(unsigned long long N) {
 
 MultiSimulationResult MultiModelChecker::take() {
   // The outcome table is the notes in key order; each model's allowed
-  // indices then come out of one pass over it, ascending by construction.
-  std::vector<uint32_t> Order(Notes.size());
+  // indices then come out of one pass over it, ascending by construction,
+  // into vectors sized exactly by a first pass over the allowed bits.
+  const uint32_t NumNotes = static_cast<uint32_t>(NoteEnds.size());
+  std::vector<uint32_t> Order(NumNotes);
   std::iota(Order.begin(), Order.end(), 0u);
   std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
-    return Notes[A].Out < Notes[B].Out;
+    return noteKey(A) < noteKey(B);
   });
-  Result.ConsistentOutcomes.reserve(Notes.size());
-  for (uint32_t Pos = 0; Pos < Order.size(); ++Pos) {
-    OutcomeNote &Note = Notes[Order[Pos]];
-    Result.ConsistentOutcomes.push_back(std::move(Note.Out));
-    const uint64_t *Row = AllowedWords.data() + size_t(Order[Pos]) * Words;
+  std::vector<uint32_t> AllowedCount(Models.size(), 0);
+  for (uint64_t W = 0; W < AllowedWords.size(); ++W)
+    for (uint64_t Bits = AllowedWords[W]; Bits; Bits &= Bits - 1)
+      ++AllowedCount[(W % Words) * 64 + countrZero(Bits)];
+  for (size_t I = 0; I < Models.size(); ++I)
+    Result.PerModel[I].AllowedOutcomes.reserve(AllowedCount[I]);
+  Result.ConsistentOutcomes.reserve(NumNotes, NoteKeys.size());
+  for (uint32_t Pos = 0; Pos < NumNotes; ++Pos) {
+    const uint32_t Id = Order[Pos];
+    Result.ConsistentOutcomes.push(noteKey(Id));
+    const uint64_t *Row = AllowedWords.data() + size_t(Id) * Words;
     for (size_t W = 0; W < Words; ++W)
       for (uint64_t Bits = Row[W]; Bits; Bits &= Bits - 1) {
         SimulationResult &R = Result.PerModel[W * 64 + countrZero(Bits)];
         R.AllowedOutcomes.push_back(Pos);
-        if (Note.Satisfies)
+        if (NoteSatisfies[Id])
           R.ConditionReachable = true;
       }
   }
@@ -396,6 +458,8 @@ MultiSimulationResult MultiModelChecker::take() {
       for (size_t A = 0; A < AxiomKills[I].size(); ++A)
         if (AxiomKills[I][A])
           MC.Kill[A]->add(AxiomKills[I][A]);
+      if (ReferenceKills[I])
+        MC.ReferenceKills->add(ReferenceKills[I]);
     }
     if (HaveStats) {
       static obs::Counter &CPartial = obs::counter("judge.pruned.partial");
@@ -474,11 +538,11 @@ void cats::completeWitnesses(const CompiledTest &Compiled,
   // verdicts are condition-level facts, not axiom kills: emit the marker
   // without walking a single candidate.
   bool Satisfiable = false;
-  for (const Outcome &O : Result.ConsistentOutcomes)
-    if (O.satisfies(Final)) {
-      Satisfiable = true;
-      break;
-    }
+  for (size_t I = 0; I < Result.ConsistentOutcomes.size() && !Satisfiable;
+       ++I) {
+    Expected<Outcome> O = outcomeFromKey(Result.ConsistentOutcomes.key(I));
+    Satisfiable = O && O->satisfies(Final);
+  }
   if (!Satisfiable) {
     for (size_t I = 0; I < Models.size(); ++I)
       if (!Have[I])
@@ -558,7 +622,7 @@ bool cats::allowedBy(const LitmusTest &Test, const Model &M) {
 }
 
 std::string cats::herdStyleReport(const SimulationResult &Result,
-                                  const std::vector<Outcome> &Table,
+                                  const OutcomeTable &Table,
                                   const Condition &Final) {
   std::string Out = "Test " + Result.TestName + " " +
                     (Result.ConditionReachable ? "Allowed" : "Forbidden") +
@@ -566,14 +630,12 @@ std::string cats::herdStyleReport(const SimulationResult &Result,
   Out += "States " + std::to_string(Result.AllowedOutcomes.size()) + "\n";
   for (uint32_t State : Result.AllowedOutcomes) {
     // The key is already "t:rN=v;loc=v;..." — reformat with spaces.
-    std::string Line = Table[State].key();
-    std::string Spaced;
-    for (char C : Line) {
-      Spaced += C;
+    for (char C : Table.key(State)) {
+      Out += C;
       if (C == ';')
-        Spaced += ' ';
+        Out += ' ';
     }
-    Out += Spaced + "\n";
+    Out += '\n';
   }
   Out += Result.ConditionReachable ? "Ok\n" : "No\n";
   Out += "Condition " + Final.toString() + "\n";

@@ -12,6 +12,13 @@
 /// observable under this model?" — is answered by whether any allowed
 /// candidate satisfies it.
 ///
+/// A test's distinct final states live in one OutcomeTable: their
+/// canonical keys, in key order, in one buffer. Each model's allowed
+/// states are indices into it. The judge writes and hashes keys directly
+/// and never builds an Outcome per state; Outcome is the type of a single
+/// final state (a naive-backend candidate, a witness, a native-run
+/// bucket), parsed from its key where one is needed.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CATS_HERD_SIMULATOR_H
@@ -22,13 +29,54 @@
 #include "obs/Witness.h"
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace cats {
+
+/// A test's outcome table: the canonical keys (Outcome::key() grammar,
+/// litmus/LitmusTest.h) of its distinct consistent final states, stored
+/// back to back in one buffer with one end offset per row. The judge
+/// fills it in key order; readers take keys as views into the buffer.
+class OutcomeTable {
+public:
+  size_t size() const { return Ends.size(); }
+  bool empty() const { return Ends.empty(); }
+
+  /// The key of row \p I.
+  std::string_view key(size_t I) const {
+    assert(I < Ends.size() && "outcome table row out of range");
+    const uint32_t Begin = I ? Ends[I - 1] : 0;
+    return std::string_view(Keys).substr(Begin, Ends[I] - Begin);
+  }
+
+  /// Appends a row holding \p Key.
+  void push(std::string_view Key) {
+    Keys.append(Key);
+    Ends.push_back(static_cast<uint32_t>(Keys.size()));
+  }
+
+  /// Reserves room for \p Rows rows of \p Bytes key bytes in total.
+  void reserve(size_t Rows, size_t Bytes) {
+    Ends.reserve(Rows);
+    Keys.reserve(Bytes);
+  }
+
+  bool operator==(const OutcomeTable &Other) const {
+    return Ends == Other.Ends && Keys == Other.Keys;
+  }
+  bool operator!=(const OutcomeTable &Other) const {
+    return !(*this == Other);
+  }
+
+private:
+  std::string Keys;
+  std::vector<uint32_t> Ends;
+};
 
 /// Result of simulating one test under one model.
 struct SimulationResult {
@@ -48,7 +96,7 @@ struct SimulationResult {
   /// The outcome table of a detached simulate() result (every distinct
   /// consistent outcome, in key order). Empty on the entries of a
   /// MultiSimulationResult, which holds the one table all models share.
-  std::vector<Outcome> ConsistentOutcomes;
+  OutcomeTable ConsistentOutcomes;
   /// True if some allowed candidate satisfies the test's final condition.
   bool ConditionReachable = false;
 
@@ -71,7 +119,7 @@ struct MultiSimulationResult {
   /// The test's outcome table: every distinct outcome of a consistent
   /// candidate, in key order, stored once. Each model's AllowedOutcomes
   /// indexes into it.
-  std::vector<Outcome> ConsistentOutcomes;
+  OutcomeTable ConsistentOutcomes;
   /// One entry per requested model, in request order. The shared counts
   /// above are mirrored into each entry; the table is not.
   std::vector<SimulationResult> PerModel;
@@ -126,8 +174,9 @@ struct EnumerationStats {
 
 /// Accumulates per-model verdicts over a stream of candidates, computing
 /// the model-independent work (consistency counts, outcome keys, final
-/// condition evaluation) exactly once per candidate. Feed every candidate
-/// of one compiled test, then call take().
+/// condition evaluation) once per candidate, and once per distinct
+/// outcome where it can. Feed every candidate of one compiled test, then
+/// call take().
 ///
 /// This is the engine under both simulate() overloads and the sweep
 /// subsystem; instances are single-use and not thread-safe (one checker
@@ -157,10 +206,11 @@ public:
     Result.CandidatesConsistent += N;
   }
 
-  /// Records one model-independent consistent outcome. First sighting of
-  /// a key pays the note (a copy of \p O) and the final-condition
-  /// evaluation; repeats are a hash lookup.
-  void accountConsistentOutcome(const Outcome &O) { noteFor(O); }
+  /// Records one model-independent consistent outcome by its canonical
+  /// \p Key, which satisfies the final condition iff \p Satisfies, and
+  /// returns its note id. First sighting of a key copies it into the note
+  /// buffer; repeats are a hash probe.
+  uint32_t accountConsistentOutcome(std::string_view Key, bool Satisfies);
 
   unsigned long long consistentCount() const {
     return Result.CandidatesConsistent;
@@ -190,10 +240,10 @@ public:
   /// un-hinted one over the catalogue and the diy corpora.
   const std::vector<Verdict> &judge(const Execution &Exe, bool ScAllowed);
 
-  /// Accounts one judged leaf: \p Verdicts from judge() and the leaf's
-  /// outcome \p O, which accountConsistentOutcome already recorded during
-  /// the closed-form pass of the leaf's rf.
-  void accountImage(const std::vector<Verdict> &Verdicts, const Outcome &O);
+  /// Accounts one judged leaf: \p Verdicts from judge() and the note id
+  /// accountConsistentOutcome returned for the leaf's outcome during the
+  /// closed-form pass of the leaf's rf.
+  void accountImage(const std::vector<Verdict> &Verdicts, uint32_t NoteId);
 
   /// Accounts \p N consistent candidates whose every coherence completion
   /// was pruned on a po-loc | com cycle: all of them are rejected by SC
@@ -238,12 +288,14 @@ private:
   const Condition &Final;
   std::vector<const Model *> Models;
   MultiSimulationResult Result;
-  /// Per-model, per-axiom counts of candidates each axiom killed,
-  /// tallied in plain locals (the inner loop never touches an atomic)
-  /// and flushed to the metrics registry by take(). Only maintained when
-  /// metrics were enabled at construction.
+  /// Per-model, per-axiom counts of candidates each axiom killed, and per
+  /// model the kills a Lemma 4.1 reference formulation answered (booked
+  /// under PROPAGATION too), tallied in plain locals (the inner loop never
+  /// touches an atomic) and flushed to the metrics registry by take().
+  /// Only maintained when metrics were enabled at construction.
   bool Metrics = false;
   std::vector<std::array<unsigned long long, 4>> AxiomKills;
+  std::vector<unsigned long long> ReferenceKills;
   /// Reused verdict buffer for judge().
   std::vector<Verdict> JudgeBuf;
   /// Shared body of the judge() overloads; \p ScHint is null when no
@@ -261,24 +313,30 @@ private:
   enum class RefFormulation : uint8_t { None, Sc, Tso };
   std::vector<RefFormulation> RefPath;
   /// One note per distinct consistent outcome, with a dense id in
-  /// first-sighting order: the outcome and whether it satisfies the final
-  /// condition. Which models allowed some candidate with the outcome is
-  /// kept in AllowedWords, Words = ceil(models / 64) words per note (bit I
-  /// of note N's row = Models[I]). feed() and accountImage() only bump
-  /// counters and set bits; take() sorts the notes into the key-ordered
-  /// outcome table and emits every model's allowed indices and
-  /// ConditionReachable flag in one pass, so no outcome is copied per
-  /// model.
-  struct OutcomeNote {
-    Outcome Out;
-    bool Satisfies = false;
-  };
-  std::vector<OutcomeNote> Notes;
-  std::unordered_map<std::string, uint32_t> NoteIds;
+  /// first-sighting order. Note N's key is
+  /// NoteKeys[NoteEnds[N - 1], NoteEnds[N]) (from 0 for note 0), found
+  /// again through NoteIndex, an open-addressing table over the buffer
+  /// (power-of-two size, at most half full; a slot holds the key hash's
+  /// upper 32 bits above id + 1, 0 when empty). NoteSatisfies[N] says
+  /// whether the outcome satisfies the final condition. Which models
+  /// allowed some candidate with the outcome is kept in AllowedWords,
+  /// Words = ceil(models / 64) words per note (bit I of note N's row =
+  /// Models[I]). feed() and accountImage() only bump counters and set
+  /// bits; take() sorts the notes by key into the outcome table and emits
+  /// every model's allowed indices and ConditionReachable flag in one
+  /// pass, so no key is copied per model.
+  std::string NoteKeys;
+  std::vector<uint32_t> NoteEnds;
+  std::vector<uint8_t> NoteSatisfies;
+  std::vector<uint64_t> NoteIndex;
   size_t Words = 0;
   std::vector<uint64_t> AllowedWords;
-  /// The dense id of \p O's note, created on first sighting.
-  uint32_t noteFor(const Outcome &O);
+  std::string_view noteKey(uint32_t Id) const;
+  /// The dense id of \p Key's note; \p New says whether this call created
+  /// it (the caller then pushes its NoteSatisfies entry).
+  uint32_t internNote(std::string_view Key, bool &New);
+  /// Rebuilds NoteIndex at twice its size.
+  void growNoteIndex();
   /// Sets the allowed bits of the models \p Verdicts allows on note \p Id
   /// and books their allowed counts and kill tallies.
   void accountVerdicts(const std::vector<Verdict> &Verdicts, uint32_t Id);
@@ -298,7 +356,8 @@ private:
   };
   std::vector<WitnessSlot> Slots;
   /// The execution judgeImpl last checked; accountImage consumes it for
-  /// the witness snapshot of the leaf's outcome. Null between leaves.
+  /// the witness snapshot of the leaf's outcome (parsed from its note
+  /// key). Null between leaves.
   const Execution *PendingJudged = nullptr;
   bool HaveCut = false;
   Execution CutExe;
@@ -380,7 +439,7 @@ bool allowedBy(const LitmusTest &Test, const Model &M);
 /// \p Table is the outcome table \p Result's allowed indices point into;
 /// \p Final is the test's condition (echoed in the footer).
 std::string herdStyleReport(const SimulationResult &Result,
-                            const std::vector<Outcome> &Table,
+                            const OutcomeTable &Table,
                             const Condition &Final);
 
 } // namespace cats

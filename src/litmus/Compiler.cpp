@@ -24,6 +24,7 @@ Expected<CompiledTest> CompiledTest::compile(const LitmusTest &Test) {
   Out.buildEvents();
   Out.buildDependencies();
   Out.buildFences();
+  Out.buildDataFlow();
   return Out;
 }
 
@@ -271,86 +272,144 @@ unsigned long long CompiledTest::candidateCount() const {
   return Count;
 }
 
-CompiledTest::RfConcretization
-CompiledTest::concretizeRf(const std::vector<EventId> &WriteForRead) const {
+void CompiledTest::buildDataFlow() {
+  const unsigned Threads = Source.numThreads();
+  size_t Instrs = 0;
+  for (const ThreadCode &Code : Source.Threads)
+    Instrs += Code.size();
+  Slots.reserve(Instrs);
+  Flow.reserve(Instrs);
+  SlotBegin.reserve(Threads + 1);
+  FlowBegin.reserve(Threads + 1);
+  SlotBegin.push_back(0);
+  FlowBegin.push_back(0);
+  // Loads appear in reads() order: thread-major, then program order.
+  unsigned NextRead = 0;
+  for (ThreadId T = 0; T < static_cast<ThreadId>(Threads); ++T) {
+    const ThreadCode &Code = Source.Threads[T];
+    // Slots: the thread's written registers, ascending.
+    const auto First = Slots.end() - Slots.begin();
+    for (const Instruction &Instr : Code)
+      if (Instr.Op == Opcode::Load || Instr.Op == Opcode::Move ||
+          Instr.Op == Opcode::Xor || Instr.Op == Opcode::Add)
+        Slots.push_back({T, Instr.Dst});
+    auto ByReg = [](const RegisterSlot &A, const RegisterSlot &B) {
+      return A.Reg < B.Reg;
+    };
+    auto SameReg = [](const RegisterSlot &A, const RegisterSlot &B) {
+      return A.Reg == B.Reg;
+    };
+    std::sort(Slots.begin() + First, Slots.end(), ByReg);
+    Slots.erase(std::unique(Slots.begin() + First, Slots.end(), SameReg),
+                Slots.end());
+    SlotBegin.push_back(static_cast<unsigned>(Slots.size()));
+
+    auto Resolve = [&](const Operand &O, int &Slot, Value &Imm) {
+      if (O.isImm())
+        Imm = O.asImm();
+      else if (O.isReg())
+        Slot = registerSlot(T, O.asReg());
+    };
+    for (size_t I = 0; I < Code.size(); ++I) {
+      const Instruction &Instr = Code[I];
+      if (Instr.Op == Opcode::CmpBranch || Instr.Op == Opcode::Fence)
+        continue;
+      FlowOp Op;
+      Op.Op = Instr.Op;
+      if (EventForInstr[T][I] >= 0)
+        Op.Event = static_cast<EventId>(EventForInstr[T][I]);
+      if (Instr.Op == Opcode::Load) {
+        assert(ReadEvents[NextRead] == Op.Event && "reads out of order");
+        Op.ReadIdx = NextRead++;
+      }
+      if (Instr.Op != Opcode::Store)
+        Op.Dst = registerSlot(T, Instr.Dst);
+      Resolve(Instr.Src1, Op.Src1, Op.Imm1);
+      Resolve(Instr.Src2, Op.Src2, Op.Imm2);
+      Flow.push_back(Op);
+    }
+    FlowBegin.push_back(static_cast<unsigned>(Flow.size()));
+  }
+}
+
+int CompiledTest::registerSlot(ThreadId T, Register R) const {
+  auto It = std::lower_bound(
+      Slots.begin(), Slots.end(), RegisterSlot{T, R},
+      [](const RegisterSlot &A, const RegisterSlot &B) {
+        return A.Thread != B.Thread ? A.Thread < B.Thread : A.Reg < B.Reg;
+      });
+  if (It == Slots.end() || It->Thread != T || It->Reg != R)
+    return -1;
+  return static_cast<int>(It - Slots.begin());
+}
+
+void CompiledTest::concretizeRf(const std::vector<EventId> &WriteForRead,
+                                RfConcretization &Out) const {
   assert(WriteForRead.size() == ReadEvents.size() &&
          "rf choice arity mismatch");
-  RfConcretization Out;
-  unsigned N = Skeleton.numEvents();
+  const unsigned N = Skeleton.numEvents();
   Out.EventVals.resize(N);
   for (EventId E = 0; E < N; ++E)
     Out.EventVals[E] = Skeleton.event(E).Val;
-  // Dense read -> write map (-1 for non-reads).
-  std::vector<int> RfOf(N, -1);
-  for (size_t I = 0; I < ReadEvents.size(); ++I)
-    RfOf[ReadEvents[I]] = static_cast<int>(WriteForRead[I]);
+  Out.RegVals.assign(Slots.size(), 0);
+  Value *Regs = Out.RegVals.data();
+  Value *Vals = Out.EventVals.data();
+  auto OperandVal = [Regs](int Slot, Value Imm) {
+    return Slot >= 0 ? Regs[Slot] : Imm;
+  };
 
   // Value fixpoint: read values come from their rf write; write values are
   // recomputed from the register file. Iterate until stable (or give up:
   // an unstable value cycle, which we report as inconsistent). Only rf is
   // consulted — co never feeds a register value — which is what lets the
   // enumerator hoist this out of the coherence walk.
-  Out.FinalRegs.resize(Source.numThreads());
   bool Changed = true;
   unsigned Rounds = 0;
   while (Changed && Rounds <= N + 2) {
     Changed = false;
     ++Rounds;
-    for (ThreadId T = 0; T < static_cast<ThreadId>(Source.numThreads());
-         ++T) {
-      const ThreadCode &Code = Source.Threads[T];
-      std::map<Register, Value> Regs;
-      auto RegVal = [&](Register R) {
-        auto It = Regs.find(R);
-        return It == Regs.end() ? Value{0} : It->second;
-      };
-      auto OperandVal = [&](const Operand &O) {
-        return O.isImm() ? O.asImm() : RegVal(O.asReg());
-      };
-      for (size_t I = 0; I < Code.size(); ++I) {
-        const Instruction &Instr = Code[I];
-        int MemEvent = EventForInstr[T][I];
-        switch (Instr.Op) {
+    for (size_t T = 0; T + 1 < FlowBegin.size(); ++T) {
+      // Every round replays the thread from an all-zero register file.
+      std::fill(Regs + SlotBegin[T], Regs + SlotBegin[T + 1], Value{0});
+      for (unsigned I = FlowBegin[T]; I < FlowBegin[T + 1]; ++I) {
+        const FlowOp &Op = Flow[I];
+        switch (Op.Op) {
         case Opcode::Load: {
-          EventId Read = static_cast<EventId>(MemEvent);
-          Value V = Out.EventVals[RfOf[Read]];
-          if (Out.EventVals[Read] != V) {
-            Out.EventVals[Read] = V;
+          const Value V = Vals[WriteForRead[Op.ReadIdx]];
+          if (Vals[Op.Event] != V) {
+            Vals[Op.Event] = V;
             Changed = true;
           }
-          Regs[Instr.Dst] = V;
+          Regs[Op.Dst] = V;
           break;
         }
         case Opcode::Store: {
-          EventId Write = static_cast<EventId>(MemEvent);
-          Value V = OperandVal(Instr.Src1);
-          if (Out.EventVals[Write] != V) {
-            Out.EventVals[Write] = V;
+          const Value V = OperandVal(Op.Src1, Op.Imm1);
+          if (Vals[Op.Event] != V) {
+            Vals[Op.Event] = V;
             Changed = true;
           }
           break;
         }
         case Opcode::Move:
-          Regs[Instr.Dst] = OperandVal(Instr.Src1);
+          Regs[Op.Dst] = OperandVal(Op.Src1, Op.Imm1);
           break;
         case Opcode::Xor:
-          Regs[Instr.Dst] =
-              OperandVal(Instr.Src1) ^ OperandVal(Instr.Src2);
+          Regs[Op.Dst] =
+              OperandVal(Op.Src1, Op.Imm1) ^ OperandVal(Op.Src2, Op.Imm2);
           break;
         case Opcode::Add:
-          Regs[Instr.Dst] =
-              OperandVal(Instr.Src1) + OperandVal(Instr.Src2);
+          Regs[Op.Dst] =
+              OperandVal(Op.Src1, Op.Imm1) + OperandVal(Op.Src2, Op.Imm2);
           break;
         case Opcode::CmpBranch:
         case Opcode::Fence:
           break;
         }
       }
-      Out.FinalRegs[T] = std::move(Regs);
     }
   }
   Out.Consistent = !Changed;
-  return Out;
 }
 
 Candidate CompiledTest::concretize(const std::vector<EventId> &WriteForRead,
@@ -361,13 +420,18 @@ Candidate CompiledTest::concretize(const std::vector<EventId> &WriteForRead,
   for (size_t I = 0; I < ReadEvents.size(); ++I)
     Out.Exe.Rf.set(WriteForRead[I], ReadEvents[I]);
 
-  RfConcretization Values = concretizeRf(WriteForRead);
+  RfConcretization Values;
+  concretizeRf(WriteForRead, Values);
   for (EventId E = 0; E < Out.Exe.numEvents(); ++E)
     Out.Exe.event(E).Val = Values.EventVals[E];
   Out.Consistent = Values.Consistent;
 
   // Outcome: final registers plus the co-maximal write value per location.
-  Out.Out.Regs = std::move(Values.FinalRegs);
+  Out.Out.Regs.resize(Source.numThreads());
+  for (size_t S = 0; S < Slots.size(); ++S) {
+    auto &File = Out.Out.Regs[Slots[S].Thread];
+    File.emplace_hint(File.end(), Slots[S].Reg, Values.RegVals[S]);
+  }
   for (Location Loc = 0;
        Loc < static_cast<Location>(Out.Exe.LocationNames.size()); ++Loc) {
     std::vector<EventId> Writes = Out.Exe.writesTo(Loc);

@@ -69,6 +69,22 @@ public:
   Candidate concretize(const std::vector<EventId> &WriteForRead,
                        const Relation &Co) const;
 
+  /// A register some instruction of its thread writes. Final register
+  /// files are dense: one value slot per written register, in (thread,
+  /// register) order — the order of the register fields of an outcome
+  /// key. A register no instruction writes always reads 0 and has no
+  /// slot. Slots are assigned at compile time, so no table is ever indexed
+  /// by a register number (those go up to r1000000).
+  struct RegisterSlot {
+    ThreadId Thread = 0;
+    Register Reg = 0;
+  };
+  const std::vector<RegisterSlot> &registerSlots() const { return Slots; }
+
+  /// The slot of register \p R of thread \p T, or -1 when the thread
+  /// never writes it.
+  int registerSlot(ThreadId T, Register R) const;
+
   /// The co-independent part of concretize: the register/value data-flow
   /// fixpoint reads only rf, so event values, final register files and
   /// consistency are shared by every coherence order under one rf choice.
@@ -80,11 +96,13 @@ public:
     bool Consistent = true;
     /// Final value per event id; init writes keep their initial value.
     std::vector<Value> EventVals;
-    /// Final register file per thread.
-    std::vector<std::map<Register, Value>> FinalRegs;
+    /// Final value per register slot (registerSlots() order).
+    std::vector<Value> RegVals;
   };
-  RfConcretization
-  concretizeRf(const std::vector<EventId> &WriteForRead) const;
+  /// Fills \p Out, which the caller owns and may reuse across rf choices:
+  /// once its vectors have grown, a call allocates nothing.
+  void concretizeRf(const std::vector<EventId> &WriteForRead,
+                    RfConcretization &Out) const;
 
   /// Number of candidate executions (product of rf choices times coherence
   /// permutations), before consistency filtering.
@@ -96,6 +114,7 @@ private:
   void buildEvents();
   void buildDependencies();
   void buildFences();
+  void buildDataFlow();
 
   LitmusTest Source;
   Execution Skeleton;
@@ -103,6 +122,26 @@ private:
   std::vector<std::vector<int>> EventForInstr;
   std::vector<EventId> ReadEvents;
   std::vector<std::vector<EventId>> CandidateWritesPerRead;
+
+  /// The register data-flow of one value-producing instruction, with its
+  /// operands resolved at compile time: a slot index, or -1 for the
+  /// immediate beside it (an unwritten register is the immediate 0).
+  struct FlowOp {
+    Opcode Op = Opcode::Move;
+    /// Loads and stores: the memory event.
+    EventId Event = 0;
+    /// Loads: the read's index into reads().
+    unsigned ReadIdx = 0;
+    int Dst = -1;
+    int Src1 = -1, Src2 = -1;
+    Value Imm1 = 0, Imm2 = 0;
+  };
+  std::vector<RegisterSlot> Slots;
+  /// The FlowOps of every thread back to back; thread T owns
+  /// [FlowBegin[T], FlowBegin[T + 1]) of Flow and
+  /// [SlotBegin[T], SlotBegin[T + 1]) of Slots.
+  std::vector<FlowOp> Flow;
+  std::vector<unsigned> FlowBegin, SlotBegin;
 };
 
 } // namespace cats

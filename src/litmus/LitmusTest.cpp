@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <set>
 
 using namespace cats;
@@ -147,23 +148,9 @@ Value Outcome::mem(const std::string &Loc) const {
 }
 
 bool Outcome::satisfies(const Condition &Cond) const {
-  if (Cond.trivial())
-    return true;
-  for (const auto &Conj : Cond.Disjuncts) {
-    bool All = true;
-    for (const auto &Atom : Conj) {
-      Value Actual = Atom.AtomKind == ConditionAtom::Kind::RegEquals
-                         ? reg(Atom.Thread, Atom.Reg)
-                         : mem(Atom.Loc);
-      if (Actual != Atom.Val) {
-        All = false;
-        break;
-      }
-    }
-    if (All)
-      return true;
-  }
-  return false;
+  return conditionHolds(
+      Cond, [this](ThreadId T, Register R) { return reg(T, R); },
+      [this](const std::string &Loc) { return mem(Loc); });
 }
 
 namespace {
@@ -184,31 +171,140 @@ void appendInt(std::string &Out, long long V) {
   Out.append(P, End);
 }
 
-// Hot path: a key is built for every fresh outcome both backends
-// materialize, so this formats digits directly instead of going through
-// strFormat's double vsnprintf.
 std::string buildOutcomeKey(const Outcome &O) {
   std::string Out;
   Out.reserve(64);
   for (size_t T = 0; T < O.Regs.size(); ++T)
-    for (const auto &[R, V] : O.Regs[T]) {
-      appendInt(Out, static_cast<long long>(T));
-      Out += ":r";
-      appendInt(Out, R);
-      Out += '=';
-      appendInt(Out, V);
-      Out += ';';
-    }
-  for (const auto &[Loc, V] : O.Memory) {
-    Out += Loc;
-    Out += '=';
-    appendInt(Out, V);
-    Out += ';';
-  }
+    for (const auto &[R, V] : O.Regs[T])
+      appendRegisterKeyField(Out, T, R, V);
+  for (const auto &[Loc, V] : O.Memory)
+    appendMemoryKeyField(Out, Loc, V);
   return Out;
 }
 
+/// Parses the whole of \p Text as a decimal integer of type \p T written
+/// the way appendInt writes it: no '+', no leading zero, no "-0".
+template <typename T> bool parseCanonicalInt(std::string_view Text, T &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Stop, Ec] = std::from_chars(Text.data(), End, Out);
+  if (Ec != std::errc() || Stop != End)
+    return false;
+  const size_t First = Text[0] == '-';
+  return Text[First] != '0' || Text.size() == 1;
+}
+
+/// Register fields name threads below this. outcomeFromKey sizes its
+/// register table by the largest thread index, so a corrupt index must
+/// not size it; no litmus test comes close.
+constexpr unsigned MaxKeyThreads = 1u << 16;
+
+/// Walks the fields of \p Key in order, checking the grammar and the
+/// canonical order, and hands each one to \p OnReg(Thread, Reg, Val) or
+/// \p OnMem(Loc, Val). Returns null when the whole key is canonical, the
+/// reason otherwise.
+template <typename RegFn, typename MemFn>
+const char *walkOutcomeKey(std::string_view Key, const RegFn &OnReg,
+                           const MemFn &OnMem) {
+  bool SeenReg = false, SeenMem = false;
+  unsigned LastThread = 0;
+  Register LastReg = 0;
+  std::string_view LastLoc;
+  size_t Pos = 0;
+  while (Pos < Key.size()) {
+    const size_t End = Key.find(';', Pos);
+    if (End == std::string_view::npos)
+      return "field without trailing ';'";
+    const std::string_view Field = Key.substr(Pos, End - Pos);
+    Pos = End + 1;
+    const size_t Eq = Field.rfind('=');
+    if (Eq == std::string_view::npos || Eq == 0)
+      return "field without '='";
+    Value Val = 0;
+    if (!parseCanonicalInt(Field.substr(Eq + 1), Val))
+      return "unparsable or non-canonical value";
+    const std::string_view Left = Field.substr(0, Eq);
+    // "T:rR" is a register field; anything else is a memory location
+    // (location names cannot contain ':').
+    const size_t Colon = Left.find(':');
+    if (Colon == std::string_view::npos) {
+      if (SeenMem && !(LastLoc < Left))
+        return "memory fields out of name order";
+      SeenMem = true;
+      LastLoc = Left;
+      OnMem(Left, Val);
+      continue;
+    }
+    unsigned Thread = 0;
+    Register Reg = 0;
+    if (!parseCanonicalInt(Left.substr(0, Colon), Thread) ||
+        Thread >= MaxKeyThreads || Colon + 1 >= Left.size() ||
+        Left[Colon + 1] != 'r' ||
+        !parseCanonicalInt(Left.substr(Colon + 2), Reg))
+      return "malformed register field";
+    if (SeenMem)
+      return "register field after a memory field";
+    if (SeenReg && !(LastThread < Thread ||
+                     (LastThread == Thread && LastReg < Reg)))
+      return "register fields out of order";
+    SeenReg = true;
+    LastThread = Thread;
+    LastReg = Reg;
+    OnReg(Thread, Reg, Val);
+  }
+  return nullptr;
+}
+
+std::string badKey(std::string_view Key, const char *Why) {
+  return "bad outcome key '" + std::string(Key) + "': " + Why;
+}
+
 } // namespace
+
+// Hot path: the pruned enumerator writes a key per consistent outcome of
+// every rf choice, so these format digits directly instead of going
+// through strFormat's double vsnprintf.
+void cats::appendRegisterKeyField(std::string &Key, size_t Thread,
+                                  Register R, Value V) {
+  appendInt(Key, static_cast<long long>(Thread));
+  Key += ":r";
+  appendInt(Key, R);
+  Key += '=';
+  appendInt(Key, V);
+  Key += ';';
+}
+
+void cats::appendMemoryKeyField(std::string &Key, std::string_view Loc,
+                                Value V) {
+  Key += Loc;
+  Key += '=';
+  appendInt(Key, V);
+  Key += ';';
+}
+
+Expected<Outcome> cats::outcomeFromKey(std::string_view Key) {
+  Outcome Out;
+  // Fields arrive in map order, so every insert lands at the end.
+  const char *Why = walkOutcomeKey(
+      Key,
+      [&](unsigned Thread, Register Reg, Value Val) {
+        if (Out.Regs.size() <= Thread)
+          Out.Regs.resize(Thread + 1);
+        Out.Regs[Thread].emplace_hint(Out.Regs[Thread].end(), Reg, Val);
+      },
+      [&](std::string_view Loc, Value Val) {
+        Out.Memory.emplace_hint(Out.Memory.end(), std::string(Loc), Val);
+      });
+  if (Why)
+    return Expected<Outcome>::error(badKey(Key, Why));
+  Out.enableKeyCache();
+  return Out;
+}
+
+Status cats::checkOutcomeKey(std::string_view Key) {
+  const char *Why = walkOutcomeKey(
+      Key, [](unsigned, Register, Value) {}, [](std::string_view, Value) {});
+  return Why ? Status::error(badKey(Key, Why)) : Status::success();
+}
 
 std::string Outcome::key() const {
   return KeyCacheEnabled ? keyRef() : buildOutcomeKey(*this);
@@ -314,6 +410,28 @@ std::string LitmusTest::validate() const {
       }
     }
   }
+  // Outcome keys separate fields with ';' and tell register fields by
+  // their ':', so a location name holding either could not round-trip
+  // through a report or a cache entry.
+  auto BadName = [](const std::string &Loc) {
+    const size_t At = Loc.find_first_of(":;");
+    if (At == std::string::npos)
+      return std::string();
+    return strFormat("location name '%s' contains '%c', which outcome keys "
+                     "reserve",
+                     Loc.c_str(), Loc[At]);
+  };
+  for (const auto &Thread : Threads)
+    for (const auto &Instr : Thread)
+      if (std::string Problem = BadName(Instr.Loc); !Problem.empty())
+        return Problem;
+  for (const auto &[Loc, _] : Init)
+    if (std::string Problem = BadName(Loc); !Problem.empty())
+      return Problem;
+  for (const auto &Conj : Final.Disjuncts)
+    for (const auto &Atom : Conj)
+      if (std::string Problem = BadName(Atom.Loc); !Problem.empty())
+        return Problem;
   return "";
 }
 

@@ -17,9 +17,11 @@
 
 #include "event/Event.h"
 #include "litmus/Instruction.h"
+#include "support/Error.h"
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cats {
@@ -89,6 +91,33 @@ struct Condition {
   std::string toString() const;
 };
 
+/// Evaluates \p Cond over a final state given by two lookups,
+/// \p Reg(ThreadId, Register) and \p Mem(const std::string &Loc), each
+/// answering 0 for a register, thread or location the state does not hold.
+/// The one condition walk of the project: Outcome::satisfies and the pruned
+/// enumerator, which never builds an Outcome, both call it.
+template <typename RegFn, typename MemFn>
+bool conditionHolds(const Condition &Cond, const RegFn &Reg,
+                    const MemFn &Mem) {
+  if (Cond.trivial())
+    return true;
+  for (const auto &Conj : Cond.Disjuncts) {
+    bool All = true;
+    for (const ConditionAtom &Atom : Conj) {
+      const Value Actual = Atom.AtomKind == ConditionAtom::Kind::RegEquals
+                               ? Reg(Atom.Thread, Atom.Reg)
+                               : Mem(Atom.Loc);
+      if (Actual != Atom.Val) {
+        All = false;
+        break;
+      }
+    }
+    if (All)
+      return true;
+  }
+  return false;
+}
+
 /// The observable final state of one program execution: per-thread register
 /// files and the final memory contents.
 struct Outcome {
@@ -105,7 +134,7 @@ struct Outcome {
   bool satisfies(const Condition &Cond) const;
 
   /// Canonical textual key, usable as a set element when collecting the
-  /// distinct final states of a test.
+  /// distinct final states of a test (grammar: "Outcome keys" below).
   std::string key() const;
 
   /// Enables memoization of key(). Only call once the outcome is final
@@ -127,6 +156,36 @@ private:
   mutable bool KeyCacheValid = false;
 };
 
+//===----------------------------------------------------------------------===//
+// Outcome keys
+//
+// The canonical key of a final state lists every written register as
+// "T:rR=V;" in (thread, register) order, then every location as "loc=V;"
+// in name order, with decimal integers in their shortest form. Keys are
+// what outcome tables, reports and cache entries store; Outcome::key() and
+// the pruned enumerator write them with the two helpers below, and
+// outcomeFromKey is the one parser. Location names cannot contain ':' or
+// ';' (LitmusTest::validate), which keeps register and memory fields
+// apart.
+//===----------------------------------------------------------------------===//
+
+/// Appends the register field "T:rR=V;" to \p Key.
+void appendRegisterKeyField(std::string &Key, size_t Thread, Register R,
+                            Value V);
+
+/// Appends the memory field "loc=V;" to \p Key.
+void appendMemoryKeyField(std::string &Key, std::string_view Loc, Value V);
+
+/// Parses a canonical key back into the Outcome whose key() it is. A key
+/// that is malformed, or not canonical (fields out of order or repeated, a
+/// number written with '+', a leading zero or as "-0"), is refused while
+/// parsing, so an accepted key renders back to itself.
+Expected<Outcome> outcomeFromKey(std::string_view Key);
+
+/// The same grammar and canonical-form check as outcomeFromKey, without
+/// building the outcome.
+Status checkOutcomeKey(std::string_view Key);
+
 /// A complete litmus test.
 struct LitmusTest {
   std::string Name;
@@ -146,7 +205,8 @@ struct LitmusTest {
   std::vector<std::string> locations() const;
 
   /// Sanity checks: fences legal for the architecture, registers in range,
-  /// branch/arith operands defined. Returns an explanatory error otherwise.
+  /// branch/arith operands defined, location names free of the ':' and ';'
+  /// that outcome keys reserve. Returns an explanatory error otherwise.
   std::string validate() const;
 
   /// Renders in the text format understood by parseLitmus.

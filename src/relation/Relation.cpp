@@ -247,37 +247,57 @@ bool Relation::isIrreflexive() const {
 }
 
 bool Relation::isAcyclic() const {
-  // DFS with colours; cheaper than a full closure for the common case.
-  enum Colour : uint8_t { White, Grey, Black };
-  std::vector<uint8_t> Colours(Size, White);
-  std::vector<std::pair<EventId, unsigned>> Stack;
-  for (EventId Root = 0; Root < Size; ++Root) {
-    if (Colours[Root] != White)
-      continue;
-    Stack.clear();
-    Stack.push_back({Root, 0});
-    Colours[Root] = Grey;
-    while (!Stack.empty()) {
-      auto &[Node, Next] = Stack.back();
-      bool Descended = false;
-      for (EventId To = Next; To < Size; ++To) {
-        if (!test(Node, To))
-          continue;
-        if (Colours[To] == Grey)
-          return false;
-        if (Colours[To] == White) {
-          Next = To + 1;
-          Stack.push_back({To, 0});
-          Colours[To] = Grey;
-          Descended = true;
-          break;
+  // Sink peeling: a node with no successor left alive lies on no cycle and
+  // is removed; the relation is acyclic iff peeling removes every node. A
+  // node is a sink when its row shares no bit with the alive mask, one AND
+  // per row word. Each pass visits the alive nodes in descending id order
+  // and removes sinks on the spot, so a chain of edges towards higher ids
+  // (po, and most of com in enumeration order) drains in a single pass. A
+  // pass that removes nothing leaves only nodes with an alive successor:
+  // a cycle.
+  if (WordsPerRow == 1) {
+    // Up to 64 events: the whole alive set is one word; no allocation.
+    const uint64_t *Rows = Bits.data();
+    uint64_t Alive = Size == 64 ? ~uint64_t{0} : (uint64_t{1} << Size) - 1;
+    while (Alive) {
+      const uint64_t Before = Alive;
+      for (uint64_t Scan = Alive; Scan;) {
+        const unsigned Node = 63 - countlZero(Scan);
+        Scan &= ~(uint64_t{1} << Node);
+        if (!(Rows[Node] & Alive))
+          Alive &= ~(uint64_t{1} << Node);
+      }
+      if (Alive == Before)
+        return false;
+    }
+    return true;
+  }
+  // Wider universes (the multi-event expansion): the same peeling over a
+  // multi-word alive set, inline up to WordStorage's capacity.
+  WordStorage Alive(WordsPerRow);
+  for (EventId Id = 0; Id < Size; ++Id)
+    Alive[Id >> 6] |= uint64_t{1} << (Id & 63);
+  bool Remaining = Size != 0;
+  while (Remaining) {
+    bool Removed = false;
+    Remaining = false;
+    for (unsigned W = WordsPerRow; W-- > 0;) {
+      for (uint64_t Scan = Alive[W]; Scan;) {
+        const unsigned Bit = 63 - countlZero(Scan);
+        Scan &= ~(uint64_t{1} << Bit);
+        const uint64_t *R = row(static_cast<EventId>(W * 64 + Bit));
+        bool Sink = true;
+        for (unsigned K = 0; K < WordsPerRow && Sink; ++K)
+          Sink = !(R[K] & Alive[K]);
+        if (Sink) {
+          Alive[W] &= ~(uint64_t{1} << Bit);
+          Removed = true;
         }
       }
-      if (!Descended) {
-        Colours[Node] = Black;
-        Stack.pop_back();
-      }
+      Remaining |= Alive[W] != 0;
     }
+    if (Remaining && !Removed)
+      return false;
   }
   return true;
 }

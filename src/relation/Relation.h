@@ -54,10 +54,16 @@ public:
   WordStorage(const WordStorage &Other) { copyFrom(Other); }
   WordStorage(WordStorage &&Other) noexcept { moveFrom(std::move(Other)); }
   WordStorage &operator=(const WordStorage &Other) {
-    if (this != &Other) {
-      Heap.reset();
-      copyFrom(Other);
+    if (this == &Other)
+      return *this;
+    // Same-sized heap buffers are reused: the enumerator re-copies its
+    // partial graphs per coherence permutation.
+    if (Heap && Count == Other.Count) {
+      std::memcpy(Heap.get(), Other.data(), Count * sizeof(uint64_t));
+      return *this;
     }
+    Heap.reset();
+    copyFrom(Other);
     return *this;
   }
   WordStorage &operator=(WordStorage &&Other) noexcept {
@@ -265,7 +271,8 @@ public:
   bool isIrreflexive() const;
 
   /// True if the relation, viewed as a digraph, has no cycle
-  /// (i.e. its transitive closure is irreflexive).
+  /// (i.e. its transitive closure is irreflexive). Bit-parallel sink
+  /// peeling; allocation-free up to 64 events.
   bool isAcyclic() const;
 
   /// All pairs in lexicographic order.

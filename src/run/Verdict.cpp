@@ -55,14 +55,10 @@ namespace {
 /// allowed set — the allowed states index into the outcome table — and
 /// counting it twice would misreport the violation magnitude).
 void judgeWith(const LitmusTest &Test, const SimulationResult &Ref,
-               const SimulationResult &Sc, const std::vector<Outcome> &Table,
+               const SimulationResult &Sc, const OutcomeTable &Table,
                RunTestResult &Result) {
   // The table is in key order, so a bucket's key resolves to its table
   // index by binary search, and the allowed lists are ascending indices.
-  std::vector<std::string> Keys;
-  Keys.reserve(Table.size());
-  for (const Outcome &O : Table)
-    Keys.push_back(O.key());
   auto Allows = [](const SimulationResult &R, size_t Idx) {
     return std::binary_search(R.AllowedOutcomes.begin(),
                               R.AllowedOutcomes.end(), Idx);
@@ -74,9 +70,15 @@ void judgeWith(const LitmusTest &Test, const SimulationResult &Ref,
   Result.ConditionObserved = false;
   Result.OutsideModel = Result.OutsideSc = Result.OutsideEnumeration = 0;
   for (RunBucket &B : Result.Histogram) {
-    auto It = std::lower_bound(Keys.begin(), Keys.end(), B.Key);
-    const size_t Idx = static_cast<size_t>(It - Keys.begin());
-    B.Consistent = It != Keys.end() && *It == B.Key;
+    size_t Idx = 0, End = Table.size();
+    while (Idx < End) {
+      const size_t Mid = Idx + (End - Idx) / 2;
+      if (Table.key(Mid) < B.Key)
+        Idx = Mid + 1;
+      else
+        End = Mid;
+    }
+    B.Consistent = Idx < Table.size() && Table.key(Idx) == B.Key;
     B.AllowedByModel = B.Consistent && Allows(Ref, Idx);
     B.AllowedBySc = B.Consistent && Allows(Sc, Idx);
     B.MatchesFinal = B.Out.satisfies(Test.Final);

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// popcount / countr_zero with the C++20 <bit> semantics, usable from the
-/// project's C++17 baseline. Delegates to <bit> when available, otherwise to
-/// compiler builtins.
+/// popcount / countr_zero / countl_zero with the C++20 <bit> semantics,
+/// usable from the project's C++17 baseline. Delegates to <bit> when
+/// available, otherwise to compiler builtins.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +42,15 @@ inline unsigned countrZero(uint64_t Word) {
   return static_cast<unsigned>(std::countr_zero(Word));
 #else
   return Word == 0 ? 64u : static_cast<unsigned>(__builtin_ctzll(Word));
+#endif
+}
+
+/// Number of leading zero bits in \p Word; 64 when \p Word is 0.
+inline unsigned countlZero(uint64_t Word) {
+#if defined(__cpp_lib_bitops) && __cpp_lib_bitops >= 201907L
+  return static_cast<unsigned>(std::countl_zero(Word));
+#else
+  return Word == 0 ? 64u : static_cast<unsigned>(__builtin_clzll(Word));
 #endif
 }
 

@@ -10,74 +10,9 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <charconv>
 #include <limits>
 
 using namespace cats;
-
-//===----------------------------------------------------------------------===//
-// Outcome keys
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Parses the whole of \p Text as a decimal integer of type \p T.
-template <typename T> bool parseInteger(std::string_view Text, T &Out) {
-  const char *End = Text.data() + Text.size();
-  auto [Stop, Ec] = std::from_chars(Text.data(), End, Out);
-  return Ec == std::errc() && Stop == End;
-}
-
-/// Register fields name threads below this. The register table is sized
-/// by the largest thread index, so a corrupt index must not size it; no
-/// litmus test comes close.
-constexpr unsigned MaxKeyThreads = 1u << 16;
-
-} // namespace
-
-Expected<Outcome> cats::outcomeFromKey(std::string_view Key) {
-  auto Bad = [&](const char *Why) {
-    return Expected<Outcome>::error("bad outcome key '" + std::string(Key) +
-                                    "': " + Why);
-  };
-  Outcome Out;
-  size_t Pos = 0;
-  while (Pos < Key.size()) {
-    const size_t End = Key.find(';', Pos);
-    if (End == std::string_view::npos)
-      return Bad("field without trailing ';'");
-    const std::string_view Field = Key.substr(Pos, End - Pos);
-    Pos = End + 1;
-    const size_t Eq = Field.rfind('=');
-    if (Eq == std::string_view::npos || Eq == 0)
-      return Bad("field without '='");
-    Value Val = 0;
-    if (!parseInteger(Field.substr(Eq + 1), Val))
-      return Bad("unparsable value");
-    const std::string_view Left = Field.substr(0, Eq);
-    // "T:rR" is a register field; anything else is a memory location
-    // (litmus location names cannot contain ':').
-    const size_t Colon = Left.find(':');
-    if (Colon != std::string_view::npos) {
-      unsigned Thread = 0;
-      Register Reg = 0;
-      if (!parseInteger(Left.substr(0, Colon), Thread) ||
-          Thread >= MaxKeyThreads || Colon + 1 >= Left.size() ||
-          Left[Colon + 1] != 'r' || !parseInteger(Left.substr(Colon + 2), Reg))
-        return Bad("malformed register field");
-      if (Out.Regs.size() <= Thread)
-        Out.Regs.resize(Thread + 1);
-      // Canonical keys list fields in map order, so each insert lands at
-      // the end; a repeated field keeps its last value.
-      auto &Regs = Out.Regs[Thread];
-      Regs.insert_or_assign(Regs.end(), Reg, Val);
-    } else {
-      Out.Memory.insert_or_assign(Out.Memory.end(), std::string(Left), Val);
-    }
-  }
-  Out.enableKeyCache();
-  return Out;
-}
 
 //===----------------------------------------------------------------------===//
 // Writer (cats-sweep-report/1, see docs/report-schemas.md)
@@ -97,11 +32,11 @@ JsonValue cats::sweepTestResultToJson(const SweepTestResult &T) {
 
   // Containers are sized up front: the document then holds no slack and
   // is built without a reallocation.
-  const std::vector<Outcome> &Table = T.Result.ConsistentOutcomes;
+  const OutcomeTable &Table = T.Result.ConsistentOutcomes;
   JsonValue States = JsonValue::array();
   States.elements().reserve(Table.size());
-  for (const Outcome &O : Table)
-    States.push(O.key());
+  for (size_t I = 0; I < Table.size(); ++I)
+    States.push(std::string(Table.key(I)));
   Entry.set("consistent_states", std::move(States));
 
   JsonValue Models = JsonValue::array();
@@ -115,7 +50,7 @@ JsonValue cats::sweepTestResultToJson(const SweepTestResult &T) {
     JsonValue Allowed = JsonValue::array();
     Allowed.elements().reserve(R.AllowedOutcomes.size());
     for (uint32_t Idx : R.AllowedOutcomes)
-      Allowed.push(Table[Idx].key());
+      Allowed.push(std::string(Table.key(Idx)));
     M.set("allowed_states", std::move(Allowed));
     Models.push(std::move(M));
   }
@@ -201,23 +136,24 @@ Expected<const std::vector<JsonValue> *> stateList(const JsonValue *Array) {
   return &Array->elements();
 }
 
-/// Parses "consistent_states" into the outcome table. Every key must parse
-/// and render back to itself, and the keys must be strictly ascending (the
-/// table's key order, which the allowed indices rely on).
+/// Reads "consistent_states" into the outcome table. Every key must be
+/// canonical (one grammar pass, no Outcome built), and the keys must be
+/// strictly ascending (the table's key order, which the allowed indices
+/// rely on).
 Status parseOutcomeTable(const std::vector<JsonValue> &Keys,
-                         std::vector<Outcome> &Table) {
-  Table.reserve(Keys.size());
+                         OutcomeTable &Table) {
+  size_t Bytes = 0;
+  for (const JsonValue &Key : Keys)
+    Bytes += Key.asString().size();
+  Table.reserve(Keys.size(), Bytes);
   for (size_t I = 0; I < Keys.size(); ++I) {
     const std::string &Key = Keys[I].asString();
     if (I && !(Keys[I - 1].asString() < Key))
       return Status::error("consistent states are not strictly ascending at '" +
                            Key + "'");
-    auto O = outcomeFromKey(Key);
-    if (!O)
-      return Status::error(O.message());
-    if (O->key() != Key)
-      return Status::error("state key '" + Key + "' is not canonical");
-    Table.push_back(O.take());
+    if (Status S = checkOutcomeKey(Key); S.failed())
+      return S;
+    Table.push(Key);
   }
   return Status::success();
 }

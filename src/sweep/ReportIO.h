@@ -14,10 +14,11 @@
 /// prefix, and cats_merge folds shard reports into one.
 ///
 /// Rendering a parsed entry is byte-identical to rendering the original:
-/// the reader only accepts outcome keys whose reparsed Outcome rebuilds
-/// the same string, allowed states resolve to indices into the parsed
-/// consistent-state table, and every count is an integer in [0, 2^53]
-/// (exact in the JSON number type).
+/// the reader only accepts canonical outcome keys (checkOutcomeKey, which
+/// shares outcomeFromKey's grammar in litmus/LitmusTest.h) and stores
+/// them as they are in the entry's outcome table, allowed states resolve
+/// to indices into that table, and every count is an integer in
+/// [0, 2^53] (exact in the JSON number type).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,11 +32,6 @@
 #include <string_view>
 
 namespace cats {
-
-/// Parses an Outcome::key() string ("0:r1=1;x=2;...") back into an
-/// Outcome. The rebuilt outcome's key() equals \p Key exactly when \p Key
-/// is canonical (as every key Outcome::key() renders is).
-Expected<Outcome> outcomeFromKey(std::string_view Key);
 
 /// The largest count a report may carry: every integer up to 2^53 is
 /// exact in the JSON number type (a double).

@@ -169,15 +169,13 @@ TEST(ReportIO, OutcomeKeyRoundTripsEveryCatalogueState) {
   SweepReport Report = SweepEngine({1}).run(
       makeJobs({Entry->Test}, {modelByName("SC"), modelByName("Power")}));
   ASSERT_EQ(Report.Tests.size(), 1u);
-  unsigned Checked = 0;
-  for (const Outcome &O : Report.Tests[0].Result.ConsistentOutcomes) {
-    auto Back = outcomeFromKey(O.key());
+  const OutcomeTable &Table = Report.Tests[0].Result.ConsistentOutcomes;
+  for (size_t I = 0; I < Table.size(); ++I) {
+    auto Back = outcomeFromKey(Table.key(I));
     ASSERT_TRUE(static_cast<bool>(Back)) << Back.message();
-    EXPECT_EQ(Back->key(), O.key());
-    EXPECT_EQ(*Back == O, true);
-    ++Checked;
+    EXPECT_EQ(Back->key(), Table.key(I));
   }
-  EXPECT_GT(Checked, 0u);
+  EXPECT_GT(Table.size(), 0u);
 }
 
 TEST(ReportIO, OutcomeKeyRejectsGarbage) {

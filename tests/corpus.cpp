@@ -41,6 +41,33 @@ TEST(Corpus, OneFilePerCatalogueEntry) {
   EXPECT_EQ(corpusFiles().size(), figureCatalog().size());
 }
 
+// Every location name of the shipped tests survives the outcome-key
+// grammar: a state holding all of a test's locations renders to a key
+// that parses back to the same names and values.
+TEST(Corpus, LocationNamesRoundTripThroughKeys) {
+  std::vector<LitmusTest> Tests;
+  for (const CatalogEntry &Entry : figureCatalog())
+    Tests.push_back(Entry.Test);
+  for (const std::string &File : corpusFiles()) {
+    auto Test = parseLitmusFile(File);
+    ASSERT_TRUE(static_cast<bool>(Test)) << Test.message();
+    Tests.push_back(Test.take());
+  }
+  for (const LitmusTest &Test : Tests) {
+    Outcome State;
+    State.Regs.resize(1);
+    State.Regs[0][1] = 1;
+    Value V = 0;
+    for (const std::string &Loc : Test.locations())
+      State.Memory[Loc] = --V;
+    const std::string Key = State.key();
+    auto Back = outcomeFromKey(Key);
+    ASSERT_TRUE(static_cast<bool>(Back)) << Test.Name << ": " << Back.message();
+    EXPECT_EQ(Back->Memory, State.Memory) << Test.Name << ": " << Key;
+    EXPECT_EQ(Back->key(), Key) << Test.Name;
+  }
+}
+
 class CorpusFileTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CorpusFileTest, ParsesAndMatchesCatalogue) {

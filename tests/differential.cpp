@@ -37,22 +37,25 @@ using namespace cats;
 namespace {
 
 /// Renders an outcome table as its keys, for readable mismatch output.
-std::vector<std::string> keysOf(const std::vector<Outcome> &Table) {
+std::vector<std::string> keysOf(const OutcomeTable &Table) {
   std::vector<std::string> Keys;
   Keys.reserve(Table.size());
-  for (const Outcome &O : Table)
-    Keys.push_back(O.key());
+  for (size_t I = 0; I < Table.size(); ++I)
+    Keys.emplace_back(Table.key(I));
   return Keys;
 }
 
 /// Renders \p R's allowed states as keys, resolved against \p Table (never
 /// compare raw indices across two results: each indexes its own table).
 std::vector<std::string> keysOf(const SimulationResult &R,
-                                const std::vector<Outcome> &Table) {
+                                const OutcomeTable &Table) {
   std::vector<std::string> Keys;
   Keys.reserve(R.AllowedOutcomes.size());
-  for (uint32_t Idx : R.AllowedOutcomes)
-    Keys.push_back(Table.at(Idx).key());
+  for (uint32_t Idx : R.AllowedOutcomes) {
+    EXPECT_LT(Idx, Table.size()) << R.TestName << " " << R.ModelName;
+    if (Idx < Table.size())
+      Keys.emplace_back(Table.key(Idx));
+  }
   return Keys;
 }
 
@@ -65,6 +68,7 @@ void expectIdentical(const MultiSimulationResult &A,
   EXPECT_EQ(A.CandidatesConsistent, B.CandidatesConsistent) << What;
   EXPECT_EQ(keysOf(A.ConsistentOutcomes), keysOf(B.ConsistentOutcomes))
       << What;
+  EXPECT_TRUE(A.ConsistentOutcomes == B.ConsistentOutcomes) << What;
   ASSERT_EQ(A.PerModel.size(), B.PerModel.size()) << What;
   for (size_t I = 0; I < A.PerModel.size(); ++I) {
     const SimulationResult &MA = A.PerModel[I];
@@ -406,5 +410,126 @@ TEST(Differential, TwoIdenticalReceiversPower) {
     // forbids it, whichever receiver the condition names.
     EXPECT_TRUE(Pruned.forModel("Power")->ConditionReachable);
     EXPECT_FALSE(Pruned.forModel("SC")->ConditionReachable);
+  }
+}
+
+namespace {
+
+/// Every model's verdict, recomputed from its allowed keys through
+/// Outcome::satisfies: the reference the enumerator's condition walk is
+/// held to.
+void expectVerdictsFollowKeys(const MultiSimulationResult &R,
+                              const Condition &Final,
+                              const std::string &What) {
+  for (const SimulationResult &M : R.PerModel) {
+    bool Reachable = false;
+    for (uint32_t Idx : M.AllowedOutcomes) {
+      auto O = outcomeFromKey(R.ConsistentOutcomes.key(Idx));
+      ASSERT_TRUE(static_cast<bool>(O)) << O.message();
+      Reachable |= O->satisfies(Final);
+    }
+    EXPECT_EQ(M.ConditionReachable, Reachable) << What << " " << M.ModelName;
+  }
+}
+
+} // namespace
+
+/// Condition atoms on state no outcome key lists — a register its thread
+/// never writes, a thread past the last one, a location only the
+/// condition names — read as 0 in both backends, exactly as
+/// Outcome::reg and Outcome::mem answer them. Every register and location
+/// the test does hold is nonzero in the relaxed outcome, so a lookup that
+/// lands on real state instead of answering 0 changes a verdict.
+TEST(Differential, ConditionAtomsOutsideTheStateReadZero) {
+  LitmusTest Sb;
+  Sb.Name = "sb-odd-atoms";
+  Sb.TargetArch = Arch::TSO;
+  Sb.Init = {{"x", 2}, {"y", 2}};
+  Sb.Threads.push_back({Instruction::store("x", Operand::imm(1)),
+                        Instruction::load(1, "y")});
+  Sb.Threads.push_back({Instruction::store("y", Operand::imm(1)),
+                        Instruction::load(1, "x")});
+  const std::vector<ConditionAtom> Core = {ConditionAtom::regEquals(0, 1, 2),
+                                           ConditionAtom::regEquals(1, 1, 2)};
+  const std::vector<std::pair<std::string, ConditionAtom>> Odd = {
+      {"unwritten register", ConditionAtom::regEquals(0, 7, 0)},
+      {"thread past the last", ConditionAtom::regEquals(5, 1, 0)},
+      {"untouched location", ConditionAtom::memEquals("z", 0)},
+  };
+  for (const auto &[What, Atom] : Odd)
+    for (Value V : {0, 1}) {
+      LitmusTest Test = Sb;
+      ConditionAtom A = Atom;
+      A.Val = V;
+      std::vector<ConditionAtom> Conj = Core;
+      Conj.push_back(A);
+      Test.Final.addConjunction(Conj);
+      // A second disjunct that never holds keeps the OR in play.
+      Test.Final.addConjunction({ConditionAtom::regEquals(0, 1, 3)});
+      const std::string Where = What + " = " + std::to_string(V);
+      auto Compiled = CompiledTest::compile(Test);
+      ASSERT_TRUE(static_cast<bool>(Compiled)) << Compiled.message();
+      MultiSimulationResult Naive =
+          simulateAll(*Compiled, allModels(), JudgeBackend::Naive);
+      MultiSimulationResult Pruned =
+          simulateAll(*Compiled, allModels(), JudgeBackend::Pruned);
+      expectIdentical(Naive, Pruned, Where);
+      expectVerdictsFollowKeys(Pruned, Test.Final, Where);
+      // The store-buffering relaxation: TSO allows it, SC does not, and an
+      // atom expecting 1 where the state reads 0 forbids it everywhere.
+      EXPECT_EQ(Pruned.forModel("TSO")->ConditionReachable, V == 0) << Where;
+      EXPECT_FALSE(Pruned.forModel("SC")->ConditionReachable) << Where;
+    }
+}
+
+/// Register numbers go up to r1000000 and index nothing: a test naming its
+/// registers r999999 and r1000000 gets the verdicts and counts of its
+/// r1/r2 twin, and keys that differ only in the register names.
+TEST(Differential, HighRegisterNumbersMatchTheirLowTwin) {
+  auto Mp = [](Register A, Register B) {
+    LitmusTest Test;
+    Test.Name = "mp-regs";
+    Test.TargetArch = Arch::Power;
+    Test.Threads.push_back({Instruction::store("x", Operand::imm(1)),
+                            Instruction::store("y", Operand::imm(1))});
+    Test.Threads.push_back({Instruction::load(A, "y"),
+                            Instruction::load(B, "x")});
+    Test.Final.addConjunction({ConditionAtom::regEquals(1, A, 1),
+                               ConditionAtom::regEquals(1, B, 0)});
+    return Test;
+  };
+  auto Rename = [](std::string Key) {
+    for (auto [From, To] : {std::pair<std::string, std::string>{
+                                ":r1=", ":r999999="},
+                            {":r2=", ":r1000000="}}) {
+      const size_t At = Key.find(From);
+      if (At != std::string::npos)
+        Key.replace(At, From.size(), To);
+    }
+    return Key;
+  };
+  const LitmusTest Low = Mp(1, 2), High = Mp(999999, 1000000);
+  for (JudgeBackend Backend : {JudgeBackend::Naive, JudgeBackend::Pruned}) {
+    MultiSimulationResult L = simulateAll(Low, allModels(), Backend);
+    MultiSimulationResult H = simulateAll(High, allModels(), Backend);
+    std::vector<std::string> Renamed = keysOf(L.ConsistentOutcomes);
+    for (std::string &Key : Renamed)
+      Key = Rename(Key);
+    EXPECT_EQ(Renamed, keysOf(H.ConsistentOutcomes));
+    EXPECT_EQ(L.CandidatesTotal, H.CandidatesTotal);
+    EXPECT_EQ(L.CandidatesConsistent, H.CandidatesConsistent);
+    ASSERT_EQ(L.PerModel.size(), H.PerModel.size());
+    for (size_t I = 0; I < L.PerModel.size(); ++I) {
+      EXPECT_EQ(L.PerModel[I].ConditionReachable,
+                H.PerModel[I].ConditionReachable)
+          << L.PerModel[I].ModelName;
+      EXPECT_EQ(L.PerModel[I].CandidatesAllowed,
+                H.PerModel[I].CandidatesAllowed)
+          << L.PerModel[I].ModelName;
+      EXPECT_EQ(L.PerModel[I].AllowedOutcomes, H.PerModel[I].AllowedOutcomes)
+          << L.PerModel[I].ModelName;
+    }
+    EXPECT_TRUE(H.forModel("Power")->ConditionReachable);
+    EXPECT_FALSE(H.forModel("SC")->ConditionReachable);
   }
 }

@@ -279,8 +279,8 @@ TEST(Diy, DataDependencyKeepsValues) {
   SimulationResult R = simulate(*Test, *modelByName("Power"));
   EXPECT_FALSE(R.ConditionReachable) << "lb+datas is forbidden";
   bool WitnessExists = false;
-  for (const Outcome &Out : R.ConsistentOutcomes)
-    if (Out.satisfies(Test->Final))
+  for (size_t I = 0; I < R.ConsistentOutcomes.size(); ++I)
+    if (outcomeFromKey(R.ConsistentOutcomes.key(I))->satisfies(Test->Final))
       WitnessExists = true;
   EXPECT_TRUE(WitnessExists)
       << "the data-dependency synthesis must preserve written values";

@@ -257,10 +257,10 @@ namespace {
 
 /// The keys of \p R's allowed states, resolved against \p Table.
 std::vector<std::string> allowedKeys(const SimulationResult &R,
-                                     const std::vector<Outcome> &Table) {
+                                     const OutcomeTable &Table) {
   std::vector<std::string> Keys;
   for (uint32_t Idx : R.AllowedOutcomes)
-    Keys.push_back(Table.at(Idx).key());
+    Keys.emplace_back(Table.key(Idx));
   return Keys;
 }
 

@@ -251,6 +251,38 @@ TEST(Parser, RejectsMalformedConditionAtoms) {
   }
 }
 
+// Outcome keys separate fields with ';' and tell register fields by their
+// ':', so a location name holding either cannot round-trip through a
+// report or a cache entry: validation refuses it, naming the location.
+TEST(Parser, RejectsLocationNamesWithKeyDelimiters) {
+  for (const char *Loc : {"a:b", "a;b"}) {
+    std::string Text = std::string("Power mp-odd\n{ }\nP0:\n  st ") + Loc +
+                       ", #1\n  st y, #1\nP1:\n  ld r1, y\n  ld r2, " + Loc +
+                       "\nexists (1:r1=1 /\\ 1:r2=0)\n";
+    auto Test = parseLitmus(Text);
+    ASSERT_FALSE(static_cast<bool>(Test)) << Loc;
+    EXPECT_NE(Test.message().find(std::string("'") + Loc + "'"),
+              std::string::npos)
+        << Test.message();
+  }
+}
+
+TEST(LitmusTest, ValidateRejectsLocationNamesWithKeyDelimiters) {
+  for (const char *Loc : {"x:1", "x;1"}) {
+    LitmusTest Test = parseOrDie(MpLwsyncAddr);
+    ASSERT_EQ(Test.validate(), "");
+    Test.Init[Loc] = 0;
+    const std::string Problem = Test.validate();
+    EXPECT_NE(Problem.find(std::string("'") + Loc + "'"), std::string::npos)
+        << Problem;
+    EXPECT_FALSE(static_cast<bool>(CompiledTest::compile(Test))) << Loc;
+  }
+  // '=' stays legal: keys split a field at its last '='.
+  LitmusTest Eq = parseOrDie(MpLwsyncAddr);
+  Eq.Init["a=b"] = 0;
+  EXPECT_EQ(Eq.validate(), "");
+}
+
 TEST(Parser, RejectsMalformedThreadHeader) {
   auto Bad = parseLitmus("SC bad\nP1x:\n  st x, #1\n");
   EXPECT_FALSE(static_cast<bool>(Bad));
@@ -564,6 +596,36 @@ TEST(Compiler, XorFalseDependencyValueIsZeroOffset) {
   Candidate Cand =
       Compiled->concretize(Rf, Compiled->allCoherenceOrders()[0]);
   EXPECT_EQ(Cand.Out.reg(1, 3), 1) << "r3 must read x's value";
+}
+
+// Every round of the value fixpoint replays a thread from an all-zero
+// register file: a register read before its first write in program order
+// reads 0, never the value an earlier round left in it.
+TEST(Compiler, RegisterReadBeforeItsWriteReadsZeroEveryRound) {
+  LitmusTest Test = parseOrDie(R"(
+Power read-before-write
+{ x=0; y=0 }
+P0:
+  st x, r1
+  ld r1, y
+P1:
+  st y, #1
+exists (x=1)
+)");
+  auto Compiled = CompiledTest::compile(Test);
+  ASSERT_TRUE(static_cast<bool>(Compiled)) << Compiled.message();
+  const Execution &Skel = Compiled->skeleton();
+  // The read of y takes P1's store.
+  std::vector<EventId> Rf;
+  for (EventId R : Compiled->reads())
+    for (EventId W : Skel.writesTo(Skel.event(R).Loc))
+      if (!Skel.event(W).IsInit)
+        Rf.push_back(W);
+  ASSERT_EQ(Rf.size(), Compiled->reads().size());
+  Candidate Cand = Compiled->concretize(Rf, Compiled->allCoherenceOrders()[0]);
+  EXPECT_TRUE(Cand.Consistent);
+  EXPECT_EQ(Cand.Out.reg(0, 1), 1);
+  EXPECT_EQ(Cand.Out.mem("x"), 0);
 }
 
 TEST(Compiler, OutcomeKeysDistinguishStates) {

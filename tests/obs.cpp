@@ -158,6 +158,48 @@ TEST(Metrics, SweepCountsCandidatesAndPerAxiomKills) {
   EXPECT_GE(Kills, WantConsistent - WantAllowed);
 }
 
+// A Lemma 4.1 reference answer books its kill under PROPAGATION without
+// re-deriving other axioms; judge.reference_kills counts those answers on
+// their own. On the pruned path every SC kill of a judged candidate comes
+// from the reference check (pruned mass books SC PER LOCATION), so the two
+// counters agree; the naive path and witness capture run full checks and
+// never take the reference path.
+TEST(Metrics, ReferenceKillsCountLemmaAnswersOnly) {
+  ObsSandbox Sandbox;
+  obs::setMetricsEnabled(true);
+  auto SweepCatalogue = [](JudgeBackend Backend, bool Witness) {
+    obs::resetMetrics();
+    SimulateOptions Opts;
+    Opts.Backend = Backend;
+    Opts.Witness = Witness;
+    for (const CatalogEntry &Entry : figureCatalog()) {
+      auto Compiled = CompiledTest::compile(Entry.Test);
+      EXPECT_TRUE(static_cast<bool>(Compiled)) << Entry.Test.Name;
+      if (Compiled)
+        simulateAll(*Compiled, allModels(), Opts);
+    }
+    return obs::metricsToJson();
+  };
+
+  JsonValue Pruned = SweepCatalogue(JudgeBackend::Pruned, false);
+  EXPECT_GT(counterIn(Pruned, "judge.reference_kills.SC"), 0u);
+  EXPECT_EQ(counterIn(Pruned, "judge.reference_kills.SC"),
+            counterIn(Pruned, "judge.kill.SC.propagation"));
+  EXPECT_GT(counterIn(Pruned, "judge.reference_kills.TSO"), 0u);
+  EXPECT_EQ(counterIn(Pruned, "judge.reference_kills.TSO"),
+            counterIn(Pruned, "judge.kill.TSO.propagation"));
+  EXPECT_EQ(counterIn(Pruned, "judge.reference_kills.Power"), 0u);
+
+  for (bool Witness : {false, true}) {
+    JsonValue Full = SweepCatalogue(
+        Witness ? JudgeBackend::Pruned : JudgeBackend::Naive, Witness);
+    const std::string What = Witness ? "witness mode" : "naive backend";
+    EXPECT_GT(counterIn(Full, "judge.kill.SC.propagation"), 0u) << What;
+    EXPECT_EQ(counterIn(Full, "judge.reference_kills.SC"), 0u) << What;
+    EXPECT_EQ(counterIn(Full, "judge.reference_kills.TSO"), 0u) << What;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Trace
 //===----------------------------------------------------------------------===//

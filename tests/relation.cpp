@@ -244,6 +244,63 @@ TEST(Relation, SuccessorsView) {
   EXPECT_TRUE(Succ.contains(4));
 }
 
+// isAcyclic peels sinks with one word per row up to 64 events and over
+// multi-word rows beyond; both paths must agree with the closure definition
+// of acyclicity, right at the word boundaries too.
+TEST(Relation, AcyclicMatchesClosureAcrossWordBoundaries) {
+  Rng R(20261017);
+  unsigned Acyclic[2] = {0, 0}, Cyclic[2] = {0, 0};
+  for (unsigned N = 1; N <= 130; ++N) {
+    const unsigned Wide = N > 64;
+    auto Check = [&](const Relation &Rel, const char *What) {
+      const bool Want = Rel.transitiveClosure().isIrreflexive();
+      EXPECT_EQ(Rel.isAcyclic(), Want) << What << " over " << N << " events";
+      ++(Want ? Acyclic : Cyclic)[Wide];
+    };
+    // Random relations around the density where both answers occur.
+    for (int Trial = 0; Trial < 4; ++Trial) {
+      Relation Rel(N);
+      const unsigned Pairs = static_cast<unsigned>(R.nextBelow(N + 1));
+      for (unsigned I = 0; I < Pairs; ++I)
+        Rel.set(static_cast<EventId>(R.nextBelow(N)),
+                static_cast<EventId>(R.nextBelow(N)));
+      Check(Rel, "random");
+    }
+    // A DAG over a shuffled order: a Hamiltonian path plus random forward
+    // edges. Closing the path, or any one back edge, makes a cycle.
+    std::vector<EventId> Order(N);
+    for (EventId I = 0; I < N; ++I)
+      Order[I] = I;
+    for (unsigned I = N; I > 1; --I)
+      std::swap(Order[I - 1], Order[R.nextBelow(I)]);
+    Relation Dag(N);
+    for (unsigned I = 0; I + 1 < N; ++I)
+      Dag.set(Order[I], Order[I + 1]);
+    for (unsigned E = 0; E < 2 * N; ++E) {
+      unsigned A = static_cast<unsigned>(R.nextBelow(N));
+      unsigned B = static_cast<unsigned>(R.nextBelow(N));
+      if (A != B)
+        Dag.set(Order[std::min(A, B)], Order[std::max(A, B)]);
+    }
+    Check(Dag, "dag");
+    Relation Closed = Dag;
+    Closed.set(Order[N - 1], Order[0]);
+    Check(Closed, "dag plus closing edge");
+    if (N >= 2) {
+      const unsigned A = static_cast<unsigned>(R.nextBelow(N - 1));
+      const unsigned B = A + 1 + static_cast<unsigned>(R.nextBelow(N - 1 - A));
+      Relation Back = Dag;
+      Back.set(Order[B], Order[A]);
+      Check(Back, "dag plus back edge");
+    }
+  }
+  // Both answers on both paths.
+  EXPECT_GT(Acyclic[0], 0u);
+  EXPECT_GT(Cyclic[0], 0u);
+  EXPECT_GT(Acyclic[1], 0u);
+  EXPECT_GT(Cyclic[1], 0u);
+}
+
 // Property-style sweep: on random relations, check algebraic identities that
 // the model code relies on.
 class RelationPropertyTest : public ::testing::TestWithParam<uint64_t> {};

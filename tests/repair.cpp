@@ -175,8 +175,9 @@ TEST(Mutation, DataMutantPreservesStoredValues) {
   // The witness outcome must still exist among consistent candidates.
   SimulationResult R = simulate(*Mutant, *modelByName("Power"));
   bool Witness = false;
-  for (const Outcome &Out : R.ConsistentOutcomes)
-    Witness |= Out.satisfies(Mutant->Final);
+  for (size_t I = 0; I < R.ConsistentOutcomes.size(); ++I)
+    Witness |= outcomeFromKey(R.ConsistentOutcomes.key(I))
+                   ->satisfies(Mutant->Final);
   EXPECT_TRUE(Witness);
 }
 
@@ -427,7 +428,7 @@ TEST(Repair, ScEquivalenceGoalOnMp) {
     std::vector<std::string> Keys[2];
     for (int M = 0; M < 2; ++M)
       for (uint32_t Idx : Multi.PerModel[M].AllowedOutcomes)
-        Keys[M].push_back(Multi.ConsistentOutcomes.at(Idx).key());
+        Keys[M].emplace_back(Multi.ConsistentOutcomes.key(Idx));
     EXPECT_EQ(Keys[0], Keys[1]) << Set.name();
   }
 }

@@ -32,7 +32,7 @@ LitmusTest parseOrDie(const std::string &Text) {
 std::set<std::string> allowedKeys(const SimulationResult &Sim) {
   std::set<std::string> Keys;
   for (uint32_t Idx : Sim.AllowedOutcomes)
-    Keys.insert(Sim.ConsistentOutcomes.at(Idx).key());
+    Keys.emplace(Sim.ConsistentOutcomes.key(Idx));
   return Keys;
 }
 

@@ -72,28 +72,38 @@ NaiveResult naiveSimulate(const CompiledTest &Compiled, const Model &M) {
   return Result;
 }
 
-/// The keys of an outcome set or table, in its order.
-template <typename Outcomes>
-std::vector<std::string> keysOf(const Outcomes &Os) {
+/// The keys of an outcome set, in its order.
+std::vector<std::string> keysOf(const std::set<Outcome> &Os) {
   std::vector<std::string> Keys;
   for (const Outcome &O : Os)
     Keys.push_back(O.key());
   return Keys;
 }
 
+/// The keys of an outcome table, in its order.
+std::vector<std::string> keysOf(const OutcomeTable &Table) {
+  std::vector<std::string> Keys;
+  for (size_t I = 0; I < Table.size(); ++I)
+    Keys.emplace_back(Table.key(I));
+  return Keys;
+}
+
 /// The keys of \p R's allowed states, resolved against \p Table.
 std::vector<std::string> allowedKeys(const SimulationResult &R,
-                                     const std::vector<Outcome> &Table) {
+                                     const OutcomeTable &Table) {
   std::vector<std::string> Keys;
-  for (uint32_t Idx : R.AllowedOutcomes)
-    Keys.push_back(Table.at(Idx).key());
+  for (uint32_t Idx : R.AllowedOutcomes) {
+    EXPECT_LT(Idx, Table.size()) << R.TestName << " " << R.ModelName;
+    if (Idx < Table.size())
+      Keys.emplace_back(Table.key(Idx));
+  }
   return Keys;
 }
 
 /// Compares the reference \p A with \p B, whose allowed indices point into
 /// \p Table.
 void expectSameResult(const NaiveResult &A, const SimulationResult &B,
-                      const std::vector<Outcome> &Table,
+                      const OutcomeTable &Table,
                       const std::string &Context) {
   EXPECT_EQ(A.TestName, B.TestName) << Context;
   EXPECT_EQ(A.ModelName, B.ModelName) << Context;
@@ -192,10 +202,10 @@ TEST(MultiModel, AllowedIndicesResolveIntoTable) {
     for (JudgeBackend Backend : {JudgeBackend::Naive, JudgeBackend::Pruned}) {
       MultiSimulationResult Multi =
           simulateAll(*Compiled, allModels(), Backend);
-      const std::vector<Outcome> &Table = Multi.ConsistentOutcomes;
+      const OutcomeTable &Table = Multi.ConsistentOutcomes;
       EXPECT_FALSE(Table.empty()) << Test.Name;
       for (size_t I = 1; I < Table.size(); ++I)
-        EXPECT_LT(Table[I - 1].key(), Table[I].key()) << Test.Name;
+        EXPECT_LT(Table.key(I - 1), Table.key(I)) << Test.Name;
       for (const SimulationResult &R : Multi.PerModel) {
         bool Satisfied = false;
         for (size_t J = 0; J < R.AllowedOutcomes.size(); ++J) {
@@ -205,7 +215,8 @@ TEST(MultiModel, AllowedIndicesResolveIntoTable) {
             EXPECT_LT(R.AllowedOutcomes[J - 1], Idx)
                 << Test.Name << " " << R.ModelName;
           }
-          Satisfied |= Table[Idx].satisfies(Test.Final);
+          Satisfied |=
+              outcomeFromKey(Table.key(Idx))->satisfies(Test.Final);
         }
         EXPECT_EQ(R.ConditionReachable, Satisfied)
             << Test.Name << " " << R.ModelName;
@@ -249,6 +260,42 @@ TEST(MultiModel, MoreThan64ModelEntries) {
       }
     }
   }
+}
+
+TEST(OutcomeTable, EmptyTable) {
+  OutcomeTable Table;
+  EXPECT_TRUE(Table.empty());
+  EXPECT_EQ(Table.size(), 0u);
+  EXPECT_TRUE(Table == OutcomeTable());
+}
+
+TEST(OutcomeTable, PushAndKeyRoundTrip) {
+  // The empty key is a legal row: the state of a test that observes no
+  // register and no location.
+  const std::vector<std::string> Keys = {"", "0:r1=1;x=1;", "", "y=-2;"};
+  OutcomeTable Table;
+  Table.reserve(Keys.size(), 16);
+  for (const std::string &Key : Keys)
+    Table.push(Key);
+  ASSERT_EQ(Table.size(), Keys.size());
+  EXPECT_FALSE(Table.empty());
+  for (size_t I = 0; I < Keys.size(); ++I)
+    EXPECT_EQ(Table.key(I), Keys[I]) << I;
+}
+
+TEST(OutcomeTable, EqualityComparesRowsNotBytes) {
+  auto Of = [](std::initializer_list<const char *> Keys) {
+    OutcomeTable Table;
+    for (const char *Key : Keys)
+      Table.push(Key);
+    return Table;
+  };
+  EXPECT_TRUE(Of({"x=1;", "x=2;"}) == Of({"x=1;", "x=2;"}));
+  EXPECT_TRUE(Of({"x=1;", "x=2;"}) != Of({"x=1;", "x=3;"}));
+  EXPECT_TRUE(Of({"x=1;", "x=2;"}) != Of({"x=1;"}));
+  // Same bytes, different rows.
+  EXPECT_TRUE(Of({"x=1;", "x=2;"}) != Of({"x=1;x", "=2;"}));
+  EXPECT_TRUE(Of({""}) != Of({}));
 }
 
 TEST(MultiModel, ForModelLookup) {

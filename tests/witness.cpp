@@ -262,9 +262,11 @@ TEST(Witness, CatalogueEvidenceRevalidates) {
         EXPECT_TRUE(W->Cycle.empty());
         // Genuinely unreachable: no consistent outcome satisfies the
         // final condition, under any model.
-        for (const Outcome &O : Result.ConsistentOutcomes)
-          EXPECT_FALSE(O.satisfies(Entry.Test.Final))
-              << Entry.Test.Name << ": outcome " << O.key()
+        for (size_t I = 0; I < Result.ConsistentOutcomes.size(); ++I)
+          EXPECT_FALSE(outcomeFromKey(Result.ConsistentOutcomes.key(I))
+                           ->satisfies(Entry.Test.Final))
+              << Entry.Test.Name << ": outcome "
+              << Result.ConsistentOutcomes.key(I)
               << " satisfies the condition, unreachable witness is wrong";
         break;
       }
@@ -300,9 +302,9 @@ TEST(Witness, CaptureDoesNotChangeVerdicts) {
           << Entry.Test.Name << " @ " << A.PerModel[I].ModelName;
       std::vector<std::string> KeysA, KeysB;
       for (uint32_t Idx : A.PerModel[I].AllowedOutcomes)
-        KeysA.push_back(A.ConsistentOutcomes.at(Idx).key());
+        KeysA.emplace_back(A.ConsistentOutcomes.key(Idx));
       for (uint32_t Idx : B.PerModel[I].AllowedOutcomes)
-        KeysB.push_back(B.ConsistentOutcomes.at(Idx).key());
+        KeysB.emplace_back(B.ConsistentOutcomes.key(Idx));
       EXPECT_EQ(KeysA, KeysB)
           << Entry.Test.Name << " @ " << A.PerModel[I].ModelName;
     }
