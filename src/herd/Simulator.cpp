@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <optional>
 
 using namespace cats;
 
@@ -177,37 +178,7 @@ void MultiModelChecker::feed(const Candidate &Cand) {
   JudgeBuf.resize(Models.size());
   for (size_t I = 0; I < Models.size(); ++I)
     JudgeBuf[I] = Models[I]->check(Cand.Exe);
-  if (WitnessMode && NoteSatisfies[Id])
-    for (size_t I = 0; I < Models.size(); ++I)
-      captureWitness(I, JudgeBuf[I], Cand.Exe, Cand.Out);
   accountVerdicts(JudgeBuf, Id);
-}
-
-void MultiModelChecker::enableWitnessCapture() {
-  if (WitnessMode)
-    return;
-  WitnessMode = true;
-  Slots.resize(Models.size());
-}
-
-void MultiModelChecker::captureWitness(size_t ModelIdx, const Verdict &V,
-                                       const Execution &Exe,
-                                       const Outcome &O) {
-  WitnessSlot &S = Slots[ModelIdx];
-  if (V.Allowed) {
-    if (S.HaveAllow)
-      return;
-    S.HaveAllow = true;
-    S.AllowExe = Exe;
-    S.AllowOut = O;
-    return;
-  }
-  if (S.HaveKill || V.Violated.empty())
-    return;
-  S.HaveKill = true;
-  S.KillExe = Exe;
-  S.KillOut = O;
-  S.KillAxiom = V.Violated.front();
 }
 
 void MultiModelChecker::recordPruneCut(const Execution &Partial,
@@ -248,16 +219,6 @@ MultiModelChecker::judgeImpl(const Execution &Exe, const bool *ScHint) {
   // on this path — the catalogue documents judge.kill as "at least".
   // Such answers are also counted on their own (judge.reference_kills),
   // so a reader can tell them from fully derived PROPAGATION kills.
-  // Witness capture needs the failing axiom of every model, so it runs
-  // the full check for each: a shortcut-skipped model has an empty
-  // Violated list and a reference-formulation answer only attributes
-  // PROPAGATION, neither of which can seed an axiom-cycle witness.
-  if (WitnessMode) {
-    for (size_t I = 0; I < Models.size(); ++I)
-      JudgeBuf[I] = Models[I]->check(Exe);
-    PendingJudged = &Exe;
-    return JudgeBuf;
-  }
   // Verdicts answered here are written in place, keeping the Violated
   // buffer of the previous leaf instead of reallocating it per kill.
   auto Answer = [&](size_t I, bool Allowed) {
@@ -359,18 +320,6 @@ void MultiModelChecker::accountImage(const std::vector<Verdict> &Verdicts,
   // The closed-form pass of the leaf's rf covers that rf's whole outcome
   // cross product, so the leaf's outcome already has its note.
   assert(NoteId < NoteEnds.size() && "leaf outcome was never accounted");
-  // The leaf's outcome belongs to the execution judge() just checked; a
-  // witness snapshot needs it as an Outcome, parsed from the note key.
-  if (WitnessMode && PendingJudged) {
-    const Execution &Judged = *PendingJudged;
-    PendingJudged = nullptr;
-    if (NoteSatisfies[NoteId]) {
-      Expected<Outcome> O = outcomeFromKey(noteKey(NoteId));
-      assert(O && "a note key is canonical by construction");
-      for (size_t I = 0; I < Models.size(); ++I)
-        captureWitness(I, Verdicts[I], Judged, *O);
-    }
-  }
   accountVerdicts(Verdicts, NoteId);
 }
 
@@ -417,25 +366,9 @@ MultiSimulationResult MultiModelChecker::take() {
     R.CandidatesConsistent = Result.CandidatesConsistent;
   }
 
-  // Assemble the captured witness slots now that every verdict is final.
-  // A slot can be empty when the backend never materialized evidence for
-  // the verdict (a pruned subtree); completeWitnesses fills those gaps on
-  // demand.
-  if (WitnessMode) {
-    for (size_t I = 0; I < Models.size(); ++I) {
-      const SimulationResult &R = Result.PerModel[I];
-      const WitnessSlot &S = Slots[I];
-      if (R.ConditionReachable && S.HaveAllow)
-        Result.Witnesses.push_back(obs::makeAllowedWitness(
-            Result.TestName, R.ModelName, S.AllowExe, S.AllowOut));
-      else if (!R.ConditionReachable && S.HaveKill)
-        Result.Witnesses.push_back(obs::makeKillWitness(
-            Result.TestName, *Models[I], S.KillAxiom, S.KillExe, S.KillOut));
-    }
-    if (HaveCut)
-      Result.Witnesses.push_back(obs::makePruneCutWitness(
-          Result.TestName, CutExe, std::move(CutCycle)));
-  }
+  if (HaveCut)
+    Result.Witnesses.push_back(obs::makePruneCutWitness(
+        Result.TestName, CutExe, std::move(CutCycle)));
 
   // Flush the local tallies into the metrics registry, once per test.
   // The fixed-name handles resolve once per process (registry addresses
@@ -489,22 +422,8 @@ cats::simulateAll(const CompiledTest &Compiled,
     Checker.setEnumerationStats(enumerateIncremental(Compiled, Checker));
   }
   MultiSimulationResult Result = Checker.take();
-  if (Opts.Witness) {
+  if (Opts.Witness)
     completeWitnesses(Compiled, Models, Result);
-    // Deterministic order regardless of which pass produced an entry:
-    // request order of the models, the prune-cut witness last.
-    auto Rank = [&](const obs::Witness &W) {
-      for (size_t I = 0; I < Models.size(); ++I)
-        if (W.Model == Models[I]->name())
-          return I;
-      return Models.size();
-    };
-    std::stable_sort(
-        Result.Witnesses.begin(), Result.Witnesses.end(),
-        [&](const obs::Witness &A, const obs::Witness &B) {
-          return Rank(A) < Rank(B);
-        });
-  }
   return Result;
 }
 
@@ -521,18 +440,7 @@ void cats::completeWitnesses(const CompiledTest &Compiled,
                              const std::vector<const Model *> &Models,
                              MultiSimulationResult &Result) {
   const Condition &Final = Compiled.test().Final;
-
-  // Which models still need evidence (the capture may have covered them).
-  std::vector<bool> Have(Models.size(), false);
-  for (const obs::Witness &W : Result.Witnesses)
-    for (size_t I = 0; I < Models.size(); ++I)
-      if (W.Model == Models[I]->name())
-        Have[I] = true;
-  size_t Missing = 0;
-  for (bool H : Have)
-    Missing += !H;
-  if (!Missing)
-    return;
+  std::vector<std::optional<obs::Witness>> Found(Models.size());
 
   // When no consistent outcome satisfies the condition the forbidden
   // verdicts are condition-level facts, not axiom kills: emit the marker
@@ -545,40 +453,48 @@ void cats::completeWitnesses(const CompiledTest &Compiled,
   }
   if (!Satisfiable) {
     for (size_t I = 0; I < Models.size(); ++I)
-      if (!Have[I])
-        Result.Witnesses.push_back(obs::makeUnreachableWitness(
-            Result.TestName, Models[I]->name()));
-    return;
+      Found[I] =
+          obs::makeUnreachableWitness(Result.TestName, Models[I]->name());
+  } else {
+    // Naive walk over the satisfying consistent candidates, stopping as
+    // soon as every model has its witness. An Allow verdict is final on
+    // the first allowed candidate; a Forbid verdict is killed on *every*
+    // satisfying candidate, so the first one seen serves.
+    size_t Missing = Models.size();
+    forEachCandidate(Compiled, [&](const Candidate &Cand) {
+      if (!Cand.Consistent || !Cand.Out.satisfies(Final))
+        return true;
+      Cand.Exe.enableDerivedCache();
+      for (size_t I = 0; I < Models.size(); ++I) {
+        if (Found[I])
+          continue;
+        const Verdict V = Models[I]->check(Cand.Exe);
+        if (Result.PerModel[I].ConditionReachable && V.Allowed)
+          Found[I] = obs::makeAllowedWitness(
+              Result.TestName, Models[I]->name(), Cand.Exe, Cand.Out);
+        else if (!Result.PerModel[I].ConditionReachable && !V.Allowed &&
+                 !V.Violated.empty())
+          Found[I] = obs::makeKillWitness(Result.TestName, *Models[I],
+                                          V.Violated.front(), Cand.Exe,
+                                          Cand.Out);
+        else
+          continue;
+        --Missing;
+      }
+      return Missing != 0;
+    });
   }
 
-  // Naive walk over the satisfying consistent candidates, stopping as
-  // soon as every missing model has its witness. An Allow verdict is
-  // final on the first allowed candidate; a Forbid verdict is killed on
-  // *every* satisfying candidate, so the first one seen serves.
-  forEachCandidate(Compiled, [&](const Candidate &Cand) {
-    if (!Cand.Consistent || !Cand.Out.satisfies(Final))
-      return true;
-    Cand.Exe.enableDerivedCache();
-    for (size_t I = 0; I < Models.size(); ++I) {
-      if (Have[I])
-        continue;
-      const Verdict V = Models[I]->check(Cand.Exe);
-      const bool Reachable = Result.PerModel[I].ConditionReachable;
-      if (Reachable && V.Allowed) {
-        Result.Witnesses.push_back(obs::makeAllowedWitness(
-            Result.TestName, Models[I]->name(), Cand.Exe, Cand.Out));
-      } else if (!Reachable && !V.Allowed && !V.Violated.empty()) {
-        Result.Witnesses.push_back(obs::makeKillWitness(
-            Result.TestName, *Models[I], V.Violated.front(), Cand.Exe,
-            Cand.Out));
-      } else {
-        continue;
-      }
-      Have[I] = true;
-      --Missing;
-    }
-    return Missing != 0;
-  });
+  // Request order of the models, then whatever the judge recorded (the
+  // prune-cut witness).
+  std::vector<obs::Witness> Ordered;
+  Ordered.reserve(Models.size() + Result.Witnesses.size());
+  for (std::optional<obs::Witness> &W : Found)
+    if (W)
+      Ordered.push_back(std::move(*W));
+  for (obs::Witness &W : Result.Witnesses)
+    Ordered.push_back(std::move(W));
+  Result.Witnesses = std::move(Ordered);
 }
 
 MultiSimulationResult

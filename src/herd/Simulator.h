@@ -123,7 +123,7 @@ struct MultiSimulationResult {
   /// One entry per requested model, in request order. The shared counts
   /// above are mirrored into each entry; the table is not.
   std::vector<SimulationResult> PerModel;
-  /// Verdict evidence, only populated when witness capture was enabled
+  /// Verdict evidence, only populated under SimulateOptions::Witness
   /// (docs/explain.md): per model one witness backing its verdict, plus
   /// at most one model-independent prune-cut witness from the incremental
   /// backend. Always empty otherwise, keeping reports byte-identical.
@@ -223,9 +223,10 @@ public:
   /// The checks exploit the registry's model-strength forest
   /// (strongerModel): models are visited stronger-first, and a model whose
   /// designated ancestor in the set already allowed \p Exe is marked
-  /// allowed without running its axioms. The shortcut runs whether metrics
-  /// are on or off (a skipped model is allowed, and the judge.kill.*
-  /// tallies only record violations); only witness capture bypasses it.
+  /// allowed without running its axioms. The shortcut runs whatever
+  /// instrumentation is on (a skipped model is allowed, and the
+  /// judge.kill.* tallies only record violations); witnesses are built
+  /// after judging (completeWitnesses), so they never change this path.
   /// The differential harness pins the shortcut to the naive backend's
   /// full per-model checks.
   const std::vector<Verdict> &judge(const Execution &Exe);
@@ -259,14 +260,12 @@ public:
     HaveStats = true;
   }
 
-  /// Switches on witness capture (docs/explain.md): the judge() path runs
-  /// the full four-axiom check per model (no implication shortcut, no
-  /// reference formulations — a witness needs the failing axiom, not just
-  /// the bit) and the checker snapshots, per model, the first satisfying
-  /// execution it sees allowed and the first it sees killed; take() then
-  /// assembles them into Result.Witnesses. Call before the first
-  /// candidate; off by default, with zero cost when off.
-  void enableWitnessCapture();
+  /// Arms the prune-cut witness (docs/explain.md): the incremental
+  /// backend then records its first subtree cut, and take() emits it into
+  /// Result.Witnesses. Judging and accounting are unchanged; the
+  /// per-model witnesses come from completeWitnesses after take(). Call
+  /// before the first candidate; off by default.
+  void enableWitnessCapture() { WitnessMode = true; }
 
   /// True when enableWitnessCapture() was called.
   bool witnessCapture() const { return WitnessMode; }
@@ -342,38 +341,21 @@ private:
   void accountVerdicts(const std::vector<Verdict> &Verdicts, uint32_t Id);
   EnumerationStats Stats;
   bool HaveStats = false;
-  /// Witness capture (enableWitnessCapture). Slots hold, per model, the
-  /// first satisfying execution seen allowed and the first seen killed;
-  /// the cut slot holds the first enumerator prune cut. take() turns the
-  /// slots into Result.Witnesses.
+  /// Prune-cut witness (enableWitnessCapture): the first enumerator cut,
+  /// turned into a Result.Witnesses entry by take().
   bool WitnessMode = false;
-  struct WitnessSlot {
-    bool HaveAllow = false;
-    bool HaveKill = false;
-    Execution AllowExe, KillExe;
-    Outcome AllowOut, KillOut;
-    Axiom KillAxiom = Axiom::ScPerLocation;
-  };
-  std::vector<WitnessSlot> Slots;
-  /// The execution judgeImpl last checked; accountImage consumes it for
-  /// the witness snapshot of the leaf's outcome (parsed from its note
-  /// key). Null between leaves.
-  const Execution *PendingJudged = nullptr;
   bool HaveCut = false;
   Execution CutExe;
   std::vector<LabeledEdge> CutCycle;
-  /// feed()/accountImage capture body.
-  void captureWitness(size_t ModelIdx, const Verdict &V, const Execution &Exe,
-                      const Outcome &O);
 };
 
 /// Knobs of one simulateAll run beyond the model set.
 struct SimulateOptions {
   JudgeBackend Backend = JudgeBackend::Pruned;
-  /// Capture verdict witnesses (MultiSimulationResult::Witnesses). The
-  /// capture piggybacks on the main pass; verdicts the pass never
-  /// materialized evidence for (pruned subtrees) are completed afterwards
-  /// by a targeted naive walk.
+  /// Build verdict witnesses (MultiSimulationResult::Witnesses). The
+  /// judging pass is the same either way; completeWitnesses derives one
+  /// witness per model afterwards, and the pruned backend adds its first
+  /// subtree cut.
   bool Witness = false;
 };
 
@@ -383,14 +365,14 @@ MultiSimulationResult simulateAll(const CompiledTest &Compiled,
                                   const std::vector<const Model *> &Models,
                                   const SimulateOptions &Opts);
 
-/// Fills the witnesses missing from \p Result.Witnesses so every model in
-/// \p Models has one backing its verdict: Allow verdicts get an allowed
-/// execution realizing the final condition, Forbid verdicts the first
-/// failing axiom's cycle on a satisfying candidate (or an
+/// Gives every model in \p Models one witness backing its verdict in
+/// \p Result, from the verdicts alone: Allow verdicts get the first
+/// allowed execution realizing the final condition, Forbid verdicts the
+/// first failing axiom's cycle on the first satisfying candidate (or an
 /// unreachable-outcome marker when no consistent candidate satisfies the
 /// condition). Walks candidates naively with per-model early stop; cheap
-/// on litmus-sized tests. Existing witnesses (matched by model name) are
-/// kept untouched.
+/// on litmus-sized tests. The model witnesses go in request order ahead
+/// of those already in \p Result.Witnesses (the prune cut).
 void completeWitnesses(const CompiledTest &Compiled,
                        const std::vector<const Model *> &Models,
                        MultiSimulationResult &Result);

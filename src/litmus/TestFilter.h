@@ -52,12 +52,12 @@ struct CampaignTests {
   std::vector<std::string> Errors;
 };
 
-/// The shared input pipeline of cats_sweep and cats_repair: expand
-/// \p Paths into .litmus files (sorted per directory) and parse them,
-/// append the built-in figure catalogue when \p UseCatalogue and then any
-/// \p Extra tests (e.g. a diy battery), and keep the names matching
-/// \p Filter. A bad path or a malformed regex fails the whole call;
-/// per-file parse failures only land in CampaignTests::Errors.
+/// The materialized input of cats_repair, cats_run and cats_explain: a
+/// drain of streamCampaignTests (\p Paths expanded to sorted .litmus
+/// files, then the built-in figure catalogue when \p UseCatalogue), then
+/// the \p Extra tests (e.g. a diy battery), all kept by \p Filter. A bad
+/// path or a malformed regex fails the whole call; per-file parse
+/// failures only land in CampaignTests::Errors.
 Expected<CampaignTests> loadCampaignTests(
     const std::vector<std::string> &Paths, bool UseCatalogue,
     const std::string &Filter, std::vector<LitmusTest> Extra = {});
@@ -68,11 +68,12 @@ Expected<CampaignTests> loadCampaignTests(
 /// in batches so a corpus of thousands never materializes at once.
 using TestSource = std::function<bool(LitmusTest &Out)>;
 
-/// The streaming twin of loadCampaignTests: the same inputs (paths
-/// expanded to sorted .litmus files, then the catalogue), but each file
-/// is parsed lazily at pull time. Parse failures are skipped and, when
-/// \p Errors is non-null, appended there as they are encountered. Fails
-/// up front on a bad path or malformed \p Filter regex.
+/// The shared input pipeline of the campaign CLIs: \p Paths expanded to
+/// .litmus files (sorted per directory), then the catalogue, keeping the
+/// names matching \p Filter; each file is parsed lazily at pull time.
+/// Parse failures are skipped and, when \p Errors is non-null, appended
+/// there as they are encountered. Fails up front on a bad path or
+/// malformed \p Filter regex.
 Expected<TestSource> streamCampaignTests(
     const std::vector<std::string> &Paths, bool UseCatalogue,
     const std::string &Filter, std::vector<std::string> *Errors = nullptr);

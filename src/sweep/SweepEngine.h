@@ -107,6 +107,9 @@ struct StreamHooks {
   unsigned long long SkipTests = 0;
 };
 
+/// Tests per runStreamed batch, unless the caller picks another size.
+inline constexpr unsigned StreamBatchSize = 64;
+
 /// Runs litmus sweeps over a worker pool.
 class SweepEngine {
 public:
@@ -129,7 +132,7 @@ public:
   /// test, a per-batch checkpoint callback, and a resume skip count.
   SweepReport runStreamed(const TestSource &Source,
                           const std::vector<const Model *> &Models,
-                          unsigned BatchSize = 64,
+                          unsigned BatchSize = StreamBatchSize,
                           const StreamHooks &Hooks = {}) const;
 
 private:

@@ -69,6 +69,17 @@ unsigned long long counterIn(const JsonValue &Metrics,
                             : 0;
 }
 
+/// The judge.* counters of \p Metrics, by name.
+std::map<std::string, unsigned long long>
+judgeCounters(const JsonValue &Metrics) {
+  std::map<std::string, unsigned long long> Out;
+  if (const JsonValue *Counters = Metrics.get("counters"))
+    for (const auto &[Name, V] : Counters->members())
+      if (Name.rfind("judge.", 0) == 0)
+        Out[Name] = static_cast<unsigned long long>(V.asNumber());
+  return Out;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -162,8 +173,9 @@ TEST(Metrics, SweepCountsCandidatesAndPerAxiomKills) {
 // re-deriving other axioms; judge.reference_kills counts those answers on
 // their own. On the pruned path every SC kill of a judged candidate comes
 // from the reference check (pruned mass books SC PER LOCATION), so the two
-// counters agree; the naive path and witness capture run full checks and
-// never take the reference path.
+// counters agree; the naive path runs full checks and never takes the
+// reference path. Witnesses are built after judging, so a witness-mode
+// sweep books every judge.* counter exactly as the plain one does.
 TEST(Metrics, ReferenceKillsCountLemmaAnswersOnly) {
   ObsSandbox Sandbox;
   obs::setMetricsEnabled(true);
@@ -190,14 +202,16 @@ TEST(Metrics, ReferenceKillsCountLemmaAnswersOnly) {
             counterIn(Pruned, "judge.kill.TSO.propagation"));
   EXPECT_EQ(counterIn(Pruned, "judge.reference_kills.Power"), 0u);
 
-  for (bool Witness : {false, true}) {
-    JsonValue Full = SweepCatalogue(
-        Witness ? JudgeBackend::Pruned : JudgeBackend::Naive, Witness);
-    const std::string What = Witness ? "witness mode" : "naive backend";
-    EXPECT_GT(counterIn(Full, "judge.kill.SC.propagation"), 0u) << What;
-    EXPECT_EQ(counterIn(Full, "judge.reference_kills.SC"), 0u) << What;
-    EXPECT_EQ(counterIn(Full, "judge.reference_kills.TSO"), 0u) << What;
-  }
+  JsonValue Naive = SweepCatalogue(JudgeBackend::Naive, false);
+  EXPECT_GT(counterIn(Naive, "judge.kill.SC.propagation"), 0u);
+  EXPECT_EQ(counterIn(Naive, "judge.reference_kills.SC"), 0u);
+  EXPECT_EQ(counterIn(Naive, "judge.reference_kills.TSO"), 0u);
+
+  const auto Plain = judgeCounters(Pruned);
+  const auto Witnessed =
+      judgeCounters(SweepCatalogue(JudgeBackend::Pruned, true));
+  EXPECT_GT(Plain.size(), 40u);
+  EXPECT_EQ(Witnessed, Plain);
 }
 
 //===----------------------------------------------------------------------===//

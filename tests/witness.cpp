@@ -24,9 +24,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -452,4 +454,77 @@ TEST(Witness, ReportByteIdenticalWhenOff) {
     if (Key != "witness")
       Stripped.set(Key, Value);
   EXPECT_EQ(Stripped.dump(), JOff1.dump());
+}
+
+//===----------------------------------------------------------------------===//
+// Byte identity with a committed rendering
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The cats-witness/1 document cats_explain --json writes for the
+/// catalogue tests matching \p Filter under \p ModelNames.
+std::string explainDocument(const std::string &Filter,
+                            const std::vector<std::string> &ModelNames,
+                            JudgeBackend Backend) {
+  std::vector<const Model *> Models;
+  for (const std::string &Name : ModelNames)
+    Models.push_back(modelByName(Name));
+  SimulateOptions Opts;
+  Opts.Backend = Backend;
+  Opts.Witness = true;
+  const std::regex Re(Filter);
+  std::vector<obs::Witness> All;
+  for (const CatalogEntry &Entry : figureCatalog()) {
+    if (!std::regex_search(Entry.Test.Name, Re))
+      continue;
+    auto Compiled = CompiledTest::compile(Entry.Test);
+    EXPECT_TRUE(Compiled) << Entry.Test.Name;
+    if (!Compiled)
+      continue;
+    for (obs::Witness &W : simulateAll(*Compiled, Models, Opts).Witnesses)
+      All.push_back(std::move(W));
+  }
+  return obs::witnessSectionToJson(All).dump() + "\n";
+}
+
+} // namespace
+
+// tests/fixtures/witness-catalogue-slice.json is the section
+//   cats_explain --catalogue --models SC,TSO,Power,ARM --json FILE
+//     --test '^(mp|sb|iriw|coWR|mp\+lwsync\+addr-po-detour)$'
+// wrote when witnesses were captured inside the judging pass; never
+// regenerate it from the current build. It holds every kind the catalogue
+// yields: allowed-execution, axiom-cycle and prune-cut. The pruned backend
+// must render it byte for byte, and the naive backend, which records no
+// prune cut, all but the prune cuts.
+TEST(Witness, SectionMatchesTheCommittedFixture) {
+  std::ifstream In(std::string(CATS_FIXTURE_DIR) +
+                       "/witness-catalogue-slice.json",
+                   std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  const std::string Fixture = Buf.str();
+  ASSERT_FALSE(Fixture.empty());
+
+  const std::string Filter =
+      "^(mp|sb|iriw|coWR|mp\\+lwsync\\+addr-po-detour)$";
+  const std::vector<std::string> Models = {"SC", "TSO", "Power", "ARM"};
+  EXPECT_EQ(explainDocument(Filter, Models, JudgeBackend::Pruned), Fixture);
+
+  auto Parsed = JsonValue::parse(Fixture);
+  ASSERT_TRUE(Parsed) << Parsed.message();
+  auto Pinned = obs::witnessSectionFromJson(*Parsed);
+  ASSERT_TRUE(Pinned) << Pinned.message();
+  std::vector<obs::Witness> NoCuts;
+  std::set<obs::WitnessKind> Kinds;
+  for (const obs::Witness &W : *Pinned) {
+    Kinds.insert(W.Kind);
+    if (W.Kind != obs::WitnessKind::PruneCut)
+      NoCuts.push_back(W);
+  }
+  EXPECT_EQ(Kinds.size(), 3u);
+  EXPECT_LT(NoCuts.size(), Pinned->size());
+  EXPECT_EQ(explainDocument(Filter, Models, JudgeBackend::Naive),
+            obs::witnessSectionToJson(NoCuts).dump() + "\n");
 }

@@ -41,8 +41,7 @@ struct CampaignFlags {
   std::string CheckpointPath;
   bool Resume = false;
 
-  /// True when any campaign behaviour is requested (the tools use this
-  /// to pick the streamed code path).
+  /// True when any campaign behaviour is requested.
   bool active() const {
     return Shard.active() || !CacheDir.empty() || !CheckpointPath.empty();
   }
@@ -122,20 +121,19 @@ inline Status validateCampaignFlags(const CampaignFlags &Flags) {
   return Status::success();
 }
 
-/// Runs \p Source through the engine with the campaign behaviours
-/// attached: the source is shard-filtered, cache hooks wrap every test,
-/// and each completed batch is appended to the checkpoint. With --resume
-/// the checkpoint's completed prefix is skipped at the source and spliced
-/// back into the returned report, so the result equals an uninterrupted
-/// run. \p Spec is the campaign-identity string (every flag that shapes
-/// the stream) the checkpoint is keyed on. An enabled \p Progress
-/// reporter is fed from the same per-batch hook (cumulative over a
-/// resumed prefix) and finished before returning.
+/// Runs \p Source through the engine in batches of StreamBatchSize with
+/// the campaign behaviours attached: the source is shard-filtered, cache
+/// hooks wrap every test, and each completed batch is appended to the
+/// checkpoint. With --resume the checkpoint's completed prefix is skipped
+/// at the source and spliced back into the returned report, so the result
+/// equals an uninterrupted run. \p Spec is the campaign-identity string
+/// (every flag that shapes the stream) the checkpoint is keyed on. An
+/// enabled \p Progress reporter is fed from the same per-batch hook
+/// (cumulative over a resumed prefix) and finished before returning.
 inline Expected<SweepReport>
 runCampaignSweep(const char *Tool, const SweepEngine &Engine,
                  TestSource Source, const std::vector<const Model *> &Models,
-                 unsigned Batch, const CampaignFlags &Flags,
-                 const std::string &Spec,
+                 const CampaignFlags &Flags, const std::string &Spec,
                  obs::ProgressReporter *Progress = nullptr) {
   using Ret = Expected<SweepReport>;
 
@@ -199,7 +197,8 @@ runCampaignSweep(const char *Tool, const SweepEngine &Engine,
     };
   }
 
-  SweepReport Report = Engine.runStreamed(Source, Models, Batch, Hooks);
+  SweepReport Report =
+      Engine.runStreamed(Source, Models, StreamBatchSize, Hooks);
   if (Progress)
     Progress->finish();
 

@@ -50,7 +50,6 @@ int usage(const char *Argv0) {
       {"--sweep", "sweep the synthesized corpus (implies synthesis)"},
       {"--models A,B,C", "models for --sweep (default: all)"},
       {"--jobs N", "sweep worker threads (default: hardware)"},
-      {"--batch N", "streaming batch size (default: 64)"},
       {"--json FILE", "write the cats-diy-report/1 JSON report"},
       {"--sweep-json FILE", "also write the sweep leg as a\n"
                             "cats-sweep-report/1 (mergeable by cats_merge)"},
@@ -88,7 +87,7 @@ int main(int argc, char **argv) {
   std::string ArchName = "power", Filter, ExportDir, JsonPath, SweepJsonPath;
   std::vector<std::string> ModelNames;
   bool Synthesize = false, Sweep = false, Quiet = false;
-  unsigned Jobs = 0, Batch = 64;
+  unsigned Jobs = 0;
   cli::CampaignFlags Campaign;
   cli::ObsFlags Obs;
 
@@ -144,9 +143,6 @@ int main(int argc, char **argv) {
         return 2;
     } else if (Args.is("--jobs")) {
       if (!Args.unsignedValue(Jobs))
-        return 2;
-    } else if (Args.is("--batch")) {
-      if (!Args.unsignedValue(Batch))
         return 2;
     } else if (Args.is("--json")) {
       const char *V = Args.value();
@@ -231,14 +227,14 @@ int main(int argc, char **argv) {
   // The enumeration is done, so the total is known either way.
   obs::ProgressReporter Progress("cats_diy", Records.size(), Obs.Progress);
 
-  // Phase 2: explicit synthesis / export. Skipped when sweeping — the
-  // sweep source below synthesizes (and exports) on demand, so each
-  // cycle is synthesized exactly once either way.
-  if ((Synthesize || !ExportDir.empty()) && !Sweep) {
-    for (size_t I = 0; I < Records.size(); ++I) {
-      CycleRecord &R = Records[I];
+  // Phase 2: one source synthesizes (and exports) the enumerated records
+  // on demand, so each cycle is synthesized exactly once: --sweep feeds
+  // it to the engine, --synthesize or --export alone drain it.
+  size_t Cursor = 0;
+  TestSource Source = [&](LitmusTest &Out) -> bool {
+    while (Cursor < Records.size()) {
+      CycleRecord &R = Records[Cursor++];
       auto Test = synthesizeTest(R.Cycle.Cycle, Opts.Target);
-      Progress.update(I + 1);
       if (!Test) {
         R.Error = Test.message();
         ++SynthesisErrors;
@@ -247,11 +243,21 @@ int main(int argc, char **argv) {
       R.Synthesized = true;
       if (!ExportDir.empty())
         ExportTest(*Test);
+      Out = Test.take();
+      return true;
+    }
+    return false;
+  };
+  if (NeedTests && !Sweep) {
+    LitmusTest Test;
+    bool More = true;
+    while (More) {
+      More = Source(Test);
+      Progress.update(Cursor);
     }
   }
 
-  // Phase 3: batched sweep over a source that synthesizes the already
-  // enumerated records on demand (no second enumeration pass).
+  // Phase 3: the batched sweep.
   std::vector<const Model *> Models;
   SweepReport Report;
   bool SweepFailed = false;
@@ -262,24 +268,6 @@ int main(int argc, char **argv) {
       return 2;
     }
     Models = Resolved.take();
-    size_t Cursor = 0;
-    TestSource Source = [&](LitmusTest &Out) -> bool {
-      while (Cursor < Records.size()) {
-        CycleRecord &R = Records[Cursor++];
-        auto Test = synthesizeTest(R.Cycle.Cycle, Opts.Target);
-        if (!Test) {
-          R.Error = Test.message();
-          ++SynthesisErrors;
-          continue;
-        }
-        R.Synthesized = true;
-        if (!ExportDir.empty())
-          ExportTest(*Test);
-        Out = Test.take();
-        return true;
-      }
-      return false;
-    };
     SweepEngine Engine(SweepOptions{Jobs});
     const std::string Spec =
         "tool=cats_diy;arch=" + archName(Opts.Target) +
@@ -291,7 +279,7 @@ int main(int argc, char **argv) {
         ";models=" + joinStrings(cli::modelNamesOf(Models), ",") +
         ";shard=" + Campaign.Shard.toString();
     auto Swept = cli::runCampaignSweep("cats_diy", Engine, Source, Models,
-                                       Batch, Campaign, Spec, &Progress);
+                                       Campaign, Spec, &Progress);
     if (!Swept) {
       std::fprintf(stderr, "cats_diy: %s\n", Swept.message().c_str());
       return 2;

@@ -7,8 +7,9 @@
 /// \file
 /// The witness CLI over the provenance layer (docs/explain.md): judge
 /// litmus tests — from files, directories, the built-in figure catalogue,
-/// or the diy cycle enumeration — under a model set with witness capture
-/// on, and render the evidence behind each verdict. For a forbidden
+/// or the diy cycle enumeration — under a model set with witnesses on,
+/// over the sweep engine's worker pool, and render the evidence behind
+/// each verdict in input order. For a forbidden
 /// (test, model) pair that is the first failing axiom with its minimal
 /// violating cycle, every edge labeled by the relation it came from; for
 /// an allowed pair, one consistent execution realizing the final
@@ -25,11 +26,10 @@
 #include "CliCommon.h"
 #include "cat/CatAdapter.h"
 #include "diy/Enumerate.h"
-#include "herd/Simulator.h"
-#include "litmus/Compiler.h"
 #include "litmus/TestFilter.h"
 #include "model/Registry.h"
 #include "obs/Witness.h"
+#include "sweep/SweepEngine.h"
 
 #include <cstdio>
 #include <filesystem>
@@ -61,7 +61,7 @@ int usage(const char *Argv0) {
       {"--quiet", "suppress the human-readable explanations"}};
   return cli::printUsage(
       Argv0, "[options] [<file.litmus>|<dir>]...",
-      "Judges every (test, model) pair with witness capture on and\n"
+      "Judges every (test, model) pair with witnesses on and\n"
       "renders the evidence behind each verdict: the first failing axiom\n"
       "and its minimal violating cycle for forbidden pairs, a concrete\n"
       "consistent execution for allowed ones (docs/explain.md).\n"
@@ -256,29 +256,22 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Judge each test with capture on and collect every witness.
-  SimulateOptions Opts;
+  // Judge every test with witnesses on, then render the results in
+  // order.
+  SweepOptions Opts;
   Opts.Backend = Backend;
   Opts.Witness = true;
+  SweepReport Report = SweepEngine(Opts).run(makeJobs(Tests, Models));
   std::vector<obs::Witness> All;
   bool JudgeFailed = false;
-  for (const LitmusTest &Test : Tests) {
-    std::string Invalid = Test.validate();
-    if (!Invalid.empty()) {
-      std::fprintf(stderr, "cats_explain: %s: %s\n", Test.Name.c_str(),
-                   Invalid.c_str());
+  for (SweepTestResult &T : Report.Tests) {
+    if (!T.Error.empty()) {
+      std::fprintf(stderr, "cats_explain: %s: %s\n", T.TestName.c_str(),
+                   T.Error.c_str());
       JudgeFailed = true;
       continue;
     }
-    auto Compiled = CompiledTest::compile(Test);
-    if (!Compiled) {
-      std::fprintf(stderr, "cats_explain: %s: %s\n", Test.Name.c_str(),
-                   Compiled.message().c_str());
-      JudgeFailed = true;
-      continue;
-    }
-    MultiSimulationResult Result = simulateAll(*Compiled, Models, Opts);
-    for (obs::Witness &W : Result.Witnesses) {
+    for (obs::Witness &W : T.Result.Witnesses) {
       if (!Quiet)
         printWitness(W);
       if (!DotDir.empty()) {

@@ -43,7 +43,6 @@ int usage(const char *Argv0) {
   std::vector<cli::FlagDoc> Flags = {
       {"--models A,B,C", "comma-separated model names (default: all)"},
       {"--jobs N", "sweep worker threads (default: hardware)"},
-      {"--batch N", "streaming batch size (default: 64)"},
       {"--filter REGEX", "keep tests whose name matches"},
       {"--catalogue", "add the built-in figure catalogue"},
       {"--diy ARCH", "add a diy-enumerated slice for ARCH"},
@@ -86,7 +85,7 @@ int usage(const char *Argv0) {
 } // namespace
 
 int main(int argc, char **argv) {
-  unsigned Jobs = 0, Batch = 64;
+  unsigned Jobs = 0;
   bool UseCatalogue = false, Quiet = false, RunNative = false;
   std::string Filter, JsonPath, DiyArch, RunModelName;
   EnumerateOptions DiyOpts;
@@ -114,9 +113,6 @@ int main(int argc, char **argv) {
         return 2;
     } else if (Args.is("--jobs")) {
       if (!Args.unsignedValue(Jobs))
-        return 2;
-    } else if (Args.is("--batch")) {
-      if (!Args.unsignedValue(Batch))
         return 2;
     } else if (Args.is("--filter")) {
       const char *V = Args.value();
@@ -262,7 +258,8 @@ int main(int argc, char **argv) {
                         Report.CacheHits + SoFar.CacheHits,
                         Report.CacheMisses + SoFar.CacheMisses);
       };
-    SweepReport Part = Engine.runStreamed(Teed, Models, Batch, Hooks);
+    SweepReport Part =
+        Engine.runStreamed(Teed, Models, StreamBatchSize, Hooks);
     for (SweepTestResult &T : Part.Tests)
       Report.Tests.push_back(std::move(T));
     Report.Jobs = std::max(Report.Jobs, Part.Jobs);

@@ -9,10 +9,10 @@
 /// directories and/or the built-in figure catalogue, run every test against
 /// a model set with one shared candidate enumeration per test, distributed
 /// over a worker pool, and report as a summary table, classic herd text,
-/// and/or a machine-readable JSON report (docs/sweep.md). The campaign
-/// flags (--shard, --cache, --checkpoint/--resume; docs/campaigns.md)
-/// switch to the streamed engine so corpora far beyond memory can run in
-/// cooperating resumable shards.
+/// and/or a machine-readable JSON report (docs/sweep.md). Every run
+/// streams the corpus through the engine in batches; the campaign flags
+/// (--shard, --cache, --checkpoint/--resume; docs/campaigns.md) let
+/// corpora far beyond memory run in cooperating resumable shards.
 ///
 ///   cats_sweep                          # built-in catalogue, all models
 ///   cats_sweep --jobs 4 litmus/         # a directory of .litmus files
@@ -45,7 +45,6 @@ int usage(const char *Argv0) {
                          "Power-ARM, ARM llh"},
       {"--filter REGEX", "keep only tests whose name matches"},
       {"--catalogue", "add the built-in figure catalogue to the inputs"},
-      {"--batch N", "streaming batch size for campaign runs (default: 64)"},
       {"--backend B", "judging backend: pruned (default) or naive, the\n"
                       "reference search; both give identical results\n"
                       "(docs/enumeration.md)"},
@@ -67,15 +66,16 @@ int usage(const char *Argv0) {
       "Inputs: .litmus files, directories (scanned for *.litmus), and/or\n"
       "the built-in figure catalogue. With no input, the catalogue runs.\n"
       "\n"
-      "The campaign flags (--shard/--cache/--checkpoint/--resume) stream\n"
-      "the corpus in batches; see docs/campaigns.md for the workflow.",
+      "Tests stream through the engine in batches; the campaign flags\n"
+      "(--shard/--cache/--checkpoint/--resume) add sharding, a result\n"
+      "cache and resumable progress: see docs/campaigns.md.",
       Flags);
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  unsigned Jobs = 0, Batch = 64;
+  unsigned Jobs = 0;
   JudgeBackend Backend = JudgeBackend::Pruned;
   bool UseCatalogue = false, Herd = false, Quiet = false, Witness = false;
   std::string JsonPath, Filter;
@@ -108,9 +108,6 @@ int main(int argc, char **argv) {
       Filter = V;
     } else if (Args.is("--catalogue") || Args.is("--catalog")) {
       UseCatalogue = true;
-    } else if (Args.is("--batch")) {
-      if (!Args.unsignedValue(Batch))
-        return 2;
     } else if (Args.is("--backend")) {
       const char *V = Args.value();
       if (!V)
@@ -145,10 +142,19 @@ int main(int argc, char **argv) {
     return 2;
   }
   if (Campaign.active() && Herd) {
-    // The herd blocks need each test's final condition, which the
-    // streamed path deliberately does not materialize.
+    // The herd blocks pair each judged test with its pulled final
+    // condition; a shard or a resume skips pulls, and a cache hit comes
+    // back without its test.
     std::fprintf(stderr, "cats_sweep: --herd does not combine with the "
                          "campaign flags\n");
+    return 2;
+  }
+  if (Witness && (!Campaign.CacheDir.empty() ||
+                  !Campaign.CheckpointPath.empty())) {
+    // Cache entries and checkpoints store verdicts, not witnesses: a hit
+    // or a resumed prefix would come back without its evidence.
+    std::fprintf(stderr, "cats_sweep: --witness does not combine with "
+                         "--cache or --checkpoint\n");
     return 2;
   }
 
@@ -171,58 +177,47 @@ int main(int argc, char **argv) {
   EngineOpts.Backend = Backend;
   EngineOpts.Witness = Witness;
   SweepEngine Engine(EngineOpts);
-  SweepReport Report;
-  std::vector<LitmusTest> Tests; // materialized path only, for --herd
-  bool LoadFailed = false;
 
-  // --progress reports per streamed batch, so on its own (no campaign
-  // flags) it routes through the streamed engine too — identical report,
-  // live pulse. --herd keeps the materialized path.
-  if (Campaign.active() || (Obs.Progress && !Herd)) {
-    // Streamed campaign: tests parse lazily at pull time, flow through
-    // the shard filter and the result cache, and checkpoint per batch.
-    std::vector<std::string> LoadErrors;
-    auto Source = streamCampaignTests(Paths, UseCatalogue, Filter,
-                                      &LoadErrors);
-    if (!Source) {
-      std::fprintf(stderr, "cats_sweep: %s\n", Source.message().c_str());
-      return 2;
-    }
-    const std::string Spec =
-        "tool=cats_sweep;paths=" + joinStrings(Paths, ",") +
-        ";catalogue=" + (UseCatalogue ? "1" : "0") + ";filter=" + Filter +
-        ";models=" + joinStrings(cli::modelNamesOf(Models), ",") +
-        ";shard=" + Campaign.Shard.toString();
-    auto Swept = cli::runCampaignSweep("cats_sweep", Engine, Source.take(),
-                                       Models, Batch, Campaign, Spec,
-                                       &Progress);
-    for (const std::string &Problem : LoadErrors)
-      std::fprintf(stderr, "cats_sweep: %s\n", Problem.c_str());
-    LoadFailed = !LoadErrors.empty();
-    if (!Swept) {
-      std::fprintf(stderr, "cats_sweep: %s\n", Swept.message().c_str());
-      return 2;
-    }
-    Report = Swept.take();
-  } else {
-    // Gather the tests: files first (sorted per directory), catalogue
-    // after.
-    auto Loaded = loadCampaignTests(Paths, UseCatalogue, Filter);
-    if (!Loaded) {
-      std::fprintf(stderr, "cats_sweep: %s\n", Loaded.message().c_str());
-      return 2;
-    }
-    for (const std::string &Problem : Loaded->Errors)
-      std::fprintf(stderr, "cats_sweep: %s\n", Problem.c_str());
-    LoadFailed = !Loaded->Errors.empty();
-    Tests = std::move(Loaded->Tests);
-    if (Tests.empty()) {
-      std::fprintf(stderr, "cats_sweep: no tests to run\n");
-      return 2;
-    }
-    Report = Engine.run(makeJobs(Tests, Models));
+  // Tests parse lazily at pull time and flow through the shard filter,
+  // the result cache and the checkpoint.
+  std::vector<std::string> LoadErrors;
+  auto Source = streamCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
+  if (!Source) {
+    std::fprintf(stderr, "cats_sweep: %s\n", Source.message().c_str());
+    return 2;
   }
-  Progress.finish();
+  TestSource Pull = Source.take();
+  // --herd keeps each pulled test's final condition for its footer. It
+  // runs without the campaign flags, so every pull is judged, in order.
+  std::vector<Condition> Finals;
+  if (Herd)
+    Pull = [Inner = std::move(Pull), &Finals](LitmusTest &Out) {
+      if (!Inner(Out))
+        return false;
+      Finals.push_back(Out.Final);
+      return true;
+    };
+  // The campaign-identity string is a temporary: with thousands of paths
+  // it is as large as the path list, and need not outlive the sweep.
+  auto Swept = cli::runCampaignSweep(
+      "cats_sweep", Engine, std::move(Pull), Models, Campaign,
+      "tool=cats_sweep;paths=" + joinStrings(Paths, ",") +
+          ";catalogue=" + (UseCatalogue ? "1" : "0") + ";filter=" + Filter +
+          ";models=" + joinStrings(cli::modelNamesOf(Models), ",") +
+          ";shard=" + Campaign.Shard.toString(),
+      &Progress);
+  for (const std::string &Problem : LoadErrors)
+    std::fprintf(stderr, "cats_sweep: %s\n", Problem.c_str());
+  if (!Swept) {
+    std::fprintf(stderr, "cats_sweep: %s\n", Swept.message().c_str());
+    return 2;
+  }
+  SweepReport Report = Swept.take();
+  // An empty shard is legitimate; an empty campaign is a mistake.
+  if (Report.Tests.empty() && !Campaign.Shard.active()) {
+    std::fprintf(stderr, "cats_sweep: no tests to run\n");
+    return 2;
+  }
 
   // Summary table: one row per test, one verdict column per model.
   if (!Quiet) {
@@ -259,7 +254,7 @@ int main(int argc, char **argv) {
       for (const SimulationResult &R : T.Result.PerModel)
         std::printf("\n%s",
                     herdStyleReport(R, T.Result.ConsistentOutcomes,
-                                    Tests[I].Final)
+                                    Finals[I])
                         .c_str());
     }
   }
@@ -280,5 +275,5 @@ int main(int argc, char **argv) {
   }
 
   const int ObsFailed = cli::finishObs("cats_sweep", Obs, Quiet);
-  return (LoadFailed || !Report.allOk() || ObsFailed) ? 1 : 0;
+  return (!LoadErrors.empty() || !Report.allOk() || ObsFailed) ? 1 : 0;
 }
