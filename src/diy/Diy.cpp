@@ -169,9 +169,9 @@ struct CanonicalChoice {
   std::string Family;
 };
 
-/// The classic families' signatures, computed once: canonicalChoice sits
-/// on the enumeration hot path (every closed DFS candidate), so it must
-/// not rebuild the family cycles per call.
+/// The classic families' signatures, computed once: canonicalChoice runs
+/// once per enumerated cycle, so it must not rebuild the family cycles per
+/// call.
 const std::vector<std::pair<std::string, std::vector<std::string>>> &
 familySignatures() {
   static const auto Sigs = [] {
@@ -429,15 +429,15 @@ Expected<LitmusTest> cats::synthesizeTest(const DiyCycle &Cycle,
     // Internal communication edges keep both the thread and the location.
   }
   unsigned NumThreads = NumExternal;
-  unsigned NumLocs = NumInternal;
-  (void)NumLocs;
 
-  // Location names x, y, z, w, a, b...
-  auto LocName = [](int L) {
-    static const char *Names[] = {"x", "y", "z", "w", "a", "b", "c", "d"};
-    assert(L >= 0 && L < 8 && "too many locations");
-    return std::string(Names[L]);
-  };
+  // Location names x, y, z, w, a, b...: one location per po edge.
+  static const char *const LocNames[] = {"x", "y", "z", "w",
+                                         "a", "b", "c", "d"};
+  if (NumInternal > std::size(LocNames))
+    return Fail::error(strFormat(
+        "diy: the cycle needs %u locations, more than the %zu supported",
+        NumInternal, std::size(LocNames)));
+  auto LocName = [](int L) { return std::string(LocNames[L]); };
 
   // Coherence values: per location, writes in cycle order; Wse edges give
   // src-co-before-dst, which cycle order already respects because a Wse
@@ -608,7 +608,7 @@ Expected<LitmusTest> cats::synthesizeTest(const DiyCycle &Cycle,
 
   // Canonical name: cycleName rotates to the classic-family alignment (or
   // the least boundary rotation), so every rotation of the same cycle gets
-  // the same name and enumeration dedup agrees with test naming.
+  // the same name, the one enumeration emits it under.
   Test.Name = NameOverride.empty() ? cycleName(Cycle, Target) : NameOverride;
 
   std::string Problem = Test.validate();

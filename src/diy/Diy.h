@@ -106,8 +106,8 @@ Expected<LitmusTest> synthesizeTest(const DiyCycle &Cycle, Arch Target,
 /// Tab. III convention (writer side first for mp); rotation-symmetric
 /// cycles and systematic shapes pick the lexicographically-least rotation
 /// that starts on a thread boundary. canonicalCycle(rotate(C)) ==
-/// canonicalCycle(C) for every rotation, which is what enumeration dedup
-/// keys on.
+/// canonicalCycle(C) for every rotation; enumeration emits cycles in this
+/// rotation.
 DiyCycle canonicalCycle(const DiyCycle &Cycle);
 
 /// The name of a cycle (Tab. III style): the classic family name where one

@@ -82,9 +82,9 @@ bool isCritical(const DiyCycle &Cycle, unsigned NumPo, bool InternalCom) {
   // Layout, mirroring synthesizeTest: walk from a thread boundary (the
   // edge after the first external edge), po advances the location (mod
   // the po-edge count), external edges advance the thread. Starting at a
-  // boundary matters: the DFS hands us an arbitrary rotation, and a
-  // thread split across the wrap would otherwise be counted as two
-  // fragments, each under the cap.
+  // boundary keeps the check rotation-invariant: the least rotation the
+  // search closes may split a thread across the wrap into two fragments,
+  // each under the cap.
   size_t Start = 0;
   for (size_t I = 0; I < Cycle.size(); ++I)
     if (isExternalEdge(Cycle[I].Kind)) {
@@ -120,7 +120,17 @@ bool isCritical(const DiyCycle &Cycle, unsigned NumPo, bool InternalCom) {
   return true;
 }
 
-/// The recursive depth-first search over the edge vocabulary.
+/// Whether \p B may follow \p A in a cycle: the directions chain, and no
+/// two po edges are adjacent.
+bool chains(const DiyEdge &A, const DiyEdge &B) {
+  return A.Dst == B.Src && !(A.Kind == EdgeKind::Po && B.Kind == EdgeKind::Po);
+}
+
+/// The depth-first search over the edge vocabulary. It meets each cycle
+/// once, at its least rotation by vocabulary index, with the
+/// Fredricksen-Kessler-Maiorana pre-necklace test: a prefix of period P
+/// grows only by an edge whose index is at least the one P places back,
+/// and closes only at a length that P divides.
 class CycleSearch {
 public:
   CycleSearch(const EnumerateOptions &Opts,
@@ -128,44 +138,25 @@ public:
       : Opts(Opts), Fn(Fn), Vocab(edgeVocabulary(Opts)) {}
 
   uint64_t run() {
-    DiyCycle Prefix;
-    extend(Prefix);
+    extend(1, 0, 0);
     obs::tick("diy.closures_tried", ClosuresTried);
     return Emitted;
   }
 
 private:
-  /// Closure checks on a complete candidate; emits when canonical-new.
-  void tryClose(const DiyCycle &Cycle) {
+  /// Criticality checks on the closed prefix; emits it when it passes.
+  void tryClose(unsigned NumExternal, unsigned NumPo) {
     ++ClosuresTried; // plain local; flushed to the registry by run()
-    const DiyEdge &Last = Cycle.back();
-    const DiyEdge &First = Cycle.front();
-    if (Last.Dst != First.Src)
-      return;
-    if (Last.Kind == EdgeKind::Po && First.Kind == EdgeKind::Po)
-      return;
-    unsigned NumExternal = 0, NumPo = 0;
-    for (const DiyEdge &E : Cycle) {
-      if (isExternalEdge(E.Kind))
-        ++NumExternal;
-      else if (E.Kind == EdgeKind::Po)
-        ++NumPo;
-    }
     // A critical cycle has at least two threads and spans at least two
     // locations.
     if (NumExternal < 2 || NumPo < 2)
       return;
-    if (!isCritical(Cycle, NumPo, Opts.InternalCom))
+    if (!isCritical(Prefix, NumPo, Opts.InternalCom))
       return;
 
     EnumeratedCycle Out;
-    Out.Cycle = Cycle;
+    Out.Cycle = Prefix;
     Out.Name = canonicalizeCycle(Out.Cycle, Opts.Target);
-    std::string Key;
-    for (const DiyEdge &E : Out.Cycle)
-      Key += E.toString() + "|";
-    if (!SeenCycles.insert(Key).second)
-      return;
     // Names are injective (internal communications spell fri/rfi/wsi into
     // the per-thread suffix chains), so this guard never fires in
     // practice; it stands as the backstop for the no-duplicate-names
@@ -177,23 +168,28 @@ private:
       Stopped = true;
   }
 
-  void extend(DiyCycle &Prefix) {
+  /// Extends the prefix, of period \p Period, by one edge.
+  void extend(size_t Period, unsigned NumExternal, unsigned NumPo) {
     if (Stopped)
       return;
-    if (Prefix.size() >= Opts.MaxEdges)
+    const size_t T = Prefix.size() + 1; // 1-based position of the new edge
+    if (T > Opts.MaxEdges)
       return;
-    for (const DiyEdge &Next : Vocab) {
-      if (!Prefix.empty()) {
-        const DiyEdge &Prev = Prefix.back();
-        if (Prev.Dst != Next.Src)
-          continue;
-        if (Prev.Kind == EdgeKind::Po && Next.Kind == EdgeKind::Po)
-          continue;
-      }
+    const size_t Least = T > Period ? Idx[T - Period - 1] : 0;
+    for (size_t I = Least; I < Vocab.size(); ++I) {
+      const DiyEdge &Next = Vocab[I];
+      if (!Prefix.empty() && !chains(Prefix.back(), Next))
+        continue;
+      const size_t NewPeriod = I > Least ? T : Period;
+      const unsigned External = NumExternal + isExternalEdge(Next.Kind);
+      const unsigned Po = NumPo + (Next.Kind == EdgeKind::Po);
       Prefix.push_back(Next);
-      if (Prefix.size() >= Opts.MinEdges && Prefix.size() >= 3)
-        tryClose(Prefix);
-      extend(Prefix);
+      Idx.push_back(I);
+      if (T >= Opts.MinEdges && T >= 3 && T % NewPeriod == 0 &&
+          chains(Next, Prefix.front()))
+        tryClose(External, Po);
+      extend(NewPeriod, External, Po);
+      Idx.pop_back();
       Prefix.pop_back();
       if (Stopped)
         return;
@@ -203,7 +199,8 @@ private:
   const EnumerateOptions &Opts;
   const std::function<bool(const EnumeratedCycle &)> &Fn;
   std::vector<DiyEdge> Vocab;
-  std::set<std::string> SeenCycles;
+  DiyCycle Prefix;
+  std::vector<size_t> Idx; // vocabulary index of each prefix edge
   std::set<std::string> SeenNames;
   uint64_t Emitted = 0;
   uint64_t ClosuresTried = 0;
@@ -278,7 +275,7 @@ cats::makeDiyTestSource(const EnumerateOptions &Opts,
         while (*Index < Cycles->size()) {
           const EnumeratedCycle &Next = (*Cycles)[(*Index)++];
           obs::tick("diy.tests_synthesized");
-          auto Test = synthesizeTest(Next.Cycle, Target);
+          auto Test = synthesizeTest(Next.Cycle, Target, Next.Name);
           if (!Test) {
             if (SynthesisErrors)
               SynthesisErrors->push_back(Next.Name + ": " + Test.message());

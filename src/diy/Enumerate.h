@@ -13,13 +13,13 @@
 /// the communication edges (Rfe/Fre/Wse, optionally the internal
 /// rfi/fri/wsi detours of Figs. 32/33).
 ///
-/// Cycles are canonicalized modulo rotation via diy::canonicalCycle /
-/// diy::cycleName, so each shape is emitted exactly once, under the same
-/// name its synthesized test will carry. Enumeration is streaming: the
-/// callback sees one canonical cycle at a time, tests are synthesized on
-/// demand (makeDiyTestSource), and the sweep engine consumes the corpus
-/// in batches (SweepEngine::runStreamed) — thousands of scenarios without
-/// thousands of LitmusTests in memory.
+/// The search meets each cycle exactly once, at its least rotation by
+/// vocabulary index, and emits it in its canonical rotation
+/// (diy::canonicalizeCycle) under the name its synthesized test carries.
+/// Enumeration is streaming: the callback sees one canonical cycle at a
+/// time, tests are synthesized on demand (makeDiyTestSource), and the
+/// sweep engine consumes the corpus in batches (SweepEngine::runStreamed)
+/// — thousands of scenarios without thousands of LitmusTests in memory.
 ///
 /// Well-formedness mirrors synthesizeTest plus the paper's criticality
 /// conditions (Sec. 8.1): directions chain around the cycle, at least two

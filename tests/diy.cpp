@@ -160,6 +160,20 @@ TEST(Diy, RejectsMalformedCycles) {
       familyCycle("mp"),
       {{PoMech::Fence, "dmb"}, {PoMech::None, ""}});
   EXPECT_FALSE(static_cast<bool>(synthesizeTest(BadFence, Arch::Power)));
+  // One location per po edge, and eight location names: sb widened to
+  // eight threads synthesizes, to nine is refused with a diagnostic.
+  DiyCycle Wide;
+  for (int Thread = 0; Thread < 8; ++Thread) {
+    Wide.push_back(DiyEdge::po(Dir::W, Dir::R));
+    Wide.push_back(DiyEdge::fre());
+  }
+  EXPECT_TRUE(static_cast<bool>(synthesizeTest(Wide, Arch::SC)));
+  Wide.push_back(DiyEdge::po(Dir::W, Dir::R));
+  Wide.push_back(DiyEdge::fre());
+  auto TooWide = synthesizeTest(Wide, Arch::SC);
+  ASSERT_FALSE(static_cast<bool>(TooWide));
+  EXPECT_NE(TooWide.message().find("9 locations"), std::string::npos)
+      << TooWide.message();
 }
 
 TEST(Diy, ValidatesFenceVocabularyUpFront) {

@@ -8,10 +8,12 @@
 #include "herd/Simulator.h"
 #include "litmus/Catalog.h"
 #include "model/Registry.h"
+#include "obs/Metrics.h"
 #include "sweep/SweepEngine.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 using namespace cats;
@@ -113,6 +115,81 @@ TEST(Enumerate, PowerSizeSixMeetsTheAcceptanceBar) {
   });
   EXPECT_GE(Count, 500u);
   EXPECT_EQ(Names.size(), Count);
+}
+
+TEST(Enumerate, CountsAndOrderArePinned) {
+  // Count and emission order of five corpora, as one 64-bit FNV-1a over
+  // each emitted name followed by '\n'. The values were measured with a
+  // search that closed every rotation of every cycle and deduplicated
+  // them, an oracle independent of the pre-necklace pruning.
+  struct Pinned {
+    Arch Target;
+    unsigned MaxEdges;
+    bool InternalCom;
+    uint64_t Count;
+    uint64_t Fnv1a;
+  };
+  const Pinned Cases[] = {
+      {Arch::Power, 6, false, 2254, 0xa3df69171a6ff5acull},
+      {Arch::Power, 7, false, 8994, 0xaee896b5225694b5ull},
+      {Arch::Power, 6, true, 10417, 0x508ee81a741e5150ull},
+      {Arch::ARM, 7, false, 4942, 0xa373adf48e2d530bull},
+      {Arch::TSO, 7, true, 3538, 0x3507e835891032b7ull},
+  };
+  for (const Pinned &P : Cases) {
+    SCOPED_TRACE(archName(P.Target) + " size " + std::to_string(P.MaxEdges) +
+                 (P.InternalCom ? " --internal" : ""));
+    EnumerateOptions Opts;
+    Opts.Target = P.Target;
+    Opts.MaxEdges = P.MaxEdges;
+    Opts.InternalCom = P.InternalCom;
+    uint64_t Hash = 14695981039346656037ull;
+    std::set<std::string> Names;
+    const uint64_t Count =
+        enumerateCycles(Opts, [&](const EnumeratedCycle &C) {
+          EXPECT_TRUE(Names.insert(C.Name).second) << "duplicate " << C.Name;
+          for (char Ch : C.Name + '\n') {
+            Hash ^= static_cast<unsigned char>(Ch);
+            Hash *= 1099511628211ull;
+          }
+          return true;
+        });
+    EXPECT_EQ(Count, P.Count);
+    EXPECT_EQ(Hash, P.Fnv1a);
+  }
+}
+
+TEST(Enumerate, EmittedNameIsTheCycleName) {
+  // The tools synthesize each cycle under its enumerated name instead of
+  // naming it again, which is sound only if the two always agree.
+  EnumerateOptions Opts;
+  Opts.Target = Arch::ARM;
+  Opts.MaxEdges = 6;
+  Opts.InternalCom = true;
+  const uint64_t Count = enumerateCycles(Opts, [](const EnumeratedCycle &C) {
+    EXPECT_EQ(cycleName(C.Cycle, Arch::ARM), C.Name);
+    return true;
+  });
+  EXPECT_GT(Count, 0u);
+}
+
+TEST(Enumerate, ClosesFewCandidatesPerEmittedCycle) {
+  // Closing only least rotations keeps the funnel near one closure per
+  // emitted cycle (1.38 here); closing every rotation would try 37. The
+  // lower bound keeps the check from passing on a counter that stayed 0.
+  obs::resetMetrics();
+  obs::setMetricsEnabled(true);
+  EnumerateOptions Opts;
+  Opts.Target = Arch::Power;
+  Opts.MaxEdges = 7;
+  const uint64_t Emitted =
+      enumerateCycles(Opts, [](const EnumeratedCycle &) { return true; });
+  const uint64_t Tried = obs::counter("diy.closures_tried").value();
+  obs::setMetricsEnabled(false);
+  obs::resetMetrics();
+  EXPECT_EQ(Emitted, 8994u);
+  EXPECT_GE(Tried, Emitted);
+  EXPECT_LE(Tried, 3 * Emitted);
 }
 
 TEST(Enumerate, DeterministicAcrossRuns) {

@@ -234,7 +234,7 @@ int main(int argc, char **argv) {
   TestSource Source = [&](LitmusTest &Out) -> bool {
     while (Cursor < Records.size()) {
       CycleRecord &R = Records[Cursor++];
-      auto Test = synthesizeTest(R.Cycle.Cycle, Opts.Target);
+      auto Test = synthesizeTest(R.Cycle.Cycle, Opts.Target, R.Cycle.Name);
       if (!Test) {
         R.Error = Test.message();
         ++SynthesisErrors;
