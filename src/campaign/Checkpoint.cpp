@@ -116,16 +116,17 @@ cats::CheckpointWriter::append(const std::string &Path) {
   return CheckpointWriter(File, Path);
 }
 
-Status CheckpointWriter::appendBatch(const std::vector<SweepTestResult> &Batch,
-                                     unsigned long long Consumed,
-                                     unsigned long long Hits,
-                                     unsigned long long Misses) {
+Status CheckpointWriter::appendBatch(
+    std::vector<SweepTestResult>::const_iterator First,
+    std::vector<SweepTestResult>::const_iterator Last,
+    unsigned long long Consumed, unsigned long long Hits,
+    unsigned long long Misses) {
   if (!File)
     return Status::error("checkpoint writer is closed");
   std::string Chunk;
-  for (const SweepTestResult &T : Batch) {
+  for (; First != Last; ++First) {
     JsonValue Line = JsonValue::object();
-    Line.set("entry", sweepTestResultToJson(T));
+    Line.set("entry", sweepTestResultToJson(*First));
     Chunk += Line.dump(0) + "\n";
   }
   JsonValue Progress = JsonValue::object();

@@ -13,10 +13,12 @@
 ///   {"progress":{"consumed":N,"hits":H,"misses":M}}       one per batch
 ///
 /// The engine's OnBatch hook appends each batch's entries followed by one
-/// progress line and flushes, so a kill at any moment loses at most the
-/// in-flight batch: loading trims to the last progress line (entries past
-/// it were appended by an interrupted batch write and are re-judged on
-/// resume). Appending keeps the per-batch cost O(batch), not O(campaign)
+/// progress line and flushes. The engine fires it at the in-order
+/// frontier, so every entry written is final and the file is a prefix of
+/// the source: a kill at any moment loses at most the unreported tail,
+/// and loading trims to the last progress line (entries past it were
+/// appended by an interrupted batch write and are re-judged on resume).
+/// Appending keeps the per-batch cost O(batch), not O(campaign)
 /// — rewriting a whole-report snapshot every batch would be quadratic
 /// over a million-test campaign.
 ///
@@ -73,9 +75,11 @@ public:
   /// loadCheckpoint-validated it first.
   static Expected<CheckpointWriter> append(const std::string &Path);
 
-  /// Appends \p Batch (the report entries the last batch added) and a
-  /// progress line with the cumulative totals, then flushes.
-  Status appendBatch(const std::vector<SweepTestResult> &Batch,
+  /// Appends the report entries [\p First, \p Last) (those the last
+  /// batch added) and a progress line with the cumulative totals, then
+  /// flushes.
+  Status appendBatch(std::vector<SweepTestResult>::const_iterator First,
+                     std::vector<SweepTestResult>::const_iterator Last,
                      unsigned long long Consumed, unsigned long long Hits,
                      unsigned long long Misses);
 

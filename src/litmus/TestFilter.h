@@ -52,7 +52,7 @@ struct CampaignTests {
   std::vector<std::string> Errors;
 };
 
-/// The materialized input of cats_repair, cats_run and cats_explain: a
+/// The materialized input of cats_repair and cats_run: a
 /// drain of streamCampaignTests (\p Paths expanded to sorted .litmus
 /// files, then the built-in figure catalogue when \p UseCatalogue), then
 /// the \p Extra tests (e.g. a diy battery), all kept by \p Filter. A bad

@@ -9,7 +9,9 @@
 /// completion percentage, ETA (when the total is known) and the cache hit
 /// rate (when a result cache is attached). Tools hook update() into
 /// SweepEngine::runStreamed's StreamHooks::OnBatch (or their own per-test
-/// loops), so week-long sharded campaigns finally show their pulse.
+/// loops), so week-long sharded campaigns finally show their pulse. The
+/// engine calls OnBatch on the sweeping thread, so the reporter holds no
+/// lock.
 ///
 /// Everything goes to stderr — stdout stays reserved for --json reports
 /// and the summary tables — and a disabled reporter (the default, or under

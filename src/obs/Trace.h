@@ -11,7 +11,7 @@
 /// Perfetto or chrome://tracing (docs/observability.md shows the schema
 /// and a loading walkthrough).
 ///
-/// Spans cover coarse phases — sweep batches and jobs, compile/judge
+/// Spans cover coarse phases — sweep pulls and jobs, compile/judge
 /// splits, repair lattice rounds, run-harness phases, diy enumeration —
 /// never per-candidate work, so the cost of an enabled trace is a handful
 /// of events per test. When tracing is disabled (the default) constructing

@@ -10,8 +10,10 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
 #include <thread>
 
 using namespace cats;
@@ -24,7 +26,7 @@ bool SweepReport::allOk() const {
 }
 
 SweepEngine::SweepEngine(SweepOptions Opts)
-    : Workers(Opts.Jobs), Backend(Opts.Backend), Witness(Opts.Witness) {
+    : Workers(Opts.Jobs), Judge{Opts.Backend, Opts.Witness} {
   unsigned Hw = std::thread::hardware_concurrency();
   if (Hw == 0)
     Hw = 1;
@@ -36,10 +38,16 @@ SweepEngine::SweepEngine(SweepOptions Opts)
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+double secondsSince(Clock::time_point Start) {
+  return std::chrono::duration<double>(Clock::now() - Start).count();
+}
+
 SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts) {
   SweepTestResult Out;
   Out.TestName = Job.Test.Name;
-  const auto Start = std::chrono::steady_clock::now();
+  const auto Start = Clock::now();
   obs::Span JobSpan(obs::traceEnabled() ? "judge " + Job.Test.Name
                                         : std::string());
 
@@ -61,62 +69,182 @@ SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts) {
   if (!Out.Error.empty())
     obs::tick("sweep.errors");
 
-  Out.WallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
+  Out.WallSeconds = secondsSince(Start);
   obs::recordSeconds("sweep.job_wall_us", Out.WallSeconds);
   return Out;
 }
 
+/// One test of the sweep window. Deque elements keep their address while
+/// the window grows and shrinks at its ends, so a worker judges into its
+/// slot without the lock; only Done is shared.
+struct Slot {
+  SweepJob Job;
+  SweepTestResult Result;
+  bool Hit = false;
+  bool Done = false;
+};
+
 } // namespace
+
+SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
+                               unsigned BatchSize,
+                               const StreamHooks &Hooks) const {
+  if (BatchSize == 0)
+    BatchSize = 1;
+  SweepReport Report;
+  Report.CacheUsed = static_cast<bool>(Hooks.CacheLookup);
+  const auto Start = Clock::now();
+  double PullSeconds = 0;
+
+  std::deque<Slot> Window;
+  // Shared with the pool, under Lock: the misses no worker has claimed
+  // yet, every queued slot's Done flag, the slot the calling thread
+  // sleeps on, and the stop request.
+  std::mutex Lock;
+  std::condition_variable Queued, Finished;
+  std::deque<Slot *> Pending;
+  const Slot *Awaited = nullptr;
+  bool Stop = false;
+  auto Work = [&] {
+    std::unique_lock<std::mutex> L(Lock);
+    while (true) {
+      Queued.wait(L, [&] { return Stop || !Pending.empty(); });
+      if (Stop)
+        return;
+      Slot *S = Pending.front();
+      Pending.pop_front();
+      L.unlock();
+      S->Result = runOneJob(S->Job, Judge);
+      L.lock();
+      S->Done = true;
+      if (S == Awaited)
+        Finished.notify_one();
+    }
+  };
+  // The pool starts whole at the first miss. It is stopped and joined on
+  // every way out of the loop, a hook's exception included.
+  std::vector<std::thread> Pool;
+  auto StopPool = [&] {
+    {
+      std::lock_guard<std::mutex> L(Lock);
+      Stop = true;
+    }
+    Queued.notify_all();
+    for (std::thread &T : Pool)
+      T.join();
+  };
+
+  const size_t WindowSize = static_cast<size_t>(Workers) * BatchSize;
+  bool Drained = false;
+  try {
+    while (true) {
+      {
+        // Fill the window: hits resolve at once, misses queue for the
+        // pool. At one worker no thread starts: the window is judged
+        // below, after its pulls.
+        obs::Span PullSpan("pull");
+        const auto PullStart = Clock::now();
+        while (!Drained && Window.size() < WindowSize) {
+          Slot &S = Window.emplace_back();
+          if (!Pull(S.Job)) {
+            Window.pop_back();
+            Drained = true;
+          } else if (Hooks.CacheLookup &&
+                     Hooks.CacheLookup(S.Job.Test, S.Result)) {
+            S.Hit = S.Done = true;
+          } else if (Workers > 1) {
+            while (Pool.size() < Workers)
+              Pool.emplace_back(Work);
+            std::lock_guard<std::mutex> L(Lock);
+            Pending.push_back(&S);
+            Queued.notify_one();
+          }
+        }
+        PullSeconds += secondsSince(PullStart);
+      }
+      if (Window.empty())
+        break;
+      if (Workers == 1)
+        for (Slot &S : Window)
+          if (!S.Done) {
+            S.Result = runOneJob(S.Job, Judge);
+            S.Done = true;
+          }
+
+      // Wait for the oldest batch, sleeping on its last slot and then on
+      // each straggler before it (about one wake-up per batch), and
+      // report the done prefix in pull order.
+      const size_t Want = std::min<size_t>(BatchSize, Window.size());
+      size_t Ready = 0;
+      {
+        std::unique_lock<std::mutex> L(Lock);
+        Finished.wait(L, [&] {
+          while (Ready < Window.size() && Window[Ready].Done)
+            ++Ready;
+          if (Ready >= Want)
+            Awaited = nullptr;
+          else
+            Awaited = &Window[Window[Want - 1].Done ? Ready : Want - 1];
+          return !Awaited;
+        });
+      }
+      for (; Ready; --Ready) {
+        Slot &S = Window.front();
+        if (S.Hit) {
+          ++Report.CacheHits;
+        } else {
+          if (Report.CacheUsed)
+            ++Report.CacheMisses;
+          if (Hooks.CacheStore)
+            Hooks.CacheStore(S.Job.Test, S.Result);
+        }
+        Report.Tests.push_back(std::move(S.Result));
+        Window.pop_front();
+        if (Hooks.OnBatch && Report.Tests.size() % BatchSize == 0)
+          Hooks.OnBatch(Report);
+      }
+    }
+    if (Hooks.OnBatch && Report.Tests.size() % BatchSize != 0)
+      Hooks.OnBatch(Report);
+  } catch (...) {
+    StopPool();
+    throw;
+  }
+  StopPool();
+
+  const size_t Judged = Report.Tests.size() - Report.CacheHits;
+  if (!Pool.empty())
+    Report.Jobs = static_cast<unsigned>(std::min(Pool.size(), Judged));
+  Report.WallSeconds = secondsSince(Start);
+  if (obs::metricsEnabled()) {
+    // Zero counters are left out of the snapshot, so a sweep without a
+    // cache reports neither cache counter.
+    obs::counter("sweep.tests_consumed").add(Report.Tests.size());
+    obs::counter("sweep.cache_hits").add(Report.CacheHits);
+    obs::counter("sweep.cache_misses").add(Report.CacheMisses);
+    obs::counter("sweep.generation_wall_us")
+        .add(static_cast<unsigned long long>(PullSeconds * 1e6));
+    obs::counter("sweep.judge_wall_us")
+        .add(static_cast<unsigned long long>(
+            (Report.WallSeconds - PullSeconds) * 1e6));
+  }
+  return Report;
+}
 
 SweepReport SweepEngine::run(const std::vector<SweepJob> &Jobs) const {
   obs::Span RunSpan(obs::traceEnabled() ? "sweep run (" +
                                               std::to_string(Jobs.size()) +
                                               " jobs)"
                                         : std::string());
-  SweepReport Report;
-  Report.Tests.resize(Jobs.size());
-  const unsigned Used =
-      Jobs.empty()
-          ? 1u
-          : std::min<unsigned>(Workers, static_cast<unsigned>(Jobs.size()));
-  Report.Jobs = Used;
-
-  SimulateOptions SimOpts;
-  SimOpts.Backend = Backend;
-  SimOpts.Witness = Witness;
-
-  const auto Start = std::chrono::steady_clock::now();
-
-  // Work-stealing over a shared index: each worker claims the next
-  // unclaimed job and writes into its pre-sized slot, so the result order
-  // is the submission order regardless of scheduling.
-  std::atomic<size_t> Next{0};
-  auto Work = [&]() {
-    while (true) {
-      const size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Jobs.size())
-        return;
-      Report.Tests[I] = runOneJob(Jobs[I], SimOpts);
-    }
-  };
-
-  if (Used <= 1) {
-    Work();
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Used);
-    for (unsigned W = 0; W < Used; ++W)
-      Pool.emplace_back(Work);
-    for (std::thread &T : Pool)
-      T.join();
-  }
-
-  Report.WallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
-  return Report;
+  size_t Next = 0;
+  return sweep(
+      [&](SweepJob &Out) {
+        if (Next == Jobs.size())
+          return false;
+        Out = Jobs[Next++];
+        return true;
+      },
+      StreamBatchSize, {});
 }
 
 SweepReport
@@ -124,107 +252,20 @@ SweepEngine::runStreamed(const TestSource &Source,
                          const std::vector<const Model *> &Models,
                          unsigned BatchSize,
                          const StreamHooks &Hooks) const {
-  if (BatchSize == 0)
-    BatchSize = 1;
-  SweepReport Report;
-  // Jobs reports the workers actually used: the widest batch decides
-  // (a drained source may never fill a batch up to the worker count).
-  Report.Jobs = 1;
-  Report.CacheUsed = static_cast<bool>(Hooks.CacheLookup);
-
-  const auto Start = std::chrono::steady_clock::now();
-
-  // Resume: burn the prefix a checkpoint already covers. The source must
-  // still produce (and a diy source still synthesizes) each skipped test,
-  // but none is judged — and judging dominates generation ~9:1.
-  bool More = true;
-  unsigned long long Consumed = 0;
-  {
-    LitmusTest Skipped;
-    for (unsigned long long I = 0; More && I < Hooks.SkipTests; ++I)
-      More = Source(Skipped);
-  }
-
-  // Generation-vs-judging wall split (the ~9:1 ratio from BENCH_diy),
-  // accumulated per batch: source pulls (including diy synthesis and
-  // cache lookups) vs the run() pass over the misses.
-  const bool Metrics = obs::metricsEnabled();
-  double SourceSeconds = 0, JudgeSeconds = 0;
-
-  while (More) {
-    obs::Span BatchSpan("sweep batch");
-    // One batch = BatchSize source pulls. Cache hits resolve into their
-    // slot immediately; misses become jobs judged in one run() pass and
-    // scattered back, so the report keeps exact source order either way.
-    std::vector<SweepTestResult> Slots;
-    std::vector<SweepJob> Batch;
-    std::vector<size_t> SlotOfJob;
-    Slots.reserve(BatchSize);
-    LitmusTest Test;
-    const auto FillStart = std::chrono::steady_clock::now();
-    {
-      obs::Span FillSpan("pull batch");
-      while (Slots.size() < BatchSize && (More = Source(Test))) {
-        ++Consumed;
-        SweepTestResult Hit;
-        if (Hooks.CacheLookup && Hooks.CacheLookup(Test, Hit)) {
-          ++Report.CacheHits;
-          Slots.push_back(std::move(Hit));
-          continue;
-        }
-        if (Report.CacheUsed)
-          ++Report.CacheMisses;
-        SlotOfJob.push_back(Slots.size());
-        Slots.emplace_back();
-        Batch.push_back(SweepJob{std::move(Test), Models});
-      }
-    }
-    const auto FillEnd = std::chrono::steady_clock::now();
-    if (Metrics) {
-      SourceSeconds +=
-          std::chrono::duration<double>(FillEnd - FillStart).count();
-      obs::histogram("sweep.batch_size").record(Slots.size());
-    }
-    if (Slots.empty())
-      break;
-    if (!Batch.empty()) {
-      SweepReport Part = run(Batch);
-      Report.Jobs = std::max(Report.Jobs, Part.Jobs);
-      for (size_t J = 0; J < Part.Tests.size(); ++J) {
-        if (Hooks.CacheStore)
-          Hooks.CacheStore(Batch[J].Test, Part.Tests[J]);
-        Slots[SlotOfJob[J]] = std::move(Part.Tests[J]);
-      }
-    }
-    if (Metrics) {
-      const double BatchJudge =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        FillEnd)
-              .count();
-      JudgeSeconds += BatchJudge;
-      obs::histogram("sweep.batch_wall_us")
-          .record(static_cast<unsigned long long>(BatchJudge * 1e6));
-    }
-    for (SweepTestResult &T : Slots)
-      Report.Tests.push_back(std::move(T));
-    if (Hooks.OnBatch)
-      Hooks.OnBatch(Report, Consumed);
-  }
-  Report.WallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
-  if (Metrics) {
-    obs::counter("sweep.tests_consumed").add(Consumed);
-    if (Report.CacheUsed) {
-      obs::counter("sweep.cache_hits").add(Report.CacheHits);
-      obs::counter("sweep.cache_misses").add(Report.CacheMisses);
-    }
-    obs::counter("sweep.generation_wall_us")
-        .add(static_cast<unsigned long long>(SourceSeconds * 1e6));
-    obs::counter("sweep.judge_wall_us")
-        .add(static_cast<unsigned long long>(JudgeSeconds * 1e6));
-  }
-  return Report;
+  // Resume: the first pull burns the prefix a checkpoint already covers.
+  // The source must still produce (and a diy source still synthesize)
+  // each skipped test, but none is judged — and judging dominates
+  // generation ~9:1.
+  unsigned long long Skip = Hooks.SkipTests;
+  return sweep(
+      [&](SweepJob &Out) {
+        for (; Skip; --Skip)
+          if (!Source(Out.Test))
+            return false;
+        Out.Models = Models;
+        return Source(Out.Test);
+      },
+      BatchSize, Hooks);
 }
 
 std::vector<SweepJob> cats::makeJobs(const std::vector<LitmusTest> &Tests,

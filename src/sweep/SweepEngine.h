@@ -12,9 +12,12 @@
 /// (herd/Simulator's MultiModelChecker), instead of one full enumeration
 /// per model as the legacy per-model simulate() loop does.
 ///
-/// Jobs are distributed over a pool of std::thread workers. Results land in
-/// a slot per job, so the report order equals submission order and is
-/// byte-for-byte deterministic for any worker count.
+/// run() and runStreamed() share one loop. The calling thread pulls each
+/// test, answers cache hits, and reports results in pull order; a pool of
+/// worker threads, started once per sweep, judges the misses at most one
+/// window (workers x batch size) ahead of the oldest unreported test. So
+/// the report is byte-for-byte deterministic for any worker count, and
+/// every hook runs on the calling thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,7 +74,8 @@ struct SweepReport {
   std::vector<SweepTestResult> Tests;
   /// Wall time of the whole sweep, seconds.
   double WallSeconds = 0;
-  /// Worker threads actually used.
+  /// Threads that judged: the pool size, capped at the number of tests
+  /// judged; 1 when nothing was judged.
   unsigned Jobs = 1;
   /// Result-cache statistics of a streamed run with cache hooks attached
   /// (campaign/ResultCache.h). CacheUsed stays false on plain runs and
@@ -88,26 +92,29 @@ struct SweepReport {
 /// Optional instrumentation of a streamed campaign (runStreamed). All
 /// members default to inert; the campaign layer (src/campaign/) supplies
 /// them for caching and checkpoint/resume without the engine depending on
-/// either subsystem.
+/// either subsystem. Every hook runs on the thread that called
+/// runStreamed, so none needs to be thread-safe.
 struct StreamHooks {
   /// Consulted per pulled test before judging; return true and fill the
-  /// result to skip the batch entirely (a cache hit). Hit results land in
-  /// the report at the test's source position, exactly as if judged.
+  /// result to skip judging it (a cache hit). Hit results land in the
+  /// report at the test's source position, exactly as if judged.
   std::function<bool(const LitmusTest &, SweepTestResult &)> CacheLookup;
-  /// Offered every freshly judged result (cache population).
+  /// Offered every freshly judged result (cache population), in source
+  /// order.
   std::function<void(const LitmusTest &, const SweepTestResult &)> CacheStore;
-  /// Called after each completed batch with the cumulative report and the
-  /// total number of source tests consumed so far — the checkpoint write
-  /// point: everything in the report is final, nothing in flight.
-  std::function<void(const SweepReport &SoFar, unsigned long long Consumed)>
-      OnBatch;
+  /// Called with the cumulative report each time it grows by a batch of
+  /// results, and once more for a final partial batch — the checkpoint
+  /// write point: the report is a prefix of the source in order, every
+  /// result in it final. SoFar.Tests.size() is the number of source tests
+  /// consumed, skipped ones excluded.
+  std::function<void(const SweepReport &SoFar)> OnBatch;
   /// Pull and discard this many source tests before judging anything —
   /// how --resume skips the prefix a checkpoint already covers (synthesis
   /// is repaid, judging — the dominant cost — is not).
   unsigned long long SkipTests = 0;
 };
 
-/// Tests per runStreamed batch, unless the caller picks another size.
+/// Results per runStreamed batch, unless the caller picks another size.
 inline constexpr unsigned StreamBatchSize = 64;
 
 /// Runs litmus sweeps over a worker pool.
@@ -122,23 +129,27 @@ public:
   /// calls (the engine holds no mutable state).
   SweepReport run(const std::vector<SweepJob> &Jobs) const;
 
-  /// Streamed campaign: pulls up to \p BatchSize tests from \p Source,
-  /// judges the batch under \p Models as one run() pass, appends the
-  /// results, and repeats until the source drains. Results keep source
-  /// order; peak memory is one batch of tests plus the accumulated
-  /// (test-free) results — this is how the diy enumeration feeds
-  /// thousands of generated scenarios through the engine. \p Hooks adds
-  /// the campaign-scale behaviours: result-cache lookup/store around each
-  /// test, a per-batch checkpoint callback, and a resume skip count.
+  /// Streamed campaign: drains \p Source, judging each test under
+  /// \p Models. Results keep source order; peak memory is one window of
+  /// tests (workers x \p BatchSize) plus the accumulated (test-free)
+  /// results — this is how the diy enumeration feeds thousands of
+  /// generated scenarios through the engine. \p Hooks adds the
+  /// campaign-scale behaviours: result-cache lookup/store around each
+  /// test, a checkpoint callback every \p BatchSize results, and a resume
+  /// skip count.
   SweepReport runStreamed(const TestSource &Source,
                           const std::vector<const Model *> &Models,
                           unsigned BatchSize = StreamBatchSize,
                           const StreamHooks &Hooks = {}) const;
 
 private:
+  /// The loop behind run() and runStreamed(): \p Pull fills the next job
+  /// or returns false at the end.
+  SweepReport sweep(const std::function<bool(SweepJob &)> &Pull,
+                    unsigned BatchSize, const StreamHooks &Hooks) const;
+
   unsigned Workers;
-  JudgeBackend Backend;
-  bool Witness;
+  SimulateOptions Judge;
 };
 
 /// Convenience: one job per test, all judged under the same \p Models.

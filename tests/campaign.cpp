@@ -619,13 +619,11 @@ TEST(Checkpoint, ResumeAfterKillEqualsUninterrupted) {
     ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
     size_t LastWritten = 0;
     StreamHooks Hooks;
-    Hooks.OnBatch = [&](const SweepReport &SoFar,
-                        unsigned long long Consumed) {
-      std::vector<SweepTestResult> Slice(SoFar.Tests.begin() + LastWritten,
-                                         SoFar.Tests.end());
+    Hooks.OnBatch = [&](const SweepReport &SoFar) {
+      ASSERT_TRUE(Writer->appendBatch(SoFar.Tests.begin() + LastWritten,
+                                      SoFar.Tests.end(), SoFar.Tests.size(),
+                                      SoFar.CacheHits, SoFar.CacheMisses));
       LastWritten = SoFar.Tests.size();
-      ASSERT_TRUE(Writer->appendBatch(Slice, Consumed, SoFar.CacheHits,
-                                      SoFar.CacheMisses));
     };
     std::vector<LitmusTest> Partial(Tests.begin(), Tests.begin() + 7);
     Engine.runStreamed(vectorSource(Partial), Models, 4, Hooks);
@@ -670,7 +668,8 @@ TEST(Checkpoint, CorruptProgressCountsTrimTheTail) {
   {
     auto Writer = CheckpointWriter::create(Path, Id);
     ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
-    ASSERT_TRUE(Writer->appendBatch({Report.Tests[0]}, 1, 0, 1));
+    ASSERT_TRUE(Writer->appendBatch(Report.Tests.begin(),
+                                    Report.Tests.begin() + 1, 1, 0, 1));
   }
   for (const char *Bad : {"-1", "1.5", "1e300", "\"2\""}) {
     std::filesystem::copy_file(

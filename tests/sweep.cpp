@@ -16,6 +16,7 @@
 #include "diy/Enumerate.h"
 #include "litmus/Catalog.h"
 #include "litmus/Compiler.h"
+#include "litmus/Parser.h"
 #include "model/Registry.h"
 #include "sweep/SweepEngine.h"
 
@@ -24,6 +25,9 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <random>
 #include <set>
 #include <sstream>
@@ -329,20 +333,130 @@ std::string reportSignature(const SweepReport &Report) {
   return sweepReportToJson(Scrubbed).dump();
 }
 
+/// A single-pass source over \p Tests.
+TestSource vectorSource(const std::vector<LitmusTest> &Tests) {
+  auto Next = std::make_shared<size_t>(0);
+  return [&Tests, Next](LitmusTest &Out) {
+    if (*Next == Tests.size())
+      return false;
+    Out = Tests[(*Next)++];
+    return true;
+  };
+}
+
+/// Cache hooks whose lookup hits every third test, answering with
+/// \p Hits' entry at the test's position; \p Calls counts lookups.
+StreamHooks everyThirdHits(const std::vector<SweepTestResult> &Hits,
+                           size_t &Calls) {
+  StreamHooks Hooks;
+  Hooks.CacheLookup = [&Hits, &Calls](const LitmusTest &,
+                                      SweepTestResult &Out) {
+    const size_t Position = Calls++;
+    if (Position % 3 != 2)
+      return false;
+    Out = Hits[Position];
+    return true;
+  };
+  Hooks.CacheStore = [](const LitmusTest &, const SweepTestResult &) {};
+  return Hooks;
+}
+
 } // namespace
 
 TEST(SweepEngine, DeterministicAcrossWorkerCounts) {
-  const std::vector<SweepJob> Jobs = makeJobs(catalogueTests(), allModels());
-  unsigned MaxWorkers = std::thread::hardware_concurrency();
-  if (MaxWorkers == 0)
-    MaxWorkers = 1;
+  const std::vector<LitmusTest> Tests = catalogueTests();
+  const std::vector<SweepJob> Jobs = makeJobs(Tests, allModels());
+  const SweepReport Reference = SweepEngine({1}).run(Jobs);
+  // The streamed path with cache hooks, mixed hits and small batches.
+  auto Streamed = [&](unsigned Workers) {
+    size_t Calls = 0;
+    return reportSignature(SweepEngine({Workers}).runStreamed(
+        vectorSource(Tests), allModels(), 4,
+        everyThirdHits(Reference.Tests, Calls)));
+  };
 
-  const std::string Baseline = reportSignature(SweepEngine({1}).run(Jobs));
-  for (unsigned N : {2u, MaxWorkers}) {
-    SweepEngine Engine(SweepOptions{N});
-    EXPECT_EQ(reportSignature(Engine.run(Jobs)), Baseline)
+  const std::string Baseline = reportSignature(Reference);
+  const std::string StreamedBaseline = Streamed(1);
+  for (unsigned N = 1; N <= 8; ++N) {
+    EXPECT_EQ(reportSignature(SweepEngine({N}).run(Jobs)), Baseline)
         << "with " << N << " workers";
+    EXPECT_EQ(Streamed(N), StreamedBaseline) << "with " << N << " workers";
   }
+}
+
+TEST(SweepEngine, HooksRunOnTheCallingThread) {
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(24);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  const SweepReport Reference = SweepEngine({1}).run(makeJobs(Tests, Models));
+  for (unsigned Workers : {1u, 4u}) {
+    // Guarded, so a hook on a worker fails the test instead of racing.
+    std::mutex Lock;
+    std::map<std::string, std::set<std::thread::id>> Seen;
+    auto Record = [&](const char *Hook) {
+      std::lock_guard<std::mutex> L(Lock);
+      Seen[Hook].insert(std::this_thread::get_id());
+    };
+    size_t Calls = 0;
+    StreamHooks Hooks = everyThirdHits(Reference.Tests, Calls);
+    TestSource Inner = vectorSource(Tests);
+    TestSource Source = [&](LitmusTest &Out) {
+      Record("source");
+      return Inner(Out);
+    };
+    auto Lookup = Hooks.CacheLookup;
+    Hooks.CacheLookup = [&, Lookup](const LitmusTest &T, SweepTestResult &R) {
+      Record("lookup");
+      return Lookup(T, R);
+    };
+    Hooks.CacheStore = [&](const LitmusTest &, const SweepTestResult &) {
+      Record("store");
+    };
+    Hooks.OnBatch = [&](const SweepReport &) { Record("batch"); };
+    SweepEngine(SweepOptions{Workers}).runStreamed(Source, Models, 4, Hooks);
+
+    const std::set<std::thread::id> Caller = {std::this_thread::get_id()};
+    for (const char *Hook : {"source", "lookup", "store", "batch"})
+      EXPECT_EQ(Seen[Hook], Caller) << Hook << " at " << Workers << " workers";
+  }
+}
+
+TEST(SweepEngine, OnBatchSeesTheInOrderFrontier) {
+  // Two slow tests lead the source (15,000 candidates each, against a
+  // few dozen for a catalogue test), so at 4 workers the tests behind
+  // them are judged first.
+  auto Slow = parseLitmus("Power slow\n{ }\n"
+                          "P0:\n  st x, #1\n  st x, #2\n"
+                          "P1:\n  st x, #3\n  st x, #4\n"
+                          "P2:\n  ld r1, x\n  ld r2, x\n"
+                          "P3:\n  ld r1, x\n  ld r2, x\n"
+                          "exists (2:r1=1 /\\ 3:r1=3)\n");
+  ASSERT_TRUE(static_cast<bool>(Slow)) << Slow.message();
+  std::vector<LitmusTest> Tests = {*Slow, *Slow};
+  Tests[1].Name = "slow2";
+  for (const LitmusTest &T : catalogueTests())
+    if (Tests.size() < 13)
+      Tests.push_back(T);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  const SweepReport Reference = SweepEngine({1}).run(makeJobs(Tests, Models));
+
+  size_t Calls = 0;
+  StreamHooks Hooks = everyThirdHits(Reference.Tests, Calls);
+  std::vector<size_t> Frontiers;
+  Hooks.OnBatch = [&](const SweepReport &SoFar) {
+    Frontiers.push_back(SoFar.Tests.size());
+    EXPECT_EQ(SoFar.CacheHits + SoFar.CacheMisses, SoFar.Tests.size());
+    for (size_t I = 0; I < SoFar.Tests.size(); ++I) {
+      EXPECT_EQ(SoFar.Tests[I].TestName, Tests[I].Name) << I;
+      EXPECT_EQ(SoFar.Tests[I].Result.CandidatesTotal,
+                Reference.Tests[I].Result.CandidatesTotal)
+          << I;
+    }
+  };
+  SweepEngine({4}).runStreamed(vectorSource(Tests), Models, 4, Hooks);
+  EXPECT_EQ(Frontiers, (std::vector<size_t>{4, 8, 12, 13}));
 }
 
 TEST(SweepEngine, ResultsInSubmissionOrder) {

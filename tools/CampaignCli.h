@@ -170,32 +170,22 @@ runCampaignSweep(const char *Tool, const SweepEngine &Engine,
         return Ret::error(Created.message());
       Writer.emplace(Created.take());
     }
-    Hooks.OnBatch = [&Writer, &Prefix, &LastWritten,
-                     Tool](const SweepReport &SoFar,
-                           unsigned long long Consumed) {
-      std::vector<SweepTestResult> Slice(SoFar.Tests.begin() + LastWritten,
-                                         SoFar.Tests.end());
-      LastWritten = SoFar.Tests.size();
-      Status S = Writer->appendBatch(Slice, Prefix.Consumed + Consumed,
-                                     Prefix.CacheHits + SoFar.CacheHits,
-                                     Prefix.CacheMisses + SoFar.CacheMisses);
-      if (S.failed())
-        std::fprintf(stderr, "%s: %s\n", Tool, S.message().c_str());
-    };
   }
 
-  if (Progress && Progress->enabled()) {
-    auto Prev = Hooks.OnBatch;
-    const CheckpointState *Pre = &Prefix;
-    Hooks.OnBatch = [Prev, Progress, Pre](const SweepReport &SoFar,
-                                          unsigned long long Consumed) {
-      if (Prev)
-        Prev(SoFar, Consumed);
-      Progress->update(Pre->Consumed + Consumed,
-                       Pre->CacheHits + SoFar.CacheHits,
-                       Pre->CacheMisses + SoFar.CacheMisses);
-    };
-  }
+  Hooks.OnBatch = [&, Tool](const SweepReport &SoFar) {
+    const unsigned long long Done = Prefix.Consumed + SoFar.Tests.size();
+    const unsigned long long Hits = Prefix.CacheHits + SoFar.CacheHits;
+    const unsigned long long Misses = Prefix.CacheMisses + SoFar.CacheMisses;
+    if (Writer) {
+      Status S = Writer->appendBatch(SoFar.Tests.begin() + LastWritten,
+                                     SoFar.Tests.end(), Done, Hits, Misses);
+      LastWritten = SoFar.Tests.size();
+      if (S.failed())
+        std::fprintf(stderr, "%s: %s\n", Tool, S.message().c_str());
+    }
+    if (Progress)
+      Progress->update(Done, Hits, Misses);
+  };
 
   SweepReport Report =
       Engine.runStreamed(Source, Models, StreamBatchSize, Hooks);

@@ -206,42 +206,44 @@ int main(int argc, char **argv) {
   if (Paths.empty() && !UseCatalogue && !UseDiy)
     UseCatalogue = true;
 
-  // Gather the tests: files and the catalogue first, diy synthesis after.
-  std::vector<LitmusTest> Tests;
-  bool LoadFailed = false;
-  if (!Paths.empty() || UseCatalogue) {
-    auto Loaded = loadCampaignTests(Paths, UseCatalogue, Filter);
-    if (!Loaded) {
-      std::fprintf(stderr, "cats_explain: %s\n", Loaded.message().c_str());
-      return 2;
-    }
-    for (const std::string &Problem : Loaded->Errors)
-      std::fprintf(stderr, "cats_explain: %s\n", Problem.c_str());
-    LoadFailed = !Loaded->Errors.empty();
-    Tests = std::move(Loaded->Tests);
+  // Stream the files and the catalogue first, then the diy tests whose
+  // name also matches --test.
+  std::vector<std::string> LoadErrors;
+  auto Files = streamCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
+  if (!Files) {
+    std::fprintf(stderr, "cats_explain: %s\n", Files.message().c_str());
+    return 2;
   }
+  // streamCampaignTests has already rejected a malformed --test pattern.
+  const std::regex Keep = compileFilterRegex(Filter).take();
+  TestSource Diy;
   if (UseDiy) {
-    std::vector<std::string> SynthesisErrors;
     auto Source = makeDiyTestSource(EnumerateOptions(), DiyFilter,
-                                    &SynthesisErrors);
+                                    &LoadErrors);
     if (!Source) {
       std::fprintf(stderr, "cats_explain: %s\n", Source.message().c_str());
       return 2;
     }
-    auto Compiled = compileFilterRegex(Filter);
-    if (!Compiled) {
-      std::fprintf(stderr, "cats_explain: %s\n", Compiled.message().c_str());
-      return 2;
-    }
-    LitmusTest Synth;
-    while ((*Source)(Synth))
-      if (Filter.empty() || std::regex_search(Synth.Name, *Compiled))
-        Tests.push_back(std::move(Synth));
-    for (const std::string &Problem : SynthesisErrors)
-      std::fprintf(stderr, "cats_explain: %s\n", Problem.c_str());
-    LoadFailed = LoadFailed || !SynthesisErrors.empty();
+    Diy = Source.take();
   }
-  if (Tests.empty()) {
+  TestSource Corpus = [&](LitmusTest &Out) {
+    if ((*Files)(Out))
+      return true;
+    while (Diy && Diy(Out))
+      if (Filter.empty() || std::regex_search(Out.Name, Keep))
+        return true;
+    return false;
+  };
+
+  // Judge every test with witnesses on, then render the results in
+  // order.
+  SweepOptions Opts;
+  Opts.Backend = Backend;
+  Opts.Witness = true;
+  SweepReport Report = SweepEngine(Opts).runStreamed(Corpus, Models);
+  for (const std::string &Problem : LoadErrors)
+    std::fprintf(stderr, "cats_explain: %s\n", Problem.c_str());
+  if (Report.Tests.empty()) {
     std::fprintf(stderr, "cats_explain: no tests to explain\n");
     return 2;
   }
@@ -256,12 +258,6 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Judge every test with witnesses on, then render the results in
-  // order.
-  SweepOptions Opts;
-  Opts.Backend = Backend;
-  Opts.Witness = true;
-  SweepReport Report = SweepEngine(Opts).run(makeJobs(Tests, Models));
   std::vector<obs::Witness> All;
   bool JudgeFailed = false;
   for (SweepTestResult &T : Report.Tests) {
@@ -309,6 +305,6 @@ int main(int argc, char **argv) {
   }
   if (!Quiet)
     std::printf("%zu witness(es) over %zu test(s) x %zu model(s)\n",
-                All.size(), Tests.size(), Models.size());
-  return (LoadFailed || JudgeFailed) ? 1 : 0;
+                All.size(), Report.Tests.size(), Models.size());
+  return (!LoadErrors.empty() || JudgeFailed) ? 1 : 0;
 }

@@ -216,81 +216,56 @@ int main(int argc, char **argv) {
   if (!HasCorpus && MolePrograms.empty())
     UseCatalogue = true;
 
-  // Sweep the corpus: files/catalogue first, then the diy slice, both
-  // streamed in batches. With --run, the streamed tests are teed into a
-  // corpus for the native execution pass (the only place the whole
-  // corpus materializes, which --run implies anyway).
+  // Build both corpus sources before sweeping, so a bad path, regex or
+  // architecture fails before any judging. --shard partitions each source
+  // on its own (the shards' unions cover each source exactly), and --run
+  // tees the tests this shard owns into a corpus for the native execution
+  // pass (the only place the whole corpus materializes, which --run
+  // implies anyway).
   cli::applyObsFlags(Obs);
-  obs::ProgressReporter Progress("cats_mine", 0, Obs.Progress);
-
-  SweepEngine Engine(SweepOptions{Jobs});
-  SweepReport Report;
   std::vector<std::string> LoadErrors;
-  std::vector<LitmusTest> RunCorpus;
-  std::optional<ResultCache> Cache;
-  if (!Campaign.CacheDir.empty()) {
-    auto Opened = ResultCache::open(Campaign.CacheDir);
-    if (!Opened) {
-      std::fprintf(stderr, "cats_mine: %s\n", Opened.message().c_str());
-      return 2;
-    }
-    Cache.emplace(Opened.take());
+  auto Files = streamCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
+  if (!Files) {
+    std::fprintf(stderr, "cats_mine: %s\n", Files.message().c_str());
+    return 2;
   }
-  auto SweepInto = [&](const TestSource &Source) {
-    // Shard first, then tee: a shard natively runs (and mines) only the
-    // tests it owns, and the shards' unions cover each source exactly.
-    TestSource Sharded = shardTestSource(Source, Campaign.Shard);
-    TestSource Teed = Sharded;
-    if (RunNative)
-      Teed = [&RunCorpus, Sharded](LitmusTest &Out) -> bool {
-        if (!Sharded(Out))
-          return false;
-        RunCorpus.push_back(Out);
-        return true;
-      };
-    StreamHooks Hooks = Cache ? Cache->hooks(Models) : StreamHooks{};
-    if (Progress.enabled())
-      // Cumulative over the earlier sources: the accumulated Report holds
-      // everything swept before this one.
-      Hooks.OnBatch = [&Progress, &Report](const SweepReport &SoFar,
-                                           unsigned long long Consumed) {
-        Progress.update(Report.Tests.size() + Consumed,
-                        Report.CacheHits + SoFar.CacheHits,
-                        Report.CacheMisses + SoFar.CacheMisses);
-      };
-    SweepReport Part =
-        Engine.runStreamed(Teed, Models, StreamBatchSize, Hooks);
-    for (SweepTestResult &T : Part.Tests)
-      Report.Tests.push_back(std::move(T));
-    Report.Jobs = std::max(Report.Jobs, Part.Jobs);
-    Report.WallSeconds += Part.WallSeconds;
-    Report.CacheUsed = Report.CacheUsed || Part.CacheUsed;
-    Report.CacheHits += Part.CacheHits;
-    Report.CacheMisses += Part.CacheMisses;
-  };
-  if (!Paths.empty() || UseCatalogue) {
-    auto Source =
-        streamCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
-    if (!Source) {
-      std::fprintf(stderr, "cats_mine: %s\n", Source.message().c_str());
-      return 2;
-    }
-    SweepInto(*Source);
-  }
+  TestSource FileShard = shardTestSource(Files.take(), Campaign.Shard);
+  TestSource DiyShard;
   if (!DiyArch.empty()) {
     if (!parseArch(DiyArch, DiyOpts.Target)) {
       std::fprintf(stderr, "cats_mine: unknown architecture '%s'\n",
                    DiyArch.c_str());
       return 2;
     }
-    auto Source = makeDiyTestSource(DiyOpts, Filter, &LoadErrors);
-    if (!Source) {
-      std::fprintf(stderr, "cats_mine: %s\n", Source.message().c_str());
+    auto Diy = makeDiyTestSource(DiyOpts, Filter, &LoadErrors);
+    if (!Diy) {
+      std::fprintf(stderr, "cats_mine: %s\n", Diy.message().c_str());
       return 2;
     }
-    SweepInto(*Source);
+    DiyShard = shardTestSource(Diy.take(), Campaign.Shard);
   }
-  Progress.finish();
+  std::vector<LitmusTest> RunCorpus;
+  TestSource Corpus = [&](LitmusTest &Out) {
+    if (!FileShard(Out) && !(DiyShard && DiyShard(Out)))
+      return false;
+    if (RunNative)
+      RunCorpus.push_back(Out);
+    return true;
+  };
+
+  // Sweep the concatenation once, files/catalogue first, with the cache
+  // and progress attached; the sources are already sharded.
+  obs::ProgressReporter Progress("cats_mine", 0, Obs.Progress);
+  cli::CampaignFlags SweepFlags = Campaign;
+  SweepFlags.Shard = ShardSpec();
+  auto Swept =
+      cli::runCampaignSweep("cats_mine", SweepEngine(SweepOptions{Jobs}),
+                            Corpus, Models, SweepFlags, "", &Progress);
+  if (!Swept) {
+    std::fprintf(stderr, "cats_mine: %s\n", Swept.message().c_str());
+    return 2;
+  }
+  SweepReport Report = Swept.take();
   for (const std::string &Problem : LoadErrors)
     std::fprintf(stderr, "cats_mine: %s\n", Problem.c_str());
 
