@@ -9,8 +9,6 @@
 #include "obs/Metrics.h"
 #include "support/StringUtils.h"
 
-#include <algorithm>
-
 using namespace cats;
 
 std::string Event::toString(const std::vector<std::string> &LocNames) const {
@@ -130,37 +128,21 @@ int Execution::initWriteOf(Location Loc) const {
   return -1;
 }
 
-namespace {
-
-/// Memoizes \p Compute into \p Slot when \p Enabled; transparent otherwise.
-template <typename ComputeFn>
-Relation memoized(bool Enabled, std::optional<Relation> &Slot,
-                  const ComputeFn &Compute) {
-  if (Enabled && Slot)
-    return *Slot;
-  Relation R = Compute();
-  if (Enabled)
-    Slot = R;
-  return R;
-}
-
-} // namespace
-
 Relation Execution::poLoc() const {
-  return memoized(DerivedCacheEnabled, Cache.PoLoc,
-                  [&] { return Po & SameLocation; });
+  return memo(this, MemoPoLoc, MemoTier::Static,
+              [&] { return Po & SameLocation; });
 }
 
 Relation Execution::fr() const {
   // fr = rf^-1 ; co : a read r is fr-before any write co-after the write it
   // reads from.
-  return memoized(DerivedCacheEnabled, Cache.Fr,
-                  [&] { return Rf.inverse().compose(Co); });
+  return memo(this, MemoFr, MemoTier::PerCo,
+              [&] { return Rf.inverse().compose(Co); });
 }
 
 Relation Execution::com() const {
-  return memoized(DerivedCacheEnabled, Cache.Com,
-                  [&] { return Co | Rf | fr(); });
+  return memo(this, MemoCom, MemoTier::PerCo,
+              [&] { return Co | Rf | fr(); });
 }
 
 Relation Execution::internal(const Relation &R) const {
@@ -172,87 +154,75 @@ Relation Execution::external(const Relation &R) const {
 }
 
 Relation Execution::rfe() const {
-  return memoized(DerivedCacheEnabled, Cache.Rfe,
-                  [&] { return external(Rf); });
+  return memo(this, MemoRfe, MemoTier::PerRf, [&] { return external(Rf); });
 }
 
 Relation Execution::coe() const {
-  return memoized(DerivedCacheEnabled, Cache.Coe,
-                  [&] { return external(Co); });
+  return memo(this, MemoCoe, MemoTier::PerCo, [&] { return external(Co); });
 }
 
 Relation Execution::fre() const {
-  return memoized(DerivedCacheEnabled, Cache.Fre,
-                  [&] { return external(fr()); });
+  return memo(this, MemoFre, MemoTier::PerCo,
+              [&] { return external(fr()); });
 }
 
+// rdw and detour read co, but both are intersections with po-loc: when
+// po-loc is empty they are empty under every rf and co, so they live as
+// long as po-loc does. That is the common case for the diy critical-cycle
+// corpora, where it keeps the hardware-model ppo fixpoint per-rf instead
+// of per-candidate.
+
 Relation Execution::rdw() const {
-  return memoized(DerivedCacheEnabled, Cache.Rdw,
-                  [&] { return poLoc() & fre().compose(rfe()); });
+  return memo(this, MemoRdw,
+              poLoc().empty() ? MemoTier::Static : MemoTier::PerCo,
+              [&] { return poLoc() & fre().compose(rfe()); });
 }
 
 Relation Execution::detour() const {
-  return memoized(DerivedCacheEnabled, Cache.Detour,
-                  [&] { return poLoc() & coe().compose(rfe()); });
+  return memo(this, MemoDetour,
+              poLoc().empty() ? MemoTier::Static : MemoTier::PerCo,
+              [&] { return poLoc() & coe().compose(rfe()); });
 }
 
 Relation Execution::comStar() const {
-  return memoized(DerivedCacheEnabled, Cache.ComStar,
-                  [&] { return com().reflexiveTransitiveClosure(); });
+  return memo(this, MemoComStar, MemoTier::PerCo,
+              [&] { return com().reflexiveTransitiveClosure(); });
 }
 
-Relation Execution::modelMemo(
-    const void *Tag, unsigned Slot, MemoTier Tier,
-    const std::function<Relation()> &Compute) const {
-  if (!DerivedCacheEnabled)
-    return Compute();
+void Execution::enableDerivedCache() const {
+  if (MemoEnabled)
+    return;
+  MemoEnabled = true;
+  // Room for the own entries plus the model-tagged ones of a full model
+  // set, so judging a candidate does not regrow the table.
+  MemoKeys.reserve(NumOwnSlots + 48);
+  MemoRels.reserve(NumOwnSlots + 48);
+  MemoKeys.resize(NumOwnSlots);
+  MemoRels.resize(NumOwnSlots);
+}
+
+size_t Execution::modelEntry(const void *Tag, unsigned Slot) const {
   // Static instrument handles: resolved once, then each tick is a sharded
   // relaxed add — cheap enough for this per-candidate path.
   static obs::Counter &Hits = obs::counter("memo.model_hits");
   static obs::Counter &Misses = obs::counter("memo.model_misses");
-  for (const ModelCacheEntry &E : ModelCache)
-    if (E.Tag == Tag && E.Slot == Slot) {
-      if (obs::metricsEnabled())
-        Hits.add(1);
-      return E.Rel;
-    }
+  size_t I = NumOwnSlots;
+  while (I < MemoKeys.size() &&
+         (MemoKeys[I].Tag != Tag || MemoKeys[I].Slot != Slot))
+    ++I;
+  if (I == MemoKeys.size()) {
+    MemoKeys.push_back({Tag, Slot, MemoTier::Static, false});
+    MemoRels.emplace_back();
+  }
   if (obs::metricsEnabled())
-    Misses.add(1);
-  Relation R = Compute();
-  if (ModelCache.empty())
-    ModelCache.reserve(48);
-  ModelCache.push_back(ModelCacheEntry{Tag, Slot, Tier, R});
-  return R;
+    (MemoKeys[I].Valid ? Hits : Misses).add(1);
+  return I;
 }
 
 void Execution::invalidateDerived(MemoTier Floor) const {
-  if (Floor == MemoTier::Static) {
-    Cache = DerivedCache();
-    ModelCache.clear();
-    return;
-  }
-  if (Floor == MemoTier::PerRf)
-    Cache.Rfe.reset();
-  // Co-dependent named slots go at either floor (a new rf also starts a
-  // fresh co walk). rdw and detour are formally co-dependent, but both are
-  // intersections with po-loc: when the memoized po-loc is empty they are
-  // empty under every rf/co and can survive — the common case for the diy
-  // critical-cycle corpora, where it keeps the hardware-model ppo fixpoint
-  // per-rf instead of per-candidate.
-  Cache.Fr.reset();
-  Cache.Com.reset();
-  Cache.Coe.reset();
-  Cache.Fre.reset();
-  Cache.ComStar.reset();
-  if (!(Cache.PoLoc && Cache.PoLoc->empty())) {
-    Cache.Rdw.reset();
-    Cache.Detour.reset();
-  }
-  ModelCache.erase(std::remove_if(ModelCache.begin(), ModelCache.end(),
-                                  [Floor](const ModelCacheEntry &E) {
-                                    return E.Tier >= Floor;
-                                  }),
-                   ModelCache.end());
+  for (MemoKey &K : MemoKeys)
+    if (K.Tier >= Floor)
+      K.Valid = false;
 }
 
 std::string Execution::toString() const {

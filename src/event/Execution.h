@@ -21,9 +21,7 @@
 #include "event/Event.h"
 #include "relation/Relation.h"
 
-#include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -155,6 +153,10 @@ public:
   //===--------------------------------------------------------------------===//
   // Derived relations (Tab. II)
   //===--------------------------------------------------------------------===//
+  //
+  // po-loc, fr, com, rfe, coe, fre, rdw, detour and com* are memoized once
+  // the memo is on (see memo() below), each at the tier its definition
+  // states.
 
   /// Same-location pairs of po.
   Relation poLoc() const;
@@ -183,51 +185,55 @@ public:
   /// Detour (Fig. 28): po-loc & (coe; rfe).
   Relation detour() const;
 
-  /// Reflexive-transitive closure of com (memoized like the relations
-  /// above; used by the Power/ARM prop).
+  /// Reflexive-transitive closure of com (used by the Power/ARM prop).
   Relation comStar() const;
 
   /// Pretty-prints the execution (events plus rf/co/fr pairs).
   std::string toString() const;
 
   //===--------------------------------------------------------------------===//
-  // Derived-relation memoization (opt-in)
+  // Memoization (opt-in)
   //===--------------------------------------------------------------------===//
 
-  /// Enables memoization of the derived relations above (po-loc, fr, com,
-  /// the rf/co/fr splits, rdw, detour). Only call once the execution is
-  /// final: the cache is never invalidated, so mutating Po/Rf/Co/... after
-  /// enabling returns stale derived relations.
-  ///
-  /// The multi-model checker opts candidates in before judging them, so
-  /// when N models are checked against one candidate the shared relations
-  /// are computed once instead of once per model. Executions that never
-  /// opt in behave exactly as before (no caching).
-  void enableDerivedCache() const { DerivedCacheEnabled = true; }
+  /// Turns on the memo: from now on every derived relation above, and
+  /// every relation a model derives through memo(), is computed once and
+  /// served from the table until invalidateDerived drops it. Executions
+  /// that never opt in compute everything afresh. The multi-model checker
+  /// opts each candidate in before judging it, so nine models checked
+  /// against one candidate share one computation of fr, com, ppo, ...
+  /// Copies of the execution carry the table along.
+  void enableDerivedCache() const;
 
-  /// Model-tagged memoization under the same opt-in: caches the result of
-  /// \p Compute per (Tag, Slot), where Tag identifies the model instance
-  /// and Slot the relation being derived. Model::check and the model
-  /// implementations use this so e.g. the Power ppo fixpoint runs once per
-  /// candidate even though both the axioms and prop need it. Transparent
-  /// (no caching) while the derived cache is disabled.
-  ///
-  /// \p Tier declares when the entry goes stale (see invalidateDerived);
-  /// the tier-less overload assumes the most volatile tier (per-candidate),
-  /// which is always safe.
-  Relation modelMemo(const void *Tag, unsigned Slot, MemoTier Tier,
-                     const std::function<Relation()> &Compute) const;
-  Relation modelMemo(const void *Tag, unsigned Slot,
-                     const std::function<Relation()> &Compute) const {
-    return modelMemo(Tag, Slot, MemoTier::PerCo, Compute);
+  /// Returns the relation \p Compute derives, memoized under (\p Tag,
+  /// \p Slot) when the memo is on and computed afresh otherwise. \p Tag
+  /// says who derives it: the execution itself (`this`) for the nine
+  /// relations above, whose slots are fixed, or a model's memoTag(),
+  /// which shares entries between models with identical triples. \p Tier
+  /// is how long the entry stays valid (see invalidateDerived).
+  /// \p Compute may itself call memo.
+  template <typename ComputeFn>
+  Relation memo(const void *Tag, unsigned Slot, MemoTier Tier,
+                const ComputeFn &Compute) const {
+    if (!MemoEnabled)
+      return Compute();
+    // An index, not a reference: nested memo calls inside Compute append
+    // entries, and the arrays may move.
+    const size_t I = Tag == this ? Slot : modelEntry(Tag, Slot);
+    if (MemoKeys[I].Valid)
+      return MemoRels[I];
+    Relation R = Compute();
+    MemoKeys[I].Tier = Tier;
+    MemoKeys[I].Valid = true;
+    MemoRels[I] = R;
+    return R;
   }
 
-  /// Drops every cached derived relation and model-memo entry at \p Floor
-  /// or a more volatile tier; entries below the floor survive. The
-  /// incremental enumerator calls this after mutating Rf (PerRf floor) or
-  /// Co (PerCo floor) on its scratch execution, so the program-structural
-  /// work (po-loc, static ppo/fences) is paid once per test while the
-  /// candidate-specific relations are recomputed exactly when needed.
+  /// Drops every memo entry filled at \p Floor or a more volatile tier;
+  /// entries below the floor survive. The incremental enumerator calls
+  /// this after mutating Rf (PerRf floor) or Co (PerCo floor) on its
+  /// scratch execution, so the program-structural work (po-loc, static
+  /// ppo and fences) is paid once per test while the candidate-specific
+  /// relations are recomputed exactly when needed.
   void invalidateDerived(MemoTier Floor) const;
 
 private:
@@ -238,23 +244,40 @@ private:
   /// (initial writes belong to none), and pairs of events on one location.
   Relation SameThread, SameLocation;
 
-  /// Lazily-filled memo slots, live only when DerivedCacheEnabled. Copies
-  /// of the execution carry the cache along (same relations, still valid).
-  struct DerivedCache {
-    std::optional<Relation> PoLoc, Fr, Com, Rfe, Coe, Fre, Rdw, Detour,
-        ComStar;
+  /// The slots of the execution's own memo entries, which are the first
+  /// entries of the table, indexed by slot.
+  enum : unsigned {
+    MemoPoLoc,
+    MemoFr,
+    MemoCom,
+    MemoRfe,
+    MemoCoe,
+    MemoFre,
+    MemoRdw,
+    MemoDetour,
+    MemoComStar,
+    NumOwnSlots
   };
-  mutable DerivedCache Cache;
-  /// Flat store for modelMemo: a handful of (tag, slot) entries per
-  /// candidate, where a linear scan beats a node-based map.
-  struct ModelCacheEntry {
-    const void *Tag;
-    unsigned Slot;
-    MemoTier Tier;
-    Relation Rel;
+
+  /// The index of the model-tagged entry (\p Tag, \p Slot), appended
+  /// invalid when the table has none yet. Ticks memo.model_hits or
+  /// memo.model_misses.
+  size_t modelEntry(const void *Tag, unsigned Slot) const;
+
+  /// The memo table: keys in one compact array, scanned for model-tagged
+  /// lookups, and the relations in a parallel one. Empty until the memo
+  /// is enabled; then the own entries come first, and each model-tagged
+  /// (tag, slot) pair keeps its one entry, invalid or not, for the
+  /// execution's life.
+  struct MemoKey {
+    const void *Tag = nullptr;
+    unsigned Slot = 0;
+    MemoTier Tier = MemoTier::Static;
+    bool Valid = false;
   };
-  mutable std::vector<ModelCacheEntry> ModelCache;
-  mutable bool DerivedCacheEnabled = false;
+  mutable std::vector<MemoKey> MemoKeys;
+  mutable std::vector<Relation> MemoRels;
+  mutable bool MemoEnabled = false;
 };
 
 } // namespace cats

@@ -190,17 +190,8 @@ void MultiModelChecker::recordPruneCut(const Execution &Partial,
   CutCycle = std::move(Cycle);
 }
 
-const std::vector<Verdict> &MultiModelChecker::judge(const Execution &Exe) {
-  return judgeImpl(Exe, nullptr);
-}
-
 const std::vector<Verdict> &MultiModelChecker::judge(const Execution &Exe,
                                                      bool ScAllowed) {
-  return judgeImpl(Exe, &ScAllowed);
-}
-
-const std::vector<Verdict> &
-MultiModelChecker::judgeImpl(const Execution &Exe, const bool *ScHint) {
   JudgeBuf.resize(Models.size());
   // Stronger-first with the implication shortcut: once a model's
   // designated stronger ancestor allowed the execution, monotonicity of
@@ -232,10 +223,9 @@ MultiModelChecker::judgeImpl(const Execution &Exe, const bool *ScHint) {
       continue;
     }
     if (RefPath[I] != RefFormulation::None) {
-      const bool RefAllowed =
-          RefPath[I] == RefFormulation::Sc
-              ? (ScHint ? *ScHint : isScReference(Exe))
-              : isTsoReference(Exe);
+      const bool RefAllowed = RefPath[I] == RefFormulation::Sc
+                                  ? ScAllowed
+                                  : isTsoReference(Exe);
       Answer(I, RefAllowed);
       if (!RefAllowed && Metrics) {
         JudgeBuf[I].Violated.push_back(Axiom::Propagation);

@@ -220,6 +220,13 @@ public:
   /// the checker and reused across calls. No accounting happens here —
   /// pair with accountImage for the judged leaf.
   ///
+  /// \p ScAllowed is the enumerator's incrementally-maintained SC
+  /// verdict: it must equal acyclic(po | com) on \p Exe — the Lemma 4.1
+  /// SC reference, which the enumerator reads off its own partial graph
+  /// instead of rebuilding com per leaf. The boolean-only path then
+  /// answers SC (and, through the implication shortcut, every model SC
+  /// dominates) without touching the execution's derived relations.
+  ///
   /// The checks exploit the registry's model-strength forest
   /// (strongerModel): models are visited stronger-first, and a model whose
   /// designated ancestor in the set already allowed \p Exe is marked
@@ -227,18 +234,9 @@ public:
   /// instrumentation is on (a skipped model is allowed, and the
   /// judge.kill.* tallies only record violations); witnesses are built
   /// after judging (completeWitnesses), so they never change this path.
-  /// The differential harness pins the shortcut to the naive backend's
-  /// full per-model checks.
-  const std::vector<Verdict> &judge(const Execution &Exe);
-
-  /// As above, with the enumerator's incrementally-maintained SC verdict:
-  /// \p ScAllowed must equal acyclic(po | com) on \p Exe — the Lemma 4.1
-  /// SC reference, which the enumerator reads off its own partial graph
-  /// instead of rebuilding com per leaf. The boolean-only path then
-  /// answers SC (and, through the implication shortcut, every model SC
-  /// dominates) without touching the execution's derived relations. The
-  /// hint is trusted, so the differential harness pins this path to the
-  /// un-hinted one over the catalogue and the diy corpora.
+  /// The hint and the shortcut are trusted here; the differential harness
+  /// pins the pruned backend that uses them to the naive backend's full
+  /// per-model checks over the catalogue and the diy corpora.
   const std::vector<Verdict> &judge(const Execution &Exe, bool ScAllowed);
 
   /// Accounts one judged leaf: \p Verdicts from judge() and the note id
@@ -297,10 +295,6 @@ private:
   std::vector<unsigned long long> ReferenceKills;
   /// Reused verdict buffer for judge().
   std::vector<Verdict> JudgeBuf;
-  /// Shared body of the judge() overloads; \p ScHint is null when no
-  /// precomputed SC verdict is available.
-  const std::vector<Verdict> &judgeImpl(const Execution &Exe,
-                                        const bool *ScHint);
   /// Index (into Models) of each model's designated stronger ancestor
   /// within this set, or -1; drives the judge() implication shortcut.
   std::vector<int> StrongerIdx;

@@ -178,8 +178,8 @@ Relation HwModel::prop(const Execution &Exe) const {
   // expensive one: without the memo it would run again here through hb).
   Relation HbStar = cachedHbStar(Exe);
   Relation FencesRel = cachedFences(Exe);
-  Relation FFence = Exe.modelMemo(memoTag(), MemoFullFence, MemoTier::Static,
-                                  [&] { return fullFence(Exe); });
+  Relation FFence = Exe.memo(memoTag(), MemoFullFence, MemoTier::Static,
+                             [&] { return fullFence(Exe); });
 
   // A-cumulativity: rfe; fences (Fig. 18).
   Relation ACumul = Exe.rfe().compose(FencesRel);

@@ -55,13 +55,12 @@ bool Verdict::violates(Axiom A) const {
 }
 
 Relation Model::cachedPpo(const Execution &Exe) const {
-  return Exe.modelMemo(memoTag(), MemoPpo, ppoTier(Exe),
-                       [&] { return ppo(Exe); });
+  return Exe.memo(memoTag(), MemoPpo, ppoTier(Exe), [&] { return ppo(Exe); });
 }
 
 Relation Model::cachedFences(const Execution &Exe) const {
-  return Exe.modelMemo(memoTag(), MemoFences, fencesTier(),
-                       [&] { return fences(Exe); });
+  return Exe.memo(memoTag(), MemoFences, fencesTier(),
+                  [&] { return fences(Exe); });
 }
 
 MemoTier Model::hbTier(const Execution &Exe) const {
@@ -73,25 +72,21 @@ MemoTier Model::hbTier(const Execution &Exe) const {
   return T;
 }
 
-Relation Model::cachedHappensBefore(const Execution &Exe) const {
-  return Exe.modelMemo(memoTag(), MemoHb, hbTier(Exe), [&] {
+Relation Model::happensBefore(const Execution &Exe) const {
+  return Exe.memo(memoTag(), MemoHb, hbTier(Exe), [&] {
     return cachedPpo(Exe) | cachedFences(Exe) | Exe.rfe();
   });
 }
 
 Relation Model::cachedHbStar(const Execution &Exe) const {
-  return Exe.modelMemo(memoTag(), MemoHbStar, hbTier(Exe), [&] {
-    return cachedHappensBefore(Exe).reflexiveTransitiveClosure();
+  return Exe.memo(memoTag(), MemoHbStar, hbTier(Exe), [&] {
+    return happensBefore(Exe).reflexiveTransitiveClosure();
   });
 }
 
-Relation Model::happensBefore(const Execution &Exe) const {
-  return cachedHappensBefore(Exe);
-}
-
 Relation Model::cachedProp(const Execution &Exe) const {
-  return Exe.modelMemo(memoTag(), MemoProp, propTier(Exe),
-                       [&] { return prop(Exe); });
+  return Exe.memo(memoTag(), MemoProp, propTier(Exe),
+                  [&] { return prop(Exe); });
 }
 
 Relation Model::scPerLocationPoLoc(const Execution &Exe) const {
@@ -115,13 +110,14 @@ Verdict Model::check(const Execution &Exe) const {
   // the model (up to the llh bit), so its closure is memoized under a
   // tag shared by every model instance.
   static const char UniprocTag = 0, UniprocLlhTag = 0;
-  Relation PoLocComTc = Exe.modelMemo(
+  Relation PoLocComTc = Exe.memo(
       Style.AllowLoadLoadHazard ? &UniprocLlhTag : &UniprocTag, 0,
+      MemoTier::PerCo,
       [&] { return (scPerLocationPoLoc(Exe) | Exe.com()).transitiveClosure(); });
   if (!PoLocComTc.isIrreflexive())
     Fail(Axiom::ScPerLocation);
 
-  Relation Hb = cachedHappensBefore(Exe);
+  Relation Hb = happensBefore(Exe);
 
   // NO THIN AIR: acyclic(hb).
   if (!Style.DisableNoThinAir && !Hb.isAcyclic())
@@ -205,7 +201,7 @@ std::vector<LabeledEdge> Model::explainViolation(Axiom A,
   }
 
   case Axiom::NoThinAir: {
-    std::vector<EventId> Cycle = cachedHappensBefore(Exe).minimalCycle();
+    std::vector<EventId> Cycle = happensBefore(Exe).minimalCycle();
     if (Cycle.empty())
       return {};
     std::vector<Relation> Storage;
@@ -238,7 +234,7 @@ std::vector<LabeledEdge> Model::explainViolation(Axiom A,
             std::vector<Relation> Storage;
             auto Sources = hbEdgeSources(Exe, Storage);
             std::vector<EventId> Path =
-                cachedHappensBefore(Exe).shortestPath(W2, R);
+                happensBefore(Exe).shortestPath(W2, R);
             for (LabeledEdge &E : labelWalk(Path, Sources))
               Out.push_back(std::move(E));
           }

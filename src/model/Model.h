@@ -141,7 +141,8 @@ public:
   /// in axiom style. Defaults to the instance address (no sharing).
   virtual const void *memoTag() const { return this; }
 
-  /// happens-before: ppo | fences | rfe.
+  /// happens-before: ppo | fences | rfe, memoized on \p Exe like the
+  /// wrappers below.
   Relation happensBefore(const Execution &Exe) const;
 
   /// Evaluates the four axioms on \p Exe. Virtual so adapters over other
@@ -171,15 +172,14 @@ public:
 protected:
   /// Memoized wrappers around the architecture functions, shared by the
   /// axiom evaluation and the prop implementations so each relation is
-  /// derived once per candidate (when the execution's derived cache is
-  /// on; pass-through otherwise). Subclasses adding their own memoized
-  /// relations must use slots >= MemoFirstSubclassSlot.
+  /// derived once per candidate (Execution::memo under memoTag(), when the
+  /// execution's memo is on; pass-through otherwise). Subclasses adding
+  /// their own memoized relations must use slots >= MemoFirstSubclassSlot.
   Relation cachedPpo(const Execution &Exe) const;
   Relation cachedFences(const Execution &Exe) const;
   /// Combined memo tier of happens-before (max of ppo/fences tiers and
   /// PerRf for the rfe component).
   MemoTier hbTier(const Execution &Exe) const;
-  Relation cachedHappensBefore(const Execution &Exe) const;
   /// Reflexive-transitive closure of happens-before.
   Relation cachedHbStar(const Execution &Exe) const;
   Relation cachedProp(const Execution &Exe) const;

@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "../tools/CampaignCli.h"
 #include "campaign/Checkpoint.h"
 #include "campaign/Merge.h"
 #include "campaign/ResultCache.h"
@@ -700,6 +701,36 @@ TEST(Checkpoint, RefusesForeignCampaigns) {
   auto Foreign = loadCheckpoint(Path, campaignId("spec-b"));
   EXPECT_FALSE(static_cast<bool>(Foreign));
   EXPECT_NE(Foreign.message().find("different campaign"), std::string::npos);
+}
+
+TEST(Checkpoint, ResumeWithoutCacheWritesNoCacheStanza) {
+  // A campaign checkpointed while caching, resumed without --cache: the
+  // resumed run looks nothing up, so whatever the checkpoint counted, its
+  // report reads like an uncached run's.
+  const std::string Dir = scratchDir("resume_nocache");
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(12);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("TSO")};
+  const SweepEngine Engine({2});
+  cli::CampaignFlags Flags;
+  Flags.CacheDir = Dir + "/cache";
+  Flags.CheckpointPath = Dir + "/campaign.jsonl";
+  auto Cached = cli::runCampaignSweep("test", Engine, vectorSource(Tests),
+                                      Models, Flags, "spec");
+  ASSERT_TRUE(static_cast<bool>(Cached)) << Cached.message();
+  EXPECT_TRUE(Cached->CacheUsed);
+  EXPECT_EQ(Cached->CacheMisses, 12ull);
+
+  Flags.CacheDir.clear();
+  Flags.Resume = true;
+  auto Resumed = cli::runCampaignSweep("test", Engine, vectorSource(Tests),
+                                       Models, Flags, "spec");
+  ASSERT_TRUE(static_cast<bool>(Resumed)) << Resumed.message();
+  EXPECT_FALSE(Resumed->CacheUsed);
+  EXPECT_EQ(Resumed->CacheHits + Resumed->CacheMisses, 0ull);
+  EXPECT_EQ(sweepReportToJson(*Resumed).get("cache"), nullptr);
+  EXPECT_EQ(Resumed->Tests.size(), Tests.size());
 }
 
 //===----------------------------------------------------------------------===//

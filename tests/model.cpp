@@ -18,6 +18,7 @@
 #include "model/HwModel.h"
 #include "model/Registry.h"
 #include "model/SimpleModels.h"
+#include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -427,6 +428,50 @@ TEST(Registry, DefaultModelPerArch) {
   EXPECT_EQ(modelFor(Arch::Power).name(), "Power");
   EXPECT_EQ(modelFor(Arch::ARM).name(), "ARM");
   EXPECT_EQ(modelFor(Arch::CppRA).name(), "C++RA");
+}
+
+//===----------------------------------------------------------------------===//
+// Memo entries shared between models.
+//===----------------------------------------------------------------------===//
+
+TEST(ModelMemo, ArmLlhSharesEveryEntryButItsUniprocClosure) {
+  // ARM and ARM llh have one triple, so one memoTag(). On the coRR
+  // candidate that only the llh weakening allows, ARM llh checked after
+  // ARM must miss exactly once, on its own SC PER LOCATION closure, and
+  // still reach its own verdict.
+  const Model *Arm = modelByName("ARM");
+  const Model *Llh = modelByName("ARM llh");
+  ASSERT_EQ(Arm->memoTag(), Llh->memoTag());
+  const CatalogEntry *Entry = catalogEntry("coRR");
+  ASSERT_NE(Entry, nullptr);
+  auto Compiled = CompiledTest::compile(Entry->Test);
+  ASSERT_TRUE(static_cast<bool>(Compiled));
+  Execution Exe;
+  bool Found = false;
+  forEachCandidate(*Compiled, [&](const Candidate &Cand) {
+    if (!Cand.Consistent || Arm->allows(Cand.Exe) || !Llh->allows(Cand.Exe))
+      return true;
+    Exe = Cand.Exe;
+    Found = true;
+    return false;
+  });
+  ASSERT_TRUE(Found);
+
+  Exe.enableDerivedCache();
+  obs::Counter &Misses = obs::counter("memo.model_misses");
+  const bool WasOn = obs::metricsEnabled();
+  obs::setMetricsEnabled(true);
+  const unsigned long long Before = Misses.value();
+  const Verdict ArmVerdict = Arm->check(Exe);
+  const unsigned long long AfterArm = Misses.value();
+  const Verdict LlhVerdict = Llh->check(Exe);
+  const unsigned long long AfterLlh = Misses.value();
+  obs::setMetricsEnabled(WasOn);
+
+  EXPECT_EQ(ArmVerdict.letters(), "S");
+  EXPECT_TRUE(LlhVerdict.Allowed);
+  EXPECT_GT(AfterArm, Before);
+  EXPECT_EQ(AfterLlh - AfterArm, 1ull);
 }
 
 //===----------------------------------------------------------------------===//

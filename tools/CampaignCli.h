@@ -183,8 +183,10 @@ runCampaignSweep(const char *Tool, const SweepEngine &Engine,
       if (S.failed())
         std::fprintf(stderr, "%s: %s\n", Tool, S.message().c_str());
     }
+    // The checkpoint keeps the campaign's running counts; the progress
+    // line, like the report, speaks of a cache only when this run caches.
     if (Progress)
-      Progress->update(Done, Hits, Misses);
+      Progress->update(Done, Cache ? Hits : 0, Cache ? Misses : 0);
   };
 
   SweepReport Report =
@@ -198,10 +200,12 @@ runCampaignSweep(const char *Tool, const SweepEngine &Engine,
     Report.Tests.insert(Report.Tests.begin(),
                         std::make_move_iterator(Prefix.Tests.begin()),
                         std::make_move_iterator(Prefix.Tests.end()));
-  Report.CacheHits += Prefix.CacheHits;
-  Report.CacheMisses += Prefix.CacheMisses;
-  if (Prefix.CacheHits || Prefix.CacheMisses)
-    Report.CacheUsed = true;
+  // So does the report: the prefix's counters join this run's only when
+  // it caches too (the engine then set CacheUsed).
+  if (Cache) {
+    Report.CacheHits += Prefix.CacheHits;
+    Report.CacheMisses += Prefix.CacheMisses;
+  }
   return Report;
 }
 
