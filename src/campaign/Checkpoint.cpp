@@ -10,9 +10,16 @@
 #include "sweep/ReportIO.h"
 
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
 
 using namespace cats;
+
+namespace {
+
+/// The header schema the writer emits.
+constexpr const char *CheckpointSchema = "cats-checkpoint/2";
+
+} // namespace
 
 std::string cats::campaignId(const std::string &Spec) {
   // 64-bit FNV-1a; the id only needs to distinguish command lines, not
@@ -28,21 +35,34 @@ std::string cats::campaignId(const std::string &Spec) {
 Expected<CheckpointState> cats::loadCheckpoint(const std::string &Path,
                                                const std::string &CampaignId) {
   using Ret = Expected<CheckpointState>;
-  std::ifstream In(Path);
-  if (!In)
+  std::string Text;
+  if (!readWholeFile(Path, Text))
     return Ret::error(strFormat("cannot read checkpoint %s", Path.c_str()));
 
+  // Only lines ending in a newline are whole: appendBatch writes every
+  // line with its newline, so a line without one was cut by a kill.
+  size_t Pos = 0;
+  auto NextLine = [&](std::string &Line) {
+    const size_t End = Text.find('\n', Pos);
+    if (End == std::string::npos)
+      return false;
+    Line.assign(Text, Pos, End - Pos);
+    Pos = End + 1;
+    return true;
+  };
+
   std::string Line;
-  if (!std::getline(In, Line))
+  if (!NextLine(Line))
     return Ret::error(strFormat("checkpoint %s is empty", Path.c_str()));
   auto Header = JsonValue::parse(Line);
   if (!Header || !Header->isObject())
     return Ret::error(strFormat("checkpoint %s: garbled header", Path.c_str()));
   const JsonValue *Schema = Header->get("schema");
   if (!Schema || !Schema->isString() ||
-      Schema->asString() != "cats-checkpoint/1")
-    return Ret::error(
-        strFormat("checkpoint %s: not a cats-checkpoint/1 file", Path.c_str()));
+      (Schema->asString() != CheckpointSchema &&
+       Schema->asString() != "cats-checkpoint/1"))
+    return Ret::error(strFormat(
+        "checkpoint %s: not a cats-checkpoint/1 or /2 file", Path.c_str()));
   const JsonValue *Id = Header->get("campaign");
   if (!Id || !Id->isString() || Id->asString() != CampaignId)
     return Ret::error(strFormat(
@@ -55,8 +75,9 @@ Expected<CheckpointState> cats::loadCheckpoint(const std::string &Path,
   // final line — is trimmed: resume re-judges from the last completed
   // batch.
   CheckpointState State;
+  State.Bytes = Pos;
   std::vector<SweepTestResult> Entries;
-  while (std::getline(In, Line)) {
+  while (NextLine(Line)) {
     if (Line.empty())
       continue;
     auto Doc = JsonValue::parse(Line);
@@ -76,11 +97,12 @@ Expected<CheckpointState> cats::loadCheckpoint(const std::string &Path,
     if (!countFromJson(Progress->get("consumed"), Consumed) ||
         !countFromJson(Progress->get("hits"), Hits) ||
         !countFromJson(Progress->get("misses"), Misses) ||
-        Consumed > Entries.size())
+        Consumed != Entries.size())
       break; // inconsistent: trust only what precedes it
     State.Consumed = Consumed;
     State.CacheHits = Hits;
     State.CacheMisses = Misses;
+    State.Bytes = Pos;
   }
   Entries.resize(static_cast<size_t>(State.Consumed));
   State.Tests = std::move(Entries);
@@ -95,7 +117,7 @@ cats::CheckpointWriter::create(const std::string &Path,
   if (!File)
     return Ret::error(strFormat("cannot write checkpoint %s", Path.c_str()));
   JsonValue Header = JsonValue::object();
-  Header.set("schema", "cats-checkpoint/1");
+  Header.set("schema", CheckpointSchema);
   Header.set("campaign", CampaignId);
   const std::string Line = Header.dump(0) + "\n";
   if (std::fwrite(Line.data(), 1, Line.size(), File) != Line.size() ||
@@ -107,8 +129,14 @@ cats::CheckpointWriter::create(const std::string &Path,
 }
 
 Expected<CheckpointWriter>
-cats::CheckpointWriter::append(const std::string &Path) {
+cats::CheckpointWriter::append(const std::string &Path,
+                               unsigned long long Bytes) {
   using Ret = Expected<CheckpointWriter>;
+  std::error_code Ec;
+  std::filesystem::resize_file(Path, Bytes, Ec);
+  if (Ec)
+    return Ret::error(strFormat("cannot trim checkpoint %s: %s", Path.c_str(),
+                                Ec.message().c_str()));
   std::FILE *File = std::fopen(Path.c_str(), "a");
   if (!File)
     return Ret::error(

@@ -8,9 +8,14 @@
 /// Crash-tolerant progress files for long campaigns (docs/campaigns.md).
 /// A checkpoint is an append-only JSONL file:
 ///
-///   {"schema":"cats-checkpoint/1","campaign":"<id>"}     header, line 1
-///   {"entry":{...cats-sweep-report/1 test entry...}}      one per test
+///   {"schema":"cats-checkpoint/2","campaign":"<id>"}     header, line 1
+///   {"entry":{...cats-sweep-report/2 test record...}}     one per test
 ///   {"progress":{"consumed":N,"hits":H,"misses":M}}       one per batch
+///
+/// The writer emits /2; loadCheckpoint also reads a cats-checkpoint/1
+/// file, whose entries are /1 records, so a campaign checkpointed by an
+/// older build resumes. Resuming appends /2 entry lines to it, and the
+/// record reader takes either kind line by line.
 ///
 /// The engine's OnBatch hook appends each batch's entries followed by one
 /// progress line and flushes. The engine fires it at the in-order
@@ -18,6 +23,10 @@
 /// the source: a kill at any moment loses at most the unreported tail,
 /// and loading trims to the last progress line (entries past it were
 /// appended by an interrupted batch write and are re-judged on resume).
+/// A progress line counts exactly the entries before it, and a line
+/// without its newline is torn, so a duplicated or cut span ends the
+/// trusted prefix. Resuming cuts the file back to that prefix before it
+/// appends, so every batch on disk follows a complete one.
 /// Appending keeps the per-batch cost O(batch), not O(campaign)
 /// — rewriting a whole-report snapshot every batch would be quadratic
 /// over a million-test campaign.
@@ -55,12 +64,16 @@ struct CheckpointState {
   /// Cache counters at the last completed batch.
   unsigned long long CacheHits = 0;
   unsigned long long CacheMisses = 0;
+  /// The file's length up to the end of the last completed batch (the
+  /// header alone when there is none): where a resume appends.
+  unsigned long long Bytes = 0;
   /// The completed entries, in source order.
   std::vector<SweepTestResult> Tests;
 };
 
-/// Loads and validates \p Path. Fails on a missing/garbled header or a
-/// campaign-id mismatch; tolerates (and trims) a torn tail.
+/// Loads and validates \p Path, a cats-checkpoint/1 or /2 file. Fails on
+/// a missing/garbled header or a campaign-id mismatch; tolerates (and
+/// trims) a torn tail.
 Expected<CheckpointState> loadCheckpoint(const std::string &Path,
                                          const std::string &CampaignId);
 
@@ -71,9 +84,11 @@ public:
   static Expected<CheckpointWriter> create(const std::string &Path,
                                            const std::string &CampaignId);
 
-  /// Reopens \p Path for appending after a resume. The caller must have
-  /// loadCheckpoint-validated it first.
-  static Expected<CheckpointWriter> append(const std::string &Path);
+  /// Reopens \p Path for appending after a resume, first cutting it to
+  /// \p Bytes (CheckpointState::Bytes of its loadCheckpoint), so a torn
+  /// tail never sits between two batches.
+  static Expected<CheckpointWriter> append(const std::string &Path,
+                                           unsigned long long Bytes);
 
   /// Appends the report entries [\p First, \p Last) (those the last
   /// batch added) and a progress line with the cumulative totals, then

@@ -120,10 +120,11 @@ struct SweepInput {
 };
 
 /// Reads the merge's view of sweep report \p Doc, checking every test
-/// entry with the entry reader. Returns a non-empty reason on failure.
+/// record with the record reader and rewriting it as a /2 record in
+/// place. Returns a non-empty reason on failure.
 std::string readSweepInput(JsonValue &Doc, SweepInput &Part) {
-  if (schemaOf(Doc) != "cats-sweep-report/1")
-    return "not a cats-sweep-report/1 document";
+  if (!isSweepReportSchema(schemaOf(Doc)))
+    return "not a cats-sweep-report/1 or /2 document";
   unsigned long long Jobs = 0;
   if (!countFromJson(Doc.get("jobs"), Jobs) ||
       Jobs > std::numeric_limits<unsigned>::max())
@@ -144,9 +145,9 @@ std::string readSweepInput(JsonValue &Doc, SweepInput &Part) {
     return "report without a 'tests' array";
   Part.Tests = &Tests->elements();
   for (size_t I = 0; I < Part.Tests->size(); ++I) {
-    const JsonValue &Entry = (*Part.Tests)[I];
-    if (auto Parsed = sweepTestResultFromJson(Entry); !Parsed)
-      return testEntryLabel(Entry, I) + ": " + Parsed.message();
+    JsonValue &Entry = (*Part.Tests)[I];
+    if (Status S = upgradeTestEntry(Entry); S.failed())
+      return testEntryLabel(Entry, I) + ": " + S.message();
   }
   if (const JsonValue *Shard = Doc.get("shard")) {
     auto Spec = shardFromJson(*Shard);
@@ -229,7 +230,7 @@ Expected<JsonValue> cats::mergeSweepReports(std::vector<JsonValue> Inputs) {
   }
 
   JsonValue Root = JsonValue::object();
-  Root.set("schema", "cats-sweep-report/1");
+  Root.set("schema", SweepReportSchema);
   Root.set("jobs", Jobs);
   Root.set("wall_seconds", WallSeconds);
   if (CacheUsed) {
@@ -271,14 +272,19 @@ Expected<JsonValue> cats::mergeReports(std::vector<JsonValue> Inputs) {
   using Ret = Expected<JsonValue>;
   if (Inputs.empty())
     return Ret::error("nothing to merge");
+  // Sweep reports of either version are one kind.
+  auto KindOf = [](const std::string &Schema) {
+    return isSweepReportSchema(Schema) ? std::string(SweepReportSchema)
+                                       : Schema;
+  };
   const std::string Schema = schemaOf(Inputs[0]);
   for (size_t I = 1; I < Inputs.size(); ++I)
-    if (schemaOf(Inputs[I]) != Schema)
+    if (KindOf(schemaOf(Inputs[I])) != KindOf(Schema))
       return Ret::error(strFormat(
           "inputs mix schemas ('%s' vs '%s'); merge one report kind at a "
           "time",
           Schema.c_str(), schemaOf(Inputs[I]).c_str()));
-  if (Schema == "cats-sweep-report/1")
+  if (isSweepReportSchema(Schema))
     return mergeSweepReports(std::move(Inputs));
   if (Schema == "cats-mine-report/1")
     return mergeMineReports(std::move(Inputs));

@@ -7,7 +7,8 @@
 /// \file
 /// The reduce step of a sharded campaign (docs/campaigns.md): cats_merge
 /// reads the per-shard JSON reports and folds them into one document of
-/// the same schema, as if a single process had swept the whole stream.
+/// the same kind, as if a single process had swept the whole stream (a
+/// sweep merge writes cats-sweep-report/2 from /1 and /2 inputs alike).
 ///
 /// Sweep reports merge losslessly. Each shard report carries a "shard"
 /// stanza ({"index":K,"count":N}); given the complete set 1..N the merge
@@ -46,21 +47,25 @@ namespace cats {
 /// replaced by 0 (in place, on the argument's own tree).
 JsonValue zeroWallTimes(JsonValue V);
 
-/// Merges cats-sweep-report/1 documents. All inputs sharded (a complete
-/// 1..N set, N == inputs) interleave back to source order; all inputs
-/// unsharded concatenate in argument order; a mix is an error. jobs is
+/// Merges cats-sweep-report/1 and /2 documents, in any mix, into one /2
+/// document. All inputs sharded (a complete 1..N set, N == inputs)
+/// interleave back to source order; all inputs unsharded concatenate in
+/// argument order; a mix of sharded and unsharded is an error. jobs is
 /// the max, wall_seconds the sum, cache hits/misses the sums (the stanza
 /// appears iff any input carries one), and the "shard" stanza is dropped
-/// from the merged document. Every test entry must pass the entry reader
-/// (sweepTestResultFromJson) and every count countFromJson; the merged
-/// document keeps each entry's own JSON, unknown members included.
+/// from the merged document. Every test record must pass the record
+/// reader and every count countFromJson. The merged document keeps each
+/// record's own JSON, unknown members included, rewritten as /2 by
+/// upgradeTestEntry: a /1 record's allowed states become indices, and
+/// every record renders on one line, as a single-process run writes it.
 Expected<JsonValue> mergeSweepReports(std::vector<JsonValue> Inputs);
 
 /// Merges cats-mine-report/1 documents (delegates to src/mole). Inputs
 /// carrying static analyses are refused.
 Expected<JsonValue> mergeMineReports(std::vector<JsonValue> Inputs);
 
-/// Dispatches on the inputs' "schema" member (all inputs must share it).
+/// Dispatches on the inputs' "schema" member (all inputs must share it;
+/// sweep reports /1 and /2 count as one).
 Expected<JsonValue> mergeReports(std::vector<JsonValue> Inputs);
 
 } // namespace cats

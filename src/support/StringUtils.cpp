@@ -161,3 +161,16 @@ bool cats::readWholeFile(const std::string &Path, std::string &Out) {
   std::fclose(File);
   return Ok;
 }
+
+Status cats::writeWholeFile(const std::string &Path, const std::string &Text) {
+  std::FILE *File = std::fopen(Path.c_str(), "wb");
+  if (!File)
+    return Status::error(strFormat("cannot write %s", Path.c_str()));
+  const bool Wrote =
+      std::fwrite(Text.data(), 1, Text.size(), File) == Text.size();
+  // The close flushes what the stream still buffers, so it can fail too.
+  const bool Closed = std::fclose(File) == 0;
+  if (!Wrote || !Closed)
+    return Status::error(strFormat("cannot write %s", Path.c_str()));
+  return Status::success();
+}

@@ -13,6 +13,8 @@
 #ifndef CATS_SUPPORT_STRINGUTILS_H
 #define CATS_SUPPORT_STRINGUTILS_H
 
+#include "support/Error.h"
+
 #include <string>
 #include <vector>
 
@@ -64,6 +66,11 @@ bool parseUnsignedArg(const char *Text, unsigned &Out);
 /// read (no intermediate stream buffer to copy out of). False when the
 /// file cannot be opened or read.
 bool readWholeFile(const std::string &Path, std::string &Out);
+
+/// Replaces file \p Path with \p Text. Fails with "cannot write PATH"
+/// when the file cannot be opened, or when the write or the close does
+/// not complete (a full disk fails there, after open succeeded).
+Status writeWholeFile(const std::string &Path, const std::string &Text);
 
 } // namespace cats
 

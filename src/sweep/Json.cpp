@@ -68,18 +68,28 @@ void JsonValue::push(JsonValue V) { elements().push_back(std::move(V)); }
 const std::vector<std::pair<std::string, JsonValue>> &
 JsonValue::members() const {
   assert(isObject() && "not an object");
-  static const Object Empty;
+  static const MemberList Empty;
   const Object *O = std::get_if<Object>(&Value);
-  return O ? *O : Empty;
+  return O ? O->Members : Empty;
 }
 
 std::vector<std::pair<std::string, JsonValue>> &JsonValue::members() {
   assert(isObject() && "not an object");
-  return std::get<Object>(Value);
+  return std::get<Object>(Value).Members;
+}
+
+void JsonValue::setOneLine() {
+  assert(isObject() && "not an object");
+  std::get<Object>(Value).OneLine = true;
+}
+
+bool JsonValue::oneLine() const {
+  const Object *O = std::get_if<Object>(&Value);
+  return O && O->OneLine;
 }
 
 void JsonValue::set(const std::string &Key, JsonValue V) {
-  Object &Members = members();
+  MemberList &Members = members();
   for (auto &[K, Existing] : Members)
     if (K == Key) {
       Existing = std::move(V);
@@ -89,10 +99,10 @@ void JsonValue::set(const std::string &Key, JsonValue V) {
 }
 
 const JsonValue *JsonValue::get(const std::string &Key) const {
-  const Object *Members = std::get_if<Object>(&Value);
-  if (!Members)
+  const Object *O = std::get_if<Object>(&Value);
+  if (!O)
     return nullptr;
-  for (const auto &[K, V] : *Members)
+  for (const auto &[K, V] : O->Members)
     if (K == Key)
       return &V;
   return nullptr;
@@ -129,37 +139,51 @@ namespace cats {
 /// The printer: one recursive walk writing through a cursor into one
 /// buffer. The buffer starts at bound()'s size, so it is allocated once;
 /// every write still checks for room, and an escape-heavy string merely
-/// grows it.
+/// grows it. Indent is the step of the layout being written: 0 inside an
+/// object marked one-line.
 class JsonWriter {
 public:
-  JsonWriter(const JsonValue &Root, unsigned Indent) : Indent(Indent) {
-    Out.resize(bound(Root, 0) + 1);
+  JsonWriter(const JsonValue &Root, unsigned Indent)
+      : Step(Indent), Indent(Indent) {
+    Out.resize(bound(Root, 0, Indent) + 1);
     P = Out.data();
   }
 
-  /// At least the size value() renders for \p V, unless its strings need
-  /// escapes. Numbers count the widest "%.17g" rendering.
-  size_t bound(const JsonValue &V, unsigned Depth) const {
+  /// At least the size value() renders for \p V at indentation step
+  /// \p Width, unless its strings need escapes. Numbers count the widest
+  /// "%.17g" rendering.
+  size_t bound(const JsonValue &V, unsigned Depth, unsigned Width) const {
+    if (V.oneLine())
+      Width = 0;
     // Each element costs a separator and a newline with its indentation.
-    const size_t Line = Indent ? 1 + size_t(Indent) * (Depth + 1) : 0;
+    const size_t Line = Width ? 1 + size_t(Width) * (Depth + 1) : 0;
     switch (V.kind()) {
     case JsonValue::Kind::Null:
     case JsonValue::Kind::Bool:
       return 5;
-    case JsonValue::Kind::Number:
-      return NumberWidth;
+    case JsonValue::Kind::Number: {
+      // Counts and indices, most of a report's numbers, are small
+      // non-negative integers: count their digits.
+      const double N = std::get<double>(V.Value);
+      if (!(N >= 0 && N < 1e15) || std::signbit(N) || N != std::floor(N))
+        return NumberWidth;
+      size_t Digits = 1;
+      for (double Ten = 10; Ten <= N; Ten *= 10)
+        ++Digits;
+      return Digits;
+    }
     case JsonValue::Kind::String:
       return std::get<std::string>(V.Value).size() + 2;
     case JsonValue::Kind::Array: {
       size_t Size = 2 + Line;
       for (const JsonValue &E : std::get<JsonValue::Array>(V.Value))
-        Size += 1 + Line + bound(E, Depth + 1);
+        Size += 1 + Line + bound(E, Depth + 1, Width);
       return Size;
     }
     case JsonValue::Kind::Object: {
       size_t Size = 2 + Line;
-      for (const auto &[Key, Member] : std::get<JsonValue::Object>(V.Value))
-        Size += 1 + Line + Key.size() + 4 + bound(Member, Depth + 1);
+      for (const auto &[Key, Member] : V.members())
+        Size += 1 + Line + Key.size() + 4 + bound(Member, Depth + 1, Width);
       return Size;
     }
     }
@@ -201,7 +225,13 @@ public:
       return;
     }
     case JsonValue::Kind::Object: {
-      const JsonValue::Object &Members = std::get<JsonValue::Object>(V.Value);
+      if (Indent && V.oneLine()) {
+        Indent = 0;
+        value(V, Depth);
+        Indent = Step;
+        return;
+      }
+      const JsonValue::MemberList &Members = V.members();
       if (Members.empty()) {
         put("{}", 2);
         return;
@@ -223,7 +253,7 @@ public:
   }
 
   std::string finish() {
-    if (Indent)
+    if (Step)
       put("\n", 1);
     Out.resize(static_cast<size_t>(P - Out.data()));
     return std::move(Out);
@@ -323,7 +353,9 @@ private:
 
   std::string Out;
   char *P;
-  const unsigned Indent;
+  /// The dump's step, and the step of the object being written.
+  const unsigned Step;
+  unsigned Indent;
 };
 
 } // namespace cats
@@ -362,6 +394,7 @@ public:
 private:
   using Array = JsonValue::Array;
   using Object = JsonValue::Object;
+  using MemberList = JsonValue::MemberList;
 
   bool fail(const std::string &Why) {
     Error = "JSON error at offset " + std::to_string(P - Begin) + ": " + Why;
@@ -576,7 +609,7 @@ private:
           return fail("expected ',' or '}' in object");
       }
     }
-    Object &O = Out.Value.emplace<Object>();
+    MemberList &O = Out.Value.emplace<Object>().Members;
     O.assign(std::make_move_iterator(Fields.begin() + Base),
              std::make_move_iterator(Fields.end()));
     Fields.resize(Base);
@@ -589,7 +622,7 @@ private:
   /// Scratch stacks: the elements and members of every container still
   /// open, innermost last.
   Array Items;
-  Object Fields;
+  MemberList Fields;
   std::string Error;
 };
 

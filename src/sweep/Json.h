@@ -26,6 +26,11 @@
 ///   single buffer, sized up front by a walk that bounds the output.
 ///   Integral numbers of magnitude below 1e15 print as integers (a
 ///   negative zero as "-0"); every other number prints as "%.17g" would.
+/// - An object can carry a one-line mark (setOneLine): an indented dump
+///   then renders it, at its place in the layout, in the compact form.
+///   The mark lives beside the members, so copies and moves keep it;
+///   operator== ignores it and parse() never sets it. Sweep reports put
+///   each test record on its own line this way.
 /// - Moving a value moves its whole subtree, so a merge can hand test
 ///   entries from its inputs to its output without copying them.
 ///
@@ -96,14 +101,20 @@ public:
   std::vector<std::pair<std::string, JsonValue>> &members();
   void set(const std::string &Key, JsonValue V);
 
+  /// The one-line mark of an object (see the file comment). setOneLine
+  /// requires an object; oneLine() reads false on any other kind.
+  void setOneLine();
+  bool oneLine() const;
+
   /// The member value for \p Key, or nullptr (also on non-objects). The
   /// mutable overload lets a caller edit or move the member in place.
   const JsonValue *get(const std::string &Key) const;
   JsonValue *get(const std::string &Key);
 
-  /// Renders the value. \p Indent > 0 pretty-prints with that step;
-  /// 0 emits the compact single-line form. Output is deterministic and
-  /// reparses to an equal value.
+  /// Renders the value. \p Indent > 0 pretty-prints with that step,
+  /// except inside objects marked one-line; 0 emits the compact
+  /// single-line form. Output is deterministic and reparses to an equal
+  /// value.
   std::string dump(unsigned Indent = 2) const;
 
   bool operator==(const JsonValue &Other) const;
@@ -118,7 +129,16 @@ private:
   friend class JsonParser;
   friend class JsonWriter;
   using Array = std::vector<JsonValue>;
-  using Object = std::vector<std::pair<std::string, JsonValue>>;
+  using MemberList = std::vector<std::pair<std::string, JsonValue>>;
+  /// An object's members with its rendering mark; equality is the
+  /// members' alone. As small as a string, so a value stays 40 bytes.
+  struct Object {
+    MemberList Members;
+    bool OneLine = false;
+    bool operator==(const Object &Other) const {
+      return Members == Other.Members;
+    }
+  };
 
   /// Alternatives in Kind order, so kind() is the variant index.
   std::variant<std::monostate, bool, double, std::string, Array, Object>

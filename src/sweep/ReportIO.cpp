@@ -1,4 +1,4 @@
-//===- ReportIO.cpp - cats-sweep-report/1 (de)serialization ---------------===//
+//===- ReportIO.cpp - cats-sweep-report/2 (de)serialization ---------------===//
 //
 // Part of the cats project.
 //
@@ -15,11 +15,29 @@
 using namespace cats;
 
 //===----------------------------------------------------------------------===//
-// Writer (cats-sweep-report/1, see docs/report-schemas.md)
+// Writer (cats-sweep-report/2, see docs/report-schemas.md)
 //===----------------------------------------------------------------------===//
+
+bool cats::isSweepReportSchema(const std::string &Schema) {
+  return Schema == SweepReportSchema || Schema == "cats-sweep-report/1";
+}
+
+namespace {
+
+/// The "allowed" member of a model block: indices into the outcome table.
+JsonValue allowedToJson(const std::vector<uint32_t> &Indices) {
+  JsonValue Allowed = JsonValue::array();
+  Allowed.elements().reserve(Indices.size());
+  for (uint32_t Idx : Indices)
+    Allowed.push(Idx);
+  return Allowed;
+}
+
+} // namespace
 
 JsonValue cats::sweepTestResultToJson(const SweepTestResult &T) {
   JsonValue Entry = JsonValue::object();
+  Entry.setOneLine();
   Entry.members().reserve(T.Error.empty() ? 6 : 3);
   Entry.set("name", T.TestName);
   Entry.set("wall_seconds", T.WallSeconds);
@@ -47,11 +65,7 @@ JsonValue cats::sweepTestResultToJson(const SweepTestResult &T) {
     M.set("model", R.ModelName);
     M.set("verdict", R.verdict());
     M.set("candidates_allowed", R.CandidatesAllowed);
-    JsonValue Allowed = JsonValue::array();
-    Allowed.elements().reserve(R.AllowedOutcomes.size());
-    for (uint32_t Idx : R.AllowedOutcomes)
-      Allowed.push(std::string(Table.key(Idx)));
-    M.set("allowed_states", std::move(Allowed));
+    M.set("allowed", allowedToJson(R.AllowedOutcomes));
     Models.push(std::move(M));
   }
   Entry.set("models", std::move(Models));
@@ -60,7 +74,7 @@ JsonValue cats::sweepTestResultToJson(const SweepTestResult &T) {
 
 JsonValue cats::sweepReportToJson(const SweepReport &Report) {
   JsonValue Root = JsonValue::object();
-  Root.set("schema", "cats-sweep-report/1");
+  Root.set("schema", SweepReportSchema);
   Root.set("jobs", Report.Jobs);
   Root.set("wall_seconds", Report.WallSeconds);
   if (Report.CacheUsed) {
@@ -121,19 +135,15 @@ Status readCount(const JsonValue &Obj, const char *Key,
   return Status::error(strFormat("'%s' is not a count", Key));
 }
 
-/// The elements of state list \p Array, all strings; an absent list reads
-/// as empty.
-Expected<const std::vector<JsonValue> *> stateList(const JsonValue *Array) {
+/// The elements of state list \p Array, all strings.
+Expected<const std::vector<JsonValue> *> stateList(const JsonValue &Array) {
   using Ret = Expected<const std::vector<JsonValue> *>;
-  static const std::vector<JsonValue> None;
-  if (!Array)
-    return &None;
-  if (!Array->isArray())
+  if (!Array.isArray())
     return Ret::error("state list is not an array");
-  for (const JsonValue &Key : Array->elements())
+  for (const JsonValue &Key : Array.elements())
     if (!Key.isString())
       return Ret::error("state key is not a string");
-  return &Array->elements();
+  return &Array.elements();
 }
 
 /// Reads "consistent_states" into the outcome table. Every key must be
@@ -158,7 +168,29 @@ Status parseOutcomeTable(const std::vector<JsonValue> &Keys,
   return Status::success();
 }
 
-/// Resolves the allowed-state keys \p Allowed against the table's keys
+/// Reads the "allowed" indices \p List into \p Out: every element a count
+/// below \p TableSize, and strictly ascending.
+Status readAllowedIndices(const JsonValue &List, size_t TableSize,
+                          std::vector<uint32_t> &Out) {
+  if (!List.isArray())
+    return Status::error("'allowed' is not an array");
+  Out.reserve(List.elements().size());
+  for (const JsonValue &V : List.elements()) {
+    unsigned long long Idx = 0;
+    if (!countFromJson(&V, Idx))
+      return Status::error("allowed index is not a count");
+    if (Idx >= TableSize)
+      return Status::error(
+          strFormat("allowed index %llu is not below %zu", Idx, TableSize));
+    if (!Out.empty() && Idx <= Out.back())
+      return Status::error(
+          strFormat("allowed indices are not strictly ascending at %llu", Idx));
+    Out.push_back(static_cast<uint32_t>(Idx));
+  }
+  return Status::success();
+}
+
+/// Resolves the /1 allowed-state keys \p Allowed against the table's keys
 /// \p TableKeys (strictly ascending) into strictly ascending indices: one
 /// forward walk over both lists. A state missing from the table, a repeat
 /// or an out-of-order state is an error.
@@ -212,12 +244,24 @@ modelFromJson(const JsonValue &M, const std::vector<JsonValue> &TableKeys,
   if (Status S = readCount(M, "candidates_allowed", R.CandidatesAllowed);
       S.failed())
     return Fail(S.message());
-  auto Allowed = stateList(M.get("allowed_states"));
-  if (!Allowed)
-    return Fail(Allowed.message());
-  if (Status S = resolveAllowed(**Allowed, TableKeys, R.AllowedOutcomes);
-      S.failed())
-    return Fail(S.message());
+  // /2 lists indices, /1 the states themselves; a block has one list.
+  const JsonValue *Indices = M.get("allowed");
+  const JsonValue *States = M.get("allowed_states");
+  if (!Indices == !States)
+    return Fail("needs exactly one of 'allowed' and 'allowed_states'");
+  if (Indices) {
+    if (Status S =
+            readAllowedIndices(*Indices, TableKeys.size(), R.AllowedOutcomes);
+        S.failed())
+      return Fail(S.message());
+  } else {
+    auto Allowed = stateList(*States);
+    if (!Allowed)
+      return Fail(Allowed.message());
+    if (Status S = resolveAllowed(**Allowed, TableKeys, R.AllowedOutcomes);
+        S.failed())
+      return Fail(S.message());
+  }
   if (R.CandidatesAllowed < R.AllowedOutcomes.size())
     return Fail("allows fewer candidates than states");
   if (R.CandidatesAllowed > Test.CandidatesConsistent)
@@ -267,7 +311,7 @@ Expected<SweepTestResult> cats::sweepTestResultFromJson(const JsonValue &E) {
   const JsonValue *Models = E.get("models");
   if (!States || !Models)
     return Ret::error("entry without 'consistent_states' or 'models'");
-  auto TableKeys = stateList(States);
+  auto TableKeys = stateList(*States);
   if (!TableKeys)
     return Ret::error(TableKeys.message());
   if (Status S = parseOutcomeTable(**TableKeys, Result.ConsistentOutcomes);
@@ -292,8 +336,8 @@ Expected<SweepReport> cats::sweepReportFromJson(const JsonValue &Root) {
   using Ret = Expected<SweepReport>;
   if (!Root.isObject())
     return Ret::error("report is not a JSON object");
-  if (stringOf(Root, "schema") != "cats-sweep-report/1")
-    return Ret::error("not a cats-sweep-report/1 document");
+  if (!isSweepReportSchema(stringOf(Root, "schema")))
+    return Ret::error("not a cats-sweep-report/1 or /2 document");
   SweepReport Out;
   unsigned long long Jobs = 0;
   if (Status S = readCount(Root, "jobs", Jobs); S.failed())
@@ -323,6 +367,25 @@ Expected<SweepReport> cats::sweepReportFromJson(const JsonValue &Root) {
     Out.Tests.push_back(T.take());
   }
   return Out;
+}
+
+Status cats::upgradeTestEntry(JsonValue &Entry) {
+  auto Parsed = sweepTestResultFromJson(Entry);
+  if (!Parsed)
+    return Status::error(Parsed.message());
+  Entry.setOneLine();
+  if (!Parsed->Error.empty())
+    return Status::success();
+  // The reader checked every block and resolved its list; a /1 list takes
+  // the /2 name and the resolved indices at the same position.
+  std::vector<JsonValue> &Models = Entry.get("models")->elements();
+  for (size_t I = 0; I < Models.size(); ++I)
+    for (auto &[Key, Member] : Models[I].members())
+      if (Key == "allowed_states") {
+        Key = "allowed";
+        Member = allowedToJson(Parsed->Result.PerModel[I].AllowedOutcomes);
+      }
+  return Status::success();
 }
 
 std::string cats::testEntryLabel(const JsonValue &Entry, size_t Index) {

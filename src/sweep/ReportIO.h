@@ -1,24 +1,32 @@
-//===- ReportIO.h - cats-sweep-report/1 (de)serialization -----*- C++ -*-===//
+//===- ReportIO.h - cats-sweep-report/2 (de)serialization -----*- C++ -*-===//
 //
 // Part of the cats project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Round-tripping sweep results through the cats-sweep-report/1 JSON
-/// schema. The writer half has always lived behind sweepReportToJson; this
-/// header adds the reader half — parsing a report (or one per-test entry)
-/// back into the engine's structs — which is what makes reports
-/// *composable*: the campaign layer's result cache replays stored entries
+/// Round-tripping sweep results through the cats-sweep-report/2 JSON
+/// schema (docs/report-schemas.md). The per-test record defined here is
+/// the one encoding of a result on disk: sweep reports list it, every
+/// checkpoint entry line and every result-cache entry holds it. That is
+/// what makes reports composable: the result cache replays stored records
 /// into live reports, checkpoint files reload an interrupted campaign's
 /// prefix, and cats_merge folds shard reports into one.
 ///
-/// Rendering a parsed entry is byte-identical to rendering the original:
-/// the reader only accepts canonical outcome keys (checkOutcomeKey, which
-/// shares outcomeFromKey's grammar in litmus/LitmusTest.h) and stores
-/// them as they are in the entry's outcome table, allowed states resolve
-/// to indices into that table, and every count is an integer in
-/// [0, 2^53] (exact in the JSON number type).
+/// A record lists the test's consistent states once, as canonical outcome
+/// keys in ascending order, and each model's allowed states as strictly
+/// ascending indices into that list ("allowed"), which is how the judge
+/// holds them in memory. The writer marks every record to render on one
+/// line inside the pretty-printed report. Writers emit only /2; readers
+/// also take /1, whose model blocks spell the allowed states out as keys
+/// ("allowed_states") and whose records are pretty-printed.
+///
+/// Rendering a parsed record gives back the writer's bytes: the reader
+/// only accepts canonical outcome keys (checkOutcomeKey, which shares
+/// outcomeFromKey's grammar in litmus/LitmusTest.h) and stores them as
+/// they are in the record's outcome table, allowed states become indices
+/// into that table, and every count is an integer in [0, 2^53] (exact in
+/// the JSON number type).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +40,13 @@
 #include <string_view>
 
 namespace cats {
+
+/// The schema tag every sweep report writer emits.
+inline constexpr const char *SweepReportSchema = "cats-sweep-report/2";
+
+/// True for the schema tags the sweep-report readers accept: /2, and /1
+/// from older builds.
+bool isSweepReportSchema(const std::string &Schema);
 
 /// The largest count a report may carry: every integer up to 2^53 is
 /// exact in the JSON number type (a double).
@@ -47,27 +62,35 @@ bool countFromJson(const JsonValue *V, unsigned long long &Out);
 /// "tests" array: "test 'name'", or "test #N" for an entry without one.
 std::string testEntryLabel(const JsonValue &Entry, size_t Index);
 
-/// Renders one per-test entry of the "tests" array (the same rendering
-/// sweepReportToJson uses).
+/// Renders one /2 record: the element of the "tests" array that
+/// sweepReportToJson writes, marked to render on one line.
 JsonValue sweepTestResultToJson(const SweepTestResult &Result);
 
-/// Parses one per-test entry. Unknown members are ignored (forward
-/// compatibility within the /1 schema). Besides syntax, an entry must keep
-/// the writer's invariants (docs/report-schemas.md): "consistent_states"
-/// and "models" present unless the entry is an "error" one; every count
-/// read by countFromJson; "consistent_states" canonical and strictly
-/// ascending;
-/// every model's verdict "Allow" or "Forbid" and its allowed states a
-/// strictly ascending subset of the consistent states; and the counts
+/// Parses one per-test record, /1 or /2. Unknown members are ignored
+/// (forward compatibility within a schema). Besides syntax, a record must
+/// keep the writer's invariants (docs/report-schemas.md):
+/// "consistent_states" and "models" present unless the record is an
+/// "error" one; every count read by countFromJson; "consistent_states"
+/// canonical and strictly ascending; every model's verdict "Allow" or
+/// "Forbid", and exactly one of "allowed" (indices below the number of
+/// consistent states, strictly ascending) and "allowed_states" (a
+/// strictly ascending subset of the consistent states); the counts
 /// ordered as the judge produces them: allowed states <=
 /// candidates_allowed <= candidates_consistent <= candidates_total, and
 /// consistent states <= candidates_consistent; and a model that allows a
 /// candidate or has an "Allow" verdict lists at least one allowed state.
-/// Error messages give the reason only; callers name the entry
+/// Error messages give the reason only; callers name the record
 /// (testEntryLabel).
 Expected<SweepTestResult> sweepTestResultFromJson(const JsonValue &Entry);
 
-/// Parses a whole cats-sweep-report/1 document. Fails on a wrong or
+/// Checks record \p Entry with sweepTestResultFromJson and rewrites it in
+/// place as a /2 record: each /1 "allowed_states" list becomes, at the
+/// same position, the "allowed" indices the reader resolved, and the
+/// record is marked one-line. Members the reader does not know stay. On
+/// failure \p Entry is unchanged.
+Status upgradeTestEntry(JsonValue &Entry);
+
+/// Parses a whole cats-sweep-report/1 or /2 document. Fails on a wrong or
 /// missing "schema"; top-level members this reader does not know (e.g.
 /// the "shard" stanza the campaign CLIs append) are ignored.
 Expected<SweepReport> sweepReportFromJson(const JsonValue &Root);

@@ -18,6 +18,15 @@
 
 using namespace cats;
 
+unsigned cats::judgingThreads(unsigned Workers, unsigned long long Judged) {
+  // One worker judges on the calling thread; more start a pool at the
+  // first test to judge, and a report counts the pool's threads that
+  // could have had work.
+  if (Workers <= 1 || Judged == 0)
+    return 1;
+  return static_cast<unsigned>(std::min<unsigned long long>(Workers, Judged));
+}
+
 bool SweepReport::allOk() const {
   for (const SweepTestResult &T : Tests)
     if (!T.Error.empty())
@@ -212,9 +221,8 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
   }
   StopPool();
 
-  const size_t Judged = Report.Tests.size() - Report.CacheHits;
-  if (!Pool.empty())
-    Report.Jobs = static_cast<unsigned>(std::min(Pool.size(), Judged));
+  Report.Jobs =
+      judgingThreads(Workers, Report.Tests.size() - Report.CacheHits);
   Report.WallSeconds = secondsSince(Start);
   if (obs::metricsEnabled()) {
     // Zero counters are left out of the snapshot, so a sweep without a
@@ -277,5 +285,5 @@ std::vector<SweepJob> cats::makeJobs(const std::vector<LitmusTest> &Tests,
   return Jobs;
 }
 
-// The JSON rendering and parsing of the cats-sweep-report/1 schema live
+// The JSON rendering and parsing of the cats-sweep-report/2 schema live
 // together in sweep/ReportIO.cpp.

@@ -114,6 +114,13 @@ struct StreamHooks {
   unsigned long long SkipTests = 0;
 };
 
+/// A report's "jobs" (SweepReport::Jobs) for a sweep of \p Workers
+/// workers that judged \p Judged tests: the workers, capped at the tests
+/// judged, and 1 when one worker or nothing judged. A resumed campaign
+/// applies it to the whole campaign, so its report says what an
+/// uninterrupted run's would.
+unsigned judgingThreads(unsigned Workers, unsigned long long Judged);
+
 /// Results per runStreamed batch, unless the caller picks another size.
 inline constexpr unsigned StreamBatchSize = 64;
 
@@ -156,9 +163,11 @@ private:
 std::vector<SweepJob> makeJobs(const std::vector<LitmusTest> &Tests,
                                const std::vector<const Model *> &Models);
 
-/// Serializes \p Report to the cats-sweep-report/1 JSON schema
-/// (docs/sweep.md documents every field). The rendering is deterministic:
-/// two runs of the same sweep differ only in the wall-time fields.
+/// Serializes \p Report to the cats-sweep-report/2 JSON schema
+/// (docs/report-schemas.md documents every field): the top level
+/// pretty-printed, one member per line, and each test record on its own
+/// line. The rendering is deterministic: two runs of the same sweep differ
+/// only in the wall-time fields.
 JsonValue sweepReportToJson(const SweepReport &Report);
 
 } // namespace cats

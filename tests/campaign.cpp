@@ -10,8 +10,10 @@
 /// reproduce the single-process report byte-for-byte (modulo wall
 /// times), cache hits must be byte-identical to fresh judgements while
 /// any test mutation misses, and resuming an interrupted checkpoint must
-/// equal the uninterrupted run. Also covers the cats-sweep-report/1
-/// reader (outcome keys included) and the mine-report shard merge.
+/// equal the uninterrupted run. Also covers the cats-sweep-report/1 and /2
+/// record reader (outcome keys included), seeded mutations of the three
+/// artifacts that carry records (reports, cache entries, checkpoints), and
+/// the mine-report shard merge.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +36,10 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <random>
 #include <set>
 #include <sstream>
+#include <thread>
 
 using namespace cats;
 
@@ -73,6 +77,39 @@ std::string scratchDir(const std::string &Name) {
   std::filesystem::remove_all(Dir);
   std::filesystem::create_directories(Dir);
   return Dir;
+}
+
+/// Test record \p Record (/2) as a /1 build wrote it: each model's
+/// "allowed" indices spelled out as the "allowed_states" they index (an
+/// index past the table as a key no table holds).
+JsonValue asV1Record(const JsonValue &Record) {
+  JsonValue Out = Record;
+  if (!Out.get("models"))
+    return Out;
+  const std::vector<JsonValue> &Table =
+      Out.get("consistent_states")->elements();
+  for (JsonValue &M : Out.get("models")->elements())
+    for (auto &[Key, Member] : M.members())
+      if (Key == "allowed") {
+        JsonValue States = JsonValue::array();
+        for (const JsonValue &Idx : Member.elements()) {
+          const auto I = static_cast<size_t>(Idx.asNumber());
+          States.push(I < Table.size() ? Table[I] : JsonValue("?"));
+        }
+        Key = "allowed_states";
+        Member = std::move(States);
+      }
+  return Out;
+}
+
+/// Report \p Doc (/2) as a /1 build wrote it, records pretty-printed.
+JsonValue asV1Report(const JsonValue &Doc) {
+  auto Copy = JsonValue::parse(Doc.dump());
+  EXPECT_TRUE(static_cast<bool>(Copy));
+  Copy->set("schema", "cats-sweep-report/1");
+  for (JsonValue &Test : Copy->get("tests")->elements())
+    Test = asV1Record(Test);
+  return Copy.take();
 }
 
 } // namespace
@@ -233,6 +270,18 @@ TEST(ReportIO, ReaderEnforcesEntryInvariants) {
   ASSERT_TRUE(static_cast<bool>(Sound)) << Sound.message();
   EXPECT_EQ(Sound->Result.PerModel[0].AllowedOutcomes,
             (std::vector<uint32_t>{0, 1}));
+  // The /2 spelling: indices into the consistent states.
+  auto Indexed = [](const std::string &Verdict, int Allowed,
+                    const std::string &Indices) {
+    return R"({"model": "SC", )" + Verdict +
+           R"( "candidates_allowed": )" + std::to_string(Allowed) +
+           R"(, "allowed": )" + Indices + "}";
+  };
+  auto SoundV2 = Parse(Entry(Table, Indexed(Allow, 3, "[0, 1]")));
+  ASSERT_TRUE(static_cast<bool>(SoundV2)) << SoundV2.message();
+  EXPECT_EQ(SoundV2->Result.PerModel[0].AllowedOutcomes,
+            (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(sweepTestResultToJson(*SoundV2), sweepTestResultToJson(*Sound));
 
   const std::vector<std::pair<std::string, std::string>> Breaches = {
       {"verdict missing", Entry(Table, Model("", 2, Table))},
@@ -275,6 +324,26 @@ TEST(ReportIO, ReaderEnforcesEntryInvariants) {
        Entry(Table, Model(Allow, 0, "[]"))},
       {"allowed candidates without allowed states",
        Entry(Table, Model(Forbid, 2, "[]"))},
+      // /2: indices in range, strictly ascending, and one list per block.
+      {"allowed index past the consistent states",
+       Entry(Table, Indexed(Allow, 2, "[2]"))},
+      {"allowed index repeated", Entry(Table, Indexed(Allow, 2, "[1, 1]"))},
+      {"allowed indices descending",
+       Entry(Table, Indexed(Allow, 2, "[1, 0]"))},
+      {"allowed index negative", Entry(Table, Indexed(Allow, 2, "[-1]"))},
+      {"allowed index fractional", Entry(Table, Indexed(Allow, 2, "[0.5]"))},
+      {"allowed index not a number",
+       Entry(Table, Indexed(Allow, 2, R"(["0"])"))},
+      {"allowed not an array", Entry(Table, Indexed(Forbid, 0, "0"))},
+      {"Allow verdict without allowed indices",
+       Entry(Table, Indexed(Allow, 0, "[]"))},
+      {"both allowed and allowed_states",
+       Entry(Table, R"({"model": "SC", "verdict": "Allow",)"
+                    R"( "candidates_allowed": 2, "allowed": [0],)"
+                    R"( "allowed_states": ["x=1;"]})")},
+      {"neither allowed nor allowed_states",
+       Entry(Table, R"({"model": "SC", "verdict": "Forbid",)"
+                    R"( "candidates_allowed": 0})")},
   };
   for (const auto &[What, Text] : Breaches)
     EXPECT_FALSE(static_cast<bool>(Parse(Text))) << What;
@@ -501,8 +570,9 @@ TEST(ResultCache, CorruptWellFormedEntriesMiss) {
   const JsonValue &Pso = Entry.get("models")->elements()[2];
   ASSERT_EQ(Pso.get("model")->asString(), "PSO");
   ASSERT_EQ(Pso.get("verdict")->asString(), "Allow");
-  ASSERT_FALSE(Pso.get("allowed_states")->elements().empty());
-  const JsonValue FirstAllowed = Pso.get("allowed_states")->elements()[0];
+  ASSERT_GE(Pso.get("allowed")->elements().size(), 2u);
+  const double TableSize =
+      static_cast<double>(Entry.get("consistent_states")->elements().size());
 
   using Items = std::vector<JsonValue>;
   auto EditModels = [&](const std::function<void(Items &)> &Edit) {
@@ -510,6 +580,10 @@ TEST(ResultCache, CorruptWellFormedEntriesMiss) {
   };
   auto EditStates = [&](const std::function<void(Items &)> &Edit) {
     return editList(Entry, "consistent_states", Edit);
+  };
+  auto EditPsoAllowed = [&](const std::function<void(Items &)> &Edit) {
+    return EditModels(
+        [&](Items &M) { M[2] = editList(M[2], "allowed", Edit); });
   };
   const std::vector<std::pair<std::string, JsonValue>> Corruptions = {
       // Reader invariants.
@@ -521,10 +595,12 @@ TEST(ResultCache, CorruptWellFormedEntriesMiss) {
       {"state key not canonical", EditStates([](Items &S) {
          S.back() = JsonValue(S.back().asString() + "x=0;");
        })},
-      {"allowed state missing from consistent states",
-       EditStates([&](Items &S) {
-         S.erase(std::find(S.begin(), S.end(), FirstAllowed));
-       })},
+      {"allowed index past the consistent states",
+       EditPsoAllowed([&](Items &A) { A.emplace_back(TableSize); })},
+      {"allowed index repeated",
+       EditPsoAllowed([](Items &A) { A.push_back(A.back()); })},
+      {"allowed indices descending",
+       EditPsoAllowed([](Items &A) { std::swap(A[0], A[1]); })},
       {"candidates_allowed below the allowed-state count",
        EditModels([](Items &M) {
          M[2] = withMember(M[2], "candidates_allowed", JsonValue(0));
@@ -548,11 +624,16 @@ TEST(ResultCache, CorruptWellFormedEntriesMiss) {
          M[2] = withMember(M[2], "verdict", JsonValue("Forbid"));
        })},
   };
-  for (const auto &[What, Corrupt] : Corruptions) {
-    {
-      std::ofstream Out(Path);
-      Out << withMember(*Pristine, "result", Corrupt).dump();
-    }
+  // Lookup invariants of the entry document itself.
+  std::vector<std::pair<std::string, JsonValue>> Documents = {
+      {"entry schema of the /1 cache",
+       withMember(*Pristine, "schema", JsonValue("cats-cache-entry/1"))},
+      {"entry schema missing", withMember(*Pristine, "schema", JsonValue())},
+  };
+  for (const auto &[What, Corrupt] : Corruptions)
+    Documents.emplace_back(What, withMember(*Pristine, "result", Corrupt));
+  for (const auto &[What, Document] : Documents) {
+    ASSERT_FALSE(writeWholeFile(Path, Document.dump()).failed()) << What;
     SweepTestResult Served;
     EXPECT_FALSE(Cache->lookup(Target->Test, Models, Served)) << What;
     SweepReport Warm = Engine.runStreamed(vectorSource(Tests), Models, 4,
@@ -591,6 +672,55 @@ TEST(ResultCache, ErroredResultsAreNotCached) {
   Errored.TestName = Test.Name;
   Errored.Error = "synthetic failure";
   ASSERT_TRUE(Cache->store(Test, Models, Errored));
+  SweepTestResult Out;
+  EXPECT_FALSE(Cache->lookup(Test, Models, Out));
+}
+
+TEST(ResultCache, EntryIsOneLineHoldingTheRecord) {
+  const std::string Dir = scratchDir("cache_entry_format");
+  auto Cache = ResultCache::open(Dir);
+  ASSERT_TRUE(static_cast<bool>(Cache));
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  const LitmusTest Test = catalogEntry("mp")->Test;
+  SweepReport Judged = SweepEngine({1}).run(makeJobs({Test}, Models));
+  ASSERT_TRUE(Cache->store(Test, Models, Judged.Tests[0]));
+
+  // The hooks key with a model set hashed once; a lookup keyed from the
+  // model list finds what they stored, and the other way round.
+  const std::string Key = resultCacheKey(Test, Models);
+  EXPECT_EQ(resultCacheKey(Test, CacheModelSet(Models)), Key);
+  std::string Text;
+  ASSERT_TRUE(readWholeFile(
+      Dir + "/" + Key.substr(0, 2) + "/" + Key + ".json", Text));
+  EXPECT_EQ(Text, R"({"schema":"cats-cache-entry/2","key":")" + Key +
+                      R"(","result":)" +
+                      sweepTestResultToJson(Judged.Tests[0]).dump(0) + "}\n");
+  SweepTestResult Out;
+  ASSERT_TRUE(Cache->hooks(Models).CacheLookup(Test, Out));
+  EXPECT_EQ(sweepTestResultToJson(Out).dump(),
+            sweepTestResultToJson(Judged.Tests[0]).dump());
+}
+
+TEST(ResultCache, FailedStorePublishesNothing) {
+  // The temp file the store writes is a directory here, so the write
+  // fails: the store reports it and no entry appears.
+  const std::string Dir = scratchDir("cache_store_fails");
+  auto Cache = ResultCache::open(Dir);
+  ASSERT_TRUE(static_cast<bool>(Cache));
+  const std::vector<const Model *> Models = {modelByName("SC")};
+  const LitmusTest Test = catalogEntry("sb")->Test;
+  SweepReport Judged = SweepEngine({1}).run(makeJobs({Test}, Models));
+  const std::string Key = resultCacheKey(Test, Models);
+  const std::string Path = Dir + "/" + Key.substr(0, 2) + "/" + Key + ".json";
+  const std::string Tmp =
+      Path + ".tmp." +
+      std::to_string(std::hash<std::thread::id>{}(std::this_thread::get_id()));
+  std::filesystem::create_directories(Tmp + "/blocker");
+  Status S = Cache->store(Test, Models, Judged.Tests[0]);
+  EXPECT_TRUE(S.failed());
+  EXPECT_EQ(S.message(), "cannot write " + Tmp);
+  EXPECT_FALSE(std::filesystem::exists(Path));
   SweepTestResult Out;
   EXPECT_FALSE(Cache->lookup(Test, Models, Out));
 }
@@ -733,6 +863,174 @@ TEST(Checkpoint, ResumeWithoutCacheWritesNoCacheStanza) {
   EXPECT_EQ(Resumed->Tests.size(), Tests.size());
 }
 
+namespace {
+
+/// Runs a checkpointed campaign over the first \p Done of \p Tests into
+/// \p Flags' checkpoint, then resumes it over all of them.
+Expected<SweepReport>
+resumeAfter(size_t Done, const std::vector<LitmusTest> &Tests,
+            const std::vector<const Model *> &Models,
+            const SweepEngine &Engine, cli::CampaignFlags Flags) {
+  Flags.Resume = false;
+  std::vector<LitmusTest> Prefix(Tests.begin(), Tests.begin() + Done);
+  auto First = cli::runCampaignSweep("test", Engine, vectorSource(Prefix),
+                                     Models, Flags, "spec");
+  EXPECT_TRUE(static_cast<bool>(First)) << First.message();
+  Flags.Resume = true;
+  return cli::runCampaignSweep("test", Engine, vectorSource(Tests), Models,
+                               Flags, "spec");
+}
+
+} // namespace
+
+TEST(Checkpoint, ResumedReportCountsJobsOverTheWholeCampaign) {
+  // Fewer tests left than workers, and none left: the resumed report
+  // still names the threads an uninterrupted campaign judged with.
+  const std::string Dir = scratchDir("resume_jobs");
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(12);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("TSO")};
+  const SweepEngine Engine({4});
+  auto Whole = cli::runCampaignSweep("test", Engine, vectorSource(Tests),
+                                     Models, cli::CampaignFlags(), "spec");
+  ASSERT_TRUE(static_cast<bool>(Whole)) << Whole.message();
+  EXPECT_EQ(Whole->Jobs, std::min(Engine.workerCount(), 12u));
+  for (size_t Left : {1, 0}) {
+    cli::CampaignFlags Flags;
+    Flags.CheckpointPath = Dir + "/left" + std::to_string(Left) + ".jsonl";
+    auto Resumed = resumeAfter(Tests.size() - Left, Tests, Models, Engine,
+                               Flags);
+    ASSERT_TRUE(static_cast<bool>(Resumed)) << Resumed.message();
+    EXPECT_EQ(Resumed->Jobs, Whole->Jobs) << Left << " left";
+    EXPECT_EQ(scrubbedDump(*Resumed), scrubbedDump(*Whole)) << Left;
+  }
+}
+
+TEST(Checkpoint, ResumesACheckpointOfTheV1Format) {
+  // A checkpoint as a /1 build wrote it: its header and its entries.
+  // Resuming reads it, appends /2 entry lines, and reports what an
+  // uninterrupted run does; the mixed file then loads whole.
+  const std::string Dir = scratchDir("resume_v1");
+  const std::string Path = Dir + "/campaign.jsonl";
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(12);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  const SweepEngine Engine({2});
+  SweepReport Whole = Engine.runStreamed(vectorSource(Tests), Models, 4);
+  {
+    std::string Text = R"({"schema":"cats-checkpoint/1","campaign":")" +
+                       campaignId("spec") + "\"}\n";
+    for (size_t I = 0; I < 7; ++I)
+      Text += R"({"entry":)" +
+              asV1Record(sweepTestResultToJson(Whole.Tests[I])).dump(0) +
+              "}\n";
+    Text += R"({"progress":{"consumed":7,"hits":0,"misses":0}})"
+            "\n";
+    ASSERT_FALSE(writeWholeFile(Path, Text).failed());
+  }
+  auto Loaded = loadCheckpoint(Path, campaignId("spec"));
+  ASSERT_TRUE(static_cast<bool>(Loaded)) << Loaded.message();
+  ASSERT_EQ(Loaded->Tests.size(), 7u);
+
+  cli::CampaignFlags Flags;
+  Flags.CheckpointPath = Path;
+  Flags.Resume = true;
+  auto Resumed = cli::runCampaignSweep("test", Engine, vectorSource(Tests),
+                                       Models, Flags, "spec");
+  ASSERT_TRUE(static_cast<bool>(Resumed)) << Resumed.message();
+  EXPECT_EQ(scrubbedDump(*Resumed), scrubbedDump(Whole));
+  auto Reloaded = loadCheckpoint(Path, campaignId("spec"));
+  ASSERT_TRUE(static_cast<bool>(Reloaded)) << Reloaded.message();
+  EXPECT_EQ(Reloaded->Consumed, Tests.size());
+}
+
+TEST(Checkpoint, ResumeCutsTheTornTailBeforeAppending) {
+  // A kill left an orphan entry and a torn line after the last batch. The
+  // resume must cut them before appending: otherwise the next load counts
+  // the orphan among the resumed entries, or stops at the torn line.
+  const std::string Dir = scratchDir("resume_torn");
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(12);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("TSO")};
+  const SweepEngine Engine({2});
+  const std::string Whole =
+      scrubbedDump(Engine.runStreamed(vectorSource(Tests), Models, 4));
+  cli::CampaignFlags Flags;
+  Flags.CheckpointPath = Dir + "/campaign.jsonl";
+  std::vector<LitmusTest> Prefix(Tests.begin(), Tests.begin() + 7);
+  ASSERT_TRUE(static_cast<bool>(cli::runCampaignSweep(
+      "test", Engine, vectorSource(Prefix), Models, Flags, "spec")));
+  {
+    std::ofstream Tail(Flags.CheckpointPath, std::ios::app);
+    Tail << R"({"entry":)"
+         << sweepTestResultToJson(SweepTestResult{"orphan", "", {}, 0}).dump(0)
+         << "}\n"
+         << R"({"entry":{"name":"torn)";
+  }
+  Flags.Resume = true;
+  auto Resumed = cli::runCampaignSweep("test", Engine, vectorSource(Tests),
+                                       Models, Flags, "spec");
+  ASSERT_TRUE(static_cast<bool>(Resumed)) << Resumed.message();
+  EXPECT_EQ(scrubbedDump(*Resumed), Whole);
+  auto Reloaded = loadCheckpoint(Flags.CheckpointPath, campaignId("spec"));
+  ASSERT_TRUE(static_cast<bool>(Reloaded)) << Reloaded.message();
+  EXPECT_EQ(Reloaded->Consumed, Tests.size());
+  SweepReport Again;
+  Again.Tests = std::move(Reloaded->Tests);
+  Again.Jobs = Resumed->Jobs;
+  EXPECT_EQ(scrubbedDump(Again), Whole);
+}
+
+TEST(Checkpoint, ProgressLinesCountEveryEntryBeforeThem) {
+  // A batch duplicated in place (its entries and progress line) makes the
+  // count of the copied progress line wrong: loading stops before it and
+  // keeps the entries written so far, in order.
+  const std::string Dir = scratchDir("checkpoint_dup");
+  const std::string Path = Dir + "/c.jsonl";
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(4);
+  SweepReport Report =
+      SweepEngine({1}).run(makeJobs(Tests, {modelByName("SC")}));
+  {
+    auto Writer = CheckpointWriter::create(Path, campaignId("spec"));
+    ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
+    for (size_t Done : {2, 4})
+      ASSERT_TRUE(Writer->appendBatch(Report.Tests.begin() + Done - 2,
+                                      Report.Tests.begin() + Done, Done, 0,
+                                      Done));
+  }
+  std::string Text;
+  ASSERT_TRUE(readWholeFile(Path, Text));
+  std::vector<std::string> Lines;
+  std::istringstream In(Text);
+  for (std::string Line; std::getline(In, Line);)
+    Lines.push_back(Line + "\n");
+  ASSERT_EQ(Lines.size(), 7u); // header, 2 entries, progress, twice
+  // header E1 E2 P2 [E2 P2] E3 E4 P4
+  Lines.insert(Lines.begin() + 4, {Lines[2], Lines[3]});
+  std::string Duplicated;
+  for (const std::string &Line : Lines)
+    Duplicated += Line;
+  ASSERT_FALSE(writeWholeFile(Path, Duplicated).failed());
+  auto State = loadCheckpoint(Path, campaignId("spec"));
+  ASSERT_TRUE(static_cast<bool>(State)) << State.message();
+  EXPECT_EQ(State->Consumed, 2ull);
+  ASSERT_EQ(State->Tests.size(), 2u);
+  for (size_t I = 0; I < 2; ++I)
+    EXPECT_EQ(State->Tests[I].TestName, Report.Tests[I].TestName);
+
+  // A last progress line cut just before its newline is torn as well: a
+  // resume appends after the last whole line, never onto a cut one.
+  ASSERT_FALSE(writeWholeFile(Path, Text.substr(0, Text.size() - 1)).failed());
+  State = loadCheckpoint(Path, campaignId("spec"));
+  ASSERT_TRUE(static_cast<bool>(State)) << State.message();
+  EXPECT_EQ(State->Consumed, 2ull);
+  EXPECT_EQ(State->Bytes, Text.find('\n', Text.find("progress")) + 1);
+}
+
 //===----------------------------------------------------------------------===//
 // Merging
 //===----------------------------------------------------------------------===//
@@ -825,9 +1123,8 @@ TEST(Merge, RejectsCorruptEntries) {
   const JsonValue Entry = Doc.get("tests")->elements()[3];
   const std::string Name = Entry.get("name")->asString();
   // Model block 0 is SC, which allows at least one state of every test.
-  ASSERT_FALSE(Entry.get("models")->elements()[0].get("allowed_states")
-                   ->elements()
-                   .empty());
+  ASSERT_FALSE(
+      Entry.get("models")->elements()[0].get("allowed")->elements().empty());
 
   using Items = std::vector<JsonValue>;
   auto EditSc = [&](const std::function<JsonValue(const JsonValue &)> &Edit) {
@@ -841,23 +1138,34 @@ TEST(Merge, RejectsCorruptEntries) {
       {"verdict deleted", EditSc([](const JsonValue &M) {
          return withMember(M, "verdict", JsonValue());
        })},
-      {"ill-formed allowed state appended", EditSc([](const JsonValue &M) {
-         return editList(M, "allowed_states",
-                         [](Items &S) { S.push_back(JsonValue("1:r3]=1")); });
+      {"out-of-range allowed index appended", EditSc([](const JsonValue &M) {
+         return editList(M, "allowed",
+                         [](Items &S) { S.emplace_back(1u << 20); });
        })},
       {"candidates_allowed zeroed", EditSc([](const JsonValue &M) {
          return withMember(M, "candidates_allowed", JsonValue(0));
        })},
-      {"allowed states deleted", EditSc([](const JsonValue &M) {
-         return withMember(M, "allowed_states", JsonValue::array());
+      {"allowed indices deleted", EditSc([](const JsonValue &M) {
+         return withMember(M, "allowed", JsonValue::array());
        })},
+      // A /1 entry, in a /2 report or in its own /1 one.
+      {"ill-formed allowed state appended",
+       editList(asV1Record(Entry), "models",
+                [](Items &M) {
+                  M[0] = editList(M[0], "allowed_states", [](Items &S) {
+                    S.push_back(JsonValue("1:r3]=1"));
+                  });
+                })},
   };
-  for (const auto &[What, Corrupt] : Corruptions) {
-    auto Merged = mergeSweepReports({Doc, WithEntry(Corrupt)});
-    ASSERT_FALSE(static_cast<bool>(Merged)) << What;
-    EXPECT_EQ(Merged.message().rfind("input 2: test '" + Name + "': ", 0), 0u)
-        << What << ": " << Merged.message();
-  }
+  for (const auto &[What, Corrupt] : Corruptions)
+    for (const JsonValue &Input : {WithEntry(Corrupt),
+                                   asV1Report(WithEntry(Corrupt))}) {
+      auto Merged = mergeSweepReports({Doc, Input});
+      ASSERT_FALSE(static_cast<bool>(Merged)) << What;
+      EXPECT_EQ(Merged.message().rfind("input 2: test '" + Name + "': ", 0),
+                0u)
+          << What << ": " << Merged.message();
+    }
 
   // A sound entry keeps its own JSON, members the reader does not know
   // included.
@@ -867,6 +1175,36 @@ TEST(Merge, RejectsCorruptEntries) {
   auto Merged = mergeSweepReports({Annotated});
   ASSERT_TRUE(static_cast<bool>(Merged)) << Merged.message();
   EXPECT_EQ(Merged->dump(), Annotated.dump());
+  // So does a /1 entry, converted to /2 around the member.
+  auto FromV1 = mergeSweepReports({asV1Report(Annotated)});
+  ASSERT_TRUE(static_cast<bool>(FromV1)) << FromV1.message();
+  EXPECT_EQ(FromV1->dump(), Annotated.dump());
+}
+
+TEST(Merge, V1ReportsMergeToTheV2Rendering) {
+  // Reports a /1 build wrote, alone or mixed with /2 shards, merge to the
+  // bytes of a single /2 run: allowed states become the resolved indices
+  // and every record renders on one line.
+  const std::vector<LitmusTest> Tests = catalogueTests();
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  const std::string Reference = scrubbedDump(
+      SweepEngine({2}).runStreamed(vectorSource(Tests), Models, 8));
+
+  std::vector<JsonValue> Shards;
+  for (unsigned K = 1; K <= 3; ++K)
+    Shards.push_back(shardReportDoc(Tests, Models, K, 3));
+  Shards[1] = asV1Report(Shards[1]);
+  EXPECT_EQ(Shards[1].get("schema")->asString(), "cats-sweep-report/1");
+  auto Mixed = mergeReports(Shards);
+  ASSERT_TRUE(static_cast<bool>(Mixed)) << Mixed.message();
+  EXPECT_EQ(zeroWallTimes(Mixed.take()).dump(), Reference);
+
+  for (JsonValue &Shard : Shards)
+    Shard = asV1Report(Shard);
+  auto AllV1 = mergeReports(std::move(Shards));
+  ASSERT_TRUE(static_cast<bool>(AllV1)) << AllV1.message();
+  EXPECT_EQ(zeroWallTimes(AllV1.take()).dump(), Reference);
 }
 
 TEST(Merge, CacheCountersSumAcrossShards) {
@@ -1003,4 +1341,218 @@ TEST(MineMerge, JsonLevelMergeMatchesStructMerge) {
   auto ViaStructs = mergeMineReports(Parts);
   ASSERT_TRUE(static_cast<bool>(ViaStructs));
   EXPECT_EQ(ViaJson->dump(), mineReportToJson(*ViaStructs).dump());
+}
+
+//===----------------------------------------------------------------------===//
+// Seeded mutations of the artifacts that carry test records
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One mutation of a text, and the offset of its first changed byte:
+/// every byte before it is as it was.
+struct Mutation {
+  enum Kind { Flip, Truncate, Duplicate, IndexEdit } What;
+  std::string Text;
+  size_t Offset;
+};
+
+/// The seeded mutator: a flipped bit, a truncation, a span of up to 64
+/// bytes copied to another place, or an edit of one "allowed" index list
+/// (an index past any table, a repeated index, two indices swapped into
+/// descending order).
+Mutation mutate(const std::string &Text, std::mt19937_64 &Rng) {
+  auto Pick = [&](size_t N) { return static_cast<size_t>(Rng() % N); };
+  Mutation M{static_cast<Mutation::Kind>(Pick(4)), Text, 0};
+  std::vector<size_t> Lists;
+  for (size_t At = Text.find("\"allowed\":[");
+       At != std::string::npos; At = Text.find("\"allowed\":[", At + 1))
+    if (Text[At + 11] != ']')
+      Lists.push_back(At + 11);
+  if (M.What == Mutation::IndexEdit && Lists.empty())
+    M.What = Mutation::Flip;
+  switch (M.What) {
+  case Mutation::Flip:
+    M.Offset = Pick(Text.size());
+    M.Text[M.Offset] = static_cast<char>(M.Text[M.Offset] ^ (1 << Pick(8)));
+    break;
+  case Mutation::Truncate:
+    M.Offset = Pick(Text.size());
+    M.Text.resize(M.Offset);
+    break;
+  case Mutation::Duplicate: {
+    const size_t From = Pick(Text.size());
+    const size_t Length = 1 + Pick(std::min<size_t>(64, Text.size() - From));
+    M.Offset = Pick(Text.size() + 1);
+    M.Text.insert(M.Offset, Text, From, Length);
+    break;
+  }
+  case Mutation::IndexEdit: {
+    const size_t Begin = Lists[Pick(Lists.size())];
+    const size_t End = Text.find(']', Begin);
+    std::vector<std::string> Items = splitString(Text.substr(Begin, End - Begin), ',');
+    const size_t I = Pick(Items.size());
+    switch (Items.size() > 1 ? Pick(3) : Pick(2)) {
+    case 0:
+      Items[I] = "1000000";
+      break;
+    case 1:
+      Items.insert(Items.begin() + I, Items[I]);
+      break;
+    default: {
+      const size_t J = I + 1 < Items.size() ? I : I - 1;
+      std::swap(Items[J], Items[J + 1]);
+    }
+    }
+    M.Text.replace(Begin, End - Begin, joinStrings(Items, ","));
+    M.Offset = Begin;
+    break;
+  }
+  }
+  return M;
+}
+
+constexpr unsigned MutationsPerInput = 300;
+
+/// The Allow/Forbid verdict of every model of \p T, in order.
+std::vector<std::string> verdictsOf(const SweepTestResult &T) {
+  std::vector<std::string> Out;
+  for (const SimulationResult &R : T.Result.PerModel)
+    Out.push_back(R.ModelName + ":" + R.verdict());
+  return Out;
+}
+
+} // namespace
+
+TEST(Mutation, ReportsAreRefusedOrMergeSoundly) {
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(6);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  const std::string Text = sweepReportToJson(
+      SweepEngine({1}).runStreamed(vectorSource(Tests), Models, 8)).dump();
+  std::mt19937_64 Rng(22);
+  unsigned Refused = 0;
+  for (unsigned N = 0; N < MutationsPerInput; ++N) {
+    const Mutation M = mutate(Text, Rng);
+    auto Doc = JsonValue::parse(M.Text);
+    if (!Doc) {
+      EXPECT_FALSE(Doc.message().empty());
+      ++Refused;
+      continue;
+    }
+    std::vector<JsonValue> Inputs;
+    Inputs.push_back(Doc.take());
+    auto Merged = mergeReports(std::move(Inputs));
+    // An index edit always breaks a reader rule.
+    if (M.What == Mutation::IndexEdit) {
+      EXPECT_FALSE(static_cast<bool>(Merged)) << M.Text;
+    }
+    if (!Merged) {
+      EXPECT_FALSE(Merged.message().empty());
+      ++Refused;
+      continue;
+    }
+    // Accepted: what the merge wrote is a report its reader takes.
+    auto Again = sweepReportFromJson(*Merged);
+    EXPECT_TRUE(static_cast<bool>(Again)) << Again.message() << "\n"
+                                          << M.Text;
+  }
+  EXPECT_GT(Refused, MutationsPerInput / 2);
+}
+
+TEST(Mutation, CacheEntriesMissOrServeTheSameVerdicts) {
+  const std::string Dir = scratchDir("mutation_cache");
+  auto Cache = ResultCache::open(Dir);
+  ASSERT_TRUE(static_cast<bool>(Cache));
+  const std::vector<const Model *> &Models = allModels();
+  const LitmusTest Test = catalogEntry("mp+lwsync+addr")->Test;
+  SweepReport Judged = SweepEngine({1}).run(makeJobs({Test}, Models));
+  ASSERT_TRUE(Cache->store(Test, Models, Judged.Tests[0]));
+  const std::string Key = resultCacheKey(Test, Models);
+  const std::string Path = Dir + "/" + Key.substr(0, 2) + "/" + Key + ".json";
+  std::string Pristine;
+  ASSERT_TRUE(readWholeFile(Path, Pristine));
+  const std::vector<std::string> Verdicts = verdictsOf(Judged.Tests[0]);
+
+  std::mt19937_64 Rng(22);
+  unsigned Hits = 0, Misses = 0;
+  for (unsigned N = 0; N < MutationsPerInput; ++N) {
+    const Mutation M = mutate(Pristine, Rng);
+    ASSERT_FALSE(writeWholeFile(Path, M.Text).failed());
+    SweepTestResult Served;
+    if (!Cache->lookup(Test, Models, Served)) {
+      ++Misses;
+      continue;
+    }
+    ++Hits;
+    EXPECT_NE(M.What, Mutation::IndexEdit) << M.Text;
+    EXPECT_EQ(verdictsOf(Served), Verdicts) << M.Text;
+  }
+  EXPECT_GT(Misses, MutationsPerInput / 2);
+  EXPECT_GT(Hits, 0u);
+}
+
+TEST(Mutation, CheckpointsLoadAPrefixOrAreRefused) {
+  // Every line before a mutation is intact, so every batch completed
+  // before it loads unchanged; a truncation or an index edit leaves
+  // exactly a prefix. (A flip or copy inside a record can leave a record
+  // the reader still takes: a checkpoint line has no checksum.)
+  const std::string Dir = scratchDir("mutation_checkpoint");
+  const std::string Path = Dir + "/c.jsonl";
+  const std::string Id = campaignId("spec");
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(12);
+  SweepReport Report = SweepEngine({1}).run(
+      makeJobs(Tests, {modelByName("SC"), modelByName("Power")}));
+  {
+    auto Writer = CheckpointWriter::create(Path, Id);
+    ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
+    for (size_t Done = 4; Done <= 12; Done += 4)
+      ASSERT_TRUE(Writer->appendBatch(Report.Tests.begin() + Done - 4,
+                                      Report.Tests.begin() + Done, Done, 0,
+                                      Done));
+  }
+  std::string Pristine;
+  ASSERT_TRUE(readWholeFile(Path, Pristine));
+  // Where each completed batch ends, and how many entries it completes.
+  std::vector<std::pair<size_t, size_t>> BatchEnds;
+  for (size_t At = Pristine.find("{\"progress\""); At != std::string::npos;
+       At = Pristine.find("{\"progress\"", At + 1))
+    BatchEnds.emplace_back(Pristine.find('\n', At) + 1, 4 * (BatchEnds.size() + 1));
+  ASSERT_EQ(BatchEnds.size(), 3u);
+  std::vector<std::string> Records;
+  for (const SweepTestResult &T : Report.Tests)
+    Records.push_back(sweepTestResultToJson(T).dump(0));
+
+  std::mt19937_64 Rng(22);
+  unsigned Refused = 0, Short = 0;
+  for (unsigned N = 0; N < MutationsPerInput; ++N) {
+    const Mutation M = mutate(Pristine, Rng);
+    ASSERT_FALSE(writeWholeFile(Path, M.Text).failed());
+    auto State = loadCheckpoint(Path, Id);
+    if (!State) {
+      EXPECT_FALSE(State.message().empty());
+      ++Refused;
+      continue;
+    }
+    size_t Intact = 0;
+    for (const auto &[End, Entries] : BatchEnds)
+      if (End <= M.Offset)
+        Intact = Entries;
+    ASSERT_EQ(State->Tests.size(), State->Consumed);
+    EXPECT_LE(State->Consumed, Tests.size()) << M.Text;
+    EXPECT_GE(State->Consumed, Intact) << M.Text;
+    Short += State->Consumed < Tests.size();
+    const bool Exact =
+        M.What == Mutation::Truncate || M.What == Mutation::IndexEdit;
+    for (size_t I = 0; I < State->Tests.size(); ++I) {
+      if (I < Intact || Exact) {
+        EXPECT_EQ(sweepTestResultToJson(State->Tests[I]).dump(0), Records[I])
+            << I << "\n" << M.Text;
+      }
+    }
+  }
+  EXPECT_GT(Refused, 0u);
+  EXPECT_GT(Short, MutationsPerInput / 2);
 }

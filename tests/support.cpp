@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 
 using namespace cats;
@@ -70,6 +71,31 @@ TEST(StringUtils, Padding) {
   EXPECT_EQ(padRight("ab", 5), "ab   ");
   EXPECT_EQ(padLeft("ab", 5), "   ab");
   EXPECT_EQ(padRight("abcdef", 3), "abcdef");
+}
+
+TEST(StringUtils, WriteWholeFileChecksTheWriteAndTheClose) {
+  const std::string Path = ::testing::TempDir() + "cats_write_whole_file";
+  const std::string Text(100000, 'x');
+  ASSERT_FALSE(writeWholeFile(Path, Text).failed());
+  std::string Back;
+  ASSERT_TRUE(readWholeFile(Path, Back));
+  EXPECT_EQ(Back, Text);
+  std::filesystem::remove(Path);
+
+  // Opening fails.
+  Status Missing = writeWholeFile(Path + "/no/such/dir", "x");
+  EXPECT_TRUE(Missing.failed());
+  EXPECT_EQ(Missing.message(), "cannot write " + Path + "/no/such/dir");
+
+  // Opening succeeds and the disk is full: a short text fails only when
+  // the close flushes it, a long one already in the write.
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full";
+  for (const std::string &Payload : {std::string("x"), Text}) {
+    Status Full = writeWholeFile("/dev/full", Payload);
+    EXPECT_TRUE(Full.failed()) << Payload.size();
+    EXPECT_EQ(Full.message(), "cannot write /dev/full");
+  }
 }
 
 TEST(Status, SuccessAndError) {

@@ -160,7 +160,8 @@ runCampaignSweep(const char *Tool, const SweepEngine &Engine,
         return Ret::error(State.message());
       Prefix = State.take();
       Hooks.SkipTests = Prefix.Consumed;
-      auto Reopened = CheckpointWriter::append(Flags.CheckpointPath);
+      auto Reopened =
+          CheckpointWriter::append(Flags.CheckpointPath, Prefix.Bytes);
       if (!Reopened)
         return Ret::error(Reopened.message());
       Writer.emplace(Reopened.take());
@@ -201,15 +202,18 @@ runCampaignSweep(const char *Tool, const SweepEngine &Engine,
                         std::make_move_iterator(Prefix.Tests.begin()),
                         std::make_move_iterator(Prefix.Tests.end()));
   // So does the report: the prefix's counters join this run's only when
-  // it caches too (the engine then set CacheUsed).
+  // it caches too (the engine then set CacheUsed), and "jobs" counts the
+  // tests judged over the whole campaign, the resumed prefix included.
   if (Cache) {
     Report.CacheHits += Prefix.CacheHits;
     Report.CacheMisses += Prefix.CacheMisses;
   }
+  Report.Jobs = judgingThreads(Engine.workerCount(),
+                               Report.Tests.size() - Report.CacheHits);
   return Report;
 }
 
-/// The JSON document of a campaign sweep: cats-sweep-report/1 plus, on a
+/// The JSON document of a campaign sweep: cats-sweep-report/2 plus, on a
 /// real shard, the "shard" stanza cats_merge interleaves on.
 inline JsonValue campaignSweepJson(const SweepReport &Report,
                                    const CampaignFlags &Flags) {

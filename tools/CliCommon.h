@@ -49,7 +49,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -265,6 +264,16 @@ inline void applyObsFlags(const ObsFlags &Flags) {
     obs::setTraceEnabled(true);
 }
 
+/// Writes \p Text to file \p Path (writeWholeFile). On failure prints
+/// "TOOL: cannot write PATH" and returns false: the tool exits 1.
+inline bool writeReport(const char *Tool, const std::string &Path,
+                        const std::string &Text) {
+  Status S = writeWholeFile(Path, Text);
+  if (S.failed())
+    std::fprintf(stderr, "%s: %s\n", Tool, S.message().c_str());
+  return !S.failed();
+}
+
 /// Embeds the metrics snapshot as the additive "metrics" section of a
 /// JSON report (readers ignore it; cats_merge folds it across shards).
 /// No-op unless --metrics was given.
@@ -287,14 +296,8 @@ inline int finishObs(const char *Tool, const ObsFlags &Flags, bool Quiet) {
     }
   }
   if (!Flags.MetricsPath.empty()) {
-    std::ofstream Out(Flags.MetricsPath);
-    if (Out)
-      Out << obs::metricsToJson().dump();
-    if (!Out) {
-      std::fprintf(stderr, "%s: cannot write %s\n", Tool,
-                   Flags.MetricsPath.c_str());
+    if (!writeReport(Tool, Flags.MetricsPath, obs::metricsToJson().dump()))
       Failed = 1;
-    }
   } else if (Flags.Metrics && !Quiet) {
     std::fprintf(stderr, "%s", obs::metricsToText().c_str());
   }

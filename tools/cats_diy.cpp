@@ -26,7 +26,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -52,7 +51,7 @@ int usage(const char *Argv0) {
       {"--jobs N", "sweep worker threads (default: hardware)"},
       {"--json FILE", "write the cats-diy-report/1 JSON report"},
       {"--sweep-json FILE", "also write the sweep leg as a\n"
-                            "cats-sweep-report/1 (mergeable by cats_merge)"},
+                            "cats-sweep-report/2 (mergeable by cats_merge)"},
       {"--quiet", "suppress the per-cycle listing"}};
   for (const cli::FlagDoc &F : cli::campaignFlagDocs(/*WithCheckpoint=*/true))
     Flags.push_back(F);
@@ -215,13 +214,8 @@ int main(int argc, char **argv) {
   bool ExportFailed = false;
   auto ExportTest = [&](const LitmusTest &Test) {
     const std::string Path = ExportDir + "/" + Test.Name + ".litmus";
-    std::ofstream Out(Path);
-    if (!Out) {
-      std::fprintf(stderr, "cats_diy: cannot write %s\n", Path.c_str());
+    if (!cli::writeReport("cats_diy", Path, Test.toString()))
       ExportFailed = true;
-      return;
-    }
-    Out << Test.toString();
   };
 
   // The enumeration is done, so the total is known either way.
@@ -385,29 +379,20 @@ int main(int argc, char **argv) {
     }
     Root.set("cycles", std::move(Cycles));
     cli::attachMetrics(Root, Obs);
-    std::ofstream Out(JsonPath);
-    if (!Out) {
-      std::fprintf(stderr, "cats_diy: cannot write %s\n", JsonPath.c_str());
+    if (!cli::writeReport("cats_diy", JsonPath, Root.dump()))
       return 1;
-    }
-    Out << Root.dump();
     if (!Quiet)
       std::printf("wrote %s\n", JsonPath.c_str());
   }
 
-  // The sweep leg as a mergeable cats-sweep-report/1: what a sharded
+  // The sweep leg as a mergeable cats-sweep-report/2: what a sharded
   // campaign feeds cats_merge (the per-cycle diy report above is keyed by
   // cycle, not stream position, and does not merge).
   if (!SweepJsonPath.empty()) {
-    std::ofstream Out(SweepJsonPath);
-    if (!Out) {
-      std::fprintf(stderr, "cats_diy: cannot write %s\n",
-                   SweepJsonPath.c_str());
-      return 1;
-    }
     JsonValue SweepRoot = cli::campaignSweepJson(Report, Campaign);
     cli::attachMetrics(SweepRoot, Obs);
-    Out << SweepRoot.dump();
+    if (!cli::writeReport("cats_diy", SweepJsonPath, SweepRoot.dump()))
+      return 1;
     if (!Quiet)
       std::printf("wrote %s\n", SweepJsonPath.c_str());
   }

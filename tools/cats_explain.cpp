@@ -33,7 +33,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -273,14 +272,8 @@ int main(int argc, char **argv) {
       if (!DotDir.empty()) {
         const std::string Path =
             DotDir + "/" + obs::witnessFileStem(W) + ".dot";
-        std::ofstream Out(Path);
-        if (Out)
-          Out << obs::witnessToDot(W);
-        if (!Out) {
-          std::fprintf(stderr, "cats_explain: cannot write %s\n",
-                       Path.c_str());
+        if (!cli::writeReport("cats_explain", Path, obs::witnessToDot(W)))
           return 1;
-        }
       }
       All.push_back(std::move(W));
     }
@@ -291,14 +284,8 @@ int main(int argc, char **argv) {
     if (JsonPath == "-") {
       std::fwrite(Doc.data(), 1, Doc.size(), stdout);
     } else {
-      std::ofstream Out(JsonPath);
-      if (Out)
-        Out << Doc;
-      if (!Out) {
-        std::fprintf(stderr, "cats_explain: cannot write %s\n",
-                     JsonPath.c_str());
+      if (!cli::writeReport("cats_explain", JsonPath, Doc))
         return 1;
-      }
       if (!Quiet)
         std::printf("wrote %s\n", JsonPath.c_str());
     }

@@ -7,8 +7,9 @@
 /// \file
 /// The reduce step of a sharded campaign (docs/campaigns.md): read N
 /// per-shard JSON reports and emit one merged document of the same
-/// schema. Sweep reports (cats-sweep-report/1) interleave back into
-/// single-process source order via their "shard" stanzas; mine reports
+/// kind. Sweep reports (cats-sweep-report/2, or /1 from older builds,
+/// which the merge converts to /2) interleave back into single-process
+/// source order via their "shard" stanzas; mine reports
 /// (cats-mine-report/1) sum their per-family aggregates. With --zero-wall
 /// the wall-clock fields are normalized to 0, which makes a merged report
 /// byte-comparable against a single-process reference run — the form CI's
@@ -25,7 +26,6 @@
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -127,12 +127,8 @@ int main(int argc, char **argv) {
   if (OutPath.empty()) {
     std::printf("%s\n", Text.c_str());
   } else {
-    std::ofstream OutFile(OutPath);
-    if (!OutFile) {
-      std::fprintf(stderr, "cats_merge: cannot write %s\n", OutPath.c_str());
+    if (!cli::writeReport("cats_merge", OutPath, Text))
       return 1;
-    }
-    OutFile << Text;
     if (!Quiet)
       std::fprintf(stderr, "cats_merge: merged %zu report(s) into %s\n",
                    Paths.size(), OutPath.c_str());

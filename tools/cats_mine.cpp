@@ -30,7 +30,6 @@
 #include "sweep/SweepEngine.h"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -373,15 +372,10 @@ int main(int argc, char **argv) {
 
   // JSON report.
   if (!JsonPath.empty()) {
-    std::ofstream Out(JsonPath);
-    if (!Out) {
-      std::fprintf(stderr, "cats_mine: cannot write %s\n",
-                   JsonPath.c_str());
-      return 1;
-    }
     JsonValue Root = mineReportToJson(Mined);
     cli::attachMetrics(Root, Obs);
-    Out << Root.dump();
+    if (!cli::writeReport("cats_mine", JsonPath, Root.dump()))
+      return 1;
     if (!Quiet)
       std::printf("wrote %s\n", JsonPath.c_str());
   }

@@ -28,7 +28,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -209,15 +208,10 @@ int main(int argc, char **argv) {
   }
 
   if (!JsonPath.empty()) {
-    std::ofstream Out(JsonPath);
-    if (!Out) {
-      std::fprintf(stderr, "cats_repair: cannot write %s\n",
-                   JsonPath.c_str());
-      return 1;
-    }
     JsonValue Root = repairReportToJson(Report);
     cli::attachMetrics(Root, Obs);
-    Out << Root.dump();
+    if (!cli::writeReport("cats_repair", JsonPath, Root.dump()))
+      return 1;
     if (!Quiet)
       std::printf("wrote %s\n", JsonPath.c_str());
   }

@@ -30,7 +30,6 @@
 #include "run/Verdict.h"
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -316,14 +315,10 @@ int main(int argc, char **argv) {
   }
 
   if (!JsonPath.empty()) {
-    std::ofstream Out(JsonPath);
-    if (!Out) {
-      std::fprintf(stderr, "cats_run: cannot write %s\n", JsonPath.c_str());
-      return 1;
-    }
     JsonValue Root = runReportToJson(Report);
     cli::attachMetrics(Root, Obs);
-    Out << Root.dump();
+    if (!cli::writeReport("cats_run", JsonPath, Root.dump()))
+      return 1;
     if (!Quiet)
       std::printf("wrote %s\n", JsonPath.c_str());
   }

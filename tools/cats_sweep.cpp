@@ -29,7 +29,6 @@
 #include "sweep/SweepEngine.h"
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -48,7 +47,7 @@ int usage(const char *Argv0) {
       {"--backend B", "judging backend: pruned (default) or naive, the\n"
                       "reference search; both give identical results\n"
                       "(docs/enumeration.md)"},
-      {"--json FILE", "write the cats-sweep-report/1 JSON report"},
+      {"--json FILE", "write the cats-sweep-report/2 JSON report"},
       {"--witness", "capture per-(test, model) witnesses into the JSON\n"
                     "report's cats-witness/1 section (docs/explain.md)"},
       {"--herd", "print the classic herd block per test x model"},
@@ -261,15 +260,10 @@ int main(int argc, char **argv) {
 
   // JSON report.
   if (!JsonPath.empty()) {
-    std::ofstream Out(JsonPath);
-    if (!Out) {
-      std::fprintf(stderr, "cats_sweep: cannot write %s\n",
-                   JsonPath.c_str());
-      return 1;
-    }
     JsonValue Root = cli::campaignSweepJson(Report, Campaign);
     cli::attachMetrics(Root, Obs);
-    Out << Root.dump();
+    if (!cli::writeReport("cats_sweep", JsonPath, Root.dump()))
+      return 1;
     if (!Quiet)
       std::printf("wrote %s\n", JsonPath.c_str());
   }
