@@ -14,7 +14,6 @@
 #include "sweep/ReportIO.h"
 
 #include <algorithm>
-#include <limits>
 
 using namespace cats;
 
@@ -109,11 +108,8 @@ std::string foldWitnessSections(std::vector<JsonValue> &Inputs,
 
 /// What the sweep merge needs from one input document.
 struct SweepInput {
-  unsigned Jobs = 0;
-  double WallSeconds = 0;
-  bool CacheUsed = false;
-  unsigned long long CacheHits = 0;
-  unsigned long long CacheMisses = 0;
+  /// The top level: jobs, wall time and cache counters.
+  SweepReport Header;
   std::vector<JsonValue> *Tests = nullptr;
   bool HasShard = false;
   ShardSpec Shard;
@@ -123,23 +119,8 @@ struct SweepInput {
 /// record with the record reader and rewriting it as a /2 record in
 /// place. Returns a non-empty reason on failure.
 std::string readSweepInput(JsonValue &Doc, SweepInput &Part) {
-  if (!isSweepReportSchema(schemaOf(Doc)))
-    return "not a cats-sweep-report/1 or /2 document";
-  unsigned long long Jobs = 0;
-  if (!countFromJson(Doc.get("jobs"), Jobs) ||
-      Jobs > std::numeric_limits<unsigned>::max())
-    return "'jobs' is not a count";
-  Part.Jobs = static_cast<unsigned>(Jobs);
-  if (const JsonValue *Wall = Doc.get("wall_seconds"))
-    Part.WallSeconds = Wall->isNumber() ? Wall->asNumber() : 0;
-  if (const JsonValue *Cache = Doc.get("cache")) {
-    if (!Cache->isObject())
-      return "'cache' is not an object";
-    Part.CacheUsed = true;
-    if (!countFromJson(Cache->get("hits"), Part.CacheHits) ||
-        !countFromJson(Cache->get("misses"), Part.CacheMisses))
-      return "'cache' hits/misses are not counts";
-  }
+  if (Status S = sweepReportHeaderFromJson(Doc, Part.Header); S.failed())
+    return S.message();
   JsonValue *Tests = Doc.get("tests");
   if (!Tests || !Tests->isArray())
     return "report without a 'tests' array";
@@ -222,11 +203,11 @@ Expected<JsonValue> cats::mergeSweepReports(std::vector<JsonValue> Inputs) {
   bool CacheUsed = false;
   unsigned long long CacheHits = 0, CacheMisses = 0;
   for (const SweepInput &Part : Parts) {
-    Jobs = std::max(Jobs, Part.Jobs);
-    WallSeconds += Part.WallSeconds;
-    CacheUsed = CacheUsed || Part.CacheUsed;
-    CacheHits += Part.CacheHits;
-    CacheMisses += Part.CacheMisses;
+    Jobs = std::max(Jobs, Part.Header.Jobs);
+    WallSeconds += Part.Header.WallSeconds;
+    CacheUsed = CacheUsed || Part.Header.CacheUsed;
+    CacheHits += Part.Header.CacheHits;
+    CacheMisses += Part.Header.CacheMisses;
   }
 
   JsonValue Root = JsonValue::object();

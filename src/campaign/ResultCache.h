@@ -7,10 +7,9 @@
 /// \file
 /// The persistence half of the campaign layer: a content-addressed on-disk
 /// cache of per-(test, model-set) sweep verdicts, so repeated campaigns —
-/// the common case for CI and for any service front end — only pay for
-/// what changed.
+/// and a campaign rerun after a kill — only pay for what changed.
 ///
-/// The key (recipe cats-cache/3) is a 128-bit FNV-1a hash over the cache
+/// The key (recipe cats-cache/4) is a 128-bit FNV-1a hash over the cache
 /// format version, the ordered model display names with their definition
 /// fingerprints (Model::definitionFingerprint(): the .cat source hash for
 /// cat-backed models, the architecture-config identity for native ones),
@@ -23,15 +22,19 @@
 /// model's configuration invalidates exactly the entries that depended on
 /// it, with no epoch bookkeeping.
 ///
-/// An entry (cats-cache-entry/2) is one line holding the test's
-/// cats-sweep-report/2 record (sweep/ReportIO.h):
-///   {"schema":"cats-cache-entry/2","key":"<32 hex>","result":{...}}
+/// Layout: the directory holds append-only logs, <dir>/<name>.log, one
+/// per writing ResultCache, created at its first store under a name that
+/// no other writer holds and that sorts by creation. A log's first line
+/// is the recipe tag; every later line is one entry:
 ///
-/// Layout: <dir>/<kk>/<key>.json, fanned out on the first two key hex
-/// digits. Entries are written to a temp file and renamed into place only
-/// once the write succeeded, so concurrent shards sharing one directory
-/// race benignly (last writer wins with identical content) and a failed
-/// write publishes nothing.
+///   cats-cache/4
+///   <key: 32 hex> <sum: 16 hex> <cats-sweep-report/2 record>
+///
+/// where the sum is a 64-bit FNV-1a over the record's bytes. Opening the
+/// cache indexes the keys of every whole line of every log, in name order
+/// and then file order, so the newest line of a key wins. A line without
+/// its newline (a kill mid-write) is never indexed, and a file without the
+/// header is skipped. A lookup reads its one line back and re-checks it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +45,7 @@
 #include "support/Error.h"
 #include "sweep/SweepEngine.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,43 +66,51 @@ std::string resultCacheKey(const LitmusTest &Test, const CacheModelSet &Set);
 std::string resultCacheKey(const LitmusTest &Test,
                            const std::vector<const Model *> &Models);
 
-/// A handle on one cache directory.
+/// A handle on one cache directory: the index of its logs, and this
+/// handle's own log. Move-only; one handle is used from one thread at a
+/// time (the engine's hooks all run on the sweeping thread).
 class ResultCache {
 public:
-  /// Opens (creating if needed) the cache rooted at \p Dir.
+  /// Opens (creating if needed) the cache rooted at \p Dir and indexes
+  /// its logs. The handle keeps the index, no log text.
   static Expected<ResultCache> open(const std::string &Dir);
 
   /// Looks up the entry for (\p Test, \p Set). On a hit, fills \p Out
-  /// with the stored result and returns true. Unreadable, corrupt or
-  /// foreign entries (another schema, test or model list, or a verdict
-  /// its allowed states do not back) behave as misses.
+  /// with the stored result and returns true. An unreadable line, one
+  /// whose key or sum does not match, or a foreign or unsound record
+  /// (another test or model list, or a verdict its allowed states do not
+  /// back) is a miss.
   bool lookup(const LitmusTest &Test, const CacheModelSet &Set,
               SweepTestResult &Out) const;
   bool lookup(const LitmusTest &Test,
               const std::vector<const Model *> &Models,
               SweepTestResult &Out) const;
 
-  /// Stores \p Result for (\p Test, \p Set). Errored results are not
-  /// cached (they are cheap to reproduce and their messages may change);
-  /// write failures are reported but never fail a campaign.
+  /// Stores \p Result for (\p Test, \p Set): appends one line to this
+  /// handle's log with one write, and serves it from then on. Errored
+  /// results are not cached (they are cheap to reproduce and their
+  /// messages may change). A failed write is reported once, and the handle
+  /// then stores nothing more, so no line is ever glued onto a cut one; it
+  /// never fails a campaign.
   Status store(const LitmusTest &Test, const CacheModelSet &Set,
                const SweepTestResult &Result) const;
   Status store(const LitmusTest &Test,
                const std::vector<const Model *> &Models,
                const SweepTestResult &Result) const;
 
-  /// The cache root.
-  const std::string &dir() const { return Root; }
-
   /// The lookup/store members packaged as engine hooks
   /// (SweepEngine::runStreamed), sharing one CacheModelSet of \p Models.
-  /// The cache must outlive the hooks.
+  /// The cache must outlive the hooks and stay where it is.
   StreamHooks hooks(const std::vector<const Model *> &Models) const;
 
+  ResultCache(ResultCache &&) noexcept;
+  ResultCache &operator=(ResultCache &&) noexcept;
+  ~ResultCache();
+
 private:
-  explicit ResultCache(std::string Dir) : Root(std::move(Dir)) {}
-  std::string entryPath(const std::string &Key) const;
-  std::string Root;
+  struct State;
+  explicit ResultCache(std::unique_ptr<State> S);
+  std::unique_ptr<State> S;
 };
 
 } // namespace cats

@@ -10,9 +10,8 @@
 /// deterministic pretty-printer. Objects preserve insertion order so
 /// emitted reports read in schema order and round-trip byte-identically.
 ///
-/// Every report, cache entry and checkpoint line cats reads or writes goes
-/// through this one document tree, so its layout is the IO cost of a
-/// campaign:
+/// Every report and cache log record cats reads or writes goes through
+/// this one document tree, so its layout is the IO cost of a campaign:
 ///
 /// - A value is one 40-byte tagged union (a std::variant over the six
 ///   kinds). An array or object owns one vector of its elements or

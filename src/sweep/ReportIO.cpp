@@ -332,30 +332,37 @@ Expected<SweepTestResult> cats::sweepTestResultFromJson(const JsonValue &E) {
   return Out;
 }
 
-Expected<SweepReport> cats::sweepReportFromJson(const JsonValue &Root) {
-  using Ret = Expected<SweepReport>;
+Status cats::sweepReportHeaderFromJson(const JsonValue &Root,
+                                       SweepReport &Out) {
   if (!Root.isObject())
-    return Ret::error("report is not a JSON object");
+    return Status::error("report is not a JSON object");
   if (!isSweepReportSchema(stringOf(Root, "schema")))
-    return Ret::error("not a cats-sweep-report/1 or /2 document");
-  SweepReport Out;
+    return Status::error("not a cats-sweep-report/1 or /2 document");
   unsigned long long Jobs = 0;
   if (Status S = readCount(Root, "jobs", Jobs); S.failed())
-    return Ret::error(S.message());
+    return S;
   if (Jobs > std::numeric_limits<unsigned>::max())
-    return Ret::error("'jobs' is out of range");
+    return Status::error("'jobs' is out of range");
   Out.Jobs = static_cast<unsigned>(Jobs);
   if (const JsonValue *W = Root.get("wall_seconds"))
     Out.WallSeconds = W->isNumber() ? W->asNumber() : 0;
   if (const JsonValue *Cache = Root.get("cache")) {
     if (!Cache->isObject())
-      return Ret::error("'cache' is not an object");
+      return Status::error("'cache' is not an object");
     Out.CacheUsed = true;
     if (Status S = readCount(*Cache, "hits", Out.CacheHits); S.failed())
-      return Ret::error("cache: " + S.message());
+      return Status::error("cache: " + S.message());
     if (Status S = readCount(*Cache, "misses", Out.CacheMisses); S.failed())
-      return Ret::error("cache: " + S.message());
+      return Status::error("cache: " + S.message());
   }
+  return Status::success();
+}
+
+Expected<SweepReport> cats::sweepReportFromJson(const JsonValue &Root) {
+  using Ret = Expected<SweepReport>;
+  SweepReport Out;
+  if (Status S = sweepReportHeaderFromJson(Root, Out); S.failed())
+    return Ret::error(S.message());
   const JsonValue *Tests = Root.get("tests");
   if (!Tests || !Tests->isArray())
     return Ret::error("report without a 'tests' array");

@@ -7,11 +7,10 @@
 /// \file
 /// Round-tripping sweep results through the cats-sweep-report/2 JSON
 /// schema (docs/report-schemas.md). The per-test record defined here is
-/// the one encoding of a result on disk: sweep reports list it, every
-/// checkpoint entry line and every result-cache entry holds it. That is
-/// what makes reports composable: the result cache replays stored records
-/// into live reports, checkpoint files reload an interrupted campaign's
-/// prefix, and cats_merge folds shard reports into one.
+/// the one encoding of a result on disk: sweep reports list it, and every
+/// result-cache log line holds it. That is what makes reports composable:
+/// the result cache replays stored records into live reports, a killed
+/// campaign reruns from them, and cats_merge folds shard reports into one.
 ///
 /// A record lists the test's consistent states once, as canonical outcome
 /// keys in ascending order, and each model's allowed states as strictly
@@ -89,6 +88,12 @@ Expected<SweepTestResult> sweepTestResultFromJson(const JsonValue &Entry);
 /// record is marked one-line. Members the reader does not know stay. On
 /// failure \p Entry is unchanged.
 Status upgradeTestEntry(JsonValue &Entry);
+
+/// Reads the top level of a cats-sweep-report/1 or /2 document into
+/// \p Out: the "schema", "jobs", "wall_seconds" and the "cache" stanza.
+/// Leaves Out.Tests alone: sweepReportFromJson parses the records, and the
+/// merge checks and upgrades them in place.
+Status sweepReportHeaderFromJson(const JsonValue &Root, SweepReport &Out);
 
 /// Parses a whole cats-sweep-report/1 or /2 document. Fails on a wrong or
 /// missing "schema"; top-level members this reader does not know (e.g.

@@ -18,15 +18,6 @@
 
 using namespace cats;
 
-unsigned cats::judgingThreads(unsigned Workers, unsigned long long Judged) {
-  // One worker judges on the calling thread; more start a pool at the
-  // first test to judge, and a report counts the pool's threads that
-  // could have had work.
-  if (Workers <= 1 || Judged == 0)
-    return 1;
-  return static_cast<unsigned>(std::min<unsigned long long>(Workers, Judged));
-}
-
 bool SweepReport::allOk() const {
   for (const SweepTestResult &T : Tests)
     if (!T.Error.empty())
@@ -51,6 +42,16 @@ using Clock = std::chrono::steady_clock;
 
 double secondsSince(Clock::time_point Start) {
   return std::chrono::duration<double>(Clock::now() - Start).count();
+}
+
+/// A report's "jobs" for a sweep of \p Workers workers that judged
+/// \p Judged tests. One worker judges on the calling thread; more start a
+/// pool at the first test to judge, and a report counts the pool's
+/// threads that could have had work.
+unsigned judgingThreads(unsigned Workers, unsigned long long Judged) {
+  if (Workers <= 1 || Judged == 0)
+    return 1;
+  return static_cast<unsigned>(std::min<unsigned long long>(Workers, Judged));
 }
 
 SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts) {
@@ -260,16 +261,8 @@ SweepEngine::runStreamed(const TestSource &Source,
                          const std::vector<const Model *> &Models,
                          unsigned BatchSize,
                          const StreamHooks &Hooks) const {
-  // Resume: the first pull burns the prefix a checkpoint already covers.
-  // The source must still produce (and a diy source still synthesize)
-  // each skipped test, but none is judged — and judging dominates
-  // generation ~9:1.
-  unsigned long long Skip = Hooks.SkipTests;
   return sweep(
       [&](SweepJob &Out) {
-        for (; Skip; --Skip)
-          if (!Source(Out.Test))
-            return false;
         Out.Models = Models;
         return Source(Out.Test);
       },

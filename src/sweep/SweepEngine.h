@@ -91,8 +91,8 @@ struct SweepReport {
 
 /// Optional instrumentation of a streamed campaign (runStreamed). All
 /// members default to inert; the campaign layer (src/campaign/) supplies
-/// them for caching and checkpoint/resume without the engine depending on
-/// either subsystem. Every hook runs on the thread that called
+/// the cache hooks and the CLIs a progress callback, without the engine
+/// depending on either. Every hook runs on the thread that called
 /// runStreamed, so none needs to be thread-safe.
 struct StreamHooks {
   /// Consulted per pulled test before judging; return true and fill the
@@ -103,23 +103,11 @@ struct StreamHooks {
   /// order.
   std::function<void(const LitmusTest &, const SweepTestResult &)> CacheStore;
   /// Called with the cumulative report each time it grows by a batch of
-  /// results, and once more for a final partial batch — the checkpoint
-  /// write point: the report is a prefix of the source in order, every
-  /// result in it final. SoFar.Tests.size() is the number of source tests
-  /// consumed, skipped ones excluded.
+  /// results, and once more for a final partial batch: the report is a
+  /// prefix of the source in order, every result in it final, and
+  /// SoFar.Tests.size() is the number of source tests consumed.
   std::function<void(const SweepReport &SoFar)> OnBatch;
-  /// Pull and discard this many source tests before judging anything —
-  /// how --resume skips the prefix a checkpoint already covers (synthesis
-  /// is repaid, judging — the dominant cost — is not).
-  unsigned long long SkipTests = 0;
 };
-
-/// A report's "jobs" (SweepReport::Jobs) for a sweep of \p Workers
-/// workers that judged \p Judged tests: the workers, capped at the tests
-/// judged, and 1 when one worker or nothing judged. A resumed campaign
-/// applies it to the whole campaign, so its report says what an
-/// uninterrupted run's would.
-unsigned judgingThreads(unsigned Workers, unsigned long long Judged);
 
 /// Results per runStreamed batch, unless the caller picks another size.
 inline constexpr unsigned StreamBatchSize = 64;
@@ -142,8 +130,7 @@ public:
   /// results — this is how the diy enumeration feeds thousands of
   /// generated scenarios through the engine. \p Hooks adds the
   /// campaign-scale behaviours: result-cache lookup/store around each
-  /// test, a checkpoint callback every \p BatchSize results, and a resume
-  /// skip count.
+  /// test, and a callback every \p BatchSize results.
   SweepReport runStreamed(const TestSource &Source,
                           const std::vector<const Model *> &Models,
                           unsigned BatchSize = StreamBatchSize,

@@ -1,4 +1,4 @@
-//===- campaign.cpp - Sharding, caching, checkpointing, merging ----------===//
+//===- campaign.cpp - Sharding, caching, merging --------------------------===//
 //
 // Part of the cats project.
 //
@@ -9,16 +9,15 @@
 /// partition a stream completely and disjointly, a merged shard set must
 /// reproduce the single-process report byte-for-byte (modulo wall
 /// times), cache hits must be byte-identical to fresh judgements while
-/// any test mutation misses, and resuming an interrupted checkpoint must
-/// equal the uninterrupted run. Also covers the cats-sweep-report/1 and /2
-/// record reader (outcome keys included), seeded mutations of the three
-/// artifacts that carry records (reports, cache entries, checkpoints), and
-/// the mine-report shard merge.
+/// any test mutation misses, and a campaign rerun on its cache after a
+/// kill must give the uninterrupted run's records. Also covers the
+/// cats-sweep-report/1 and /2 record reader (outcome keys included), the
+/// cache's log layout, seeded mutations of the two artifacts that carry
+/// records (reports and cache logs), and the mine-report shard merge.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "../tools/CampaignCli.h"
-#include "campaign/Checkpoint.h"
 #include "campaign/Merge.h"
 #include "campaign/ResultCache.h"
 #include "campaign/Shard.h"
@@ -32,14 +31,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <random>
 #include <set>
-#include <sstream>
-#include <thread>
+
+#include <sys/resource.h>
 
 using namespace cats;
 
@@ -77,6 +76,40 @@ std::string scratchDir(const std::string &Name) {
   std::filesystem::remove_all(Dir);
   std::filesystem::create_directories(Dir);
   return Dir;
+}
+
+/// 64-bit FNV-1a over \p Text: the sum a cache log line carries.
+uint64_t fnv1a64(const std::string &Text) {
+  uint64_t H = 14695981039346656037ull;
+  for (unsigned char C : Text) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+/// A cache log line holding \p Record under \p Key, with its sum.
+std::string cacheLine(const std::string &Key, const std::string &Record) {
+  return Key + " " +
+         strFormat("%016llx",
+                   static_cast<unsigned long long>(fnv1a64(Record))) +
+         " " + Record + "\n";
+}
+
+/// The paths of the files in cache directory \p Dir, in name order.
+std::vector<std::string> cacheFiles(const std::string &Dir) {
+  std::vector<std::string> Out;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    Out.push_back(Entry.path().string());
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+/// Appends \p Text to file \p Path.
+void appendTo(const std::string &Path, const std::string &Text) {
+  std::string Old;
+  ASSERT_TRUE(readWholeFile(Path, Old)) << Path;
+  ASSERT_FALSE(writeWholeFile(Path, Old + Text).failed()) << Path;
 }
 
 /// Test record \p Record (/2) as a /1 build wrote it: each model's
@@ -488,27 +521,29 @@ TEST(ResultCache, ModelDefinitionEditsMiss) {
 
 TEST(ResultCache, CollisionGuardRejectsForeignEntries) {
   const std::string Dir = scratchDir("cache_collide");
-  auto Cache = ResultCache::open(Dir);
-  ASSERT_TRUE(static_cast<bool>(Cache));
   std::vector<const Model *> Models = {modelByName("SC")};
-
   std::vector<LitmusTest> Tests = catalogueTests();
   SweepReport Report =
       SweepEngine({1}).run(makeJobs({Tests[0]}, Models));
-  ASSERT_TRUE(Cache->store(Tests[0], Models, Report.Tests[0]));
+  {
+    auto Cache = ResultCache::open(Dir);
+    ASSERT_TRUE(static_cast<bool>(Cache));
+    ASSERT_TRUE(Cache->store(Tests[0], Models, Report.Tests[0]));
+  }
 
-  // Hand-plant Tests[0]'s entry under Tests[1]'s key: a (hypothetical)
-  // hash collision. The stored name no longer matches, so lookup treats
-  // it as a miss instead of serving a wrong verdict.
-  const std::string From =
-      Dir + "/" + resultCacheKey(Tests[0], Models).substr(0, 2) + "/" +
-      resultCacheKey(Tests[0], Models) + ".json";
-  const std::string ToKey = resultCacheKey(Tests[1], Models);
-  std::filesystem::create_directories(Dir + "/" + ToKey.substr(0, 2));
-  std::filesystem::copy_file(From, Dir + "/" + ToKey.substr(0, 2) + "/" +
-                                       ToKey + ".json");
+  // Plant Tests[0]'s record, with a valid sum, under Tests[1]'s key: a
+  // (hypothetical) hash collision. The stored name no longer matches, so
+  // lookup treats it as a miss instead of serving a wrong verdict.
+  const std::vector<std::string> Logs = cacheFiles(Dir);
+  ASSERT_EQ(Logs.size(), 1u);
+  appendTo(Logs[0],
+           cacheLine(resultCacheKey(Tests[1], Models),
+                     sweepTestResultToJson(Report.Tests[0]).dump(0)));
+  auto Cache = ResultCache::open(Dir);
+  ASSERT_TRUE(static_cast<bool>(Cache));
   SweepTestResult Out;
   EXPECT_FALSE(Cache->lookup(Tests[1], Models, Out));
+  EXPECT_TRUE(Cache->lookup(Tests[0], Models, Out));
 }
 
 namespace {
@@ -540,12 +575,12 @@ JsonValue editList(const JsonValue &Obj, const std::string &Key,
 } // namespace
 
 TEST(ResultCache, CorruptWellFormedEntriesMiss) {
-  // One hand-corrupted but syntactically valid entry per invariant of the
-  // entry reader and of the cache lookup: each must be a miss, and the
-  // warm run that re-judges it must equal the cold run.
+  // One hand-corrupted record per invariant of the record reader and of
+  // the cache lookup, each appended as the newest line of its key with a
+  // valid sum, so the guards and not the sum must reject it. Each must be
+  // a miss on reopening, the warm run that re-judges it must equal the
+  // cold run, and its re-store must hit once the cache is reopened again.
   const std::string Dir = scratchDir("cache_corrupt");
-  auto Cache = ResultCache::open(Dir);
-  ASSERT_TRUE(static_cast<bool>(Cache));
   const std::vector<const Model *> &Models = allModels();
   const CatalogEntry *Target = catalogEntry("mp+lwsync+addr");
   ASSERT_NE(Target, nullptr);
@@ -553,19 +588,28 @@ TEST(ResultCache, CorruptWellFormedEntriesMiss) {
                                          Target->Test,
                                          catalogEntry("sb")->Test};
   SweepEngine Engine({2});
-  SweepReport Cold = Engine.runStreamed(vectorSource(Tests), Models, 4,
-                                        Cache->hooks(Models));
+  SweepReport Cold;
+  {
+    auto Cache = ResultCache::open(Dir);
+    ASSERT_TRUE(static_cast<bool>(Cache));
+    Cold = Engine.runStreamed(vectorSource(Tests), Models, 4,
+                              Cache->hooks(Models));
+  }
   ASSERT_EQ(Cold.CacheMisses, Tests.size());
 
-  const std::string Path =
-      Dir + "/" + resultCacheKey(Target->Test, Models).substr(0, 2) + "/" +
-      resultCacheKey(Target->Test, Models) + ".json";
-  std::ifstream In(Path);
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  auto Pristine = JsonValue::parse(Buf.str());
-  ASSERT_TRUE(static_cast<bool>(Pristine)) << Pristine.message();
-  const JsonValue Entry = *Pristine->get("result");
+  // The stored record, read back from the log.
+  const std::string Key = resultCacheKey(Target->Test, Models);
+  const std::vector<std::string> Logs = cacheFiles(Dir);
+  ASSERT_EQ(Logs.size(), 1u);
+  std::string Log;
+  ASSERT_TRUE(readWholeFile(Logs[0], Log));
+  const size_t At = Log.find("\n" + Key + " ");
+  ASSERT_NE(At, std::string::npos);
+  const size_t RecordAt = At + 1 + 32 + 1 + 16 + 1;
+  auto Stored = JsonValue::parse(
+      Log.substr(RecordAt, Log.find('\n', RecordAt) - RecordAt));
+  ASSERT_TRUE(static_cast<bool>(Stored)) << Stored.message();
+  const JsonValue Entry = Stored.take();
   // Model block 2 is PSO, which allows the condition of mp+lwsync+addr.
   const JsonValue &Pso = Entry.get("models")->elements()[2];
   ASSERT_EQ(Pso.get("model")->asString(), "PSO");
@@ -624,42 +668,38 @@ TEST(ResultCache, CorruptWellFormedEntriesMiss) {
          M[2] = withMember(M[2], "verdict", JsonValue("Forbid"));
        })},
   };
-  // Lookup invariants of the entry document itself.
-  std::vector<std::pair<std::string, JsonValue>> Documents = {
-      {"entry schema of the /1 cache",
-       withMember(*Pristine, "schema", JsonValue("cats-cache-entry/1"))},
-      {"entry schema missing", withMember(*Pristine, "schema", JsonValue())},
-  };
+  std::vector<std::pair<std::string, std::string>> Records;
   for (const auto &[What, Corrupt] : Corruptions)
-    Documents.emplace_back(What, withMember(*Pristine, "result", Corrupt));
-  for (const auto &[What, Document] : Documents) {
-    ASSERT_FALSE(writeWholeFile(Path, Document.dump()).failed()) << What;
+    Records.emplace_back(What, Corrupt.dump(0));
+  // A record that is not an object, and one nested past the parser's
+  // depth limit: a miss, not a stack overflow.
+  Records.emplace_back("record is an array", "[]");
+  Records.emplace_back("record nested past the depth limit",
+                       std::string(100000, '['));
+  for (const auto &[What, Record] : Records) {
+    // The newest log, whose last line is then the newest of the key.
+    appendTo(cacheFiles(Dir).back(), cacheLine(Key, Record));
+    {
+      auto Cache = ResultCache::open(Dir);
+      ASSERT_TRUE(static_cast<bool>(Cache));
+      SweepTestResult Served;
+      EXPECT_FALSE(Cache->lookup(Target->Test, Models, Served)) << What;
+      SweepReport Warm = Engine.runStreamed(vectorSource(Tests), Models, 4,
+                                            Cache->hooks(Models));
+      EXPECT_EQ(Warm.CacheMisses, 1ull) << What;
+      ASSERT_EQ(Warm.Tests.size(), Cold.Tests.size());
+      for (size_t I = 0; I < Cold.Tests.size(); ++I)
+        EXPECT_EQ(zeroWallTimes(sweepTestResultToJson(Warm.Tests[I])).dump(),
+                  zeroWallTimes(sweepTestResultToJson(Cold.Tests[I])).dump())
+            << What << ": " << Cold.Tests[I].TestName;
+      // The miss re-stored a sound entry, served at once.
+      EXPECT_TRUE(Cache->lookup(Target->Test, Models, Served)) << What;
+    }
+    // And it is the newest line of the key on disk.
     SweepTestResult Served;
-    EXPECT_FALSE(Cache->lookup(Target->Test, Models, Served)) << What;
-    SweepReport Warm = Engine.runStreamed(vectorSource(Tests), Models, 4,
-                                          Cache->hooks(Models));
-    EXPECT_EQ(Warm.CacheMisses, 1ull) << What;
-    ASSERT_EQ(Warm.Tests.size(), Cold.Tests.size());
-    for (size_t I = 0; I < Cold.Tests.size(); ++I)
-      EXPECT_EQ(zeroWallTimes(sweepTestResultToJson(Warm.Tests[I])).dump(),
-                zeroWallTimes(sweepTestResultToJson(Cold.Tests[I])).dump())
-          << What << ": " << Cold.Tests[I].TestName;
-    // The miss re-stored a sound entry.
-    EXPECT_TRUE(Cache->lookup(Target->Test, Models, Served)) << What;
+    EXPECT_TRUE(ResultCache::open(Dir)->lookup(Target->Test, Models, Served))
+        << What;
   }
-
-  // An entry nested past the parser's depth limit is a miss too, not a
-  // stack overflow.
-  {
-    std::ofstream Out(Path);
-    Out << std::string(100000, '[');
-  }
-  SweepTestResult Served;
-  EXPECT_FALSE(Cache->lookup(Target->Test, Models, Served));
-  SweepReport Warm = Engine.runStreamed(vectorSource(Tests), Models, 4,
-                                        Cache->hooks(Models));
-  EXPECT_EQ(Warm.CacheMisses, 1ull);
-  EXPECT_TRUE(Cache->lookup(Target->Test, Models, Served));
 }
 
 TEST(ResultCache, ErroredResultsAreNotCached) {
@@ -678,357 +718,179 @@ TEST(ResultCache, ErroredResultsAreNotCached) {
 
 TEST(ResultCache, EntryIsOneLineHoldingTheRecord) {
   const std::string Dir = scratchDir("cache_entry_format");
-  auto Cache = ResultCache::open(Dir);
-  ASSERT_TRUE(static_cast<bool>(Cache));
   const std::vector<const Model *> Models = {modelByName("SC"),
                                              modelByName("Power")};
   const LitmusTest Test = catalogEntry("mp")->Test;
   SweepReport Judged = SweepEngine({1}).run(makeJobs({Test}, Models));
+  auto Cache = ResultCache::open(Dir);
+  ASSERT_TRUE(static_cast<bool>(Cache));
+  // Opening writes nothing: a log appears at the first store.
+  EXPECT_TRUE(cacheFiles(Dir).empty());
   ASSERT_TRUE(Cache->store(Test, Models, Judged.Tests[0]));
 
   // The hooks key with a model set hashed once; a lookup keyed from the
   // model list finds what they stored, and the other way round.
   const std::string Key = resultCacheKey(Test, Models);
   EXPECT_EQ(resultCacheKey(Test, CacheModelSet(Models)), Key);
+  const std::vector<std::string> Logs = cacheFiles(Dir);
+  ASSERT_EQ(Logs.size(), 1u);
+  EXPECT_TRUE(endsWith(Logs[0], ".log")) << Logs[0];
   std::string Text;
-  ASSERT_TRUE(readWholeFile(
-      Dir + "/" + Key.substr(0, 2) + "/" + Key + ".json", Text));
-  EXPECT_EQ(Text, R"({"schema":"cats-cache-entry/2","key":")" + Key +
-                      R"(","result":)" +
-                      sweepTestResultToJson(Judged.Tests[0]).dump(0) + "}\n");
+  ASSERT_TRUE(readWholeFile(Logs[0], Text));
+  const std::string Record = sweepTestResultToJson(Judged.Tests[0]).dump(0);
+  EXPECT_EQ(Text, "cats-cache/4\n" + Key + " " +
+                      strFormat("%016llx", static_cast<unsigned long long>(
+                                               fnv1a64(Record))) +
+                      " " + Record + "\n");
   SweepTestResult Out;
   ASSERT_TRUE(Cache->hooks(Models).CacheLookup(Test, Out));
-  EXPECT_EQ(sweepTestResultToJson(Out).dump(),
-            sweepTestResultToJson(Judged.Tests[0]).dump());
+  EXPECT_EQ(sweepTestResultToJson(Out).dump(0), Record);
 }
 
 TEST(ResultCache, FailedStorePublishesNothing) {
-  // The temp file the store writes is a directory here, so the write
-  // fails: the store reports it and no entry appears.
+  // A file-size limit cuts the third store short. The store reports it,
+  // the handle then stores nothing, and a reopened cache serves exactly
+  // the lines written before the cut.
   const std::string Dir = scratchDir("cache_store_fails");
-  auto Cache = ResultCache::open(Dir);
-  ASSERT_TRUE(static_cast<bool>(Cache));
   const std::vector<const Model *> Models = {modelByName("SC")};
-  const LitmusTest Test = catalogEntry("sb")->Test;
-  SweepReport Judged = SweepEngine({1}).run(makeJobs({Test}, Models));
-  const std::string Key = resultCacheKey(Test, Models);
-  const std::string Path = Dir + "/" + Key.substr(0, 2) + "/" + Key + ".json";
-  const std::string Tmp =
-      Path + ".tmp." +
-      std::to_string(std::hash<std::thread::id>{}(std::this_thread::get_id()));
-  std::filesystem::create_directories(Tmp + "/blocker");
-  Status S = Cache->store(Test, Models, Judged.Tests[0]);
-  EXPECT_TRUE(S.failed());
-  EXPECT_EQ(S.message(), "cannot write " + Tmp);
-  EXPECT_FALSE(std::filesystem::exists(Path));
-  SweepTestResult Out;
-  EXPECT_FALSE(Cache->lookup(Test, Models, Out));
-}
-
-//===----------------------------------------------------------------------===//
-// Checkpoint / resume
-//===----------------------------------------------------------------------===//
-
-TEST(Checkpoint, ResumeAfterKillEqualsUninterrupted) {
-  const std::string Dir = scratchDir("checkpoint");
-  const std::string Path = Dir + "/campaign.jsonl";
-  const std::string Id = campaignId("tool=test;models=SC,TSO");
-
-  std::vector<LitmusTest> Tests = catalogueTests();
-  Tests.resize(12);
-  std::vector<const Model *> Models = {modelByName("SC"),
-                                       modelByName("TSO")};
-  SweepEngine Engine({2});
-
-  const std::string Reference =
-      scrubbedDump(Engine.runStreamed(vectorSource(Tests), Models, 4));
-
-  // Phase A: the "killed" run covers only the first 7 tests (batches of
-  // 4: progress lines at 4 and 7).
-  {
-    auto Writer = CheckpointWriter::create(Path, Id);
-    ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
-    size_t LastWritten = 0;
-    StreamHooks Hooks;
-    Hooks.OnBatch = [&](const SweepReport &SoFar) {
-      ASSERT_TRUE(Writer->appendBatch(SoFar.Tests.begin() + LastWritten,
-                                      SoFar.Tests.end(), SoFar.Tests.size(),
-                                      SoFar.CacheHits, SoFar.CacheMisses));
-      LastWritten = SoFar.Tests.size();
-    };
-    std::vector<LitmusTest> Partial(Tests.begin(), Tests.begin() + 7);
-    Engine.runStreamed(vectorSource(Partial), Models, 4, Hooks);
-  }
-  // The kill also tore the file mid-append: two entries of the next
-  // batch landed without their progress line, the last one cut short.
-  {
-    std::ofstream Tail(Path, std::ios::app);
-    JsonValue Line = JsonValue::object();
-    Line.set("entry", sweepTestResultToJson(SweepTestResult{
-                          "orphan", "", MultiSimulationResult{}, 0}));
-    Tail << Line.dump(0) << "\n";
-    Tail << "{\"entry\":{\"name\":\"torn";
-  }
-
-  // Phase B: load, trim to the last completed batch, resume.
-  auto State = loadCheckpoint(Path, Id);
-  ASSERT_TRUE(static_cast<bool>(State)) << State.message();
-  EXPECT_EQ(State->Consumed, 7ull);
-  ASSERT_EQ(State->Tests.size(), 7u);
-
-  StreamHooks Hooks;
-  Hooks.SkipTests = State->Consumed;
-  SweepReport Resumed =
-      Engine.runStreamed(vectorSource(Tests), Models, 4, Hooks);
-  Resumed.Tests.insert(Resumed.Tests.begin(),
-                       std::make_move_iterator(State->Tests.begin()),
-                       std::make_move_iterator(State->Tests.end()));
-  EXPECT_EQ(scrubbedDump(Resumed), Reference);
-}
-
-TEST(Checkpoint, CorruptProgressCountsTrimTheTail) {
-  // A progress line whose counts are not counts is treated like a torn
-  // one: resume trusts only the batches before it.
-  const std::string Dir = scratchDir("checkpoint_counts");
-  const std::string Path = Dir + "/c.jsonl";
-  const std::string Id = campaignId("spec");
-  std::vector<LitmusTest> Tests = catalogueTests();
-  Tests.resize(2);
-  SweepReport Report =
-      SweepEngine({1}).run(makeJobs(Tests, {modelByName("SC")}));
-  {
-    auto Writer = CheckpointWriter::create(Path, Id);
-    ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
-    ASSERT_TRUE(Writer->appendBatch(Report.Tests.begin(),
-                                    Report.Tests.begin() + 1, 1, 0, 1));
-  }
-  for (const char *Bad : {"-1", "1.5", "1e300", "\"2\""}) {
-    std::filesystem::copy_file(
-        Path, Path + ".bad", std::filesystem::copy_options::overwrite_existing);
-    {
-      std::ofstream Tail(Path + ".bad", std::ios::app);
-      Tail << R"({"entry":)" << sweepTestResultToJson(Report.Tests[1]).dump(0)
-           << "}\n";
-      Tail << R"({"progress":{"consumed":2,"hits":)" << Bad
-           << R"(,"misses":2}})" << "\n";
-    }
-    auto State = loadCheckpoint(Path + ".bad", Id);
-    ASSERT_TRUE(static_cast<bool>(State)) << State.message();
-    EXPECT_EQ(State->Consumed, 1ull) << Bad;
-    EXPECT_EQ(State->CacheMisses, 1ull) << Bad;
-    EXPECT_EQ(State->Tests.size(), 1u) << Bad;
-  }
-}
-
-TEST(Checkpoint, RefusesForeignCampaigns) {
-  const std::string Dir = scratchDir("checkpoint_id");
-  const std::string Path = Dir + "/c.jsonl";
-  {
-    auto Writer = CheckpointWriter::create(Path, campaignId("spec-a"));
-    ASSERT_TRUE(static_cast<bool>(Writer));
-  }
-  EXPECT_TRUE(static_cast<bool>(loadCheckpoint(Path, campaignId("spec-a"))));
-  auto Foreign = loadCheckpoint(Path, campaignId("spec-b"));
-  EXPECT_FALSE(static_cast<bool>(Foreign));
-  EXPECT_NE(Foreign.message().find("different campaign"), std::string::npos);
-}
-
-TEST(Checkpoint, ResumeWithoutCacheWritesNoCacheStanza) {
-  // A campaign checkpointed while caching, resumed without --cache: the
-  // resumed run looks nothing up, so whatever the checkpoint counted, its
-  // report reads like an uncached run's.
-  const std::string Dir = scratchDir("resume_nocache");
-  std::vector<LitmusTest> Tests = catalogueTests();
-  Tests.resize(12);
-  const std::vector<const Model *> Models = {modelByName("SC"),
-                                             modelByName("TSO")};
-  const SweepEngine Engine({2});
-  cli::CampaignFlags Flags;
-  Flags.CacheDir = Dir + "/cache";
-  Flags.CheckpointPath = Dir + "/campaign.jsonl";
-  auto Cached = cli::runCampaignSweep("test", Engine, vectorSource(Tests),
-                                      Models, Flags, "spec");
-  ASSERT_TRUE(static_cast<bool>(Cached)) << Cached.message();
-  EXPECT_TRUE(Cached->CacheUsed);
-  EXPECT_EQ(Cached->CacheMisses, 12ull);
-
-  Flags.CacheDir.clear();
-  Flags.Resume = true;
-  auto Resumed = cli::runCampaignSweep("test", Engine, vectorSource(Tests),
-                                       Models, Flags, "spec");
-  ASSERT_TRUE(static_cast<bool>(Resumed)) << Resumed.message();
-  EXPECT_FALSE(Resumed->CacheUsed);
-  EXPECT_EQ(Resumed->CacheHits + Resumed->CacheMisses, 0ull);
-  EXPECT_EQ(sweepReportToJson(*Resumed).get("cache"), nullptr);
-  EXPECT_EQ(Resumed->Tests.size(), Tests.size());
-}
-
-namespace {
-
-/// Runs a checkpointed campaign over the first \p Done of \p Tests into
-/// \p Flags' checkpoint, then resumes it over all of them.
-Expected<SweepReport>
-resumeAfter(size_t Done, const std::vector<LitmusTest> &Tests,
-            const std::vector<const Model *> &Models,
-            const SweepEngine &Engine, cli::CampaignFlags Flags) {
-  Flags.Resume = false;
-  std::vector<LitmusTest> Prefix(Tests.begin(), Tests.begin() + Done);
-  auto First = cli::runCampaignSweep("test", Engine, vectorSource(Prefix),
-                                     Models, Flags, "spec");
-  EXPECT_TRUE(static_cast<bool>(First)) << First.message();
-  Flags.Resume = true;
-  return cli::runCampaignSweep("test", Engine, vectorSource(Tests), Models,
-                               Flags, "spec");
-}
-
-} // namespace
-
-TEST(Checkpoint, ResumedReportCountsJobsOverTheWholeCampaign) {
-  // Fewer tests left than workers, and none left: the resumed report
-  // still names the threads an uninterrupted campaign judged with.
-  const std::string Dir = scratchDir("resume_jobs");
-  std::vector<LitmusTest> Tests = catalogueTests();
-  Tests.resize(12);
-  const std::vector<const Model *> Models = {modelByName("SC"),
-                                             modelByName("TSO")};
-  const SweepEngine Engine({4});
-  auto Whole = cli::runCampaignSweep("test", Engine, vectorSource(Tests),
-                                     Models, cli::CampaignFlags(), "spec");
-  ASSERT_TRUE(static_cast<bool>(Whole)) << Whole.message();
-  EXPECT_EQ(Whole->Jobs, std::min(Engine.workerCount(), 12u));
-  for (size_t Left : {1, 0}) {
-    cli::CampaignFlags Flags;
-    Flags.CheckpointPath = Dir + "/left" + std::to_string(Left) + ".jsonl";
-    auto Resumed = resumeAfter(Tests.size() - Left, Tests, Models, Engine,
-                               Flags);
-    ASSERT_TRUE(static_cast<bool>(Resumed)) << Resumed.message();
-    EXPECT_EQ(Resumed->Jobs, Whole->Jobs) << Left << " left";
-    EXPECT_EQ(scrubbedDump(*Resumed), scrubbedDump(*Whole)) << Left;
-  }
-}
-
-TEST(Checkpoint, ResumesACheckpointOfTheV1Format) {
-  // A checkpoint as a /1 build wrote it: its header and its entries.
-  // Resuming reads it, appends /2 entry lines, and reports what an
-  // uninterrupted run does; the mixed file then loads whole.
-  const std::string Dir = scratchDir("resume_v1");
-  const std::string Path = Dir + "/campaign.jsonl";
-  std::vector<LitmusTest> Tests = catalogueTests();
-  Tests.resize(12);
-  const std::vector<const Model *> Models = {modelByName("SC"),
-                                             modelByName("Power")};
-  const SweepEngine Engine({2});
-  SweepReport Whole = Engine.runStreamed(vectorSource(Tests), Models, 4);
-  {
-    std::string Text = R"({"schema":"cats-checkpoint/1","campaign":")" +
-                       campaignId("spec") + "\"}\n";
-    for (size_t I = 0; I < 7; ++I)
-      Text += R"({"entry":)" +
-              asV1Record(sweepTestResultToJson(Whole.Tests[I])).dump(0) +
-              "}\n";
-    Text += R"({"progress":{"consumed":7,"hits":0,"misses":0}})"
-            "\n";
-    ASSERT_FALSE(writeWholeFile(Path, Text).failed());
-  }
-  auto Loaded = loadCheckpoint(Path, campaignId("spec"));
-  ASSERT_TRUE(static_cast<bool>(Loaded)) << Loaded.message();
-  ASSERT_EQ(Loaded->Tests.size(), 7u);
-
-  cli::CampaignFlags Flags;
-  Flags.CheckpointPath = Path;
-  Flags.Resume = true;
-  auto Resumed = cli::runCampaignSweep("test", Engine, vectorSource(Tests),
-                                       Models, Flags, "spec");
-  ASSERT_TRUE(static_cast<bool>(Resumed)) << Resumed.message();
-  EXPECT_EQ(scrubbedDump(*Resumed), scrubbedDump(Whole));
-  auto Reloaded = loadCheckpoint(Path, campaignId("spec"));
-  ASSERT_TRUE(static_cast<bool>(Reloaded)) << Reloaded.message();
-  EXPECT_EQ(Reloaded->Consumed, Tests.size());
-}
-
-TEST(Checkpoint, ResumeCutsTheTornTailBeforeAppending) {
-  // A kill left an orphan entry and a torn line after the last batch. The
-  // resume must cut them before appending: otherwise the next load counts
-  // the orphan among the resumed entries, or stops at the torn line.
-  const std::string Dir = scratchDir("resume_torn");
-  std::vector<LitmusTest> Tests = catalogueTests();
-  Tests.resize(12);
-  const std::vector<const Model *> Models = {modelByName("SC"),
-                                             modelByName("TSO")};
-  const SweepEngine Engine({2});
-  const std::string Whole =
-      scrubbedDump(Engine.runStreamed(vectorSource(Tests), Models, 4));
-  cli::CampaignFlags Flags;
-  Flags.CheckpointPath = Dir + "/campaign.jsonl";
-  std::vector<LitmusTest> Prefix(Tests.begin(), Tests.begin() + 7);
-  ASSERT_TRUE(static_cast<bool>(cli::runCampaignSweep(
-      "test", Engine, vectorSource(Prefix), Models, Flags, "spec")));
-  {
-    std::ofstream Tail(Flags.CheckpointPath, std::ios::app);
-    Tail << R"({"entry":)"
-         << sweepTestResultToJson(SweepTestResult{"orphan", "", {}, 0}).dump(0)
-         << "}\n"
-         << R"({"entry":{"name":"torn)";
-  }
-  Flags.Resume = true;
-  auto Resumed = cli::runCampaignSweep("test", Engine, vectorSource(Tests),
-                                       Models, Flags, "spec");
-  ASSERT_TRUE(static_cast<bool>(Resumed)) << Resumed.message();
-  EXPECT_EQ(scrubbedDump(*Resumed), Whole);
-  auto Reloaded = loadCheckpoint(Flags.CheckpointPath, campaignId("spec"));
-  ASSERT_TRUE(static_cast<bool>(Reloaded)) << Reloaded.message();
-  EXPECT_EQ(Reloaded->Consumed, Tests.size());
-  SweepReport Again;
-  Again.Tests = std::move(Reloaded->Tests);
-  Again.Jobs = Resumed->Jobs;
-  EXPECT_EQ(scrubbedDump(Again), Whole);
-}
-
-TEST(Checkpoint, ProgressLinesCountEveryEntryBeforeThem) {
-  // A batch duplicated in place (its entries and progress line) makes the
-  // count of the copied progress line wrong: loading stops before it and
-  // keeps the entries written so far, in order.
-  const std::string Dir = scratchDir("checkpoint_dup");
-  const std::string Path = Dir + "/c.jsonl";
   std::vector<LitmusTest> Tests = catalogueTests();
   Tests.resize(4);
-  SweepReport Report =
-      SweepEngine({1}).run(makeJobs(Tests, {modelByName("SC")}));
-  {
-    auto Writer = CheckpointWriter::create(Path, campaignId("spec"));
-    ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
-    for (size_t Done : {2, 4})
-      ASSERT_TRUE(Writer->appendBatch(Report.Tests.begin() + Done - 2,
-                                      Report.Tests.begin() + Done, Done, 0,
-                                      Done));
-  }
-  std::string Text;
-  ASSERT_TRUE(readWholeFile(Path, Text));
-  std::vector<std::string> Lines;
-  std::istringstream In(Text);
-  for (std::string Line; std::getline(In, Line);)
-    Lines.push_back(Line + "\n");
-  ASSERT_EQ(Lines.size(), 7u); // header, 2 entries, progress, twice
-  // header E1 E2 P2 [E2 P2] E3 E4 P4
-  Lines.insert(Lines.begin() + 4, {Lines[2], Lines[3]});
-  std::string Duplicated;
-  for (const std::string &Line : Lines)
-    Duplicated += Line;
-  ASSERT_FALSE(writeWholeFile(Path, Duplicated).failed());
-  auto State = loadCheckpoint(Path, campaignId("spec"));
-  ASSERT_TRUE(static_cast<bool>(State)) << State.message();
-  EXPECT_EQ(State->Consumed, 2ull);
-  ASSERT_EQ(State->Tests.size(), 2u);
+  SweepReport Judged = SweepEngine({1}).run(makeJobs(Tests, Models));
+  auto Cache = ResultCache::open(Dir);
+  ASSERT_TRUE(static_cast<bool>(Cache));
   for (size_t I = 0; I < 2; ++I)
-    EXPECT_EQ(State->Tests[I].TestName, Report.Tests[I].TestName);
+    ASSERT_TRUE(Cache->store(Tests[I], Models, Judged.Tests[I]));
+  const std::string Log = cacheFiles(Dir).at(0);
+  const auto Before = std::filesystem::file_size(Log);
 
-  // A last progress line cut just before its newline is torn as well: a
-  // resume appends after the last whole line, never onto a cut one.
-  ASSERT_FALSE(writeWholeFile(Path, Text.substr(0, Text.size() - 1)).failed());
-  State = loadCheckpoint(Path, campaignId("spec"));
-  ASSERT_TRUE(static_cast<bool>(State)) << State.message();
-  EXPECT_EQ(State->Consumed, 2ull);
-  EXPECT_EQ(State->Bytes, Text.find('\n', Text.find("progress")) + 1);
+  // Past the limit a write is cut short, and SIGXFSZ (ignored here) would
+  // end the process.
+  rlimit Saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &Saved), 0);
+  rlimit Cut = Saved;
+  Cut.rlim_cur = static_cast<rlim_t>(Before + 10);
+  const auto OldHandler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &Cut), 0);
+  const Status Failed = Cache->store(Tests[2], Models, Judged.Tests[2]);
+  const Status After = Cache->store(Tests[3], Models, Judged.Tests[3]);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &Saved), 0);
+  std::signal(SIGXFSZ, OldHandler);
+
+  EXPECT_TRUE(Failed.failed());
+  EXPECT_EQ(Failed.message(), "cannot write " + Log + "; storing nothing more");
+  // Reported once: the next store writes nothing and says nothing.
+  EXPECT_FALSE(After.failed());
+  EXPECT_EQ(std::filesystem::file_size(Log), Before + 10);
+  auto Reopened = ResultCache::open(Dir);
+  ASSERT_TRUE(static_cast<bool>(Reopened));
+  for (const ResultCache *C : {&*Cache, &*Reopened})
+    for (size_t I = 0; I < Tests.size(); ++I) {
+      SweepTestResult Out;
+      EXPECT_EQ(C->lookup(Tests[I], Models, Out), I < 2) << I;
+    }
+}
+
+TEST(ResultCache, RerunAfterKillEqualsUninterrupted) {
+  // A campaign killed after 7 of its 12 tests, in the middle of writing
+  // the 7th entry, is rerun on the same directory: the 6 whole entries
+  // hit, the rest is judged, and the records equal an uninterrupted run's.
+  const std::string Dir = scratchDir("cache_kill");
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(12);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("TSO")};
+  const SweepEngine Engine({2});
+  const SweepReport Whole = Engine.runStreamed(vectorSource(Tests), Models, 4);
+  cli::CampaignFlags Flags;
+  Flags.CacheDir = Dir;
+  std::vector<LitmusTest> Prefix(Tests.begin(), Tests.begin() + 7);
+  auto Killed =
+      cli::runCampaignSweep(Engine, vectorSource(Prefix), Models, Flags);
+  ASSERT_TRUE(static_cast<bool>(Killed)) << Killed.message();
+  EXPECT_EQ(Killed->CacheMisses, 7ull);
+
+  const std::vector<std::string> Logs = cacheFiles(Dir);
+  ASSERT_EQ(Logs.size(), 1u);
+  std::string Text;
+  ASSERT_TRUE(readWholeFile(Logs[0], Text));
+  const size_t LastLine = Text.rfind('\n', Text.size() - 2) + 1;
+  std::filesystem::resize_file(Logs[0],
+                               LastLine + (Text.size() - LastLine) / 2);
+
+  auto Rerun =
+      cli::runCampaignSweep(Engine, vectorSource(Tests), Models, Flags);
+  ASSERT_TRUE(static_cast<bool>(Rerun)) << Rerun.message();
+  EXPECT_EQ(Rerun->CacheHits, 6ull);
+  EXPECT_EQ(Rerun->CacheMisses, 6ull);
+  ASSERT_EQ(Rerun->Tests.size(), Whole.Tests.size());
+  for (size_t I = 0; I < Whole.Tests.size(); ++I)
+    EXPECT_EQ(zeroWallTimes(sweepTestResultToJson(Rerun->Tests[I])).dump(),
+              zeroWallTimes(sweepTestResultToJson(Whole.Tests[I])).dump())
+        << Whole.Tests[I].TestName;
+  // The rerun wrote a log of its own, leaving the cut line the last of
+  // the killed run's.
+  EXPECT_EQ(cacheFiles(Dir).size(), 2u);
+}
+
+TEST(ResultCache, TwoWritersShareADirectory) {
+  // Two handles on one directory store interleaved entries, each into a
+  // log of its own; a third open serves all of them.
+  const std::string Dir = scratchDir("cache_writers");
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(8);
+  SweepReport Judged = SweepEngine({1}).run(makeJobs(Tests, Models));
+  auto A = ResultCache::open(Dir);
+  auto B = ResultCache::open(Dir);
+  ASSERT_TRUE(A && B);
+  for (size_t I = 0; I < Tests.size(); ++I)
+    ASSERT_TRUE((I % 2 ? *B : *A).store(Tests[I], Models, Judged.Tests[I]));
+  EXPECT_EQ(cacheFiles(Dir).size(), 2u);
+  // A handle serves its own stores at once, and the other's from its
+  // next open.
+  SweepTestResult Out;
+  EXPECT_TRUE(A->lookup(Tests[0], Models, Out));
+  EXPECT_FALSE(A->lookup(Tests[1], Models, Out));
+  auto C = ResultCache::open(Dir);
+  ASSERT_TRUE(static_cast<bool>(C));
+  for (size_t I = 0; I < Tests.size(); ++I) {
+    ASSERT_TRUE(C->lookup(Tests[I], Models, Out)) << I;
+    EXPECT_EQ(sweepTestResultToJson(Out).dump(0),
+              sweepTestResultToJson(Judged.Tests[I]).dump(0));
+  }
+}
+
+TEST(ResultCache, OpenSkipsOtherLayoutsAndHeaderlessFiles) {
+  // An entry of the cats-cache/3 layout (one file per entry in a 256-way
+  // fan-out), a log under the /3 tag, a log without a header, one whose
+  // header is cut, and a whole log that is not named *.log: open reads
+  // none of them, so the lookup misses.
+  const std::string Dir = scratchDir("cache_layouts");
+  const std::vector<const Model *> Models = {modelByName("SC")};
+  const LitmusTest Test = catalogEntry("mp")->Test;
+  SweepReport Judged = SweepEngine({1}).run(makeJobs({Test}, Models));
+  const std::string Key = resultCacheKey(Test, Models);
+  const std::string Record = sweepTestResultToJson(Judged.Tests[0]).dump(0);
+  const std::string Line = cacheLine(Key, Record);
+  std::filesystem::create_directories(Dir + "/" + Key.substr(0, 2));
+  ASSERT_FALSE(writeWholeFile(Dir + "/" + Key.substr(0, 2) + "/" + Key +
+                                  ".json",
+                              R"({"schema":"cats-cache-entry/2","key":")" +
+                                  Key + R"(","result":)" + Record + "}\n")
+                   .failed());
+  ASSERT_FALSE(
+      writeWholeFile(Dir + "/1-old.log", "cats-cache/3\n" + Line).failed());
+  ASSERT_FALSE(writeWholeFile(Dir + "/2-bare.log", Line).failed());
+  ASSERT_FALSE(writeWholeFile(Dir + "/3-cut.log", "cats-cache/4").failed());
+  ASSERT_FALSE(
+      writeWholeFile(Dir + "/4-entries.txt", "cats-cache/4\n" + Line).failed());
+  SweepTestResult Out;
+  EXPECT_FALSE(ResultCache::open(Dir)->lookup(Test, Models, Out));
+  // The same line under the header, in a log, is served.
+  ASSERT_FALSE(
+      writeWholeFile(Dir + "/5-good.log", "cats-cache/4\n" + Line).failed());
+  EXPECT_TRUE(ResultCache::open(Dir)->lookup(Test, Models, Out));
 }
 
 //===----------------------------------------------------------------------===//
@@ -1352,18 +1214,19 @@ namespace {
 /// One mutation of a text, and the offset of its first changed byte:
 /// every byte before it is as it was.
 struct Mutation {
-  enum Kind { Flip, Truncate, Duplicate, IndexEdit } What;
+  enum Kind { Flip, Truncate, Duplicate, IndexEdit, SwapLines } What;
   std::string Text;
   size_t Offset;
 };
 
 /// The seeded mutator: a flipped bit, a truncation, a span of up to 64
-/// bytes copied to another place, or an edit of one "allowed" index list
+/// bytes copied to another place, an edit of one "allowed" index list
 /// (an index past any table, a repeated index, two indices swapped into
-/// descending order).
-Mutation mutate(const std::string &Text, std::mt19937_64 &Rng) {
+/// descending order), or, among \p Kinds = 5, two whole lines swapped.
+Mutation mutate(const std::string &Text, std::mt19937_64 &Rng,
+                unsigned Kinds = 4) {
   auto Pick = [&](size_t N) { return static_cast<size_t>(Rng() % N); };
-  Mutation M{static_cast<Mutation::Kind>(Pick(4)), Text, 0};
+  Mutation M{static_cast<Mutation::Kind>(Pick(Kinds)), Text, 0};
   std::vector<size_t> Lists;
   for (size_t At = Text.find("\"allowed\":[");
        At != std::string::npos; At = Text.find("\"allowed\":[", At + 1))
@@ -1408,19 +1271,29 @@ Mutation mutate(const std::string &Text, std::mt19937_64 &Rng) {
     M.Offset = Begin;
     break;
   }
+  case Mutation::SwapLines: {
+    std::vector<std::string> Lines;
+    for (size_t At = 0; At < Text.size();) {
+      const size_t End = Text.find('\n', At);
+      Lines.push_back(Text.substr(At, End - At + 1));
+      At = End + 1;
+    }
+    size_t I = Pick(Lines.size());
+    size_t J = Pick(Lines.size() - 1);
+    J += J >= I;
+    if (I > J)
+      std::swap(I, J);
+    std::swap(Lines[I], Lines[J]);
+    M.Text = joinStrings(Lines, "");
+    for (size_t K = 0; K < I; ++K)
+      M.Offset += Lines[K].size();
+    break;
+  }
   }
   return M;
 }
 
 constexpr unsigned MutationsPerInput = 300;
-
-/// The Allow/Forbid verdict of every model of \p T, in order.
-std::vector<std::string> verdictsOf(const SweepTestResult &T) {
-  std::vector<std::string> Out;
-  for (const SimulationResult &R : T.Result.PerModel)
-    Out.push_back(R.ModelName + ":" + R.verdict());
-  return Out;
-}
 
 } // namespace
 
@@ -1462,97 +1335,53 @@ TEST(Mutation, ReportsAreRefusedOrMergeSoundly) {
 }
 
 TEST(Mutation, CacheEntriesMissOrServeTheSameVerdicts) {
+  // A log of six entries under seeded bit flips, truncations, copied
+  // spans, index edits and swapped lines: after each mutation every
+  // lookup misses or serves its stored record byte for byte.
   const std::string Dir = scratchDir("mutation_cache");
-  auto Cache = ResultCache::open(Dir);
-  ASSERT_TRUE(static_cast<bool>(Cache));
   const std::vector<const Model *> &Models = allModels();
-  const LitmusTest Test = catalogEntry("mp+lwsync+addr")->Test;
-  SweepReport Judged = SweepEngine({1}).run(makeJobs({Test}, Models));
-  ASSERT_TRUE(Cache->store(Test, Models, Judged.Tests[0]));
-  const std::string Key = resultCacheKey(Test, Models);
-  const std::string Path = Dir + "/" + Key.substr(0, 2) + "/" + Key + ".json";
-  std::string Pristine;
-  ASSERT_TRUE(readWholeFile(Path, Pristine));
-  const std::vector<std::string> Verdicts = verdictsOf(Judged.Tests[0]);
-
-  std::mt19937_64 Rng(22);
-  unsigned Hits = 0, Misses = 0;
-  for (unsigned N = 0; N < MutationsPerInput; ++N) {
-    const Mutation M = mutate(Pristine, Rng);
-    ASSERT_FALSE(writeWholeFile(Path, M.Text).failed());
-    SweepTestResult Served;
-    if (!Cache->lookup(Test, Models, Served)) {
-      ++Misses;
-      continue;
-    }
-    ++Hits;
-    EXPECT_NE(M.What, Mutation::IndexEdit) << M.Text;
-    EXPECT_EQ(verdictsOf(Served), Verdicts) << M.Text;
-  }
-  EXPECT_GT(Misses, MutationsPerInput / 2);
-  EXPECT_GT(Hits, 0u);
-}
-
-TEST(Mutation, CheckpointsLoadAPrefixOrAreRefused) {
-  // Every line before a mutation is intact, so every batch completed
-  // before it loads unchanged; a truncation or an index edit leaves
-  // exactly a prefix. (A flip or copy inside a record can leave a record
-  // the reader still takes: a checkpoint line has no checksum.)
-  const std::string Dir = scratchDir("mutation_checkpoint");
-  const std::string Path = Dir + "/c.jsonl";
-  const std::string Id = campaignId("spec");
   std::vector<LitmusTest> Tests = catalogueTests();
-  Tests.resize(12);
-  SweepReport Report = SweepEngine({1}).run(
-      makeJobs(Tests, {modelByName("SC"), modelByName("Power")}));
+  Tests.resize(6);
+  SweepReport Judged = SweepEngine({1}).run(makeJobs(Tests, Models));
   {
-    auto Writer = CheckpointWriter::create(Path, Id);
-    ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
-    for (size_t Done = 4; Done <= 12; Done += 4)
-      ASSERT_TRUE(Writer->appendBatch(Report.Tests.begin() + Done - 4,
-                                      Report.Tests.begin() + Done, Done, 0,
-                                      Done));
+    auto Cache = ResultCache::open(Dir);
+    ASSERT_TRUE(static_cast<bool>(Cache));
+    for (size_t I = 0; I < Tests.size(); ++I)
+      ASSERT_TRUE(Cache->store(Tests[I], Models, Judged.Tests[I]));
   }
+  const std::string Log = cacheFiles(Dir).at(0);
   std::string Pristine;
-  ASSERT_TRUE(readWholeFile(Path, Pristine));
-  // Where each completed batch ends, and how many entries it completes.
-  std::vector<std::pair<size_t, size_t>> BatchEnds;
-  for (size_t At = Pristine.find("{\"progress\""); At != std::string::npos;
-       At = Pristine.find("{\"progress\"", At + 1))
-    BatchEnds.emplace_back(Pristine.find('\n', At) + 1, 4 * (BatchEnds.size() + 1));
-  ASSERT_EQ(BatchEnds.size(), 3u);
+  ASSERT_TRUE(readWholeFile(Log, Pristine));
   std::vector<std::string> Records;
-  for (const SweepTestResult &T : Report.Tests)
+  for (const SweepTestResult &T : Judged.Tests)
     Records.push_back(sweepTestResultToJson(T).dump(0));
+  const CacheModelSet Set(Models);
 
   std::mt19937_64 Rng(22);
-  unsigned Refused = 0, Short = 0;
+  unsigned Hits = 0, Damaged = 0;
   for (unsigned N = 0; N < MutationsPerInput; ++N) {
-    const Mutation M = mutate(Pristine, Rng);
-    ASSERT_FALSE(writeWholeFile(Path, M.Text).failed());
-    auto State = loadCheckpoint(Path, Id);
-    if (!State) {
-      EXPECT_FALSE(State.message().empty());
-      ++Refused;
-      continue;
-    }
-    size_t Intact = 0;
-    for (const auto &[End, Entries] : BatchEnds)
-      if (End <= M.Offset)
-        Intact = Entries;
-    ASSERT_EQ(State->Tests.size(), State->Consumed);
-    EXPECT_LE(State->Consumed, Tests.size()) << M.Text;
-    EXPECT_GE(State->Consumed, Intact) << M.Text;
-    Short += State->Consumed < Tests.size();
-    const bool Exact =
-        M.What == Mutation::Truncate || M.What == Mutation::IndexEdit;
-    for (size_t I = 0; I < State->Tests.size(); ++I) {
-      if (I < Intact || Exact) {
-        EXPECT_EQ(sweepTestResultToJson(State->Tests[I]).dump(0), Records[I])
-            << I << "\n" << M.Text;
+    const Mutation M = mutate(Pristine, Rng, 5);
+    ASSERT_FALSE(writeWholeFile(Log, M.Text).failed());
+    auto Cache = ResultCache::open(Dir);
+    ASSERT_TRUE(static_cast<bool>(Cache));
+    bool Missed = false;
+    for (size_t I = 0; I < Tests.size(); ++I) {
+      SweepTestResult Served;
+      if (!Cache->lookup(Tests[I], Set, Served)) {
+        Missed = true;
+        continue;
       }
+      ++Hits;
+      EXPECT_EQ(sweepTestResultToJson(Served).dump(0), Records[I])
+          << M.What << " at " << M.Offset;
+    }
+    Damaged += Missed;
+    // A swap of two entry lines loses nothing; an index edit always
+    // breaks its line's sum.
+    if (M.What == Mutation::IndexEdit) {
+      EXPECT_TRUE(Missed) << M.Offset;
     }
   }
-  EXPECT_GT(Refused, 0u);
-  EXPECT_GT(Short, MutationsPerInput / 2);
+  EXPECT_GT(Damaged, MutationsPerInput / 2);
+  EXPECT_GT(Hits, MutationsPerInput * 3);
 }

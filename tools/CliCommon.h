@@ -274,6 +274,16 @@ inline bool writeReport(const char *Tool, const std::string &Path,
   return !S.failed();
 }
 
+/// Writes \p Text to stdout and flushes it. On failure prints
+/// "TOOL: cannot write stdout" and returns false: the tool exits 1.
+inline bool writeStdout(const char *Tool, const std::string &Text) {
+  if (std::fwrite(Text.data(), 1, Text.size(), stdout) == Text.size() &&
+      std::fflush(stdout) == 0)
+    return true;
+  std::fprintf(stderr, "%s: cannot write stdout\n", Tool);
+  return false;
+}
+
 /// Embeds the metrics snapshot as the additive "metrics" section of a
 /// JSON report (readers ignore it; cats_merge folds it across shards).
 /// No-op unless --metrics was given.

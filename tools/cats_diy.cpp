@@ -53,7 +53,7 @@ int usage(const char *Argv0) {
       {"--sweep-json FILE", "also write the sweep leg as a\n"
                             "cats-sweep-report/2 (mergeable by cats_merge)"},
       {"--quiet", "suppress the per-cycle listing"}};
-  for (const cli::FlagDoc &F : cli::campaignFlagDocs(/*WithCheckpoint=*/true))
+  for (const cli::FlagDoc &F : cli::campaignFlagDocs())
     Flags.push_back(F);
   for (const cli::FlagDoc &F : cli::obsFlagDocs())
     Flags.push_back(F);
@@ -64,8 +64,8 @@ int usage(const char *Argv0) {
       "R/W directions x communications), canonicalized modulo rotation,\n"
       "and synthesizes, exports or sweeps the resulting litmus tests.\n"
       "\n"
-      "The campaign flags (--shard/--cache/--checkpoint/--resume) apply\n"
-      "to the --sweep leg; see docs/campaigns.md for the workflow.",
+      "The campaign flags (--shard/--cache) apply to the --sweep leg;\n"
+      "see docs/campaigns.md for the workflow.",
       Flags);
 }
 
@@ -94,8 +94,7 @@ int main(int argc, char **argv) {
   while (Args.next()) {
     if (Args.isHelp())
       return usage(argv[0]);
-    if (int Took = cli::parseCampaignFlag(Args, "cats_diy",
-                                          /*WithCheckpoint=*/true, Campaign)) {
+    if (int Took = cli::parseCampaignFlag(Args, "cats_diy", Campaign)) {
       if (Took < 0)
         return 2;
     } else if (int TookObs = cli::parseObsFlag(Args, "cats_diy", Obs)) {
@@ -159,10 +158,6 @@ int main(int argc, char **argv) {
       Args.unknownOption();
       return usage(argv[0]);
     }
-  }
-  if (Status S = cli::validateCampaignFlags(Campaign); S.failed()) {
-    std::fprintf(stderr, "cats_diy: %s\n", S.message().c_str());
-    return 2;
   }
   if ((Campaign.active() || !SweepJsonPath.empty()) && !Sweep) {
     std::fprintf(stderr, "cats_diy: the campaign flags and --sweep-json "
@@ -262,18 +257,8 @@ int main(int argc, char **argv) {
       return 2;
     }
     Models = Resolved.take();
-    SweepEngine Engine(SweepOptions{Jobs});
-    const std::string Spec =
-        "tool=cats_diy;arch=" + archName(Opts.Target) +
-        strFormat(";min=%u;max=%u;limit=%llu", Opts.MinEdges, Opts.MaxEdges,
-                  static_cast<unsigned long long>(Opts.Limit)) +
-        ";filter=" + Filter +
-        strFormat(";deps=%d;fences=%d;internal=%d", Opts.Dependencies,
-                  Opts.Fences, Opts.InternalCom) +
-        ";models=" + joinStrings(cli::modelNamesOf(Models), ",") +
-        ";shard=" + Campaign.Shard.toString();
-    auto Swept = cli::runCampaignSweep("cats_diy", Engine, Source, Models,
-                                       Campaign, Spec, &Progress);
+    auto Swept = cli::runCampaignSweep(SweepEngine(SweepOptions{Jobs}),
+                                       Source, Models, Campaign, &Progress);
     if (!Swept) {
       std::fprintf(stderr, "cats_diy: %s\n", Swept.message().c_str());
       return 2;

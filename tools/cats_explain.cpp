@@ -282,7 +282,8 @@ int main(int argc, char **argv) {
   if (!JsonPath.empty()) {
     const std::string Doc = obs::witnessSectionToJson(All).dump() + "\n";
     if (JsonPath == "-") {
-      std::fwrite(Doc.data(), 1, Doc.size(), stdout);
+      if (!cli::writeStdout("cats_explain", Doc))
+        return 1;
     } else {
       if (!cli::writeReport("cats_explain", JsonPath, Doc))
         return 1;

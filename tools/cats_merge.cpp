@@ -123,9 +123,10 @@ int main(int argc, char **argv) {
   }
   JsonValue Out = ZeroWall ? zeroWallTimes(Merged.take()) : Merged.take();
 
-  const std::string Text = Out.dump();
+  std::string Text = Out.dump();
   if (OutPath.empty()) {
-    std::printf("%s\n", Text.c_str());
+    if (!cli::writeStdout("cats_merge", Text += '\n'))
+      return 1;
   } else {
     if (!cli::writeReport("cats_merge", OutPath, Text))
       return 1;

@@ -59,8 +59,7 @@ int usage(const char *Argv0) {
                         "— TSO on x86)"},
       {"--json FILE", "write the cats-mine-report/1 JSON report"},
       {"--quiet", "suppress the family table"}};
-  for (const cli::FlagDoc &F :
-       cli::campaignFlagDocs(/*WithCheckpoint=*/false))
+  for (const cli::FlagDoc &F : cli::campaignFlagDocs())
     Flags.push_back(F);
   for (const cli::FlagDoc &F : cli::obsFlagDocs())
     Flags.push_back(F);
@@ -99,9 +98,7 @@ int main(int argc, char **argv) {
   while (Args.next()) {
     if (Args.isHelp())
       return usage(argv[0]);
-    if (int Took = cli::parseCampaignFlag(Args, "cats_mine",
-                                          /*WithCheckpoint=*/false,
-                                          Campaign)) {
+    if (int Took = cli::parseCampaignFlag(Args, "cats_mine", Campaign)) {
       if (Took < 0)
         return 2;
     } else if (int TookObs = cli::parseObsFlag(Args, "cats_mine", Obs)) {
@@ -257,9 +254,8 @@ int main(int argc, char **argv) {
   obs::ProgressReporter Progress("cats_mine", 0, Obs.Progress);
   cli::CampaignFlags SweepFlags = Campaign;
   SweepFlags.Shard = ShardSpec();
-  auto Swept =
-      cli::runCampaignSweep("cats_mine", SweepEngine(SweepOptions{Jobs}),
-                            Corpus, Models, SweepFlags, "", &Progress);
+  auto Swept = cli::runCampaignSweep(SweepEngine(SweepOptions{Jobs}), Corpus,
+                                     Models, SweepFlags, &Progress);
   if (!Swept) {
     std::fprintf(stderr, "cats_mine: %s\n", Swept.message().c_str());
     return 2;

@@ -11,8 +11,8 @@
 /// over a worker pool, and report as a summary table, classic herd text,
 /// and/or a machine-readable JSON report (docs/sweep.md). Every run
 /// streams the corpus through the engine in batches; the campaign flags
-/// (--shard, --cache, --checkpoint/--resume; docs/campaigns.md) let
-/// corpora far beyond memory run in cooperating resumable shards.
+/// (--shard, --cache; docs/campaigns.md) let corpora far beyond memory
+/// run in cooperating shards that a rerun resumes from the cache.
 ///
 ///   cats_sweep                          # built-in catalogue, all models
 ///   cats_sweep --jobs 4 litmus/         # a directory of .litmus files
@@ -52,7 +52,7 @@ int usage(const char *Argv0) {
                     "report's cats-witness/1 section (docs/explain.md)"},
       {"--herd", "print the classic herd block per test x model"},
       {"--quiet", "suppress the summary table"}};
-  for (const cli::FlagDoc &F : cli::campaignFlagDocs(/*WithCheckpoint=*/true))
+  for (const cli::FlagDoc &F : cli::campaignFlagDocs())
     Flags.push_back(F);
   for (const cli::FlagDoc &F : cli::obsFlagDocs())
     Flags.push_back(F);
@@ -66,8 +66,8 @@ int usage(const char *Argv0) {
       "the built-in figure catalogue. With no input, the catalogue runs.\n"
       "\n"
       "Tests stream through the engine in batches; the campaign flags\n"
-      "(--shard/--cache/--checkpoint/--resume) add sharding, a result\n"
-      "cache and resumable progress: see docs/campaigns.md.",
+      "(--shard/--cache) add sharding and a result cache that a killed\n"
+      "campaign reruns from: see docs/campaigns.md.",
       Flags);
 }
 
@@ -87,8 +87,7 @@ int main(int argc, char **argv) {
   while (Args.next()) {
     if (Args.isHelp())
       return usage(argv[0]);
-    if (int Took = cli::parseCampaignFlag(Args, "cats_sweep",
-                                          /*WithCheckpoint=*/true, Campaign)) {
+    if (int Took = cli::parseCampaignFlag(Args, "cats_sweep", Campaign)) {
       if (Took < 0)
         return 2;
     } else if (int TookObs = cli::parseObsFlag(Args, "cats_sweep", Obs)) {
@@ -136,24 +135,19 @@ int main(int argc, char **argv) {
       Paths.push_back(Args.arg());
     }
   }
-  if (Status S = cli::validateCampaignFlags(Campaign); S.failed()) {
-    std::fprintf(stderr, "cats_sweep: %s\n", S.message().c_str());
-    return 2;
-  }
   if (Campaign.active() && Herd) {
     // The herd blocks pair each judged test with its pulled final
-    // condition; a shard or a resume skips pulls, and a cache hit comes
-    // back without its test.
+    // condition; a shard skips pulls, and a cache hit comes back without
+    // its test.
     std::fprintf(stderr, "cats_sweep: --herd does not combine with the "
                          "campaign flags\n");
     return 2;
   }
-  if (Witness && (!Campaign.CacheDir.empty() ||
-                  !Campaign.CheckpointPath.empty())) {
-    // Cache entries and checkpoints store verdicts, not witnesses: a hit
-    // or a resumed prefix would come back without its evidence.
+  if (Witness && !Campaign.CacheDir.empty()) {
+    // Cache entries store verdicts, not witnesses: a hit would come back
+    // without its evidence.
     std::fprintf(stderr, "cats_sweep: --witness does not combine with "
-                         "--cache or --checkpoint\n");
+                         "--cache\n");
     return 2;
   }
 
@@ -177,8 +171,8 @@ int main(int argc, char **argv) {
   EngineOpts.Witness = Witness;
   SweepEngine Engine(EngineOpts);
 
-  // Tests parse lazily at pull time and flow through the shard filter,
-  // the result cache and the checkpoint.
+  // Tests parse lazily at pull time and flow through the shard filter
+  // and the result cache.
   std::vector<std::string> LoadErrors;
   auto Source = streamCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
   if (!Source) {
@@ -196,15 +190,8 @@ int main(int argc, char **argv) {
       Finals.push_back(Out.Final);
       return true;
     };
-  // The campaign-identity string is a temporary: with thousands of paths
-  // it is as large as the path list, and need not outlive the sweep.
-  auto Swept = cli::runCampaignSweep(
-      "cats_sweep", Engine, std::move(Pull), Models, Campaign,
-      "tool=cats_sweep;paths=" + joinStrings(Paths, ",") +
-          ";catalogue=" + (UseCatalogue ? "1" : "0") + ";filter=" + Filter +
-          ";models=" + joinStrings(cli::modelNamesOf(Models), ",") +
-          ";shard=" + Campaign.Shard.toString(),
-      &Progress);
+  auto Swept = cli::runCampaignSweep(Engine, std::move(Pull), Models,
+                                     Campaign, &Progress);
   for (const std::string &Problem : LoadErrors)
     std::fprintf(stderr, "cats_sweep: %s\n", Problem.c_str());
   if (!Swept) {

@@ -26,7 +26,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -139,13 +138,9 @@ int main(int argc, char **argv) {
                    Entry.Test.Name.c_str(), Reparsed.message().c_str());
       return 1;
     }
-    std::string Path = Dir + "/" + Entry.Test.Name + ".litmus";
-    std::ofstream Out(Path);
-    if (!Out) {
-      std::fprintf(stderr, "cannot write %s\n", Path.c_str());
+    if (!cli::writeReport("export_corpus",
+                          Dir + "/" + Entry.Test.Name + ".litmus", Text))
       return 1;
-    }
-    Out << Text;
     obs::tick("export.files_written");
     Progress.update(++Written);
   }
