@@ -9,6 +9,7 @@
 #include "campaign/Shard.h"
 #include "mole/Mine.h"
 #include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "obs/Witness.h"
 #include "support/StringUtils.h"
 #include "sweep/ReportIO.h"
@@ -47,17 +48,17 @@ std::string schemaOf(const JsonValue &Doc) {
   return Schema && Schema->isString() ? Schema->asString() : std::string();
 }
 
-/// Folds the optional cats-metrics/1 sections of the inputs into \p Root
-/// (counters sum, histograms merge), so a merged campaign report carries
-/// fleet-wide totals. Reports without a metrics section contribute
-/// nothing; when none carries one, \p Root stays metrics-free. Returns a
-/// non-empty error string on a malformed section.
-std::string foldMetricsSections(const std::vector<JsonValue> &Inputs,
+/// Folds the optional cats-metrics/1 sections of the top levels \p Tops
+/// into \p Root (counters sum, histograms merge), so a merged campaign
+/// report carries fleet-wide totals. Reports without a metrics section
+/// contribute nothing; when none carries one, \p Root stays metrics-free.
+/// Returns a non-empty error string on a malformed section.
+std::string foldMetricsSections(const std::vector<const JsonValue *> &Tops,
                                 JsonValue &Root) {
   JsonValue Merged;
   bool Any = false;
-  for (size_t I = 0; I < Inputs.size(); ++I) {
-    const JsonValue *Metrics = Inputs[I].get("metrics");
+  for (size_t I = 0; I < Tops.size(); ++I) {
+    const JsonValue *Metrics = Tops[I]->get("metrics");
     if (!Metrics)
       continue;
     if (!Any) {
@@ -74,18 +75,18 @@ std::string foldMetricsSections(const std::vector<JsonValue> &Inputs,
   return std::string();
 }
 
-/// Folds the optional cats-witness/1 sections of the inputs into \p Root:
-/// the witness lists simply concatenate in input order (each witness is
-/// already tagged with its test and model). Reports without a witness
-/// section contribute nothing; when none carries one, \p Root stays
-/// witness-free. Returns a non-empty error string on a malformed section.
-/// The witnesses move out of \p Inputs.
-std::string foldWitnessSections(std::vector<JsonValue> &Inputs,
+/// Folds the optional cats-witness/1 sections of the inputs' top levels
+/// into \p Root: the witness lists simply concatenate in input order
+/// (each witness is already tagged with its test and model). Reports
+/// without a witness section contribute nothing; when none carries one,
+/// \p Root stays witness-free. Returns a non-empty error string on a
+/// malformed section. The witnesses move out of \p Inputs.
+std::string foldWitnessSections(std::vector<SweepMergeInput> &Inputs,
                                 JsonValue &Root) {
   JsonValue Merged = JsonValue::array();
   bool Any = false;
   for (size_t I = 0; I < Inputs.size(); ++I) {
-    JsonValue *Section = Inputs[I].get("witness");
+    JsonValue *Section = Inputs[I].Top.get("witness");
     if (!Section)
       continue;
     const JsonValue *Schema = Section->get("schema");
@@ -106,31 +107,23 @@ std::string foldWitnessSections(std::vector<JsonValue> &Inputs,
   return std::string();
 }
 
-/// What the sweep merge needs from one input document.
+/// What the sweep merge needs from one input's top level.
 struct SweepInput {
-  /// The top level: jobs, wall time and cache counters.
+  /// Jobs, wall time and cache counters.
   SweepReport Header;
-  std::vector<JsonValue> *Tests = nullptr;
   bool HasShard = false;
   ShardSpec Shard;
 };
 
-/// Reads the merge's view of sweep report \p Doc, checking every test
-/// record with the record reader and rewriting it as a /2 record in
-/// place. Returns a non-empty reason on failure.
-std::string readSweepInput(JsonValue &Doc, SweepInput &Part) {
-  if (Status S = sweepReportHeaderFromJson(Doc, Part.Header); S.failed())
+/// Reads the merge's view of the top level \p Top of a sweep report.
+/// Returns a non-empty reason on failure.
+std::string readSweepTop(const JsonValue &Top, SweepInput &Part) {
+  if (Status S = sweepReportHeaderFromJson(Top, Part.Header); S.failed())
     return S.message();
-  JsonValue *Tests = Doc.get("tests");
+  const JsonValue *Tests = Top.get("tests");
   if (!Tests || !Tests->isArray())
     return "report without a 'tests' array";
-  Part.Tests = &Tests->elements();
-  for (size_t I = 0; I < Part.Tests->size(); ++I) {
-    JsonValue &Entry = (*Part.Tests)[I];
-    if (Status S = upgradeTestEntry(Entry); S.failed())
-      return testEntryLabel(Entry, I) + ": " + S.message();
-  }
-  if (const JsonValue *Shard = Doc.get("shard")) {
+  if (const JsonValue *Shard = Top.get("shard")) {
     auto Spec = shardFromJson(*Shard);
     if (!Spec)
       return Spec.message();
@@ -142,7 +135,9 @@ std::string readSweepInput(JsonValue &Doc, SweepInput &Part) {
 
 } // namespace
 
-Expected<JsonValue> cats::mergeSweepReports(std::vector<JsonValue> Inputs) {
+Expected<JsonValue>
+cats::mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
+                       const std::function<void(JsonValue &)> &Emit) {
   using Ret = Expected<JsonValue>;
   if (Inputs.empty())
     return Ret::error("nothing to merge");
@@ -150,52 +145,37 @@ Expected<JsonValue> cats::mergeSweepReports(std::vector<JsonValue> Inputs) {
   std::vector<SweepInput> Parts(Inputs.size());
   unsigned Sharded = 0;
   for (size_t I = 0; I < Inputs.size(); ++I) {
-    if (std::string Error = readSweepInput(Inputs[I], Parts[I]);
+    if (std::string Error = readSweepTop(Inputs[I].Top, Parts[I]);
         !Error.empty())
       return Ret::error(strFormat("input %zu: %s", I + 1, Error.c_str()));
     Sharded += Parts[I].HasShard;
   }
-
   if (Sharded != 0 && Sharded != Parts.size())
     return Ret::error("cannot mix sharded and unsharded reports");
 
-  // The merged tests array, its entries moved out of the inputs: either
-  // the exact inverse of the round-robin partition, or plain
-  // concatenation for unsharded inputs.
-  size_t Total = 0;
-  for (const SweepInput &Part : Parts)
-    Total += Part.Tests->size();
-  JsonValue Tests = JsonValue::array();
-  std::vector<JsonValue> &Merged = Tests.elements();
-  Merged.reserve(Total);
+  // The inputs in stream order: by shard index, or as given.
+  std::vector<size_t> Order(Inputs.size());
+  for (size_t I = 0; I < Order.size(); ++I)
+    Order[I] = I;
   if (Sharded) {
     const unsigned N = Parts[0].Shard.Count;
     if (Parts.size() != N)
       return Ret::error(strFormat(
           "incomplete shard set: reports declare %u shards, got %zu", N,
           Parts.size()));
-    std::vector<const SweepInput *> ByIndex(N, nullptr);
-    for (const SweepInput &Part : Parts) {
-      if (Part.Shard.Count != N)
+    std::vector<bool> Seen(N, false);
+    for (size_t I = 0; I < Parts.size(); ++I) {
+      const ShardSpec &Shard = Parts[I].Shard;
+      if (Shard.Count != N)
         return Ret::error(strFormat(
             "shard counts disagree across reports (%u vs %u)", N,
-            Part.Shard.Count));
-      const SweepInput *&Slot = ByIndex[Part.Shard.Index - 1];
-      if (Slot)
+            Shard.Count));
+      if (Seen[Shard.Index - 1])
         return Ret::error(
-            strFormat("duplicate shard %s", Part.Shard.toString().c_str()));
-      Slot = &Part;
+            strFormat("duplicate shard %s", Shard.toString().c_str()));
+      Seen[Shard.Index - 1] = true;
+      Order[Shard.Index - 1] = I;
     }
-    // Stream position Seq lived in shard (Seq % N) at offset Seq / N;
-    // walking offsets round-robin over shards 1..N replays the stream.
-    for (size_t Offset = 0; Merged.size() < Total; ++Offset)
-      for (const SweepInput *Part : ByIndex)
-        if (Offset < Part->Tests->size())
-          Merged.push_back(std::move((*Part->Tests)[Offset]));
-  } else {
-    for (const SweepInput &Part : Parts)
-      for (JsonValue &Test : *Part.Tests)
-        Merged.push_back(std::move(Test));
   }
 
   unsigned Jobs = 0;
@@ -209,7 +189,6 @@ Expected<JsonValue> cats::mergeSweepReports(std::vector<JsonValue> Inputs) {
     CacheHits += Part.Header.CacheHits;
     CacheMisses += Part.Header.CacheMisses;
   }
-
   JsonValue Root = JsonValue::object();
   Root.set("schema", SweepReportSchema);
   Root.set("jobs", Jobs);
@@ -220,12 +199,73 @@ Expected<JsonValue> cats::mergeSweepReports(std::vector<JsonValue> Inputs) {
     Cache.set("misses", CacheMisses);
     Root.set("cache", std::move(Cache));
   }
-  Root.set("tests", std::move(Tests));
-  if (std::string Error = foldMetricsSections(Inputs, Root); !Error.empty())
+  Root.set("tests", JsonValue::array());
+  std::vector<const JsonValue *> Tops;
+  for (const SweepMergeInput &In : Inputs)
+    Tops.push_back(&In.Top);
+  if (std::string Error = foldMetricsSections(Tops, Root); !Error.empty())
     return Ret::error(Error);
   if (std::string Error = foldWitnessSections(Inputs, Root); !Error.empty())
     return Ret::error(Error);
+
+  // The records: stream position Seq lived in shard (Seq % N) at offset
+  // Seq / N, so walking offsets round-robin over shards 1..N replays the
+  // stream; unsharded reports concatenate.
+  obs::Span RecordsSpan("merge.records");
+  auto Pass = [&](size_t I, size_t Offset) -> Status {
+    JsonValue Record;
+    if (Status S = Inputs[I].Next(Record); S.failed())
+      return Status::error(
+          strFormat("input %zu: %s", I + 1, S.message().c_str()));
+    if (Status S = upgradeTestEntry(Record); S.failed())
+      return Status::error(strFormat("input %zu: ", I + 1) +
+                           testEntryLabel(Record, Offset) + ": " +
+                           S.message());
+    Emit(Record);
+    return Status::success();
+  };
+  size_t Longest = 0;
+  for (const SweepMergeInput &In : Inputs)
+    Longest = std::max(Longest, In.Records);
+  for (size_t Offset = 0; Sharded && Offset < Longest; ++Offset)
+    for (size_t I : Order)
+      if (Offset < Inputs[I].Records)
+        if (Status S = Pass(I, Offset); S.failed())
+          return Ret::error(S.message());
+  for (size_t I = 0; !Sharded && I < Inputs.size(); ++I)
+    for (size_t Offset = 0; Offset < Inputs[I].Records; ++Offset)
+      if (Status S = Pass(I, Offset); S.failed())
+        return Ret::error(S.message());
   return Root;
+}
+
+Expected<JsonValue> cats::mergeSweepReports(std::vector<JsonValue> Inputs) {
+  std::vector<SweepMergeInput> Streams(Inputs.size());
+  size_t Total = 0;
+  for (size_t I = 0; I < Inputs.size(); ++I) {
+    SweepMergeInput &In = Streams[I];
+    In.Top = std::move(Inputs[I]);
+    JsonValue *Tests = In.Top.get("tests");
+    if (!Tests || !Tests->isArray())
+      continue;
+    auto Records =
+        std::make_shared<std::vector<JsonValue>>(std::move(Tests->elements()));
+    Tests->elements().clear();
+    In.Records = Records->size();
+    Total += In.Records;
+    In.Next = [Records, Next = size_t(0)](JsonValue &Out) mutable {
+      Out = std::move((*Records)[Next++]);
+      return Status::success();
+    };
+  }
+  JsonValue Tests = JsonValue::array();
+  Tests.elements().reserve(Total);
+  auto Merged = mergeSweepInputs(
+      std::move(Streams),
+      [&Tests](JsonValue &Record) { Tests.push(std::move(Record)); });
+  if (Merged)
+    *Merged->get("tests") = std::move(Tests);
+  return Merged;
 }
 
 Expected<JsonValue> cats::mergeMineReports(std::vector<JsonValue> Inputs) {
@@ -244,34 +284,170 @@ Expected<JsonValue> cats::mergeMineReports(std::vector<JsonValue> Inputs) {
   if (!Merged)
     return Ret::error(Merged.message());
   JsonValue Root = mineReportToJson(*Merged);
-  if (std::string Error = foldMetricsSections(Inputs, Root); !Error.empty())
+  std::vector<const JsonValue *> Tops;
+  for (const JsonValue &Input : Inputs)
+    Tops.push_back(&Input);
+  if (std::string Error = foldMetricsSections(Tops, Root); !Error.empty())
     return Ret::error(Error);
   return Root;
 }
 
-Expected<JsonValue> cats::mergeReports(std::vector<JsonValue> Inputs) {
-  using Ret = Expected<JsonValue>;
-  if (Inputs.empty())
+Expected<std::string>
+cats::mergeKindOf(const std::vector<const JsonValue *> &Tops) {
+  using Ret = Expected<std::string>;
+  if (Tops.empty())
     return Ret::error("nothing to merge");
   // Sweep reports of either version are one kind.
   auto KindOf = [](const std::string &Schema) {
     return isSweepReportSchema(Schema) ? std::string(SweepReportSchema)
                                        : Schema;
   };
-  const std::string Schema = schemaOf(Inputs[0]);
-  for (size_t I = 1; I < Inputs.size(); ++I)
-    if (KindOf(schemaOf(Inputs[I])) != KindOf(Schema))
+  const std::string Schema = schemaOf(*Tops[0]);
+  for (size_t I = 1; I < Tops.size(); ++I)
+    if (KindOf(schemaOf(*Tops[I])) != KindOf(Schema))
       return Ret::error(strFormat(
           "inputs mix schemas ('%s' vs '%s'); merge one report kind at a "
           "time",
-          Schema.c_str(), schemaOf(Inputs[I]).c_str()));
-  if (isSweepReportSchema(Schema))
-    return mergeSweepReports(std::move(Inputs));
-  if (Schema == "cats-mine-report/1")
-    return mergeMineReports(std::move(Inputs));
+          Schema.c_str(), schemaOf(*Tops[I]).c_str()));
+  if (isSweepReportSchema(Schema) || Schema == "cats-mine-report/1")
+    return KindOf(Schema);
   if (Schema.empty())
     return Ret::error("input 1 has no 'schema' member");
   return Ret::error(
       strFormat("schema '%s' is not mergeable (sweep and mine reports are)",
                 Schema.c_str()));
+}
+
+Expected<JsonValue> cats::mergeReports(std::vector<JsonValue> Inputs) {
+  std::vector<const JsonValue *> Tops;
+  for (const JsonValue &Input : Inputs)
+    Tops.push_back(&Input);
+  auto Kind = mergeKindOf(Tops);
+  if (!Kind)
+    return Expected<JsonValue>::error(Kind.message());
+  if (*Kind == SweepReportSchema)
+    return mergeSweepReports(std::move(Inputs));
+  return mergeMineReports(std::move(Inputs));
+}
+
+//===----------------------------------------------------------------------===//
+// Report files, read in bounded memory
+//===----------------------------------------------------------------------===//
+
+ReportFile::ReportFile(const std::string &Path)
+    : Path(Path), Reader(std::make_unique<JsonFileReader>(Path)) {}
+ReportFile::ReportFile(ReportFile &&) noexcept = default;
+ReportFile &ReportFile::operator=(ReportFile &&) noexcept = default;
+ReportFile::~ReportFile() = default;
+
+Expected<ReportFile> ReportFile::open(const std::string &Path) {
+  obs::Span ScanSpan("merge.scan");
+  ReportFile File(Path);
+  if (Status S = File.scan(); S.failed())
+    return Expected<ReportFile>::error(S.message());
+  return File;
+}
+
+Status ReportFile::readError() const {
+  return Status::error(Reader->readFailed() ? "cannot read " + Path
+                                            : Path + ": " + Reader->error());
+}
+
+Status ReportFile::scan() {
+  JsonFileReader &R = *Reader;
+  auto Expect = [&](char C, const char *Why) {
+    if (R.peek() == C) {
+      R.take();
+      return true;
+    }
+    return R.fail(Why);
+  };
+  bool Ok = true;
+  if (R.peek() != '{') {
+    // Not an object, so no report: parsed all the same, to tell a
+    // document that does not parse from one the merge refuses.
+    JsonValue Doc;
+    Ok = R.parse(0, Doc);
+  } else {
+    R.take();
+    Top = JsonValue::object();
+    bool More = R.peek() != '}';
+    if (!More)
+      R.take();
+    while (Ok && More) {
+      JsonValue Key;
+      Ok = R.peek() == '"' ? R.parse(1, Key)
+                           : R.fail("expected string key in object");
+      Ok = Ok && Expect(':', "expected ':' after object key");
+      if (Ok && Key.asString() == "tests" && Records) {
+        // A repeated "tests": the merge reads the last one, but the
+        // records of this one must parse all the same.
+        const uint64_t Here = R.offset();
+        Ok = !readRest().failed() && R.seek(Here);
+        Records = Read = 0;
+      }
+      if (Ok && Key.asString() == "tests" && R.peek() == '[') {
+        // The records: counted, and nothing kept of them.
+        RecordsAt = R.offset();
+        R.take();
+        bool InArray = R.peek() != ']';
+        if (!InArray)
+          R.take();
+        while (Ok && InArray) {
+          Ok = R.skip(2);
+          Records += Ok;
+          InArray = Ok && R.peek() != ']';
+          Ok = Ok && Expect(InArray ? ',' : ']',
+                            "expected ',' or ']' in array");
+        }
+        Top.set("tests", JsonValue::array());
+      } else if (Ok) {
+        JsonValue Value;
+        Ok = R.parse(1, Value);
+        if (Ok)
+          Top.set(Key.asString(), std::move(Value));
+      }
+      More = Ok && R.peek() != '}';
+      Ok = Ok && Expect(More ? ',' : '}', "expected ',' or '}' in object");
+    }
+  }
+  if (Ok && R.peek() != -1)
+    Ok = R.fail("trailing characters after document");
+  if (!Ok || R.readFailed())
+    return readError();
+  return Status::success();
+}
+
+Status ReportFile::readRecord(JsonValue &Out) {
+  JsonFileReader &R = *Reader;
+  // The first record follows the array's '['; each later one a ','.
+  bool Ok = !Failed && (Read || R.seek(RecordsAt));
+  if (Ok && R.peek() == (Read ? ',' : '['))
+    R.take();
+  else if (Ok)
+    Ok = R.fail(Read ? "expected ',' in array" : "expected '['");
+  Ok = Ok && R.parse(2, Out);
+  ++Read;
+  if (Ok && !R.readFailed())
+    return Status::success();
+  Failed = true;
+  return readError();
+}
+
+Status ReportFile::readRest() {
+  if (Failed)
+    return readError();
+  JsonValue Record;
+  while (Read < Records)
+    if (Status S = readRecord(Record); S.failed())
+      return S;
+  return Status::success();
+}
+
+SweepMergeInput ReportFile::input() {
+  SweepMergeInput In;
+  In.Top = std::move(Top);
+  In.Records = Records;
+  In.Next = [this](JsonValue &Out) { return readRecord(Out); };
+  return In;
 }

@@ -26,10 +26,16 @@
 /// normalizes them away so CI can compare merged output to a reference
 /// run with a plain byte cmp (docs/sweep.md's determinism contract).
 ///
+/// The sweep merge reads its inputs a record at a time (mergeSweepInputs):
+/// from each report's top-level members it checks the inputs and writes
+/// the merged top level, and each record passes through it on its own.
+/// cats_merge feeds it from files in bounded memory (ReportFile), so a
+/// merge never holds a whole report; mergeSweepReports feeds it from
+/// parsed documents.
+///
 /// The merges and zeroWallTimes take their documents by value: a caller
-/// that moves its inputs in (as cats_merge does) hands every test entry
-/// to the output without a copy, while an lvalue argument is copied first
-/// and left untouched.
+/// that moves its inputs in hands every test entry to the output without
+/// a copy, while an lvalue argument is copied first and left untouched.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +45,10 @@
 #include "support/Error.h"
 #include "sweep/Json.h"
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 namespace cats {
@@ -46,6 +56,29 @@ namespace cats {
 /// \p V with every numeric "wall_seconds" member, at any nesting depth,
 /// replaced by 0 (in place, on the argument's own tree).
 JsonValue zeroWallTimes(JsonValue V);
+
+/// One input of the record-at-a-time sweep merge: a report's top-level
+/// members, and a forward reader over its records.
+struct SweepMergeInput {
+  /// The report's top level. Its "tests" member, when an array, is
+  /// empty: the records come from Next.
+  JsonValue Top;
+  /// How many records Next reads.
+  size_t Records = 0;
+  /// Reads the next record, in report order, into its argument.
+  std::function<Status(JsonValue &)> Next;
+};
+
+/// The sweep merge of mergeSweepReports, a record at a time. It checks
+/// every input's top level first (header, "tests" array, shard stanza,
+/// shard set), then reads the records in merged order, each checked and
+/// upgraded by upgradeTestEntry, and hands each to \p Emit. It returns
+/// the merged top level with an empty "tests" array, the records'
+/// place, and the folded metrics and witness sections after it. Errors
+/// name the input, and the test for a record.
+Expected<JsonValue>
+mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
+                 const std::function<void(JsonValue &)> &Emit);
 
 /// Merges cats-sweep-report/1 and /2 documents, in any mix, into one /2
 /// document. All inputs sharded (a complete 1..N set, N == inputs)
@@ -64,9 +97,60 @@ Expected<JsonValue> mergeSweepReports(std::vector<JsonValue> Inputs);
 /// carrying static analyses are refused.
 Expected<JsonValue> mergeMineReports(std::vector<JsonValue> Inputs);
 
+/// The kind of report a merge of documents with the top levels \p Tops
+/// makes: SweepReportSchema for sweep reports of either version, or
+/// "cats-mine-report/1". Fails when the schemas differ or do not merge.
+Expected<std::string> mergeKindOf(const std::vector<const JsonValue *> &Tops);
+
 /// Dispatches on the inputs' "schema" member (all inputs must share it;
 /// sweep reports /1 and /2 count as one).
 Expected<JsonValue> mergeReports(std::vector<JsonValue> Inputs);
+
+/// A report file read for the merge in two passes, in bounded memory.
+/// open() is the first: it parses every top-level member except the
+/// records of its "tests" array, which it only counts, finding where
+/// each ends (JsonFileReader), and notes where they start. ("shard"
+/// follows "tests" in every report, so the interleave needs this pass.)
+/// The records come in the second pass, through input(), one at a time,
+/// and are parsed there: a record that does not parse fails in that
+/// pass. Neither pass builds a node for a record it skips, nor recurses.
+class ReportFile {
+public:
+  /// Fails with "cannot read PATH", or "PATH: " and the JSON error.
+  static Expected<ReportFile> open(const std::string &Path);
+
+  /// The top-level members; null when the document is not an object.
+  const JsonValue &top() const { return Top; }
+  JsonValue &top() { return Top; }
+  /// The merge input over this file: the top level, moved out, and the
+  /// records read one at a time. The file must outlive the input, and
+  /// stay where it is.
+  SweepMergeInput input();
+  /// Reads the records the second pass has not read, so a document that
+  /// does not parse fails here even when the merge stopped before its
+  /// broken record. Fails as open() does.
+  Status readRest();
+
+  ReportFile(ReportFile &&) noexcept;
+  ReportFile &operator=(ReportFile &&) noexcept;
+  ~ReportFile();
+
+private:
+  explicit ReportFile(const std::string &Path);
+  Status scan();
+  Status readRecord(JsonValue &Out);
+  /// The reader's error, as open() reports it.
+  Status readError() const;
+
+  std::string Path;
+  std::unique_ptr<JsonFileReader> Reader;
+  JsonValue Top;
+  uint64_t RecordsAt = 0;
+  size_t Records = 0;
+  /// Records read so far in the second pass.
+  size_t Read = 0;
+  bool Failed = false;
+};
 
 } // namespace cats
 

@@ -302,6 +302,9 @@ bool ResultCache::lookup(const LitmusTest &Test, const CacheModelSet &Set,
       return false;
   }
   Out = Parsed.take();
+  // The line's record is the one the writer rendered: served verbatim,
+  // it is what a report lists.
+  Out.Record = std::move(Line);
   return true;
 }
 
@@ -322,7 +325,11 @@ Status ResultCache::store(const LitmusTest &Test, const CacheModelSet &Set,
     }
   }
   const Key K = keyOf(Test, Set);
-  const std::string Record = sweepTestResultToJson(Result).dump(0);
+  // A result judged for this store carries its record already.
+  const std::string Rendered =
+      Result.Record.empty() ? sweepTestResultToJson(Result).dump(0)
+                            : std::string();
+  const std::string &Record = Result.Record.empty() ? Rendered : Result.Record;
   const std::string Line =
       hexOf(K) +
       strFormat(" %016llx ", static_cast<unsigned long long>(

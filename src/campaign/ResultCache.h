@@ -76,7 +76,8 @@ public:
   static Expected<ResultCache> open(const std::string &Dir);
 
   /// Looks up the entry for (\p Test, \p Set). On a hit, fills \p Out
-  /// with the stored result and returns true. An unreadable line, one
+  /// with the stored result, its Record the line's record bytes, and
+  /// returns true. An unreadable line, one
   /// whose key or sum does not match, or a foreign or unsound record
   /// (another test or model list, or a verdict its allowed states do not
   /// back) is a miss.
@@ -87,11 +88,12 @@ public:
               SweepTestResult &Out) const;
 
   /// Stores \p Result for (\p Test, \p Set): appends one line to this
-  /// handle's log with one write, and serves it from then on. Errored
-  /// results are not cached (they are cheap to reproduce and their
-  /// messages may change). A failed write is reported once, and the handle
-  /// then stores nothing more, so no line is ever glued onto a cut one; it
-  /// never fails a campaign.
+  /// handle's log with one write, and serves it from then on. The line
+  /// holds the result's Record, rendered here only when it has none.
+  /// Errored results are not cached (they are cheap to reproduce and
+  /// their messages may change). A failed write is reported once, and the
+  /// handle then stores nothing more, so no line is ever glued onto a cut
+  /// one; it never fails a campaign.
   Status store(const LitmusTest &Test, const CacheModelSet &Set,
                const SweepTestResult &Result) const;
   Status store(const LitmusTest &Test,

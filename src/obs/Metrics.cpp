@@ -8,6 +8,8 @@
 
 #include "support/StringUtils.h"
 
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -77,7 +79,27 @@ void obs::resetMetrics() {
     H->reset();
 }
 
+namespace {
+
+/// Replaces the one sample of "process.peak_rss_kb" with the process's
+/// peak resident set now, in KB: "VmHWM" of /proc/self/status, which
+/// counts this process alone (getrusage's ru_maxrss also holds the peak
+/// of the process that spawned it). Nothing where that cannot be read.
+void samplePeakRss() {
+  std::ifstream Status("/proc/self/status");
+  for (std::string Line; std::getline(Status, Line);)
+    if (Line.rfind("VmHWM:", 0) == 0) {
+      Histogram &Peak = obs::histogram("process.peak_rss_kb");
+      Peak.reset();
+      Peak.record(std::strtoull(Line.c_str() + 6, nullptr, 10));
+      return;
+    }
+}
+
+} // namespace
+
 JsonValue obs::metricsToJson() {
+  samplePeakRss();
   RegistryState &R = registry();
   std::lock_guard<std::mutex> Lock(R.Mutex);
   JsonValue Root = JsonValue::object();
@@ -220,6 +242,7 @@ bool obs::mergeMetricsJson(JsonValue &Into, const JsonValue &From,
 }
 
 std::string obs::metricsToText() {
+  samplePeakRss();
   RegistryState &R = registry();
   std::lock_guard<std::mutex> Lock(R.Mutex);
   std::string Out;

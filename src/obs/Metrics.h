@@ -153,7 +153,11 @@ void resetMetrics();
 ///    "histograms": {"name": {"count": N, "sum": S,  // nonempty only
 ///                            "buckets": [[bucket, count], ...]}, ...}}
 ///
-/// Keys are sorted, so equal registry states dump byte-identically.
+/// Keys are sorted. Each snapshot (and metricsToText) first replaces the
+/// one sample of the "process.peak_rss_kb" histogram with the process's
+/// own peak resident set (VmHWM of /proc/self/status; nothing where that
+/// cannot be read), so a merge of shard reports holds one sample per
+/// shard.
 JsonValue metricsToJson();
 
 /// Folds \p From into \p Into (both cats-metrics/1 objects): counters sum,

@@ -11,7 +11,11 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 using namespace cats;
 
@@ -173,4 +177,22 @@ Status cats::writeWholeFile(const std::string &Path, const std::string &Text) {
   if (!Wrote || !Closed)
     return Status::error(strFormat("cannot write %s", Path.c_str()));
   return Status::success();
+}
+
+std::string cats::temporaryDirectory() {
+  std::error_code Ec;
+  std::string Dir = std::filesystem::temp_directory_path(Ec).string();
+  return Ec ? "/tmp" : Dir;
+}
+
+int cats::openUnnamedFile(const std::string &Dir) {
+  int Fd = ::open(Dir.c_str(), O_RDWR | O_TMPFILE | O_CLOEXEC, 0600);
+  if (Fd < 0) {
+    // No O_TMPFILE there: a named file, unlinked at once.
+    std::string Path = Dir + "/cats-XXXXXX";
+    Fd = ::mkostemp(Path.data(), O_CLOEXEC);
+    if (Fd >= 0)
+      ::unlink(Path.c_str());
+  }
+  return Fd;
 }

@@ -72,6 +72,15 @@ bool readWholeFile(const std::string &Path, std::string &Out);
 /// not complete (a full disk fails there, after open succeeded).
 Status writeWholeFile(const std::string &Path, const std::string &Text);
 
+/// The directory for temporary files: $TMPDIR, or /tmp.
+std::string temporaryDirectory();
+
+/// Opens a new file without a name in directory \p Dir, for reading and
+/// writing: made with O_TMPFILE, or else created and unlinked at once, so
+/// a killed process leaves nothing behind. Returns the descriptor, or -1
+/// with errno set.
+int openUnnamedFile(const std::string &Dir);
+
 } // namespace cats
 
 #endif // CATS_SUPPORT_STRINGUTILS_H

@@ -6,8 +6,11 @@
 
 #include "sweep/Json.h"
 
+#include "support/StringUtils.h"
+
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -15,6 +18,10 @@
 #include <cstring>
 #include <iterator>
 #include <string_view>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace cats;
 
@@ -376,8 +383,9 @@ namespace cats {
 /// in place and returns false after recording the first error.
 class JsonParser {
 public:
-  explicit JsonParser(const std::string &Text)
-      : Begin(Text.data()), P(Begin), End(Begin + Text.size()) {}
+  JsonParser(const std::string &Text, uint64_t Offset)
+      : Begin(Text.data()), P(Begin), End(Begin + Text.size()),
+        Offset(Offset) {}
 
   Expected<JsonValue> run() {
     JsonValue Root;
@@ -397,7 +405,8 @@ private:
   using MemberList = JsonValue::MemberList;
 
   bool fail(const std::string &Why) {
-    Error = "JSON error at offset " + std::to_string(P - Begin) + ": " + Why;
+    Error = "JSON error at offset " + std::to_string(Offset + (P - Begin)) +
+            ": " + Why;
     return false;
   }
 
@@ -619,6 +628,8 @@ private:
   const char *const Begin;
   const char *P;
   const char *const End;
+  /// Where Text starts in the file it came from.
+  const uint64_t Offset;
   /// Scratch stacks: the elements and members of every container still
   /// open, innermost last.
   Array Items;
@@ -628,6 +639,212 @@ private:
 
 } // namespace cats
 
-Expected<JsonValue> JsonValue::parse(const std::string &Text) {
-  return JsonParser(Text).run();
+Expected<JsonValue> JsonValue::parse(const std::string &Text,
+                                     uint64_t Offset) {
+  return JsonParser(Text, Offset).run();
+}
+
+//===----------------------------------------------------------------------===//
+// File reader
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The reader's buffer: bounded, and large enough that a read is rare.
+constexpr size_t ReaderBuffer = 1 << 16;
+
+bool isJsonSpace(char C) {
+  return C == ' ' || C == '\t' || C == '\n' || C == '\r';
+}
+
+/// The bytes a scalar's token stops at.
+bool endsToken(char C) {
+  return isJsonSpace(C) || C == ',' || C == ':' || C == '"' || C == '[' ||
+         C == ']' || C == '{' || C == '}';
+}
+
+/// The bytes that matter inside a container.
+bool isBracketOrQuote(char C) {
+  return C == '"' || C == '[' || C == ']' || C == '{' || C == '}';
+}
+
+ssize_t readSome(int Fd, char *Into, size_t Size) {
+  ssize_t Got;
+  do
+    Got = ::read(Fd, Into, Size);
+  while (Got < 0 && errno == EINTR);
+  return Got;
+}
+
+bool writeAll(int Fd, const char *From, size_t Size) {
+  while (Size) {
+    const ssize_t Put = ::write(Fd, From, Size);
+    if (Put < 0 && errno == EINTR)
+      continue;
+    if (Put <= 0)
+      return false;
+    From += Put;
+    Size -= static_cast<size_t>(Put);
+  }
+  return true;
+}
+
+} // namespace
+
+JsonFileReader::JsonFileReader(const std::string &Path)
+    : Fd(::open(Path.c_str(), O_RDONLY | O_CLOEXEC)), Buffer(ReaderBuffer) {
+  P = End = Buffer.data();
+  struct stat Info;
+  if (Fd >= 0 && ::fstat(Fd, &Info) == 0 && !S_ISREG(Info.st_mode))
+    copyStream();
+  ReadFailed = Fd < 0;
+}
+
+JsonFileReader::~JsonFileReader() {
+  if (Fd >= 0)
+    ::close(Fd);
+}
+
+void JsonFileReader::copyStream() {
+  const int Copy = openUnnamedFile(temporaryDirectory());
+  bool Ok = Copy >= 0;
+  while (Ok) {
+    const ssize_t Got = readSome(Fd, Buffer.data(), Buffer.size());
+    if (Got <= 0) {
+      Ok = Got == 0;
+      break;
+    }
+    Ok = writeAll(Copy, Buffer.data(), static_cast<size_t>(Got));
+  }
+  ::close(Fd);
+  Fd = Ok && ::lseek(Copy, 0, SEEK_SET) == 0 ? Copy : -1;
+  if (Fd < 0 && Copy >= 0)
+    ::close(Copy);
+}
+
+bool JsonFileReader::refill() {
+  if (Capture)
+    Capture->append(CaptureFrom, End);
+  BufferAt += static_cast<uint64_t>(End - Buffer.data());
+  P = End = CaptureFrom = Buffer.data();
+  if (ReadFailed)
+    return false;
+  const ssize_t Got = readSome(Fd, Buffer.data(), Buffer.size());
+  if (Got < 0)
+    ReadFailed = true;
+  if (Got <= 0)
+    return false;
+  End = P + Got;
+  return true;
+}
+
+uint64_t JsonFileReader::offset() const {
+  return BufferAt + static_cast<uint64_t>(P - Buffer.data());
+}
+
+bool JsonFileReader::seek(uint64_t Offset) {
+  if (ReadFailed || ::lseek(Fd, static_cast<off_t>(Offset), SEEK_SET) < 0) {
+    ReadFailed = true;
+    return false;
+  }
+  P = End = Buffer.data();
+  BufferAt = Offset;
+  return true;
+}
+
+bool JsonFileReader::fail(const std::string &Why) {
+  Error = "JSON error at offset " + std::to_string(offset()) + ": " + Why;
+  return false;
+}
+
+int JsonFileReader::peek() {
+  while (true) {
+    while (P != End && isJsonSpace(*P))
+      ++P;
+    if (P != End)
+      return static_cast<unsigned char>(*P);
+    if (!refill())
+      return -1;
+  }
+}
+
+bool JsonFileReader::parse(unsigned Depth, JsonValue &Out) {
+  peek();
+  const uint64_t At = offset();
+  Text.clear();
+  if (!value(Depth, &Text))
+    return false;
+  auto Parsed = JsonValue::parse(Text, At);
+  if (!Parsed) {
+    Error = Parsed.message();
+    return false;
+  }
+  Out = Parsed.take();
+  return true;
+}
+
+bool JsonFileReader::value(unsigned Depth, std::string *Out) {
+  const int C = peek();
+  Capture = Out;
+  CaptureFrom = P;
+  bool Ok = true;
+  if (C == -1) {
+    Ok = fail("unexpected end of input");
+  } else if (C == ',' || C == ':' || C == ']' || C == '}') {
+    Ok = fail(std::string("unexpected character '") + static_cast<char>(C) +
+              "'");
+  } else if (C != '"' && C != '[' && C != '{') {
+    // A scalar: its token runs to the next space or structural byte.
+    while ((P != End || refill()) && !endsToken(*P))
+      ++P;
+  } else {
+    // A string or a container, inside which only strings and brackets
+    // matter: the value ends where its brackets balance.
+    unsigned Open = 0;
+    do {
+      if (P == End && !refill()) {
+        Ok = fail("unexpected end of input");
+      } else if (*P == '"') {
+        Ok = string();
+      } else if (*P == '[' || *P == '{') {
+        if (Depth + Open == JsonValue::MaxDepth) {
+          Ok = fail("nesting deeper than " +
+                    std::to_string(JsonValue::MaxDepth) + " levels");
+        } else {
+          ++Open;
+          ++P;
+        }
+      } else if (*P == ']' || *P == '}') {
+        --Open;
+        ++P;
+      } else {
+        do
+          ++P;
+        while (P != End && !isBracketOrQuote(*P));
+      }
+    } while (Ok && Open);
+  }
+  if (Ok && Capture)
+    Capture->append(CaptureFrom, P);
+  Capture = nullptr;
+  return Ok;
+}
+
+bool JsonFileReader::string() {
+  ++P; // '"'
+  while (true) {
+    while (P != End && *P != '"' && *P != '\\')
+      ++P;
+    if (P == End) {
+      if (!refill())
+        return fail("unterminated string");
+      continue;
+    }
+    if (*P++ == '"')
+      return true;
+    // An escape: the byte after the backslash does not end the string.
+    if (P == End && !refill())
+      return fail("unterminated string");
+    ++P;
+  }
 }

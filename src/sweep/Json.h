@@ -43,6 +43,7 @@
 
 #include "support/Error.h"
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <variant>
@@ -121,8 +122,10 @@ public:
 
   /// Parses \p Text as one JSON document (trailing whitespace allowed).
   /// A repeated object key keeps its first position and its last value,
-  /// as set() does. Errors carry a byte offset and reason.
-  static Expected<JsonValue> parse(const std::string &Text);
+  /// as set() does. Errors carry a byte offset, counted from \p Offset
+  /// (where \p Text starts in a larger file), and a reason.
+  static Expected<JsonValue> parse(const std::string &Text,
+                                   uint64_t Offset = 0);
 
 private:
   friend class JsonParser;
@@ -142,6 +145,75 @@ private:
   /// Alternatives in Kind order, so kind() is the variant index.
   std::variant<std::monostate, bool, double, std::string, Array, Object>
       Value;
+};
+
+/// Reads one JSON document from a file in bounded memory, for documents
+/// too large to parse whole: a forward cursor over one fixed buffer that
+/// finds where each value ends. It knows strings (with their escapes),
+/// brackets and the nesting limit of parse(), and nothing else of the
+/// grammar: a value is skipped unchecked, or copied out and parsed on
+/// its own, with its errors at their offsets in the file. It can go
+/// back to an offset it has passed; a pipe or other stream is first
+/// copied to an unnamed file in the temporary directory to allow that.
+class JsonFileReader {
+public:
+  /// Opens \p Path; readFailed() is true when it cannot be opened.
+  explicit JsonFileReader(const std::string &Path);
+  ~JsonFileReader();
+  JsonFileReader(const JsonFileReader &) = delete;
+  JsonFileReader &operator=(const JsonFileReader &) = delete;
+
+  /// Skips whitespace and returns the next byte without taking it, or -1
+  /// at the end of the file.
+  int peek();
+  /// Takes the byte peek() returned.
+  void take() { ++P; }
+
+  /// Passes over one value, which \p Depth containers enclose. False
+  /// after recording the error: nothing or a separator where the value
+  /// should start, the end of the file inside it, or nesting deeper than
+  /// JsonValue::MaxDepth.
+  bool skip(unsigned Depth) { return value(Depth, nullptr); }
+  /// Reads one value, which \p Depth containers enclose, and parses it
+  /// into \p Out. False after recording skip()'s or parse()'s error.
+  bool parse(unsigned Depth, JsonValue &Out);
+
+  /// Records the error \p Why at the current offset; returns false.
+  bool fail(const std::string &Why);
+  const std::string &error() const { return Error; }
+  /// True when the file could not be opened or read: every error after
+  /// that is the file's, not its text's.
+  bool readFailed() const { return ReadFailed; }
+
+  /// The offset of the next byte in the file.
+  uint64_t offset() const;
+  /// Goes to \p Offset. False when the file cannot seek.
+  bool seek(uint64_t Offset);
+
+private:
+  /// Replaces the descriptor of a stream by an unnamed file holding what
+  /// the stream gives up to its end.
+  void copyStream();
+  /// Loads the next piece of the file once the buffer is used up; false
+  /// at the end of the file or on a read error.
+  bool refill();
+  /// skip(), appending the value's bytes to \p Capture when given.
+  bool value(unsigned Depth, std::string *Capture);
+  bool string();
+
+  int Fd = -1;
+  std::vector<char> Buffer;
+  /// The unread bytes of the buffer, and the file offset of its start.
+  const char *P = nullptr;
+  const char *End = nullptr;
+  uint64_t BufferAt = 0;
+  /// Where value() is copying to, and from where in the buffer.
+  std::string *Capture = nullptr;
+  const char *CaptureFrom = nullptr;
+  /// The bytes of the value parse() reads.
+  std::string Text;
+  bool ReadFailed = false;
+  std::string Error;
 };
 
 } // namespace cats

@@ -6,11 +6,17 @@
 
 #include "sweep/ReportIO.h"
 
+#include "obs/Trace.h"
 #include "obs/Witness.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <filesystem>
 #include <limits>
+
+#include <unistd.h>
 
 using namespace cats;
 
@@ -371,8 +377,10 @@ Expected<SweepReport> cats::sweepReportFromJson(const JsonValue &Root) {
     auto T = sweepTestResultFromJson(Entries[I]);
     if (!T)
       return Ret::error(testEntryLabel(Entries[I], I) + ": " + T.message());
+    Out.Errored += !T->Error.empty();
     Out.Tests.push_back(T.take());
   }
+  Out.Reported = Out.Tests.size();
   return Out;
 }
 
@@ -400,4 +408,127 @@ std::string cats::testEntryLabel(const JsonValue &Entry, size_t Index) {
   if (Name && Name->isString() && !Name->asString().empty())
     return "test '" + Name->asString() + "'";
   return strFormat("test #%zu", Index + 1);
+}
+
+//===----------------------------------------------------------------------===//
+// Streaming writer
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// How dump() lays out the records of the top-level "tests" array: each
+/// on its own line at depth 2, the closing bracket at depth 1. The spill
+/// holds each record behind its separator.
+constexpr std::string_view RecordBreak = "\n    ";
+constexpr std::string_view TestsClose = "\n  ]";
+constexpr std::string_view EmptyTests = "\"tests\": []";
+
+/// Spill bytes are appended in pieces of about this size.
+constexpr size_t SpillChunk = 1 << 16;
+
+bool writeAll(std::FILE *Out, std::string_view Bytes) {
+  return std::fwrite(Bytes.data(), 1, Bytes.size(), Out) == Bytes.size();
+}
+
+} // namespace
+
+Expected<SweepReportWriter>
+SweepReportWriter::create(const std::string &Target) {
+  namespace fs = std::filesystem;
+  std::string Dir = temporaryDirectory();
+  int Fd = -1;
+  // Beside a file, not beside a device or a pipe (/dev/full, /dev/stdout):
+  // no report bytes need room there.
+  std::error_code Ec;
+  const fs::file_type Type =
+      Target.empty() ? fs::file_type::none : fs::status(Target, Ec).type();
+  if (Type == fs::file_type::not_found || Type == fs::file_type::regular) {
+    std::string Beside = fs::path(Target).parent_path().string();
+    if (Beside.empty())
+      Beside = ".";
+    Fd = openUnnamedFile(Beside);
+    if (Fd >= 0)
+      Dir = Beside;
+  }
+  if (Fd < 0)
+    Fd = openUnnamedFile(Dir);
+  File Spill(Fd >= 0 ? ::fdopen(Fd, "w+") : nullptr, &std::fclose);
+  if (!Spill) {
+    const int Errno = errno;
+    if (Fd >= 0)
+      ::close(Fd);
+    return Expected<SweepReportWriter>::error(
+        strFormat("cannot create a spill file in %s: %s", Dir.c_str(),
+                  std::strerror(Errno)));
+  }
+  return SweepReportWriter(std::move(Spill), std::move(Dir));
+}
+
+void SweepReportWriter::add(SweepTestResult &Result) {
+  if (Result.Record.empty())
+    addRecord(sweepTestResultToJson(Result).dump(0));
+  else
+    addRecord(Result.Record);
+  std::vector<obs::Witness> &Found = Result.Result.Witnesses;
+  Witnesses.insert(Witnesses.end(), std::make_move_iterator(Found.begin()),
+                   std::make_move_iterator(Found.end()));
+}
+
+void SweepReportWriter::addRecord(std::string_view Record) {
+  if (Count++)
+    Pending += ',';
+  Pending += RecordBreak;
+  Pending += Record;
+  if (Pending.size() >= SpillChunk)
+    flush();
+}
+
+void SweepReportWriter::flush() {
+  if (Pending.empty())
+    return;
+  obs::Span WriteSpan("report.write");
+  if (!writeAll(Spill.get(), Pending) && !SpillErrno)
+    SpillErrno = errno ? errno : EIO;
+  Pending.clear();
+}
+
+Status SweepReportWriter::finishSpill() {
+  flush();
+  if (!SpillErrno && std::fflush(Spill.get()) != 0)
+    SpillErrno = errno ? errno : EIO;
+  if (!SpillErrno)
+    return Status::success();
+  return Status::error(strFormat("cannot write the spill file in %s: %s",
+                                 Dir.c_str(), std::strerror(SpillErrno)));
+}
+
+JsonValue SweepReportWriter::document(const SweepReport &Counts) const {
+  JsonValue Root = sweepReportToJson(Counts);
+  if (!Witnesses.empty())
+    Root.set("witness", obs::witnessSectionToJson(Witnesses));
+  return Root;
+}
+
+bool SweepReportWriter::write(const JsonValue &Root, std::FILE *Out) {
+  if (finishSpill().failed())
+    return false;
+  obs::Span WriteSpan("report.write");
+  const std::string Text = Root.dump();
+  if (Count == 0)
+    return writeAll(Out, Text);
+  const size_t At = Text.find(EmptyTests);
+  if (At == std::string::npos)
+    return false;
+  // Everything up to and including the array's '[', the records, then
+  // the array's end and everything after it.
+  const size_t Open = At + EmptyTests.size() - 1;
+  if (!writeAll(Out, std::string_view(Text).substr(0, Open)))
+    return false;
+  std::rewind(Spill.get());
+  std::vector<char> Chunk(SpillChunk);
+  while (size_t Got = std::fread(Chunk.data(), 1, Chunk.size(), Spill.get()))
+    if (!writeAll(Out, std::string_view(Chunk.data(), Got)))
+      return false;
+  return !std::ferror(Spill.get()) && writeAll(Out, TestsClose) &&
+         writeAll(Out, std::string_view(Text).substr(Open + 1));
 }

@@ -32,9 +32,12 @@
 #ifndef CATS_SWEEP_REPORTIO_H
 #define CATS_SWEEP_REPORTIO_H
 
+#include "obs/Witness.h"
 #include "support/Error.h"
 #include "sweep/SweepEngine.h"
 
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -99,6 +102,62 @@ Status sweepReportHeaderFromJson(const JsonValue &Root, SweepReport &Out);
 /// missing "schema"; top-level members this reader does not know (e.g.
 /// the "shard" stanza the campaign CLIs append) are ignored.
 Expected<SweepReport> sweepReportFromJson(const JsonValue &Root);
+
+/// Writes a cats-sweep-report/2 document in bounded memory. Records are
+/// added one at a time, in report order, and appended to a spill file
+/// that has no name, so a killed run leaves nothing behind. write() then
+/// renders the top level, whose "tests" array is empty, with the JSON
+/// printer and splices the spilled records into that array with the
+/// printer's separators and indentation: the bytes are those dump()
+/// gives for the same document holding the records. That is how the
+/// campaign CLIs write reports whose top-level members ("jobs",
+/// "wall_seconds", "cache") are known only once every record is out.
+class SweepReportWriter {
+public:
+  /// Creates the spill of a report for file \p Target in the target's
+  /// directory, so the report's bytes need room only where the report
+  /// goes. A report for stdout (an empty \p Target), for a device or a
+  /// pipe, or for a file whose directory cannot hold the spill (a missing
+  /// one) spills to the temporary directory instead.
+  static Expected<SweepReportWriter> create(const std::string &Target = "");
+
+  /// Spills \p Result's record (its Record, or one rendered here when it
+  /// has none) and keeps its witnesses, moved out of it, for the
+  /// document's witness section.
+  void add(SweepTestResult &Result);
+  /// Spills one record, rendered on one line.
+  void addRecord(std::string_view Record);
+
+  /// The top level of the report of \p Counts, a report whose results
+  /// went to this writer: sweepReportToJson's members with an empty
+  /// "tests" array, and then the witness section of the added results.
+  JsonValue document(const SweepReport &Counts) const;
+
+  /// Appends what is still buffered to the spill. Fails, naming the
+  /// spill's directory, when a spill write has failed: the report cannot
+  /// be written, so its target need not be opened.
+  Status finishSpill();
+
+  /// Writes \p Root, with the spilled records in its empty "tests"
+  /// array, to \p Out. False when a spill or output write failed.
+  bool write(const JsonValue &Root, std::FILE *Out);
+
+private:
+  using File = std::unique_ptr<std::FILE, int (*)(std::FILE *)>;
+  SweepReportWriter(File Spill, std::string Dir)
+      : Spill(std::move(Spill)), Dir(std::move(Dir)) {}
+  /// Appends the buffered bytes to the spill.
+  void flush();
+
+  File Spill;
+  /// Where the spill is, and the error of its first failed write.
+  std::string Dir;
+  int SpillErrno = 0;
+  /// Spill bytes not yet appended.
+  std::string Pending;
+  unsigned long long Count = 0;
+  std::vector<obs::Witness> Witnesses;
+};
 
 } // namespace cats
 

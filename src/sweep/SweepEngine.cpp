@@ -9,6 +9,7 @@
 #include "litmus/Compiler.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "sweep/ReportIO.h"
 
 #include <chrono>
 #include <condition_variable>
@@ -17,13 +18,6 @@
 #include <thread>
 
 using namespace cats;
-
-bool SweepReport::allOk() const {
-  for (const SweepTestResult &T : Tests)
-    if (!T.Error.empty())
-      return false;
-  return true;
-}
 
 SweepEngine::SweepEngine(SweepOptions Opts)
     : Workers(Opts.Jobs), Judge{Opts.Backend, Opts.Witness} {
@@ -54,7 +48,9 @@ unsigned judgingThreads(unsigned Workers, unsigned long long Judged) {
   return static_cast<unsigned>(std::min<unsigned long long>(Workers, Judged));
 }
 
-SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts) {
+/// Judges \p Job and, when \p Render, renders the result's record.
+SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts,
+                          bool Render) {
   SweepTestResult Out;
   Out.TestName = Job.Test.Name;
   const auto Start = Clock::now();
@@ -81,6 +77,10 @@ SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts) {
 
   Out.WallSeconds = secondsSince(Start);
   obs::recordSeconds("sweep.job_wall_us", Out.WallSeconds);
+  if (Render) {
+    obs::Span RenderSpan("report.render");
+    Out.Record = sweepTestResultToJson(Out).dump(0);
+  }
   return Out;
 }
 
@@ -105,6 +105,14 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
   Report.CacheUsed = static_cast<bool>(Hooks.CacheLookup);
   const auto Start = Clock::now();
   double PullSeconds = 0;
+  // Records are rendered only for a store or a sink that writes them.
+  const bool Render = Hooks.SinkWritesRecords || Hooks.CacheStore;
+  // Without a sink, the report keeps each result, without its record.
+  const std::function<void(SweepTestResult &)> Sink =
+      Hooks.OnResult ? Hooks.OnResult : [&Report](SweepTestResult &R) {
+        R.Record = std::string();
+        Report.Tests.push_back(std::move(R));
+      };
 
   std::deque<Slot> Window;
   // Shared with the pool, under Lock: the misses no worker has claimed
@@ -124,7 +132,7 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
       Slot *S = Pending.front();
       Pending.pop_front();
       L.unlock();
-      S->Result = runOneJob(S->Job, Judge);
+      S->Result = runOneJob(S->Job, Judge, Render);
       L.lock();
       S->Done = true;
       if (S == Awaited)
@@ -177,7 +185,7 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
       if (Workers == 1)
         for (Slot &S : Window)
           if (!S.Done) {
-            S.Result = runOneJob(S.Job, Judge);
+            S.Result = runOneJob(S.Job, Judge, Render);
             S.Done = true;
           }
 
@@ -208,13 +216,15 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
           if (Hooks.CacheStore)
             Hooks.CacheStore(S.Job.Test, S.Result);
         }
-        Report.Tests.push_back(std::move(S.Result));
+        ++Report.Reported;
+        Report.Errored += !S.Result.Error.empty();
+        Sink(S.Result);
         Window.pop_front();
-        if (Hooks.OnBatch && Report.Tests.size() % BatchSize == 0)
+        if (Hooks.OnBatch && Report.Reported % BatchSize == 0)
           Hooks.OnBatch(Report);
       }
     }
-    if (Hooks.OnBatch && Report.Tests.size() % BatchSize != 0)
+    if (Hooks.OnBatch && Report.Reported % BatchSize != 0)
       Hooks.OnBatch(Report);
   } catch (...) {
     StopPool();
@@ -222,13 +232,12 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
   }
   StopPool();
 
-  Report.Jobs =
-      judgingThreads(Workers, Report.Tests.size() - Report.CacheHits);
+  Report.Jobs = judgingThreads(Workers, Report.Reported - Report.CacheHits);
   Report.WallSeconds = secondsSince(Start);
   if (obs::metricsEnabled()) {
     // Zero counters are left out of the snapshot, so a sweep without a
     // cache reports neither cache counter.
-    obs::counter("sweep.tests_consumed").add(Report.Tests.size());
+    obs::counter("sweep.tests_consumed").add(Report.Reported);
     obs::counter("sweep.cache_hits").add(Report.CacheHits);
     obs::counter("sweep.cache_misses").add(Report.CacheMisses);
     obs::counter("sweep.generation_wall_us")

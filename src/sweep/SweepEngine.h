@@ -17,7 +17,9 @@
 /// worker threads, started once per sweep, judges the misses at most one
 /// window (workers x batch size) ahead of the oldest unreported test. So
 /// the report is byte-for-byte deterministic for any worker count, and
-/// every hook runs on the calling thread.
+/// every hook runs on the calling thread. A result leaves the loop at
+/// that in-order frontier: into the report, or into a sink that writes it
+/// out, so that a campaign's results never exist whole in memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +54,12 @@ struct SweepTestResult {
   MultiSimulationResult Result;
   /// Wall time of this job on its worker, seconds.
   double WallSeconds = 0;
+  /// The result's cats-sweep-report/2 record on one line
+  /// (sweepTestResultToJson(*this).dump(0)), when the sweep writes
+  /// records: rendered once, on the worker that judged the test, or a
+  /// cache hit's log line. Empty otherwise, and in every result a report
+  /// keeps in SweepReport::Tests.
+  std::string Record;
 };
 
 /// Engine configuration.
@@ -69,9 +77,15 @@ struct SweepOptions {
   bool Witness = false;
 };
 
-/// A completed sweep: per-job results in submission order.
+/// A completed sweep: its counts, and the per-job results in submission
+/// order unless a sink took them (StreamHooks::OnResult).
 struct SweepReport {
+  /// The results, unless a sink took them; then empty.
   std::vector<SweepTestResult> Tests;
+  /// Tests that reached the in-order frontier, and those of them that
+  /// carry an error: counted whether or not the report keeps them.
+  unsigned long long Reported = 0;
+  unsigned long long Errored = 0;
   /// Wall time of the whole sweep, seconds.
   double WallSeconds = 0;
   /// Threads that judged: the pool size, capped at the number of tests
@@ -85,8 +99,8 @@ struct SweepReport {
   unsigned long long CacheHits = 0;
   unsigned long long CacheMisses = 0;
 
-  /// True when no job carries an error.
-  bool allOk() const;
+  /// True when no reported test carries an error.
+  bool allOk() const { return Errored == 0; }
 };
 
 /// Optional instrumentation of a streamed campaign (runStreamed). All
@@ -102,10 +116,19 @@ struct StreamHooks {
   /// Offered every freshly judged result (cache population), in source
   /// order.
   std::function<void(const LitmusTest &, const SweepTestResult &)> CacheStore;
+  /// The sink: takes each result at the in-order frontier, in source
+  /// order, after the cache store, and may move from it. When set, the
+  /// report keeps no results, only its counts. When unset, the results
+  /// land in SweepReport::Tests.
+  std::function<void(SweepTestResult &)> OnResult;
+  /// Set when the sink writes each result's record: the worker that
+  /// judges a test then renders its SweepTestResult::Record, as it does
+  /// when a cache store is attached. Nothing else renders records.
+  bool SinkWritesRecords = false;
   /// Called with the cumulative report each time it grows by a batch of
-  /// results, and once more for a final partial batch: the report is a
-  /// prefix of the source in order, every result in it final, and
-  /// SoFar.Tests.size() is the number of source tests consumed.
+  /// results, and once more for a final partial batch: the reported
+  /// tests are a prefix of the source in order, every result final, and
+  /// SoFar.Reported is the number of source tests consumed.
   std::function<void(const SweepReport &SoFar)> OnBatch;
 };
 
@@ -127,10 +150,11 @@ public:
   /// Streamed campaign: drains \p Source, judging each test under
   /// \p Models. Results keep source order; peak memory is one window of
   /// tests (workers x \p BatchSize) plus the accumulated (test-free)
-  /// results — this is how the diy enumeration feeds thousands of
-  /// generated scenarios through the engine. \p Hooks adds the
-  /// campaign-scale behaviours: result-cache lookup/store around each
-  /// test, and a callback every \p BatchSize results.
+  /// results, or no results at all when a sink takes them — this is how
+  /// the diy enumeration feeds thousands of generated scenarios through
+  /// the engine. \p Hooks adds the campaign-scale behaviours: result-cache
+  /// lookup/store around each test, a sink at the frontier, and a
+  /// callback every \p BatchSize results.
   SweepReport runStreamed(const TestSource &Source,
                           const std::vector<const Model *> &Models,
                           unsigned BatchSize = StreamBatchSize,

@@ -25,6 +25,7 @@
 #include "litmus/Catalog.h"
 #include "model/Registry.h"
 #include "mole/Mine.h"
+#include "obs/Progress.h"
 #include "sweep/ReportIO.h"
 #include "sweep/SweepEngine.h"
 
@@ -39,6 +40,7 @@
 #include <set>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 using namespace cats;
 
@@ -747,6 +749,39 @@ TEST(ResultCache, EntryIsOneLineHoldingTheRecord) {
   EXPECT_EQ(sweepTestResultToJson(Out).dump(0), Record);
 }
 
+TEST(ResultCache, HitServesItsLogLineAsTheRecord) {
+  // A hit's record is the bytes of its log line, which a report lists as
+  // they are; a store writes a judged result's own record.
+  const std::string Dir = scratchDir("cache_hit_record");
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(6);
+  SweepReport Judged = SweepEngine({1}).run(makeJobs(Tests, Models));
+  auto Cache = ResultCache::open(Dir);
+  ASSERT_TRUE(static_cast<bool>(Cache));
+  for (size_t I = 0; I < Tests.size(); ++I) {
+    SweepTestResult Result = Judged.Tests[I];
+    // A marked record shows that the store writes it, not a rendering.
+    if (I == 1)
+      Result.Record = sweepTestResultToJson(Result).dump(0) + " ";
+    ASSERT_TRUE(Cache->store(Tests[I], Models, Result));
+  }
+  std::string Text;
+  ASSERT_TRUE(readWholeFile(cacheFiles(Dir).at(0), Text));
+  const std::vector<std::string> Lines = splitString(Text, '\n');
+  ASSERT_EQ(Lines.size(), Tests.size() + 2);
+  for (size_t I = 0; I < Tests.size(); ++I) {
+    const std::string Logged = Lines[I + 1].substr(32 + 1 + 16 + 1);
+    SweepTestResult Out;
+    ASSERT_TRUE(Cache->lookup(Tests[I], Models, Out)) << I;
+    EXPECT_EQ(Out.Record, Logged) << I;
+    EXPECT_EQ(Out.Record, sweepTestResultToJson(Judged.Tests[I]).dump(0) +
+                              (I == 1 ? " " : ""))
+        << I;
+  }
+}
+
 TEST(ResultCache, FailedStorePublishesNothing) {
   // A file-size limit cuts the third store short. The store reports it,
   // the handle then stores nothing, and a reopened cache serves exactly
@@ -1110,6 +1145,221 @@ TEST(Merge, DispatchRejectsMixedAndUnknownSchemas) {
   EXPECT_NE(Unknown.message().find("not mergeable"), std::string::npos);
 }
 
+namespace {
+
+/// What cats_merge does with \p Docs written to files: the exit status,
+/// and the merged bytes in \p Out (written to a file, or captured from
+/// stdout when \p ToStdout). An output file is removed first, so it
+/// exists only when the merge wrote it.
+int mergeFiles(const std::vector<JsonValue> &Docs, bool ZeroWall,
+               std::string &Out, bool ToStdout = false) {
+  const std::string Dir = scratchDir("merge_files");
+  std::vector<std::string> Paths;
+  for (size_t I = 0; I < Docs.size(); ++I) {
+    Paths.push_back(Dir + strFormat("/input-%zu.json", I + 1));
+    EXPECT_FALSE(writeWholeFile(Paths.back(), Docs[I].dump()).failed());
+  }
+  const std::string OutPath = ToStdout ? std::string() : Dir + "/merged.json";
+  obs::ProgressReporter Progress("cats_merge", 0, false);
+  if (ToStdout)
+    ::testing::internal::CaptureStdout();
+  const int Status = cli::mergeReportFiles("cats_merge", Paths, OutPath,
+                                           ZeroWall, true, Progress);
+  Out.clear();
+  if (ToStdout) {
+    Out = ::testing::internal::GetCapturedStdout();
+  } else if (std::filesystem::exists(OutPath)) {
+    EXPECT_TRUE(readWholeFile(OutPath, Out));
+  }
+  return Status;
+}
+
+/// What the merge of parsed documents gives: mergeReports, zeroWallTimes
+/// when \p ZeroWall, and dump().
+std::string domMerge(std::vector<JsonValue> Docs, bool ZeroWall) {
+  auto Merged = mergeReports(std::move(Docs));
+  EXPECT_TRUE(static_cast<bool>(Merged)) << Merged.message();
+  if (!Merged)
+    return std::string();
+  return (ZeroWall ? zeroWallTimes(Merged.take()) : Merged.take()).dump();
+}
+
+} // namespace
+
+TEST(Merge, FilesMergeToTheBytesOfTheDomMerge) {
+  // cats_merge reads its inputs a record at a time; the bytes it writes
+  // are those of the merge of the parsed documents.
+  const std::vector<LitmusTest> Tests = catalogueTests();
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  std::vector<JsonValue> Shards;
+  for (unsigned K = 1; K <= 3; ++K)
+    Shards.push_back(shardReportDoc(Tests, Models, K, 3));
+  std::vector<JsonValue> V1Shards = Shards;
+  for (JsonValue &Shard : V1Shards)
+    Shard = asV1Report(Shard);
+  std::vector<JsonValue> MixedShards = Shards;
+  MixedShards[1] = V1Shards[1];
+  std::vector<LitmusTest> Half = Tests;
+  Half.resize(Tests.size() / 2);
+  const JsonValue Whole = sweepReportToJson(
+      SweepEngine({2}).runStreamed(vectorSource(Tests), Models, 8));
+  const JsonValue Part = sweepReportToJson(
+      SweepEngine({1}).runStreamed(vectorSource(Half), Models, 8));
+  const JsonValue Empty = sweepReportToJson(
+      SweepEngine({1}).runStreamed(vectorSource({}), Models, 8));
+
+  const std::vector<std::pair<std::string, std::vector<JsonValue>>> Cases = {
+      {"sharded /2", Shards},
+      {"sharded, in another order", {Shards[2], Shards[0], Shards[1]}},
+      {"sharded /1", V1Shards},
+      {"sharded, /1 and /2 mixed", MixedShards},
+      {"unsharded /2", {Whole, Part}},
+      {"unsharded /1 and /2", {asV1Report(Part), Whole, Empty}},
+      {"one report", {Whole}},
+      {"one /1 report", {asV1Report(Whole)}},
+      {"no test", {Empty}}};
+  for (const auto &[What, Docs] : Cases)
+    for (bool ZeroWall : {true, false}) {
+      const std::string Expected = domMerge(Docs, ZeroWall);
+      std::string Written;
+      EXPECT_EQ(mergeFiles(Docs, ZeroWall, Written), 0) << What;
+      EXPECT_EQ(Written, Expected) << What;
+      // On stdout, as cats_merge without -o writes it.
+      EXPECT_EQ(mergeFiles(Docs, ZeroWall, Written, true), 0) << What;
+      EXPECT_EQ(Written, Expected + "\n") << What;
+    }
+}
+
+TEST(Merge, RefusedFileMergesWriteNothing) {
+  // A refused merge exits 1 and an unreadable input 2; neither creates
+  // the output file or prints on stdout, though records may have passed
+  // before the refusal.
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(6);
+  const std::vector<const Model *> Models = {modelByName("SC")};
+  const JsonValue Doc = sweepReportToJson(
+      SweepEngine({1}).runStreamed(vectorSource(Tests), Models, 8));
+  JsonValue Corrupt = Doc;
+  Corrupt.get("tests")->elements()[4].set("candidates_total", -1);
+  JsonValue NoTests = Doc;
+  NoTests.set("tests", "none");
+  const std::vector<std::pair<std::vector<JsonValue>, int>> Cases = {
+      {{Doc, Corrupt}, 1},
+      {{Doc, NoTests}, 1},
+      {{shardReportDoc(Tests, Models, 1, 2), Doc}, 1},
+      {{shardReportDoc(Tests, Models, 1, 3),
+        shardReportDoc(Tests, Models, 2, 3)},
+       1},
+      {{Doc, *JsonValue::parse(R"({"schema": "cats-run-report/1"})")}, 1}};
+  for (const auto &[Docs, Want] : Cases)
+    for (bool ToStdout : {false, true}) {
+      std::string Written;
+      EXPECT_EQ(mergeFiles(Docs, true, Written, ToStdout), Want);
+      EXPECT_EQ(Written, "") << Docs.back().dump();
+    }
+
+  // An input that does not parse, with a sound one before it; one whose
+  // merge is refused at its second record before its fifth turns out not
+  // to parse (the first pass only finds where records end); and one
+  // whose repeated "tests" hides a record that does not parse. Each
+  // exits 2, as when the inputs are parsed before the merge.
+  const std::string Dir = scratchDir("merge_unparsable");
+  const std::string Sound = Dir + "/sound.json", Cut = Dir + "/cut.json",
+                    Late = Dir + "/late.json", Hidden = Dir + "/hidden.json",
+                    OutPath = Dir + "/merged.json";
+  ASSERT_FALSE(writeWholeFile(Sound, Doc.dump()).failed());
+  ASSERT_FALSE(writeWholeFile(Cut, Doc.dump().substr(0, 700)).failed());
+  JsonValue Refused = Doc;
+  Refused.get("tests")->elements()[1].set("candidates_total", -1);
+  std::vector<std::string> Lines = splitString(Refused.dump(), '\n');
+  size_t Record = 0;
+  for (std::string &Line : Lines)
+    if (Line.rfind("    {\"name\":", 0) == 0 && ++Record == 5)
+      Line.replace(Line.find(':'), 1, ";");
+  ASSERT_EQ(Record, Tests.size());
+  ASSERT_FALSE(writeWholeFile(Late, joinStrings(Lines, "\n")).failed());
+  ASSERT_FALSE(writeWholeFile(Hidden, "{\"tests\": [{\"a\" 1}]," +
+                                          Doc.dump().substr(1))
+                   .failed());
+  obs::ProgressReporter Progress("cats_merge", 0, false);
+  for (const std::vector<std::string> &Paths :
+       std::vector<std::vector<std::string>>{{Sound, Cut},
+                                             {Sound, Dir + "/missing.json"},
+                                             {Dir},
+                                             {Late},
+                                             {Sound, Late},
+                                             {Hidden}}) {
+    EXPECT_EQ(cli::mergeReportFiles("cats_merge", Paths, OutPath, true, true,
+                                    Progress),
+              2);
+    EXPECT_FALSE(std::filesystem::exists(OutPath));
+  }
+}
+
+TEST(Merge, PipesAndRepeatedMembersMergeAsParsedDocuments) {
+  // An input read from a pipe, as `cats_merge <(zcat shard.json.gz)`
+  // gives it, is copied to an unnamed file for its two passes: sweep and
+  // mine reports merge from pipes to the bytes of the merge of the parsed
+  // documents.
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(8);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  std::vector<JsonValue> Shards, Mines;
+  for (unsigned K = 1; K <= 2; ++K) {
+    Shards.push_back(shardReportDoc(Tests, Models, K, 2));
+    Mines.push_back(mineReportToJson(mineSweepReport(SweepEngine({1}).runStreamed(
+        shardTestSource(vectorSource(Tests), ShardSpec{K, 2}), Models, 8))));
+  }
+  const std::string Dir = scratchDir("merge_pipes");
+  const std::string OutPath = Dir + "/merged.json";
+  obs::ProgressReporter Progress("cats_merge", 0, false);
+  for (const std::vector<JsonValue> &Docs : {Shards, Mines}) {
+    std::vector<int> Pipes;
+    std::vector<std::string> Paths;
+    for (const JsonValue &Doc : Docs) {
+      const std::string Text = Doc.dump();
+      // The pipe holds the whole document, so nothing waits on a reader.
+      ASSERT_LT(Text.size(), 1u << 16);
+      int Ends[2];
+      ASSERT_EQ(::pipe(Ends), 0);
+      ASSERT_EQ(::write(Ends[1], Text.data(), Text.size()),
+                static_cast<ssize_t>(Text.size()));
+      ::close(Ends[1]);
+      Pipes.push_back(Ends[0]);
+      Paths.push_back("/dev/fd/" + std::to_string(Ends[0]));
+    }
+    std::filesystem::remove(OutPath);
+    EXPECT_EQ(cli::mergeReportFiles("cats_merge", Paths, OutPath, true, true,
+                                    Progress),
+              0);
+    for (int Fd : Pipes)
+      ::close(Fd);
+    std::string Written;
+    EXPECT_TRUE(readWholeFile(OutPath, Written));
+    EXPECT_EQ(Written, domMerge(Docs, true)) << Docs[0].dump();
+  }
+
+  // A repeated top-level "tests": the merge reads the last array, as the
+  // parser keeps the last value, at the first one's place.
+  const JsonValue Whole = sweepReportToJson(
+      SweepEngine({1}).runStreamed(vectorSource(Tests), Models, 8));
+  const std::string Text =
+      "{\"tests\": [1, {\"a\": 2}]," + Whole.dump().substr(1);
+  const std::string Input = Dir + "/repeated.json";
+  ASSERT_FALSE(writeWholeFile(Input, Text).failed());
+  std::filesystem::remove(OutPath);
+  EXPECT_EQ(cli::mergeReportFiles("cats_merge", {Input}, OutPath, true, true,
+                                  Progress),
+            0);
+  std::string Written;
+  EXPECT_TRUE(readWholeFile(OutPath, Written));
+  std::vector<JsonValue> Parsed;
+  Parsed.push_back(*JsonValue::parse(Text));
+  EXPECT_EQ(Written, domMerge(Parsed, true));
+}
+
 TEST(Merge, ZeroWallTimesOnlyTouchesNumericWallFields) {
   auto Doc = JsonValue::parse(
       R"({"wall_seconds": 1.5, "nested": [{"wall_seconds": 2}],)"
@@ -1330,6 +1580,52 @@ TEST(Mutation, ReportsAreRefusedOrMergeSoundly) {
     auto Again = sweepReportFromJson(*Merged);
     EXPECT_TRUE(static_cast<bool>(Again)) << Again.message() << "\n"
                                           << M.Text;
+  }
+  EXPECT_GT(Refused, MutationsPerInput / 2);
+}
+
+TEST(Mutation, ReportFilesAreRefusedOrMergeLikeTheDom) {
+  // The mutations of ReportsAreRefusedOrMergeSoundly, merged from a file
+  // a record at a time: a document that does not parse exits 2 and one
+  // the merge refuses exits 1, each with no output; any other merges to
+  // the bytes of the merge of the parsed document.
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(6);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  const std::string Text = sweepReportToJson(
+      SweepEngine({1}).runStreamed(vectorSource(Tests), Models, 8)).dump();
+  const std::string Dir = scratchDir("mutation_files");
+  const std::string Input = Dir + "/report.json", Output = Dir + "/out.json";
+  obs::ProgressReporter Progress("cats_merge", 0, false);
+  std::mt19937_64 Rng(22);
+  unsigned Refused = 0;
+  for (unsigned N = 0; N < MutationsPerInput; ++N) {
+    const Mutation M = mutate(Text, Rng);
+    ASSERT_FALSE(writeWholeFile(Input, M.Text).failed());
+    std::filesystem::remove(Output);
+    ::testing::internal::CaptureStderr();
+    const int Status = cli::mergeReportFiles("cats_merge", {Input}, Output,
+                                             true, true, Progress);
+    const std::string Said = ::testing::internal::GetCapturedStderr();
+    auto Doc = JsonValue::parse(M.Text);
+    std::vector<JsonValue> Docs;
+    if (Doc)
+      Docs.push_back(Doc.take());
+    auto Merged = Docs.empty() ? Expected<JsonValue>::error("no document")
+                               : mergeReports(std::move(Docs));
+    const int Want = !Doc ? 2 : !Merged ? 1 : 0;
+    EXPECT_EQ(Status, Want) << M.What << " at " << M.Offset << ": " << Said;
+    if (Status != 0) {
+      ++Refused;
+      EXPECT_FALSE(Said.empty());
+      EXPECT_FALSE(std::filesystem::exists(Output));
+      continue;
+    }
+    std::string Written;
+    ASSERT_TRUE(readWholeFile(Output, Written));
+    EXPECT_EQ(Written, zeroWallTimes(Merged.take()).dump())
+        << M.What << " at " << M.Offset;
   }
   EXPECT_GT(Refused, MutationsPerInput / 2);
 }

@@ -24,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -354,6 +356,49 @@ TEST(MetricsJson, MergeSumsCountersAndHistograms) {
   }
   EXPECT_EQ(Bucket2, 2u);
   EXPECT_EQ(Bucket7, 1u);
+}
+
+namespace {
+
+/// VmHWM of /proc/self/status in KB, as the snapshot reads it.
+double vmHwmKb() {
+  std::ifstream Status("/proc/self/status");
+  for (std::string Line; std::getline(Status, Line);)
+    if (Line.rfind("VmHWM:", 0) == 0)
+      return std::stod(Line.substr(6));
+  return 0;
+}
+
+} // namespace
+
+TEST(MetricsJson, EverySnapshotSamplesTheProcessPeakOnce) {
+  // One sample of the process's own peak resident set per snapshot, so a
+  // merge of shard reports holds one sample per shard.
+  ObsSandbox Sandbox;
+  obs::setMetricsEnabled(true);
+  if (vmHwmKb() == 0)
+    GTEST_SKIP() << "no VmHWM in /proc/self/status here";
+  const double Before = vmHwmKb();
+  JsonValue A = obs::metricsToJson();
+  JsonValue B = obs::metricsToJson();
+  const double After = vmHwmKb();
+  for (const JsonValue *Snapshot : {&A, &B}) {
+    const JsonValue *Peak =
+        Snapshot->get("histograms")->get("process.peak_rss_kb");
+    ASSERT_NE(Peak, nullptr);
+    EXPECT_EQ(Peak->get("count")->asNumber(), 1);
+    EXPECT_GE(Peak->get("sum")->asNumber(), Before);
+    EXPECT_LE(Peak->get("sum")->asNumber(), After);
+  }
+  EXPECT_NE(obs::metricsToText().find("process.peak_rss_kb"),
+            std::string::npos);
+  std::string Error;
+  ASSERT_TRUE(obs::mergeMetricsJson(A, B, Error)) << Error;
+  EXPECT_EQ(A.get("histograms")
+                ->get("process.peak_rss_kb")
+                ->get("count")
+                ->asNumber(),
+            2);
 }
 
 TEST(MetricsJson, MergeRejectsForeignDocuments) {

@@ -13,18 +13,23 @@
 //===----------------------------------------------------------------------===//
 
 #include "campaign/Merge.h"
+#include "campaign/Shard.h"
 #include "diy/Enumerate.h"
 #include "litmus/Catalog.h"
 #include "litmus/Compiler.h"
 #include "litmus/Parser.h"
 #include "model/Registry.h"
+#include "obs/Metrics.h"
+#include "support/StringUtils.h"
 #include "sweep/ReportIO.h"
 #include "sweep/SweepEngine.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -376,12 +381,29 @@ TEST(SweepEngine, DeterministicAcrossWorkerCounts) {
         everyThirdHits(Reference.Tests, Calls)));
   };
 
+  // The same, with a sink taking the results at the frontier: the report
+  // of what it took is the same report.
+  auto Sunk = [&](unsigned Workers) {
+    size_t Calls = 0;
+    StreamHooks Hooks = everyThirdHits(Reference.Tests, Calls);
+    std::vector<SweepTestResult> Taken;
+    Hooks.OnResult = [&Taken](SweepTestResult &R) {
+      Taken.push_back(std::move(R));
+    };
+    SweepReport Counts = SweepEngine({Workers}).runStreamed(
+        vectorSource(Tests), allModels(), 4, Hooks);
+    EXPECT_TRUE(Counts.Tests.empty());
+    Counts.Tests = std::move(Taken);
+    return reportSignature(Counts);
+  };
+
   const std::string Baseline = reportSignature(Reference);
   const std::string StreamedBaseline = Streamed(1);
   for (unsigned N = 1; N <= 8; ++N) {
     EXPECT_EQ(reportSignature(SweepEngine({N}).run(Jobs)), Baseline)
         << "with " << N << " workers";
     EXPECT_EQ(Streamed(N), StreamedBaseline) << "with " << N << " workers";
+    EXPECT_EQ(Sunk(N), StreamedBaseline) << "with " << N << " workers";
   }
 }
 
@@ -500,6 +522,116 @@ TEST(SweepEngine, InvalidTestReportsErrorWithoutPoisoningTheBatch) {
   EXPECT_TRUE(Report.Tests[0].Error.empty());
   EXPECT_TRUE(Report.Tests[2].Error.empty());
   EXPECT_GT(Report.Tests[2].Result.CandidatesTotal, 0u);
+  EXPECT_EQ(Report.Reported, Tests.size());
+  EXPECT_EQ(Report.Errored, 1u);
+}
+
+namespace {
+
+/// The first \p N catalogue tests with an invalid one at position 1: an
+/// x86 fence on a Power test fails validation.
+std::vector<LitmusTest> testsWithAnError(size_t N) {
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(N);
+  LitmusTest Bad = Tests.front();
+  Bad.Name = "bad-fence";
+  Bad.TargetArch = Arch::Power;
+  Instruction Fence;
+  Fence.Op = Opcode::Fence;
+  Fence.FenceName = "mfence";
+  Bad.Threads[0].push_back(Fence);
+  Tests.insert(Tests.begin() + 1, Bad);
+  return Tests;
+}
+
+} // namespace
+
+TEST(SweepEngine, SinkTakesEachResultOnceInSourceOrderOnTheCallingThread) {
+  const std::vector<LitmusTest> Tests = testsWithAnError(24);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  const SweepReport Reference = SweepEngine({1}).run(makeJobs(Tests, Models));
+  ASSERT_EQ(Reference.Tests.size(), Tests.size());
+  for (unsigned Workers : {1u, 4u}) {
+    size_t Calls = 0;
+    StreamHooks Hooks = everyThirdHits(Reference.Tests, Calls);
+    std::vector<std::string> Names;
+    std::set<std::thread::id> Threads;
+    Hooks.OnResult = [&](SweepTestResult &R) {
+      Names.push_back(R.TestName);
+      Threads.insert(std::this_thread::get_id());
+      R = SweepTestResult();
+    };
+    std::vector<unsigned long long> Frontiers;
+    Hooks.OnBatch = [&](const SweepReport &SoFar) {
+      Frontiers.push_back(SoFar.Reported);
+      EXPECT_TRUE(SoFar.Tests.empty());
+      EXPECT_EQ(SoFar.Reported, Names.size());
+    };
+    const SweepReport Report = SweepEngine({Workers}).runStreamed(
+        vectorSource(Tests), Models, 4, Hooks);
+
+    // The report keeps counts, no result.
+    EXPECT_TRUE(Report.Tests.empty());
+    EXPECT_EQ(Report.Reported, Tests.size());
+    EXPECT_EQ(Report.Errored, 1u);
+    EXPECT_FALSE(Report.allOk());
+    EXPECT_EQ(Report.CacheHits, Tests.size() / 3);
+    EXPECT_EQ(Report.CacheHits + Report.CacheMisses, Tests.size());
+    // Each result once, in source order, on this thread.
+    ASSERT_EQ(Names.size(), Tests.size());
+    for (size_t I = 0; I < Tests.size(); ++I)
+      EXPECT_EQ(Names[I], Tests[I].Name) << I;
+    EXPECT_EQ(Threads, std::set<std::thread::id>{std::this_thread::get_id()});
+    EXPECT_EQ(Frontiers, (std::vector<unsigned long long>{4, 8, 12, 16, 20,
+                                                          24, 25}));
+  }
+}
+
+TEST(SweepEngine, RecordsAreRenderedOnlyWhenSomethingWritesThem) {
+  const std::vector<LitmusTest> Tests = testsWithAnError(12);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  for (unsigned Workers : {1u, 3u}) {
+    const SweepEngine Engine({Workers});
+    // Nothing writes records: run(), and a sink that only reads results.
+    for (const SweepTestResult &T : Engine.run(makeJobs(Tests, Models)).Tests)
+      EXPECT_TRUE(T.Record.empty()) << T.TestName;
+    StreamHooks Reading;
+    size_t Read = 0;
+    Reading.OnResult = [&](SweepTestResult &R) {
+      EXPECT_TRUE(R.Record.empty()) << R.TestName;
+      ++Read;
+    };
+    Engine.runStreamed(vectorSource(Tests), Models, 4, Reading);
+    EXPECT_EQ(Read, Tests.size());
+
+    // A sink that writes records takes each one rendered, errors too.
+    StreamHooks Writing;
+    Writing.SinkWritesRecords = true;
+    size_t Written = 0;
+    Writing.OnResult = [&](SweepTestResult &R) {
+      EXPECT_EQ(R.Record, sweepTestResultToJson(R).dump(0));
+      ++Written;
+    };
+    Engine.runStreamed(vectorSource(Tests), Models, 4, Writing);
+    EXPECT_EQ(Written, Tests.size());
+
+    // A cache store is offered each judged result rendered, while the
+    // report keeps its results without their records.
+    StreamHooks Storing;
+    size_t Stored = 0;
+    Storing.CacheStore = [&](const LitmusTest &, const SweepTestResult &R) {
+      EXPECT_EQ(R.Record, sweepTestResultToJson(R).dump(0));
+      ++Stored;
+    };
+    const SweepReport Kept =
+        Engine.runStreamed(vectorSource(Tests), Models, 4, Storing);
+    EXPECT_EQ(Stored, Tests.size());
+    ASSERT_EQ(Kept.Tests.size(), Tests.size());
+    for (const SweepTestResult &T : Kept.Tests)
+      EXPECT_TRUE(T.Record.empty()) << T.TestName;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -583,6 +715,125 @@ TEST(SweepReportJson, ErrorEntriesCarryTheMessage) {
   ASSERT_NE(Entry->get("error"), nullptr);
   EXPECT_EQ(Entry->get("error")->asString(), Report.Tests[0].Error);
   EXPECT_EQ(Entry->get("models"), nullptr);
+}
+
+namespace {
+
+/// What \p Writer writes for \p Root.
+std::string writtenBytes(SweepReportWriter &Writer, const JsonValue &Root) {
+  std::FILE *Out = std::tmpfile();
+  EXPECT_NE(Out, nullptr);
+  if (!Out)
+    return std::string();
+  EXPECT_TRUE(Writer.write(Root, Out));
+  std::rewind(Out);
+  std::string Bytes;
+  char Chunk[4096];
+  while (size_t Got = std::fread(Chunk, 1, sizeof(Chunk), Out))
+    Bytes.append(Chunk, Got);
+  std::fclose(Out);
+  return Bytes;
+}
+
+} // namespace
+
+TEST(SweepReportWriter, WritesTheBytesOfTheWholeDocument) {
+  // Each sweep sends its results to a writer and keeps a copy; the
+  // writer's bytes must be dump() of the document holding the copies,
+  // with the members the CLIs add after "tests".
+  struct Case {
+    const char *What;
+    std::vector<LitmusTest> Tests;
+    bool Witness = false;
+    bool Cached = false;
+    bool Trailer = false;
+  };
+  std::vector<LitmusTest> One = catalogueTests();
+  One.resize(1);
+  const std::vector<Case> Cases = {
+      {"no test", {}},
+      {"one test", One},
+      {"many tests", catalogueTests()},
+      {"errored tests", testsWithAnError(9)},
+      {"witnesses", testsWithAnError(5), true},
+      {"cache, shard and metrics", testsWithAnError(16), false, true, true}};
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  for (const Case &C : Cases) {
+    SweepOptions Opts;
+    Opts.Jobs = 3;
+    Opts.Witness = C.Witness;
+    const SweepReport Reference =
+        SweepEngine({1}).run(makeJobs(C.Tests, Models));
+    size_t Calls = 0;
+    StreamHooks Hooks;
+    if (C.Cached)
+      Hooks = everyThirdHits(Reference.Tests, Calls);
+    auto Writer = SweepReportWriter::create();
+    ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
+    std::vector<SweepTestResult> Kept;
+    Hooks.SinkWritesRecords = true;
+    Hooks.OnResult = [&](SweepTestResult &R) {
+      Kept.push_back(R);
+      Writer->add(R);
+    };
+    const SweepReport Counts = SweepEngine(Opts).runStreamed(
+        vectorSource(C.Tests), Models, 4, Hooks);
+    SweepReport Whole = Counts;
+    Whole.Tests = Kept;
+    JsonValue Expected = sweepReportToJson(Whole);
+    JsonValue Streamed = Writer->document(Counts);
+    if (C.Trailer) {
+      const JsonValue Metrics = obs::metricsToJson();
+      for (JsonValue *Doc : {&Expected, &Streamed}) {
+        Doc->set("shard", shardToJson(ShardSpec{2, 3}));
+        Doc->set("metrics", Metrics);
+      }
+    }
+    EXPECT_EQ(Expected.get("witness") != nullptr, C.Witness) << C.What;
+    EXPECT_EQ(writtenBytes(*Writer, Streamed), Expected.dump()) << C.What;
+  }
+}
+
+TEST(SweepReportWriter, SpillsBesideItsTarget) {
+  // A report's spill sits in its target's directory; a report for
+  // stdout or a device, or for a target whose directory cannot hold the
+  // spill, spills to the temporary directory.
+  if (!std::filesystem::is_directory("/proc/self/fd"))
+    GTEST_SKIP() << "no /proc/self/fd to find the spill through";
+  namespace fs = std::filesystem;
+  const fs::path Dir = ::testing::TempDir() + "cats_spill_beside";
+  fs::remove_all(Dir);
+  fs::create_directories(Dir);
+  // How many of the process's files without a name are in \p Where.
+  auto SpillsIn = [](const fs::path &Where) {
+    const fs::path Real = fs::canonical(Where);
+    size_t Count = 0;
+    for (const auto &Entry : fs::directory_iterator("/proc/self/fd")) {
+      std::error_code Ec;
+      const std::string Link = fs::read_symlink(Entry.path(), Ec).string();
+      const std::string Deleted = " (deleted)";
+      if (!Ec && Link.size() > Deleted.size() &&
+          Link.compare(Link.size() - Deleted.size(), Deleted.size(),
+                       Deleted) == 0)
+        Count += fs::path(Link).parent_path() == Real;
+    }
+    return Count;
+  };
+  const fs::path Temp = temporaryDirectory();
+  auto Beside = SweepReportWriter::create((Dir / "report.json").string());
+  ASSERT_TRUE(static_cast<bool>(Beside)) << Beside.message();
+  EXPECT_EQ(SpillsIn(Dir), 1u);
+  const size_t InTemp = SpillsIn(Temp);
+  auto ForStdout = SweepReportWriter::create("");
+  auto ForDevice = SweepReportWriter::create("/dev/null");
+  auto Homeless =
+      SweepReportWriter::create((Dir / "missing" / "report.json").string());
+  ASSERT_TRUE(static_cast<bool>(ForStdout)) << ForStdout.message();
+  ASSERT_TRUE(static_cast<bool>(ForDevice)) << ForDevice.message();
+  ASSERT_TRUE(static_cast<bool>(Homeless)) << Homeless.message();
+  EXPECT_EQ(SpillsIn(Temp), InTemp + 3);
+  EXPECT_EQ(SpillsIn(Dir), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -878,4 +1129,151 @@ TEST(Json, RandomTreesRoundTrip) {
       EXPECT_EQ(Back->dump(Indent), Text);
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The bounded-memory file reader
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p Text written to a file, for JsonFileReader.
+std::string fileHolding(const std::string &Text) {
+  const std::string Path = ::testing::TempDir() + "cats_json_reader.json";
+  EXPECT_FALSE(writeWholeFile(Path, Text).failed());
+  return Path;
+}
+
+/// \p Text read from a file by JsonFileReader as one document: a value,
+/// then the end of the file. The value, or the reader's error.
+Expected<JsonValue> readAsFile(const std::string &Text) {
+  JsonFileReader Reader(fileHolding(Text));
+  JsonValue Value;
+  if (!Reader.parse(0, Value) ||
+      (Reader.peek() != -1 &&
+       !Reader.fail("trailing characters after document")))
+    return Expected<JsonValue>::error(Reader.error());
+  return Value;
+}
+
+/// The offset an error of the JSON parser or reader names.
+unsigned long long errorOffset(const std::string &Message) {
+  const std::string Lead = "JSON error at offset ";
+  EXPECT_EQ(Message.compare(0, Lead.size(), Lead), 0) << Message;
+  return std::strtoull(Message.c_str() + Lead.size(), nullptr, 10);
+}
+
+} // namespace
+
+TEST(JsonFileReader, ParsesExactlyWhatParseAccepts) {
+  // Every document is read both ways. The reader finds where a value
+  // ends and leaves the grammar to the parser, so it must accept a
+  // document exactly when the parser does, give back the same value,
+  // and never name an error before the parser's first one: the same
+  // error, unless the reader stops at the end of the file or at the
+  // nesting limit first.
+  const std::string Deepest = std::string(JsonValue::MaxDepth, '[') +
+                              std::string(JsonValue::MaxDepth, ']');
+  std::vector<std::string> Docs = {
+      "", " ", "{\"a\": 1,}", "[1, 2", "\"unterminated", "{\"a\" 1}", "nul",
+      "1 2", "\"bad \\q escape\"", "[1e]", "[1-2]", "-", "[,1]", "[1,]",
+      "{,}", "{\"a\":}", "{1:2}", "tru", "nulls", "falsey", "01", "1.",
+      ".5", "+1", "-0", "1e+5", "[1e999, -1e999, 1e-999]", "\"\\u00e9\"",
+      "\"\\u12G4\"", "\"\\u12\"", "\"\\u", "\"\\", "\"a\\\"b\"", "  {}  ",
+      " [ ] ", "{\"a\" : [ 1 , { } ] , \"b\":null}\n", "[true,false,null]",
+      "\"tab\tand\x01raw\"", "{\"z\": 1, \"a\": 2, \"z\": 3}", Deepest,
+      "[" + Deepest + "]", "{\"a\":" + Deepest + "}", "[]]", "{}x", "[1}",
+      "{\"a\": [1}]", "[\"]\"]", "[\"\\\"]\"]", ",", "]"};
+  // Where the parser's first error is the only one, the reader names it.
+  const std::set<std::string> Same = {
+      "{\"a\" 1}", "1 2", "\"bad \\q escape\"", "[1e]", "{1:2}", "nulls",
+      "[" + Deepest + "]", "[]]", "{}x", "[1}", ","};
+  std::mt19937_64 Rng(25);
+  for (int I = 0; I < 300; ++I) {
+    const std::string Text = randomValue(Rng, 4).dump(I % 2 ? 2 : 0);
+    Docs.push_back(Text);
+    // A flipped bit or a cut, anywhere.
+    std::string Broken = Text;
+    const size_t At = Rng() % (Text.size() + 1);
+    if (I % 3 == 0 || At == Text.size())
+      Broken.resize(At);
+    else
+      Broken[At] = static_cast<char>(Broken[At] ^ (1 << (Rng() % 8)));
+    Docs.push_back(Broken);
+  }
+  for (const std::string &Doc : Docs) {
+    auto Parsed = JsonValue::parse(Doc);
+    auto Read = readAsFile(Doc);
+    ASSERT_EQ(static_cast<bool>(Read), static_cast<bool>(Parsed))
+        << Doc << "\n"
+        << (Read ? Parsed.message() : Read.message());
+    if (Parsed) {
+      EXPECT_EQ(*Read, *Parsed) << Doc;
+      continue;
+    }
+    EXPECT_GE(errorOffset(Read.message()), errorOffset(Parsed.message()))
+        << Doc << "\n"
+        << Read.message() << "\n"
+        << Parsed.message();
+    if (Same.count(Doc)) {
+      EXPECT_EQ(Read.message(), Parsed.message()) << Doc;
+    }
+  }
+}
+
+TEST(JsonFileReader, ValuesCrossTheBufferAndSeekBack) {
+  // A string, an array and an object each far longer than the reader's
+  // buffer, and a nesting of the largest depth.
+  std::string Long(200000, 'x');
+  for (size_t I = 0; I < Long.size(); I += 997)
+    Long[I] = I % 2 ? '\n' : '"';
+  JsonValue Numbers = JsonValue::array();
+  for (int I = 0; I < 50000; ++I)
+    Numbers.push(I * 1.5 - 7);
+  JsonValue Doc = JsonValue::object();
+  Doc.set("long", Long);
+  Doc.set("numbers", Numbers);
+  Doc.set("deep", *JsonValue::parse(std::string(255, '[') +
+                                    std::string(255, ']')));
+  const std::string Text = Doc.dump();
+
+  JsonFileReader Reader(fileHolding(Text));
+  ASSERT_EQ(Reader.peek(), '{');
+  Reader.take();
+  // Where each value starts and ends.
+  std::vector<std::pair<uint64_t, uint64_t>> Values;
+  for (int Member = 0; Member < 3; ++Member) {
+    JsonValue Key, Value;
+    ASSERT_TRUE(Reader.parse(1, Key)) << Reader.error();
+    ASSERT_EQ(Reader.peek(), ':');
+    Reader.take();
+    Reader.peek();
+    const uint64_t At = Reader.offset();
+    ASSERT_TRUE(Reader.parse(1, Value)) << Reader.error();
+    EXPECT_EQ(Value, *Doc.get(Key.asString()));
+    Values.emplace_back(At, Reader.offset());
+    ASSERT_EQ(Reader.peek(), Member < 2 ? ',' : '}');
+    Reader.take();
+  }
+  EXPECT_EQ(Reader.peek(), -1);
+  // Going back, each value is skipped to the same end.
+  for (const auto &[At, End] : Values) {
+    ASSERT_TRUE(Reader.seek(At));
+    ASSERT_TRUE(Reader.skip(1)) << Reader.error();
+    EXPECT_EQ(Reader.offset(), End);
+  }
+  // skip() checks no grammar but the nesting limit and the end.
+  for (const auto &[Value, Ok] : std::vector<std::pair<std::string, bool>>{
+           {"{\"a\" 1}", true},
+           {"[1 2}", true},
+           {"[[1]", false},
+           {"\"open", false},
+           {std::string(JsonValue::MaxDepth, '['), false}}) {
+    JsonFileReader Skipping(fileHolding(Value));
+    EXPECT_EQ(Skipping.skip(0), Ok) << Value;
+  }
+  // A file that is not there fails to read.
+  JsonFileReader Missing(::testing::TempDir() + "cats_no_such_file.json");
+  EXPECT_FALSE(Missing.skip(0));
+  EXPECT_TRUE(Missing.readFailed());
 }

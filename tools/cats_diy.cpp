@@ -22,11 +22,12 @@
 #include "diy/Enumerate.h"
 #include "model/Registry.h"
 #include "support/StringUtils.h"
+#include "sweep/ReportIO.h"
 #include "sweep/SweepEngine.h"
 
 #include <cstdio>
 #include <filesystem>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,9 +75,15 @@ struct CycleRecord {
   EnumeratedCycle Cycle;
   bool Synthesized = false;
   std::string Error;
-  /// Model name -> verdict string, in sweep model order.
-  std::vector<std::pair<std::string, std::string>> Verdicts;
+  /// One letter per sweep model, in model order: 'A' for Allow, 'F' for
+  /// Forbid. Kept for every cycle, so kept small.
+  std::string Verdicts;
 };
+
+/// The verdict a CycleRecord letter stands for.
+const char *verdictName(char Letter) {
+  return Letter == 'A' ? "Allow" : "Forbid";
+}
 
 } // namespace
 
@@ -249,7 +256,8 @@ int main(int argc, char **argv) {
   // Phase 3: the batched sweep.
   std::vector<const Model *> Models;
   SweepReport Report;
-  bool SweepFailed = false;
+  std::optional<SweepReportWriter> Writer;
+  std::string SweepErrors;
   if (Sweep) {
     auto Resolved = resolveModels(ModelNames);
     if (!Resolved) {
@@ -257,35 +265,41 @@ int main(int argc, char **argv) {
       return 2;
     }
     Models = Resolved.take();
+    if (!SweepJsonPath.empty() &&
+        !(Writer = cli::createReportWriter("cats_diy", SweepJsonPath)))
+      return 1;
+    // Each verdict, or sweep-time validate/compile error, is attached to
+    // its record at the frontier. Results come in source order, which is
+    // record order less the records the source skipped (synthesis
+    // failures, other shards), so the record is the next one by name.
+    size_t Attach = 0;
+    auto AttachResult = [&](SweepTestResult &T) {
+      size_t I = Attach;
+      while (I < Records.size() && Records[I].Cycle.Name != T.TestName)
+        ++I;
+      if (I == Records.size())
+        return;
+      CycleRecord &R = Records[I];
+      Attach = I + 1;
+      if (!T.Error.empty()) {
+        SweepErrors += strFormat("cats_diy: %s: %s\n", T.TestName.c_str(),
+                                 T.Error.c_str());
+        R.Error = T.Error;
+        return;
+      }
+      for (const SimulationResult &M : T.Result.PerModel)
+        R.Verdicts += M.verdict()[0];
+    };
     auto Swept = cli::runCampaignSweep(SweepEngine(SweepOptions{Jobs}),
-                                       Source, Models, Campaign, &Progress);
+                                       Source, Models, Campaign, &Progress,
+                                       AttachResult,
+                                       Writer ? &*Writer : nullptr);
     if (!Swept) {
       std::fprintf(stderr, "cats_diy: %s\n", Swept.message().c_str());
       return 2;
     }
     Report = Swept.take();
-    SweepFailed = !Report.allOk();
-    for (const SweepTestResult &T : Report.Tests)
-      if (!T.Error.empty())
-        std::fprintf(stderr, "cats_diy: %s: %s\n", T.TestName.c_str(),
-                     T.Error.c_str());
-    // Attach the verdicts — and any sweep-time validate/compile error —
-    // to the records by name (the source skips synthesis failures, so
-    // indices need not line up).
-    std::map<std::string, const SweepTestResult *> ByName;
-    for (const SweepTestResult &T : Report.Tests)
-      ByName[T.TestName] = &T;
-    for (CycleRecord &R : Records) {
-      auto It = ByName.find(R.Cycle.Name);
-      if (It == ByName.end())
-        continue;
-      if (!It->second->Error.empty()) {
-        R.Error = It->second->Error;
-        continue;
-      }
-      for (const SimulationResult &M : It->second->Result.PerModel)
-        R.Verdicts.push_back({M.ModelName, M.verdict()});
-    }
+    std::fputs(SweepErrors.c_str(), stderr);
   }
 
   Progress.finish();
@@ -308,8 +322,8 @@ int main(int argc, char **argv) {
                   }());
       if (!R.Error.empty())
         std::printf("  SYNTHESIS ERROR: %s", R.Error.c_str());
-      for (const auto &[Model, Verdict] : R.Verdicts)
-        std::printf(" %-10s", Verdict.c_str());
+      for (char Verdict : R.Verdicts)
+        std::printf(" %-10s", verdictName(Verdict));
       std::printf("\n");
     }
   }
@@ -321,8 +335,8 @@ int main(int argc, char **argv) {
                         .c_str()
                   : "");
   if (Sweep) {
-    std::printf("swept %zu test(s) x %zu model(s), %u worker(s), %.3fs\n",
-                Report.Tests.size(), Models.size(), Report.Jobs,
+    std::printf("swept %llu test(s) x %zu model(s), %u worker(s), %.3fs\n",
+                Report.Reported, Models.size(), Report.Jobs,
                 Report.WallSeconds);
     if (Report.CacheUsed)
       std::printf("cache: %llu hit(s), %llu miss(es)\n", Report.CacheHits,
@@ -356,8 +370,8 @@ int main(int argc, char **argv) {
         Entry.set("error", R.Error);
       if (!R.Verdicts.empty()) {
         JsonValue Verdicts = JsonValue::object();
-        for (const auto &[Model, Verdict] : R.Verdicts)
-          Verdicts.set(Model, Verdict);
+        for (size_t I = 0; I < R.Verdicts.size(); ++I)
+          Verdicts.set(Models[I]->name(), verdictName(R.Verdicts[I]));
         Entry.set("verdicts", std::move(Verdicts));
       }
       Cycles.push(std::move(Entry));
@@ -373,16 +387,17 @@ int main(int argc, char **argv) {
   // The sweep leg as a mergeable cats-sweep-report/2: what a sharded
   // campaign feeds cats_merge (the per-cycle diy report above is keyed by
   // cycle, not stream position, and does not merge).
-  if (!SweepJsonPath.empty()) {
-    JsonValue SweepRoot = cli::campaignSweepJson(Report, Campaign);
-    cli::attachMetrics(SweepRoot, Obs);
-    if (!cli::writeReport("cats_diy", SweepJsonPath, SweepRoot.dump()))
+  if (Writer) {
+    if (!cli::writeSweepReport(
+            "cats_diy", SweepJsonPath, *Writer,
+            cli::campaignSweepJson(*Writer, Report, Campaign, Obs)))
       return 1;
     if (!Quiet)
       std::printf("wrote %s\n", SweepJsonPath.c_str());
   }
 
   const int ObsFailed = cli::finishObs("cats_diy", Obs, Quiet);
-  return (SynthesisErrors || SweepFailed || ExportFailed || ObsFailed) ? 1
-                                                                       : 0;
+  return (SynthesisErrors || !Report.allOk() || ExportFailed || ObsFailed)
+             ? 1
+             : 0;
 }

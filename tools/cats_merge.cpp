@@ -13,7 +13,9 @@
 /// (cats-mine-report/1) sum their per-family aggregates. With --zero-wall
 /// the wall-clock fields are normalized to 0, which makes a merged report
 /// byte-comparable against a single-process reference run — the form CI's
-/// campaign job asserts with a plain cmp.
+/// campaign job asserts with a plain cmp. Sweep reports are read and
+/// merged a record at a time, so the merge's memory does not grow with
+/// the reports, and nothing is written unless the merge succeeds.
 ///
 ///   cats_merge shard-1.json shard-2.json ... -o merged.json
 ///   cats_merge report.json --zero-wall -o normalized.json
@@ -22,8 +24,6 @@
 
 #include "CampaignCli.h"
 #include "CliCommon.h"
-#include "campaign/Merge.h"
-#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <string>
@@ -95,45 +95,9 @@ int main(int argc, char **argv) {
   cli::applyObsFlags(Obs);
   obs::ProgressReporter Progress("cats_merge", Paths.size(), Obs.Progress);
 
-  std::vector<JsonValue> Inputs;
-  for (const std::string &Path : Paths) {
-    std::string Text;
-    if (!readWholeFile(Path, Text)) {
-      std::fprintf(stderr, "cats_merge: cannot read %s\n", Path.c_str());
-      return 2;
-    }
-    auto Doc = JsonValue::parse(Text);
-    if (!Doc) {
-      std::fprintf(stderr, "cats_merge: %s: %s\n", Path.c_str(),
-                   Doc.message().c_str());
-      return 2;
-    }
-    Inputs.push_back(Doc.take());
-    obs::tick("merge.reports");
-    Progress.update(Inputs.size());
-  }
-  Progress.finish();
-
-  // The inputs move into the merge, and the merged document into the
-  // zeroing: each test entry exists once from parse to print.
-  auto Merged = mergeReports(std::move(Inputs));
-  if (!Merged) {
-    std::fprintf(stderr, "cats_merge: %s\n", Merged.message().c_str());
-    return 1;
-  }
-  JsonValue Out = ZeroWall ? zeroWallTimes(Merged.take()) : Merged.take();
-
-  std::string Text = Out.dump();
-  if (OutPath.empty()) {
-    if (!cli::writeStdout("cats_merge", Text += '\n'))
-      return 1;
-  } else {
-    if (!cli::writeReport("cats_merge", OutPath, Text))
-      return 1;
-    if (!Quiet)
-      std::fprintf(stderr, "cats_merge: merged %zu report(s) into %s\n",
-                   Paths.size(), OutPath.c_str());
-  }
+  if (int Status = cli::mergeReportFiles("cats_merge", Paths, OutPath,
+                                         ZeroWall, Quiet, Progress))
+    return Status;
   // Note: the merged document's "metrics" section is the fold of the
   // inputs' sections (src/campaign/Merge.cpp), never this process's own
   // registry — finishObs only writes the --trace/--metrics artifacts.

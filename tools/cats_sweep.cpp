@@ -26,9 +26,12 @@
 #include "CliCommon.h"
 #include "litmus/TestFilter.h"
 #include "model/Registry.h"
+#include "support/StringUtils.h"
+#include "sweep/ReportIO.h"
 #include "sweep/SweepEngine.h"
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -190,66 +193,70 @@ int main(int argc, char **argv) {
       Finals.push_back(Out.Final);
       return true;
     };
-  auto Swept = cli::runCampaignSweep(Engine, std::move(Pull), Models,
-                                     Campaign, &Progress);
+  std::optional<SweepReportWriter> Writer;
+  if (!JsonPath.empty() &&
+      !(Writer = cli::createReportWriter("cats_sweep", JsonPath)))
+    return 1;
+  // The text output is kept as the results pass the frontier: one
+  // summary row per test, one verdict column per model, and under --herd
+  // each judged test's herd blocks.
+  std::string Rows, HerdBlocks;
+  size_t Seen = 0;
+  auto Keep = [&](SweepTestResult &T) {
+    const size_t I = Seen++;
+    if (!Quiet) {
+      Rows += strFormat("%-34s", T.TestName.c_str());
+      if (!T.Error.empty()) {
+        Rows += strFormat("  ERROR: %s\n", T.Error.c_str());
+      } else {
+        Rows += strFormat(" %10llu %10llu", T.Result.CandidatesTotal,
+                          T.Result.CandidatesConsistent);
+        for (const SimulationResult &R : T.Result.PerModel)
+          Rows += strFormat(" %-10s", R.verdict());
+        Rows += '\n';
+      }
+    }
+    if (Herd && T.Error.empty())
+      for (const SimulationResult &R : T.Result.PerModel)
+        HerdBlocks += "\n" + herdStyleReport(R, T.Result.ConsistentOutcomes,
+                                             Finals[I]);
+  };
+  auto Swept =
+      cli::runCampaignSweep(Engine, std::move(Pull), Models, Campaign,
+                            &Progress, Keep, Writer ? &*Writer : nullptr);
   for (const std::string &Problem : LoadErrors)
     std::fprintf(stderr, "cats_sweep: %s\n", Problem.c_str());
   if (!Swept) {
     std::fprintf(stderr, "cats_sweep: %s\n", Swept.message().c_str());
     return 2;
   }
-  SweepReport Report = Swept.take();
+  const SweepReport Report = Swept.take();
   // An empty shard is legitimate; an empty campaign is a mistake.
-  if (Report.Tests.empty() && !Campaign.Shard.active()) {
+  if (Report.Reported == 0 && !Campaign.Shard.active()) {
     std::fprintf(stderr, "cats_sweep: no tests to run\n");
     return 2;
   }
 
-  // Summary table: one row per test, one verdict column per model.
   if (!Quiet) {
     std::printf("%-34s %10s %10s", "test", "cands", "consist");
     for (const Model *M : Models)
       std::printf(" %-10s", M->name().c_str());
     std::printf("\n");
-    for (const SweepTestResult &T : Report.Tests) {
-      std::printf("%-34s", T.TestName.c_str());
-      if (!T.Error.empty()) {
-        std::printf("  ERROR: %s\n", T.Error.c_str());
-        continue;
-      }
-      std::printf(" %10llu %10llu", T.Result.CandidatesTotal,
-                  T.Result.CandidatesConsistent);
-      for (const SimulationResult &R : T.Result.PerModel)
-        std::printf(" %-10s", R.verdict());
-      std::printf("\n");
-    }
-    std::printf("\n%zu tests x %zu models, %u worker(s), %.3fs\n",
-                Report.Tests.size(), Models.size(), Report.Jobs,
+    std::fputs(Rows.c_str(), stdout);
+    std::printf("\n%llu tests x %zu models, %u worker(s), %.3fs\n",
+                Report.Reported, Models.size(), Report.Jobs,
                 Report.WallSeconds);
     if (Report.CacheUsed)
       std::printf("cache: %llu hit(s), %llu miss(es)\n", Report.CacheHits,
                   Report.CacheMisses);
   }
-
-  // Classic herd blocks.
-  if (Herd) {
-    for (size_t I = 0; I < Report.Tests.size(); ++I) {
-      const SweepTestResult &T = Report.Tests[I];
-      if (!T.Error.empty())
-        continue;
-      for (const SimulationResult &R : T.Result.PerModel)
-        std::printf("\n%s",
-                    herdStyleReport(R, T.Result.ConsistentOutcomes,
-                                    Finals[I])
-                        .c_str());
-    }
-  }
+  std::fputs(HerdBlocks.c_str(), stdout);
 
   // JSON report.
-  if (!JsonPath.empty()) {
-    JsonValue Root = cli::campaignSweepJson(Report, Campaign);
-    cli::attachMetrics(Root, Obs);
-    if (!cli::writeReport("cats_sweep", JsonPath, Root.dump()))
+  if (Writer) {
+    if (!cli::writeSweepReport(
+            "cats_sweep", JsonPath, *Writer,
+            cli::campaignSweepJson(*Writer, Report, Campaign, Obs)))
       return 1;
     if (!Quiet)
       std::printf("wrote %s\n", JsonPath.c_str());
