@@ -6,6 +6,7 @@
 
 #include "campaign/ResultCache.h"
 
+#include "obs/Trace.h"
 #include "support/StringUtils.h"
 #include "sweep/ReportIO.h"
 
@@ -39,13 +40,12 @@ constexpr const char *CacheFormatVersion = "cats-cache/4";
 constexpr size_t RecordAt = 32 + 1 + 16 + 1;
 
 constexpr uint64_t FnvBasis = 14695981039346656037ull;
+constexpr uint64_t FnvPrime = 1099511628211ull;
 
 /// Continues 64-bit FNV-1a state \p H over \p Text.
 uint64_t fnv1a64(std::string_view Text, uint64_t H) {
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
+  for (unsigned char C : Text)
+    H = (H ^ C) * FnvPrime;
   return H;
 }
 
@@ -66,8 +66,13 @@ struct KeyHash {
 };
 
 Key keyOf(const LitmusTest &Test, const CacheModelSet &Set) {
-  const std::string Text = Test.toString();
-  return {fnv1a64(Text, Set.Hi), fnv1a64(Text, Set.Lo)};
+  // Both halves continue over the test's text in one pass.
+  Key K{Set.Hi, Set.Lo};
+  for (unsigned char C : Test.toString()) {
+    K.High = (K.High ^ C) * FnvPrime;
+    K.Low = (K.Low ^ C) * FnvPrime;
+  }
+  return K;
 }
 
 std::string hexOf(const Key &K) {
@@ -109,15 +114,26 @@ struct ResultCache::State {
   uint64_t Size = 0;
   /// A store failed: store nothing more.
   bool Failed = false;
+  /// The last log a lookup read, kept open for the next one (a rerun
+  /// reads most of its lines from one log): its index and descriptor.
+  mutable uint32_t ReadLog = 0;
+  mutable int ReadFd = -1;
 
   ~State() {
     if (Fd >= 0)
       ::close(Fd);
+    if (ReadFd >= 0)
+      ::close(ReadFd);
   }
 
   /// Indexes the whole entry lines of log \p Path, in file order. Skips
   /// a file whose first line is not the header.
   void indexLog(const std::string &Path);
+
+  /// Reads the record stored under key \p K into \p Record. False when
+  /// the index holds no line for it, or its line cannot be read back or
+  /// no longer carries that key and the sum of its record.
+  bool find(const Key &K, std::string &Record) const;
 
   /// Creates this handle's log, under a name no other writer holds that
   /// sorts by creation: the time in nanoseconds, the process id and a
@@ -221,6 +237,7 @@ ResultCache::~ResultCache() = default;
 
 Expected<ResultCache> cats::ResultCache::open(const std::string &Dir) {
   using Ret = Expected<ResultCache>;
+  obs::Span OpenSpan("cache.open");
   std::error_code Ec;
   std::filesystem::create_directories(Dir, Ec);
   if (Ec)
@@ -243,22 +260,24 @@ Expected<ResultCache> cats::ResultCache::open(const std::string &Dir) {
   return ResultCache(std::move(S));
 }
 
-bool ResultCache::lookup(const LitmusTest &Test, const CacheModelSet &Set,
-                         SweepTestResult &Out) const {
-  const Key K = keyOf(Test, Set);
-  const auto Found = S->Index.find(K);
-  if (Found == S->Index.end())
+bool ResultCache::State::find(const Key &K, std::string &Record) const {
+  const auto Found = Index.find(K);
+  if (Found == Index.end())
     return false;
-  // Read the line back, holding no descriptor past the lookup, and serve
-  // it only when its key and sum still match.
+  // Read the line back, holding one descriptor at most, and take it only
+  // when its key and sum still match.
   const LineRef &At = Found->second;
+  if (ReadFd < 0 || ReadLog != At.Log) {
+    if (ReadFd >= 0)
+      ::close(ReadFd);
+    ReadFd = ::open(Logs[At.Log].c_str(), O_RDONLY | O_CLOEXEC);
+    ReadLog = At.Log;
+    if (ReadFd < 0)
+      return false;
+  }
   std::string Line(At.Length, '\0');
-  const int In = ::open(S->Logs[At.Log].c_str(), O_RDONLY | O_CLOEXEC);
-  if (In < 0)
-    return false;
-  const ssize_t Got = ::pread(In, Line.data(), Line.size(),
+  const ssize_t Got = ::pread(ReadFd, Line.data(), Line.size(),
                               static_cast<off_t>(At.Offset));
-  ::close(In);
   Key Stored;
   uint64_t Sum = 0;
   if (Got != static_cast<ssize_t>(Line.size()) ||
@@ -266,45 +285,24 @@ bool ResultCache::lookup(const LitmusTest &Test, const CacheModelSet &Set,
       fnv1a64(std::string_view(Line).substr(RecordAt), FnvBasis) != Sum)
     return false;
   Line.erase(0, RecordAt);
-  auto Doc = JsonValue::parse(Line);
-  if (!Doc)
-    return false;
-  auto Parsed = sweepTestResultFromJson(*Doc);
-  if (!Parsed)
-    return false;
-  // Guard against key collisions and hand-edited entries: the stored
-  // result must belong to this very test, answer for exactly the
-  // requested models in order, and every verdict must follow from its
-  // allowed states and the test's condition. The reader already checked
-  // the record's own invariants; a corrupt entry is a miss, never a
-  // served verdict.
-  const MultiSimulationResult &R = Parsed->Result;
-  if (Parsed->TestName != Test.Name || R.PerModel.size() != Set.Names.size())
-    return false;
-  // Only allowed states bear on a verdict, so only their keys are parsed,
-  // each at most once (-1: not parsed yet).
-  std::vector<signed char> Satisfies(R.ConsistentOutcomes.size(), -1);
-  auto SatisfiesAt = [&](uint32_t Idx) {
-    if (Satisfies[Idx] < 0) {
-      Expected<Outcome> O = outcomeFromKey(R.ConsistentOutcomes.key(Idx));
-      Satisfies[Idx] = O && O->satisfies(Test.Final);
-    }
-    return Satisfies[Idx] != 0;
-  };
-  for (size_t I = 0; I < Set.Names.size(); ++I) {
-    const SimulationResult &M = R.PerModel[I];
-    if (M.ModelName != Set.Names[I])
-      return false;
-    bool Reachable = false;
-    for (size_t J = 0; J < M.AllowedOutcomes.size() && !Reachable; ++J)
-      Reachable = SatisfiesAt(M.AllowedOutcomes[J]);
-    if (Reachable != M.ConditionReachable)
+  Record = std::move(Line);
+  return true;
+}
+
+bool ResultCache::lookup(const LitmusTest &Test, const CacheModelSet &Set,
+                         SweepTestResult &Out) const {
+  std::string Record;
+  {
+    obs::Span LookupSpan("cache.lookup");
+    if (!S->find(keyOf(Test, Set), Record))
       return false;
   }
-  Out = Parsed.take();
   // The line's record is the one the writer rendered: served verbatim,
   // it is what a report lists.
-  Out.Record = std::move(Line);
+  auto Decoded = resultFromRecord(std::move(Record), Test, Set.Names);
+  if (!Decoded)
+    return false;
+  Out = Decoded.take();
   return true;
 }
 
@@ -318,6 +316,7 @@ Status ResultCache::store(const LitmusTest &Test, const CacheModelSet &Set,
                           const SweepTestResult &Result) const {
   if (!Result.Error.empty() || S->Failed)
     return Status::success();
+  obs::Span StoreSpan("cache.store");
   if (S->Fd < 0) {
     if (Status Created = S->createLog(); Created.failed()) {
       S->Failed = true;
@@ -361,9 +360,13 @@ StreamHooks
 ResultCache::hooks(const std::vector<const Model *> &Models) const {
   auto Set = std::make_shared<const CacheModelSet>(Models);
   StreamHooks Hooks;
+  // The lookup only reads, on the calling thread: it hands back the
+  // record, and the engine decodes and checks it (resultFromRecord) where
+  // it would judge the test, on a worker.
   Hooks.CacheLookup = [this, Set](const LitmusTest &Test,
                                   SweepTestResult &Out) {
-    return lookup(Test, *Set, Out);
+    obs::Span LookupSpan("cache.lookup");
+    return S->find(keyOf(Test, *Set), Out.Record);
   };
   Hooks.CacheStore = [this, Set](const LitmusTest &Test,
                                  const SweepTestResult &Result) {

@@ -34,7 +34,10 @@
 /// cache indexes the keys of every whole line of every log, in name order
 /// and then file order, so the newest line of a key wins. A line without
 /// its newline (a kill mid-write) is never indexed, and a file without the
-/// header is skipped. A lookup reads its one line back and re-checks it.
+/// header is skipped. A lookup reads its one line back and re-checks its
+/// key and sum. The record is then decoded and checked against the test
+/// and the model list (resultFromRecord in sweep/ReportIO.h): by lookup()
+/// itself, or, behind hooks(), by the sweep engine on a worker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,9 +69,10 @@ std::string resultCacheKey(const LitmusTest &Test, const CacheModelSet &Set);
 std::string resultCacheKey(const LitmusTest &Test,
                            const std::vector<const Model *> &Models);
 
-/// A handle on one cache directory: the index of its logs, and this
-/// handle's own log. Move-only; one handle is used from one thread at a
-/// time (the engine's hooks all run on the sweeping thread).
+/// A handle on one cache directory: the index of its logs, this handle's
+/// own log, and the descriptor of the log it last read. Move-only; one
+/// handle is used from one thread at a time (the engine's hooks all run
+/// on the sweeping thread).
 class ResultCache {
 public:
   /// Opens (creating if needed) the cache rooted at \p Dir and indexes
@@ -76,11 +80,10 @@ public:
   static Expected<ResultCache> open(const std::string &Dir);
 
   /// Looks up the entry for (\p Test, \p Set). On a hit, fills \p Out
-  /// with the stored result, its Record the line's record bytes, and
-  /// returns true. An unreadable line, one
-  /// whose key or sum does not match, or a foreign or unsound record
-  /// (another test or model list, or a verdict its allowed states do not
-  /// back) is a miss.
+  /// with the stored result, decoded and checked, its Record the line's
+  /// record bytes, and returns true. An unreadable line, one whose key or
+  /// sum does not match, or a foreign or unsound record (another test or
+  /// model list, or a verdict its allowed states do not back) is a miss.
   bool lookup(const LitmusTest &Test, const CacheModelSet &Set,
               SweepTestResult &Out) const;
   bool lookup(const LitmusTest &Test,
@@ -102,7 +105,10 @@ public:
 
   /// The lookup/store members packaged as engine hooks
   /// (SweepEngine::runStreamed), sharing one CacheModelSet of \p Models.
-  /// The cache must outlive the hooks and stay where it is.
+  /// The lookup hook only reads: on a hit it sets the result's Record to
+  /// the line's record and leaves the decode and its checks to the engine,
+  /// which runs them on a worker and touches no cache state there. The
+  /// cache must outlive the hooks and stay where it is.
   StreamHooks hooks(const std::vector<const Model *> &Models) const;
 
   ResultCache(ResultCache &&) noexcept;

@@ -14,38 +14,96 @@
 #include <cctype>
 #include <charconv>
 #include <set>
+#include <type_traits>
 
 using namespace cats;
 
-std::string Instruction::toString() const {
-  switch (Op) {
+namespace {
+
+/// Appends each of \p Parts to \p Out: text as it is, an integer in
+/// decimal by std::to_chars. A const char * stops at its NUL, which is
+/// how location names are appended: cut at a NUL byte, as the printf
+/// rendering that cache keys were first hashed over cut them.
+template <typename... Parts>
+void append(std::string &Out, const Parts &...Part) {
+  auto One = [&Out](const auto &P) {
+    if constexpr (std::is_integral_v<std::decay_t<decltype(P)>> &&
+                  !std::is_same_v<std::decay_t<decltype(P)>, char>) {
+      char Buf[24];
+      Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), P).ptr);
+    } else {
+      Out += P;
+    }
+  };
+  (One(Part), ...);
+}
+
+/// Appends "loc" or "loc[rN]".
+void appendAddress(std::string &Out, const Instruction &I) {
+  append(Out, I.Loc.c_str());
+  if (I.AddrDep >= 0)
+    append(Out, "[r", I.AddrDep, ']');
+}
+
+/// Appends ", #imm" or ", rN".
+void appendSource(std::string &Out, const Operand &Src) {
+  if (Src.isImm())
+    append(Out, ", #", Src.asImm());
+  else
+    append(Out, ", r", Src.asReg());
+}
+
+void appendInstruction(std::string &Out, const Instruction &I) {
+  switch (I.Op) {
   case Opcode::Load:
-    if (AddrDep >= 0)
-      return strFormat("ld r%d, %s[r%d]", Dst, Loc.c_str(), AddrDep);
-    return strFormat("ld r%d, %s", Dst, Loc.c_str());
-  case Opcode::Store: {
-    std::string Target =
-        AddrDep >= 0 ? strFormat("%s[r%d]", Loc.c_str(), AddrDep) : Loc;
-    if (Src1.isImm())
-      return strFormat("st %s, #%lld", Target.c_str(),
-                       static_cast<long long>(Src1.asImm()));
-    return strFormat("st %s, r%d", Target.c_str(), Src1.asReg());
-  }
+    append(Out, "ld r", I.Dst, ", ");
+    return appendAddress(Out, I);
+  case Opcode::Store:
+    append(Out, "st ");
+    appendAddress(Out, I);
+    return appendSource(Out, I.Src1);
   case Opcode::Move:
-    if (Src1.isImm())
-      return strFormat("mov r%d, #%lld", Dst,
-                       static_cast<long long>(Src1.asImm()));
-    return strFormat("mov r%d, r%d", Dst, Src1.asReg());
+    append(Out, "mov r", I.Dst);
+    return appendSource(Out, I.Src1);
   case Opcode::Xor:
-    return strFormat("xor r%d, r%d, r%d", Dst, Src1.asReg(), Src2.asReg());
   case Opcode::Add:
-    return strFormat("add r%d, r%d, r%d", Dst, Src1.asReg(), Src2.asReg());
+    return append(Out, I.Op == Opcode::Xor ? "xor r" : "add r", I.Dst, ", r",
+                  I.Src1.asReg(), ", r", I.Src2.asReg());
   case Opcode::CmpBranch:
-    return strFormat("beq r%d", Src1.asReg());
+    return append(Out, "beq r", I.Src1.asReg());
   case Opcode::Fence:
-    return FenceName;
+    return append(Out, I.FenceName);
   }
-  return "<bad instruction>";
+  append(Out, "<bad instruction>");
+}
+
+void appendAtom(std::string &Out, const ConditionAtom &A) {
+  if (A.AtomKind == ConditionAtom::Kind::RegEquals)
+    append(Out, A.Thread, ":r", A.Reg, '=', A.Val);
+  else
+    append(Out, A.Loc.c_str(), '=', A.Val);
+}
+
+void appendCondition(std::string &Out, const Condition &C) {
+  if (C.trivial())
+    return append(Out, "exists (true)");
+  append(Out, "exists (");
+  for (size_t D = 0; D < C.Disjuncts.size(); ++D) {
+    append(Out, D ? " \\/ " : "");
+    for (size_t A = 0; A < C.Disjuncts[D].size(); ++A) {
+      append(Out, A ? " /\\ " : "");
+      appendAtom(Out, C.Disjuncts[D][A]);
+    }
+  }
+  append(Out, ')');
+}
+
+} // namespace
+
+std::string Instruction::toString() const {
+  std::string Out;
+  appendInstruction(Out, *this);
+  return Out;
 }
 
 bool cats::parseArch(const std::string &Name, Arch &Out) {
@@ -116,23 +174,15 @@ const char *cats::archControlFence(Arch A) {
 }
 
 std::string ConditionAtom::toString() const {
-  if (AtomKind == Kind::RegEquals)
-    return strFormat("%d:r%d=%lld", Thread, Reg,
-                     static_cast<long long>(Val));
-  return strFormat("%s=%lld", Loc.c_str(), static_cast<long long>(Val));
+  std::string Out;
+  appendAtom(Out, *this);
+  return Out;
 }
 
 std::string Condition::toString() const {
-  if (trivial())
-    return "exists (true)";
-  std::vector<std::string> DisjunctStrings;
-  for (const auto &Conj : Disjuncts) {
-    std::vector<std::string> AtomStrings;
-    for (const auto &Atom : Conj)
-      AtomStrings.push_back(Atom.toString());
-    DisjunctStrings.push_back(joinStrings(AtomStrings, " /\\ "));
-  }
-  return "exists (" + joinStrings(DisjunctStrings, " \\/ ") + ")";
+  std::string Out;
+  appendCondition(Out, *this);
+  return Out;
 }
 
 Value Outcome::reg(ThreadId T, Register R) const {
@@ -155,22 +205,6 @@ bool Outcome::satisfies(const Condition &Cond) const {
 
 namespace {
 
-void appendInt(std::string &Out, long long V) {
-  char Buf[24];
-  char *End = Buf + sizeof(Buf);
-  char *P = End;
-  const bool Neg = V < 0;
-  unsigned long long U =
-      Neg ? ~static_cast<unsigned long long>(V) + 1 : static_cast<unsigned long long>(V);
-  do {
-    *--P = static_cast<char>('0' + U % 10);
-    U /= 10;
-  } while (U);
-  if (Neg)
-    *--P = '-';
-  Out.append(P, End);
-}
-
 std::string buildOutcomeKey(const Outcome &O) {
   std::string Out;
   Out.reserve(64);
@@ -183,7 +217,7 @@ std::string buildOutcomeKey(const Outcome &O) {
 }
 
 /// Parses the whole of \p Text as a decimal integer of type \p T written
-/// the way appendInt writes it: no '+', no leading zero, no "-0".
+/// the way append writes it: no '+', no leading zero, no "-0".
 template <typename T> bool parseCanonicalInt(std::string_view Text, T &Out) {
   const char *End = Text.data() + Text.size();
   auto [Stop, Ec] = std::from_chars(Text.data(), End, Out);
@@ -265,20 +299,12 @@ std::string badKey(std::string_view Key, const char *Why) {
 // through strFormat's double vsnprintf.
 void cats::appendRegisterKeyField(std::string &Key, size_t Thread,
                                   Register R, Value V) {
-  appendInt(Key, static_cast<long long>(Thread));
-  Key += ":r";
-  appendInt(Key, R);
-  Key += '=';
-  appendInt(Key, V);
-  Key += ';';
+  append(Key, Thread, ":r", R, '=', V, ';');
 }
 
 void cats::appendMemoryKeyField(std::string &Key, std::string_view Loc,
                                 Value V) {
-  Key += Loc;
-  Key += '=';
-  appendInt(Key, V);
-  Key += ';';
+  append(Key, Loc, '=', V, ';');
 }
 
 Expected<Outcome> cats::outcomeFromKey(std::string_view Key) {
@@ -436,20 +462,26 @@ std::string LitmusTest::validate() const {
 }
 
 std::string LitmusTest::toString() const {
-  std::string Out = archName(TargetArch) + " " + Name + "\n{ ";
-  bool First = true;
+  // One buffer, digits by std::to_chars: this text is every cache key's
+  // and every exported file's, rendered once per test a campaign pulls.
+  std::string Out;
+  Out.reserve(256);
+  append(Out, archName(TargetArch), ' ', Name, "\n{ ");
+  const char *Separator = "";
   for (const auto &[Loc, V] : Init) {
-    if (!First)
-      Out += "; ";
-    First = false;
-    Out += strFormat("%s=%lld", Loc.c_str(), static_cast<long long>(V));
+    append(Out, Separator, Loc.c_str(), '=', V);
+    Separator = "; ";
   }
-  Out += " }\n";
+  append(Out, " }\n");
   for (size_t T = 0; T < Threads.size(); ++T) {
-    Out += strFormat("P%zu:\n", T);
-    for (const auto &Instr : Threads[T])
-      Out += "  " + Instr.toString() + "\n";
+    append(Out, 'P', T, ":\n");
+    for (const Instruction &Instr : Threads[T]) {
+      append(Out, "  ");
+      appendInstruction(Out, Instr);
+      append(Out, '\n');
+    }
   }
-  Out += Final.toString() + "\n";
+  appendCondition(Out, Final);
+  append(Out, '\n');
   return Out;
 }

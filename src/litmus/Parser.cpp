@@ -6,25 +6,89 @@
 
 #include "litmus/Parser.h"
 
+#include "obs/Trace.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
+#include <string_view>
 
 using namespace cats;
 
 namespace {
 
-/// Parsing context with line-numbered error reporting.
+constexpr size_t NoPos = std::string_view::npos;
+
+bool isSpace(char C) { return std::isspace(static_cast<unsigned char>(C)); }
+
+/// \p Text without its leading and trailing whitespace.
+std::string_view trimmed(std::string_view Text) {
+  while (!Text.empty() && isSpace(Text.front()))
+    Text.remove_prefix(1);
+  while (!Text.empty() && isSpace(Text.back()))
+    Text.remove_suffix(1);
+  return Text;
+}
+
+bool startsWithExists(std::string_view Line) {
+  return Line.substr(0, 6) == "exists";
+}
+
+/// Splits \p Line into the fields between runs of whitespace, and of
+/// commas too when \p Commas. Returns how many there are; the first
+/// N land in \p Fields.
+template <size_t N>
+size_t splitFields(std::string_view Line, bool Commas,
+                   std::array<std::string_view, N> &Fields) {
+  auto Separates = [Commas](char C) {
+    return isSpace(C) || (Commas && C == ',');
+  };
+  size_t Count = 0;
+  for (size_t Pos = 0;;) {
+    while (Pos < Line.size() && Separates(Line[Pos]))
+      ++Pos;
+    if (Pos == Line.size())
+      return Count;
+    const size_t Start = Pos;
+    while (Pos < Line.size() && !Separates(Line[Pos]))
+      ++Pos;
+    if (Count < N)
+      Fields[Count] = Line.substr(Start, Pos - Start);
+    ++Count;
+  }
+}
+
+/// Calls \p F on each piece of \p Text between occurrences of \p Sep, in
+/// order, until one call returns false; returns false then.
+template <typename Fn>
+bool eachPiece(std::string_view Text, std::string_view Sep, const Fn &F) {
+  while (true) {
+    const size_t Next = Text.find(Sep);
+    if (!F(Text.substr(0, Next)))
+      return false;
+    if (Next == NoPos)
+      return true;
+    Text.remove_prefix(Next + Sep.size());
+  }
+}
+
+/// True when \p Text holds exactly one '='.
+bool oneEquals(std::string_view Text) {
+  const size_t Eq = Text.find('=');
+  return Eq != NoPos && Text.find('=', Eq + 1) == NoPos;
+}
+
+/// Parsing context with line-numbered error reporting. Lines and tokens
+/// are views of the text; only what the test keeps is copied.
 class LitmusParser {
 public:
-  explicit LitmusParser(const std::string &Text) {
-    for (const std::string &Line : splitString(Text, '\n')) {
-      std::string Clean = Line;
-      size_t Comment = Clean.find("//");
-      if (Comment != std::string::npos)
-        Clean = Clean.substr(0, Comment);
-      Lines.push_back(trimString(Clean));
-    }
+  explicit LitmusParser(std::string_view Text) {
+    Lines.reserve(std::count(Text.begin(), Text.end(), '\n') + 1);
+    eachPiece(Text, "\n", [this](std::string_view Line) {
+      Lines.push_back(trimmed(Line.substr(0, Line.find("//"))));
+      return true;
+    });
   }
 
   Expected<LitmusTest> run() {
@@ -41,7 +105,7 @@ public:
     std::string Problem = Test.validate();
     if (!Problem.empty())
       return Expected<LitmusTest>::error("litmus validation: " + Problem);
-    return Test;
+    return Expected<LitmusTest>(std::move(Test));
   }
 
 private:
@@ -57,9 +121,14 @@ private:
     return false;
   }
 
+  /// "<What> '<Text>'", the shape of most messages.
+  bool error(const char *What, std::string_view Text) {
+    return error(std::string(What) + " '" + std::string(Text) + "'");
+  }
+
   bool atEnd() const { return Cursor >= Lines.size(); }
 
-  const std::string &current() const { return Lines[Cursor]; }
+  std::string_view current() const { return Lines[Cursor]; }
 
   void skipBlank() {
     while (!atEnd() && current().empty())
@@ -74,13 +143,11 @@ private:
 
   bool parseHeader(LitmusTest &Test) {
     skipBlank();
-    if (atEnd())
+    std::array<std::string_view, 2> Parts;
+    if (atEnd() || splitFields(current(), false, Parts) != 2)
       return error("expected '<arch> <name>' header");
-    auto Parts = splitWhitespace(current());
-    if (Parts.size() != 2)
-      return error("expected '<arch> <name>' header");
-    if (!parseArch(Parts[0], Test.TargetArch))
-      return error("unknown architecture '" + Parts[0] + "'");
+    if (!parseArch(std::string(Parts[0]), Test.TargetArch))
+      return error("unknown architecture", Parts[0]);
     Test.Name = Parts[1];
     ++Cursor;
     return true;
@@ -90,46 +157,51 @@ private:
     skipBlank();
     if (atEnd() || current().empty() || current()[0] != '{')
       return true; // Initial section is optional.
-    // Gather until the closing brace (possibly on the same line).
-    std::string Body;
-    while (!atEnd()) {
-      Body += current();
-      bool Done = current().find('}') != std::string::npos;
-      ++Cursor;
-      if (Done)
-        break;
+    // Gather until the closing brace (possibly on the same line); the
+    // lines of a longer section are joined without a separator.
+    std::string_view Body = current();
+    std::string Joined;
+    ++Cursor;
+    if (Body.find('}') == NoPos) {
+      Joined = Body;
+      while (!atEnd()) {
+        Joined += current();
+        const bool Done = current().find('}') != NoPos;
+        ++Cursor;
+        if (Done)
+          break;
+      }
+      Body = Joined;
     }
-    size_t Open = Body.find('{');
-    size_t Close = Body.find('}');
-    if (Open == std::string::npos || Close == std::string::npos ||
-        Close < Open)
+    // The section opens with its '{'.
+    const size_t Close = Body.find('}');
+    if (Close == NoPos)
       return error("malformed initial state section");
-    for (std::string Field :
-         splitString(Body.substr(Open + 1, Close - Open - 1), ';')) {
-      Field = trimString(Field);
-      if (Field.empty())
-        continue;
-      auto KV = splitString(Field, '=');
-      if (KV.size() != 2)
-        return error("malformed initialiser '" + Field + "'");
-      std::string Loc = trimString(KV[0]);
-      Value V = 0;
-      if (Loc.empty() || !parseValueToken(KV[1], V))
-        return error("malformed initialiser '" + Field + "'");
-      Test.Init[Loc] = V;
-    }
-    return true;
+    return eachPiece(
+        Body.substr(1, Close - 1), ";", [&](std::string_view Piece) {
+          const std::string_view Field = trimmed(Piece);
+          if (Field.empty())
+            return true;
+          const size_t Eq = Field.find('=');
+          const std::string_view Loc = trimmed(Field.substr(0, Eq));
+          Value V = 0;
+          if (!oneEquals(Field) || Loc.empty() ||
+              !parseValueToken(Field.substr(Eq + 1), V))
+            return error("malformed initialiser", Field);
+          Test.Init[std::string(Loc)] = V;
+          return true;
+        });
   }
 
   bool parseThread(LitmusTest &Test) {
     // Current line is "P<k>:".
-    std::string Header = current();
+    const std::string_view Header = current();
     if (Header.back() != ':')
       return error("thread header must end with ':'");
     long long Parsed = 0;
     if (!parseBoundedUnsigned(Header.substr(1, Header.size() - 2), 10000LL,
                               Parsed))
-      return error("malformed thread header '" + Header + "'");
+      return error("malformed thread header", Header);
     unsigned Index = static_cast<unsigned>(Parsed);
     if (Index != Test.Threads.size())
       return error(strFormat("thread P%u out of order (expected P%zu)",
@@ -138,13 +210,12 @@ private:
     ThreadCode Code;
     while (!atEnd()) {
       skipBlank();
-      if (atEnd() || atThreadHeaderNoSkip() || startsWith(current(),
-                                                          "exists"))
+      if (atEnd() || atThreadHeaderNoSkip() || startsWithExists(current()))
         break;
       Instruction Instr;
       if (!parseInstruction(current(), Instr))
         return false;
-      Code.push_back(Instr);
+      Code.push_back(std::move(Instr));
       ++Cursor;
     }
     Test.Threads.push_back(std::move(Code));
@@ -158,9 +229,8 @@ private:
   }
 
   /// All-digits decimal without sign; bounded so hostile inputs cannot
-  /// overflow (the stdlib conversions throw instead of failing, which
-  /// would crash the CLI on a malformed test).
-  static bool parseBoundedUnsigned(const std::string &Digits, long long Max,
+  /// overflow.
+  static bool parseBoundedUnsigned(std::string_view Digits, long long Max,
                                    long long &Out) {
     if (Digits.empty())
       return false;
@@ -179,12 +249,12 @@ private:
   /// A litmus value: optional sign plus digits, nothing else. Values in
   /// tests are small by construction; anything beyond +/-2^31 is a typo,
   /// not a test.
-  static bool parseValueToken(const std::string &Token, Value &Out) {
-    std::string Digits = trimString(Token);
+  static bool parseValueToken(std::string_view Token, Value &Out) {
+    std::string_view Digits = trimmed(Token);
     bool Negative = false;
     if (!Digits.empty() && (Digits[0] == '-' || Digits[0] == '+')) {
       Negative = Digits[0] == '-';
-      Digits.erase(0, 1);
+      Digits.remove_prefix(1);
     }
     long long V = 0;
     if (!parseBoundedUnsigned(Digits, 2147483647LL, V))
@@ -194,25 +264,25 @@ private:
   }
 
   /// "r7" -> 7.
-  bool parseRegister(const std::string &Token, Register &Out) {
+  bool parseRegister(std::string_view Token, Register &Out) {
     long long V = 0;
     if (Token.size() < 2 || Token[0] != 'r' ||
         !parseBoundedUnsigned(Token.substr(1), 1000000LL, V))
-      return error("expected register, got '" + Token + "'");
+      return error("expected register, got", Token);
     Out = static_cast<Register>(V);
     return true;
   }
 
   /// "#4" or "r2".
-  bool parseOperand(const std::string &Token, Operand &Out) {
+  bool parseOperand(std::string_view Token, Operand &Out) {
     if (!Token.empty() && Token[0] == '#') {
       Value V = 0;
       if (!parseValueToken(Token.substr(1), V))
-        return error("malformed immediate '" + Token + "'");
+        return error("malformed immediate", Token);
       Out = Operand::imm(V);
       return true;
     }
-    Register R;
+    Register R = 0;
     if (!parseRegister(Token, R))
       return false;
     Out = Operand::reg(R);
@@ -220,59 +290,54 @@ private:
   }
 
   /// "x" or "x[r2]" -> location + optional index register.
-  bool parseLocation(const std::string &Token, std::string &Loc,
+  bool parseLocation(std::string_view Token, std::string_view &Loc,
                      Register &AddrDep) {
     AddrDep = -1;
-    size_t Bracket = Token.find('[');
-    if (Bracket == std::string::npos) {
-      Loc = Token;
-      return true;
-    }
-    if (Token.back() != ']')
-      return error("malformed address '" + Token + "'");
+    const size_t Bracket = Token.find('[');
     Loc = Token.substr(0, Bracket);
-    std::string RegTok =
-        Token.substr(Bracket + 1, Token.size() - Bracket - 2);
-    return parseRegister(RegTok, AddrDep);
+    if (Bracket == NoPos)
+      return true;
+    if (Token.back() != ']')
+      return error("malformed address", Token);
+    return parseRegister(
+        Token.substr(Bracket + 1, Token.size() - Bracket - 2), AddrDep);
   }
 
-  bool parseInstruction(const std::string &Line, Instruction &Out) {
+  bool parseInstruction(std::string_view Line, Instruction &Out) {
     // Tokenise on whitespace and commas.
-    std::string Spaced;
-    for (char C : Line)
-      Spaced += (C == ',') ? ' ' : C;
-    auto Tokens = splitWhitespace(Spaced);
-    if (Tokens.empty())
+    std::array<std::string_view, 4> Tokens;
+    const size_t Count = splitFields(Line, true, Tokens);
+    if (Count == 0)
       return error("empty instruction");
-    const std::string &Op = Tokens[0];
+    const std::string_view Op = Tokens[0];
 
     if (Op == "ld") {
-      if (Tokens.size() != 3)
+      if (Count != 3)
         return error("ld needs 'ld rD, loc'");
-      Register Dst, AddrDep;
-      std::string Loc;
+      Register Dst = 0, AddrDep = -1;
+      std::string_view Loc;
       if (!parseRegister(Tokens[1], Dst) ||
           !parseLocation(Tokens[2], Loc, AddrDep))
         return false;
-      Out = Instruction::load(Dst, Loc, AddrDep);
+      Out = Instruction::load(Dst, std::string(Loc), AddrDep);
       return true;
     }
     if (Op == "st") {
-      if (Tokens.size() != 3)
+      if (Count != 3)
         return error("st needs 'st loc, src'");
-      Register AddrDep;
-      std::string Loc;
+      Register AddrDep = -1;
+      std::string_view Loc;
       Operand Src;
       if (!parseLocation(Tokens[1], Loc, AddrDep) ||
           !parseOperand(Tokens[2], Src))
         return false;
-      Out = Instruction::store(Loc, Src, AddrDep);
+      Out = Instruction::store(std::string(Loc), Src, AddrDep);
       return true;
     }
     if (Op == "mov") {
-      if (Tokens.size() != 3)
+      if (Count != 3)
         return error("mov needs 'mov rD, src'");
-      Register Dst;
+      Register Dst = 0;
       Operand Src;
       if (!parseRegister(Tokens[1], Dst) || !parseOperand(Tokens[2], Src))
         return false;
@@ -280,9 +345,11 @@ private:
       return true;
     }
     if (Op == "xor" || Op == "add") {
-      if (Tokens.size() != 4)
-        return error(Op + " needs '" + Op + " rD, rA, rB'");
-      Register Dst, A, B;
+      if (Count != 4) {
+        const std::string Name(Op);
+        return error(Name + " needs '" + Name + " rD, rA, rB'");
+      }
+      Register Dst = 0, A = 0, B = 0;
       if (!parseRegister(Tokens[1], Dst) || !parseRegister(Tokens[2], A) ||
           !parseRegister(Tokens[3], B))
         return false;
@@ -291,18 +358,18 @@ private:
       return true;
     }
     if (Op == "beq") {
-      if (Tokens.size() != 2)
+      if (Count != 2)
         return error("beq needs 'beq rS'");
-      Register Src;
+      Register Src = 0;
       if (!parseRegister(Tokens[1], Src))
         return false;
       Out = Instruction::cmpBranch(Src);
       return true;
     }
     // Otherwise a fence name.
-    if (Tokens.size() != 1)
-      return error("unknown instruction '" + Line + "'");
-    Out = Instruction::fenceNamed(Op);
+    if (Count != 1)
+      return error("unknown instruction", Line);
+    Out = Instruction::fenceNamed(std::string(Op));
     return true;
   }
 
@@ -310,72 +377,59 @@ private:
     skipBlank();
     if (atEnd())
       return true; // No final condition: trivially-true exists.
-    std::string Line = current();
-    if (!startsWith(Line, "exists"))
+    const std::string_view Line = current();
+    if (!startsWithExists(Line))
       return error("expected 'exists (...)' or end of file");
-    size_t Open = Line.find('(');
-    size_t Close = Line.rfind(')');
-    if (Open == std::string::npos || Close == std::string::npos ||
-        Close < Open)
+    const size_t Open = Line.find('(');
+    const size_t Close = Line.rfind(')');
+    if (Open == NoPos || Close == NoPos || Close < Open)
       return error("malformed exists clause");
-    std::string Body = Line.substr(Open + 1, Close - Open - 1);
     // DNF: split on \/ then /\.
-    for (const std::string &DisjStr : splitOn(Body, "\\/")) {
-      std::vector<ConditionAtom> Conj;
-      for (std::string AtomStr : splitOn(DisjStr, "/\\")) {
-        AtomStr = trimString(AtomStr);
-        ConditionAtom Atom;
-        if (!parseAtom(AtomStr, Atom))
-          return false;
-        Conj.push_back(Atom);
-      }
-      Test.Final.addConjunction(std::move(Conj));
-    }
+    const bool Parsed = eachPiece(
+        Line.substr(Open + 1, Close - Open - 1), "\\/",
+        [&](std::string_view Disjunct) {
+          std::vector<ConditionAtom> Conj;
+          if (!eachPiece(Disjunct, "/\\", [&](std::string_view Piece) {
+                ConditionAtom Atom;
+                if (!parseAtom(trimmed(Piece), Atom))
+                  return false;
+                Conj.push_back(std::move(Atom));
+                return true;
+              }))
+            return false;
+          Test.Final.addConjunction(std::move(Conj));
+          return true;
+        });
+    if (!Parsed)
+      return false;
     ++Cursor;
     return true;
   }
 
-  static std::vector<std::string> splitOn(const std::string &Text,
-                                          const std::string &Sep) {
-    std::vector<std::string> Out;
-    size_t Pos = 0;
-    while (true) {
-      size_t Next = Text.find(Sep, Pos);
-      if (Next == std::string::npos) {
-        Out.push_back(Text.substr(Pos));
-        return Out;
-      }
-      Out.push_back(Text.substr(Pos, Next - Pos));
-      Pos = Next + Sep.size();
-    }
-  }
-
-  bool parseAtom(const std::string &Text, ConditionAtom &Out) {
-    auto Eq = splitString(Text, '=');
-    if (Eq.size() != 2)
-      return error("malformed condition atom '" + Text + "'");
-    std::string Lhs = trimString(Eq[0]);
+  bool parseAtom(std::string_view Text, ConditionAtom &Out) {
+    const size_t Eq = Text.find('=');
+    const std::string_view Lhs = trimmed(Text.substr(0, Eq));
     Value V = 0;
-    if (!parseValueToken(Eq[1], V))
-      return error("malformed condition atom '" + Text + "'");
-    size_t Colon = Lhs.find(':');
-    if (Colon != std::string::npos) {
+    if (!oneEquals(Text) || !parseValueToken(Text.substr(Eq + 1), V))
+      return error("malformed condition atom", Text);
+    const size_t Colon = Lhs.find(':');
+    if (Colon != NoPos) {
       long long T = 0;
       if (!parseBoundedUnsigned(Lhs.substr(0, Colon), 10000LL, T))
-        return error("malformed thread id in '" + Text + "'");
-      Register R;
+        return error("malformed thread id in", Text);
+      Register R = 0;
       if (!parseRegister(Lhs.substr(Colon + 1), R))
         return false;
       Out = ConditionAtom::regEquals(static_cast<ThreadId>(T), R, V);
       return true;
     }
     if (Lhs.empty())
-      return error("malformed condition atom '" + Text + "'");
-    Out = ConditionAtom::memEquals(Lhs, V);
+      return error("malformed condition atom", Text);
+    Out = ConditionAtom::memEquals(std::string(Lhs), V);
     return true;
   }
 
-  std::vector<std::string> Lines;
+  std::vector<std::string_view> Lines;
   size_t Cursor = 0;
   std::string ErrorMessage = "unknown error";
   unsigned ErrorLine = 0;
@@ -389,7 +443,13 @@ Expected<LitmusTest> cats::parseLitmus(const std::string &Text) {
 
 Expected<LitmusTest> cats::parseLitmusFile(const std::string &Path) {
   std::string Text;
-  if (!readWholeFile(Path, Text))
+  bool Read;
+  {
+    obs::Span ReadSpan("litmus.read");
+    Read = readWholeFile(Path, Text);
+  }
+  if (!Read)
     return Expected<LitmusTest>::error("cannot open litmus file " + Path);
+  obs::Span ParseSpan("litmus.parse");
   return parseLitmus(Text);
 }

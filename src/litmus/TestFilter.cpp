@@ -47,8 +47,10 @@ Status cats::collectLitmusFiles(const std::string &Path,
   std::error_code Ec;
   if (fs::is_directory(Path, Ec)) {
     std::vector<std::string> Found;
+    std::error_code Ignored;
     for (const auto &Entry : fs::directory_iterator(Path, Ec))
-      if (Entry.path().extension() == ".litmus")
+      if (Entry.path().extension() == ".litmus" &&
+          Entry.is_regular_file(Ignored))
         Found.push_back(Entry.path().string());
     std::sort(Found.begin(), Found.end());
     Files.insert(Files.end(), Found.begin(), Found.end());

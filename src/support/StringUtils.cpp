@@ -15,6 +15,7 @@
 #include <limits>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace cats;
@@ -144,25 +145,35 @@ bool cats::parseUnsignedArg(const char *Text, unsigned &Out) {
 }
 
 bool cats::readWholeFile(const std::string &Path, std::string &Out) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
+  const int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return false;
-  Out.clear();
-  // A regular file is read into a buffer of its size in one go; the
-  // chunked loop then only confirms the end (or reads a pipe).
-  if (std::fseek(File, 0, SEEK_END) == 0) {
-    const long Size = std::ftell(File);
-    std::rewind(File);
-    if (Size > 0) {
-      Out.resize(static_cast<size_t>(Size));
-      Out.resize(std::fread(Out.data(), 1, Out.size(), File));
+  // A regular file is read with one read of its size; a pipe, or a file
+  // that says it is empty (as /proc files do), is read in chunks to its
+  // end. Anything else, a directory or a device, is refused.
+  struct stat St;
+  bool Ok = ::fstat(Fd, &St) == 0 &&
+            (S_ISREG(St.st_mode) || S_ISFIFO(St.st_mode));
+  if (Ok) {
+    const bool Sized = S_ISREG(St.st_mode) && St.st_size > 0;
+    Out.resize(Sized ? static_cast<size_t>(St.st_size) : 4096);
+    size_t Got = 0;
+    while (Got < Out.size() || !Sized) {
+      if (Got == Out.size())
+        Out.resize(2 * Got);
+      const ssize_t N = ::read(Fd, Out.data() + Got, Out.size() - Got);
+      if (N > 0) {
+        Got += static_cast<size_t>(N);
+      } else if (N == 0) {
+        break;
+      } else if (errno != EINTR) {
+        Ok = false;
+        break;
+      }
     }
+    Out.resize(Got);
   }
-  char Chunk[4096];
-  while (size_t Got = std::fread(Chunk, 1, sizeof(Chunk), File))
-    Out.append(Chunk, Got);
-  const bool Ok = !std::ferror(File);
-  std::fclose(File);
+  ::close(Fd);
   return Ok;
 }
 

@@ -62,9 +62,10 @@ bool parseUnsignedArg(const char *Text, unsigned long long &Out);
 /// As above, additionally rejecting values that do not fit an unsigned.
 bool parseUnsignedArg(const char *Text, unsigned &Out);
 
-/// Replaces \p Out with the whole of file \p Path, read with one sized
-/// read (no intermediate stream buffer to copy out of). False when the
-/// file cannot be opened or read.
+/// Replaces \p Out with the whole of file \p Path: a regular file with one
+/// read of its size, a pipe to its end. False when the path cannot be
+/// opened or read, or is neither a regular file nor a pipe (a directory,
+/// a device).
 bool readWholeFile(const std::string &Path, std::string &Out);
 
 /// Replaces file \p Path with \p Text. Fails with "cannot write PATH"

@@ -85,6 +85,19 @@ JsonValue sweepTestResultToJson(const SweepTestResult &Result);
 /// (testEntryLabel).
 Expected<SweepTestResult> sweepTestResultFromJson(const JsonValue &Entry);
 
+/// Decodes \p Record, the one-line record of a stored result (a result
+/// cache's log line holds one), as the answer to judging \p Test under
+/// the models named \p ModelNames, in order. This is the one check a
+/// stored record passes before it is served: it parses, keeps every
+/// reader invariant (sweepTestResultFromJson), names \p Test, lists
+/// exactly those models in that order, and each model's verdict follows
+/// from its allowed states and the test's condition. On success the
+/// result's Record is \p Record, so a report lists the stored bytes.
+/// Fails, saying why, otherwise: the caller judges the test instead.
+Expected<SweepTestResult>
+resultFromRecord(std::string Record, const LitmusTest &Test,
+                 const std::vector<std::string> &ModelNames);
+
 /// Checks record \p Entry with sweepTestResultFromJson and rewrites it in
 /// place as a /2 record: each /1 "allowed_states" list becomes, at the
 /// same position, the "allowed" indices the reader resolved, and the

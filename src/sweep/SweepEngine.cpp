@@ -85,14 +85,36 @@ SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts,
 }
 
 /// One test of the sweep window. Deque elements keep their address while
-/// the window grows and shrinks at its ends, so a worker judges into its
-/// slot without the lock; only Done is shared.
+/// the window grows and shrinks at its ends, so a worker settles its slot
+/// without the lock; only Done is shared.
 struct Slot {
   SweepJob Job;
   SweepTestResult Result;
+  /// A cache hit: answered by the lookup, or, until settled, holding only
+  /// its stored record.
   bool Hit = false;
   bool Done = false;
 };
+
+/// Settles \p S on the thread that takes it: decodes a hit's stored
+/// record, or judges the test, also when that record does not answer it
+/// (the slot is then a miss). Touches nothing but the slot.
+void settle(Slot &S, const SimulateOptions &Opts, bool Render) {
+  if (S.Hit) {
+    std::vector<std::string> Names;
+    Names.reserve(S.Job.Models.size());
+    for (const Model *M : S.Job.Models)
+      Names.push_back(M->name());
+    auto Decoded =
+        resultFromRecord(std::move(S.Result.Record), S.Job.Test, Names);
+    if (Decoded) {
+      S.Result = Decoded.take();
+      return;
+    }
+    S.Hit = false;
+  }
+  S.Result = runOneJob(S.Job, Opts, Render);
+}
 
 } // namespace
 
@@ -132,15 +154,15 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
       Slot *S = Pending.front();
       Pending.pop_front();
       L.unlock();
-      S->Result = runOneJob(S->Job, Judge, Render);
+      settle(*S, Judge, Render);
       L.lock();
       S->Done = true;
       if (S == Awaited)
         Finished.notify_one();
     }
   };
-  // The pool starts whole at the first miss. It is stopped and joined on
-  // every way out of the loop, a hook's exception included.
+  // The pool starts whole at the first queued slot. It is stopped and
+  // joined on every way out of the loop, a hook's exception included.
   std::vector<std::thread> Pool;
   auto StopPool = [&] {
     {
@@ -157,9 +179,11 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
   try {
     while (true) {
       {
-        // Fill the window: hits resolve at once, misses queue for the
-        // pool. At one worker no thread starts: the window is judged
-        // below, after its pulls.
+        // Fill the window: a hit the lookup answered whole is done at
+        // once; a hit that holds only its stored record, and a miss,
+        // queue for the pool, which decodes the one and judges the other.
+        // At one worker no thread starts: the window is settled below,
+        // after its pulls.
         obs::Span PullSpan("pull");
         const auto PullStart = Clock::now();
         while (!Drained && Window.size() < WindowSize) {
@@ -167,10 +191,13 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
           if (!Pull(S.Job)) {
             Window.pop_back();
             Drained = true;
-          } else if (Hooks.CacheLookup &&
-                     Hooks.CacheLookup(S.Job.Test, S.Result)) {
-            S.Hit = S.Done = true;
-          } else if (Workers > 1) {
+            break;
+          }
+          if (Hooks.CacheLookup && Hooks.CacheLookup(S.Job.Test, S.Result)) {
+            S.Hit = true;
+            S.Done = S.Result.Record.empty();
+          }
+          if (!S.Done && Workers > 1) {
             while (Pool.size() < Workers)
               Pool.emplace_back(Work);
             std::lock_guard<std::mutex> L(Lock);
@@ -185,7 +212,7 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
       if (Workers == 1)
         for (Slot &S : Window)
           if (!S.Done) {
-            S.Result = runOneJob(S.Job, Judge, Render);
+            settle(S, Judge, Render);
             S.Done = true;
           }
 

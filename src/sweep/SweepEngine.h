@@ -13,13 +13,14 @@
 /// per model as the legacy per-model simulate() loop does.
 ///
 /// run() and runStreamed() share one loop. The calling thread pulls each
-/// test, answers cache hits, and reports results in pull order; a pool of
-/// worker threads, started once per sweep, judges the misses at most one
-/// window (workers x batch size) ahead of the oldest unreported test. So
-/// the report is byte-for-byte deterministic for any worker count, and
-/// every hook runs on the calling thread. A result leaves the loop at
-/// that in-order frontier: into the report, or into a sink that writes it
-/// out, so that a campaign's results never exist whole in memory.
+/// test, looks it up in the cache, and reports results in pull order; a
+/// pool of worker threads, started once per sweep, judges the misses and
+/// decodes the hits that hand back a stored record, at most one window
+/// (workers x batch size) ahead of the oldest unreported test. So the
+/// report is byte-for-byte deterministic for any worker count, and every
+/// hook runs on the calling thread. A result leaves the loop at that
+/// in-order frontier: into the report, or into a sink that writes it out,
+/// so that a campaign's results never exist whole in memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,7 +90,7 @@ struct SweepReport {
   /// Wall time of the whole sweep, seconds.
   double WallSeconds = 0;
   /// Threads that judged: the pool size, capped at the number of tests
-  /// judged; 1 when nothing was judged.
+  /// judged; 1 when nothing was judged, even when the pool decoded hits.
   unsigned Jobs = 1;
   /// Result-cache statistics of a streamed run with cache hooks attached
   /// (campaign/ResultCache.h). CacheUsed stays false on plain runs and
@@ -109,12 +110,17 @@ struct SweepReport {
 /// depending on either. Every hook runs on the thread that called
 /// runStreamed, so none needs to be thread-safe.
 struct StreamHooks {
-  /// Consulted per pulled test before judging; return true and fill the
-  /// result to skip judging it (a cache hit). Hit results land in the
-  /// report at the test's source position, exactly as if judged.
+  /// Consulted per pulled test before judging; return true to skip
+  /// judging it (a cache hit), having filled either the whole result or
+  /// only its Record, a stored cats-sweep-report/2 record. The engine
+  /// decodes such a record (resultFromRecord in sweep/ReportIO.h) where it
+  /// would judge the test: on a worker, or on the calling thread at one
+  /// worker. A record that does not decode to an answer for the test and
+  /// the model list is judged instead, and is a miss. Hit results land in
+  /// the report at the test's source position, exactly as if judged.
   std::function<bool(const LitmusTest &, SweepTestResult &)> CacheLookup;
   /// Offered every freshly judged result (cache population), in source
-  /// order.
+  /// order: the misses, including hits whose record was judged instead.
   std::function<void(const LitmusTest &, const SweepTestResult &)> CacheStore;
   /// The sink: takes each result at the in-order frontier, in source
   /// order, after the cache store, and may move from it. When set, the

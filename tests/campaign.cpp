@@ -744,9 +744,18 @@ TEST(ResultCache, EntryIsOneLineHoldingTheRecord) {
                       strFormat("%016llx", static_cast<unsigned long long>(
                                                fnv1a64(Record))) +
                       " " + Record + "\n");
+  // The hook only reads: it hands back the line's record bytes, which the
+  // engine decodes. lookup() decodes them itself, to the judged result.
+  SweepTestResult Hit;
+  ASSERT_TRUE(Cache->hooks(Models).CacheLookup(Test, Hit));
+  EXPECT_EQ(Hit.Record, Record);
+  EXPECT_TRUE(Hit.TestName.empty());
+  EXPECT_TRUE(Hit.Result.PerModel.empty());
   SweepTestResult Out;
-  ASSERT_TRUE(Cache->hooks(Models).CacheLookup(Test, Out));
+  ASSERT_TRUE(Cache->lookup(Test, Models, Out));
+  EXPECT_EQ(Out.Record, Record);
   EXPECT_EQ(sweepTestResultToJson(Out).dump(0), Record);
+  EXPECT_EQ(Out.Result.PerModel.size(), Models.size());
 }
 
 TEST(ResultCache, HitServesItsLogLineAsTheRecord) {

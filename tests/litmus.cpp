@@ -4,11 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "diy/Enumerate.h"
 #include "litmus/Compiler.h"
 #include "litmus/LitmusTest.h"
 #include "litmus/Parser.h"
+#include "litmus/TestFilter.h"
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
 
 using namespace cats;
 
@@ -287,6 +292,255 @@ TEST(Parser, RejectsMalformedThreadHeader) {
   auto Bad = parseLitmus("SC bad\nP1x:\n  st x, #1\n");
   EXPECT_FALSE(static_cast<bool>(Bad));
   EXPECT_NE(Bad.message().find("thread"), std::string::npos);
+}
+
+TEST(Parser, EveryErrorBranchKeepsItsMessageAndLine) {
+  // One input per error branch of the parser, with the exact diagnostic.
+  // The line numbers are the parser's own: an error found after a
+  // section was consumed (the initial state, the end of the text) names
+  // the line after it.
+  struct Case {
+    const char *Text;
+    const char *Message;
+  };
+  const Case Cases[] = {
+      {"", "litmus parse error at line 2: expected '<arch> <name>' header"},
+      {"\n\nSC\n", "litmus parse error at line 3: expected '<arch> <name>' "
+                   "header"},
+      {"SC a b\n", "litmus parse error at line 1: expected '<arch> <name>' "
+                   "header"},
+      {"Alpha t\n", "litmus parse error at line 1: unknown architecture "
+                    "'Alpha'"},
+      {"SC t\n{ x=1\nP0:\n",
+       "litmus parse error at line 5: malformed initial state section"},
+      {"SC t\n{ x }\n", "litmus parse error at line 3: malformed initialiser "
+                        "'x'"},
+      {"SC t\n{ x=1=2 }\n", "litmus parse error at line 3: malformed "
+                            "initialiser 'x=1=2'"},
+      {"SC t\n{ =1 }\n", "litmus parse error at line 3: malformed "
+                         "initialiser '=1'"},
+      {"SC t\n{ x=banana }\n", "litmus parse error at line 3: malformed "
+                               "initialiser 'x=banana'"},
+      {"SC t\n{ x=1\n y=2 }\nP0:\n",
+       "litmus parse error at line 4: malformed initialiser 'x=1y=2'"},
+      {"SC t\nP0 st\n", "litmus parse error at line 2: thread header must "
+                        "end with ':'"},
+      {"SC t\nP1x:\n", "litmus parse error at line 2: malformed thread "
+                       "header 'P1x:'"},
+      {"SC t\nP1:\n", "litmus parse error at line 2: thread P1 out of order "
+                      "(expected P0)"},
+      {"SC t\nP0:\n  ,\n", "litmus parse error at line 3: empty instruction"},
+      {"SC t\nP0:\n  ld r1\n", "litmus parse error at line 3: ld needs "
+                               "'ld rD, loc'"},
+      {"SC t\nP0:\n  st x\n", "litmus parse error at line 3: st needs "
+                              "'st loc, src'"},
+      {"SC t\nP0:\n  mov r1\n", "litmus parse error at line 3: mov needs "
+                                "'mov rD, src'"},
+      {"SC t\nP0:\n  xor r1, r2\n", "litmus parse error at line 3: xor "
+                                    "needs 'xor rD, rA, rB'"},
+      {"SC t\nP0:\n  add r1, r2, r3, r4\n", "litmus parse error at line 3: "
+                                            "add needs 'add rD, rA, rB'"},
+      {"SC t\nP0:\n  beq\n", "litmus parse error at line 3: beq needs "
+                             "'beq rS'"},
+      {"SC t\nP0:\n  frob r1,  r2\n", "litmus parse error at line 3: "
+                                      "unknown instruction 'frob r1,  r2'"},
+      {"SC t\nP0:\n  ld x, y\n", "litmus parse error at line 3: expected "
+                                 "register, got 'x'"},
+      {"SC t\nP0:\n  st x, #beef\n", "litmus parse error at line 3: "
+                                     "malformed immediate '#beef'"},
+      {"SC t\nP0:\n  ld r1, x[r2\n", "litmus parse error at line 3: "
+                                     "malformed address 'x[r2'"},
+      {"SC t\nP0:\n  ld r1, x[q]\n", "litmus parse error at line 3: "
+                                     "expected register, got 'q'"},
+      {"SC t\nst x, #1\n", "litmus parse error at line 2: expected "
+                           "'exists (...)' or end of file"},
+      {"SC t\nP0:\n  st x, #1\nexists x=1\n",
+       "litmus parse error at line 4: malformed exists clause"},
+      {"SC t\nP0:\n  st x, #1\nexists (x)\n",
+       "litmus parse error at line 4: malformed condition atom 'x'"},
+      {"SC t\nP0:\n  st x, #1\nexists (x=1 /\\ y=z)\n",
+       "litmus parse error at line 4: malformed condition atom 'y=z'"},
+      {"SC t\nP0:\n  st x, #1\nexists (x=1 \\/ =3)\n",
+       "litmus parse error at line 4: malformed condition atom '=3'"},
+      {"SC t\nP0:\n  st x, #1\nexists ()\n",
+       "litmus parse error at line 4: malformed condition atom ''"},
+      {"SC t\nP0:\n  st x, #1\nexists (a:r1=0)\n",
+       "litmus parse error at line 4: malformed thread id in 'a:r1=0'"},
+      {"SC t\nP0:\n  st x, #1\nexists (0: r1=0)\n",
+       "litmus parse error at line 4: expected register, got ' r1'"},
+      // Comments go before trimming, and a carriage return is whitespace.
+      {"SC t // note\r\nP0:\r\n  ld r1, x[r2 // open\r\n",
+       "litmus parse error at line 3: malformed address 'x[r2'"},
+      {"SC t\nP0:\n  mfence\n",
+       "litmus validation: P0 instruction 0 (mfence): fence 'mfence' is not "
+       "available on SC"},
+  };
+  for (const Case &C : Cases) {
+    auto Test = parseLitmus(C.Text);
+    ASSERT_FALSE(static_cast<bool>(Test)) << C.Text;
+    EXPECT_EQ(Test.message(), C.Message) << C.Text;
+  }
+}
+
+TEST(Parser, LenientFormsKeepTheirMeaning) {
+  // What the grammar tolerates, rendered back: text after the initial
+  // state's '}' and lines after the condition are ignored, a condition
+  // keyword only has to start with "exists", blank lines and comments
+  // go anywhere, and values take a sign.
+  struct Case {
+    const char *Text;
+    const char *Rendered;
+  };
+  const Case Cases[] = {
+      {"Power t\n{ x=1; y=-2 } junk\nP0:\n  ld r1, x\nexists (0:r1=1)\n"
+       "trailing lines\n",
+       "Power t\n{ x=1; y=-2 }\nP0:\n  ld r1, x\nexists (0:r1=1)\n"},
+      {"\n// lead\nPPC   t  \n\t{\tx = +3 ;\n\n ; }\n\nP0:\n\n  st x,r1 \n"
+       "  beq r1\n  isync\nP1:\n  ld r2,x[r1]\nexistsential (x=3\\/1:r2=0 /\\ "
+       "x=-0)\n",
+       "Power t\n{ x=3 }\nP0:\n  st x, r1\n  beq r1\n  isync\nP1:\n"
+       "  ld r2, x[r1]\nexists (x=3 \\/ 1:r2=0 /\\ x=0)\n"},
+      {"ARM t\nP0:\n  st y, #1\n  dmb.st\n  st x, #1\n",
+       "ARM t\n{  }\nP0:\n  st y, #1\n  dmb.st\n  st x, #1\nexists (true)\n"},
+  };
+  for (const Case &C : Cases) {
+    auto Test = parseLitmus(C.Text);
+    ASSERT_TRUE(static_cast<bool>(Test)) << C.Text << Test.message();
+    EXPECT_EQ(Test->toString(), C.Rendered) << C.Text;
+  }
+}
+
+namespace {
+
+/// The first field in which \p A and \p B differ, or empty when they are
+/// the same test. Compares the parsed structure, not a rendering.
+std::string firstDifference(const LitmusTest &A, const LitmusTest &B) {
+  if (A.Name != B.Name)
+    return "name";
+  if (A.TargetArch != B.TargetArch)
+    return "arch";
+  if (A.Init != B.Init)
+    return "init";
+  if (A.Threads.size() != B.Threads.size())
+    return "thread count";
+  for (size_t T = 0; T < A.Threads.size(); ++T) {
+    if (A.Threads[T].size() != B.Threads[T].size())
+      return "length of P" + std::to_string(T);
+    for (size_t I = 0; I < A.Threads[T].size(); ++I) {
+      const Instruction &X = A.Threads[T][I], &Y = B.Threads[T][I];
+      if (X.Op != Y.Op || X.Dst != Y.Dst || X.Src1.OpKind != Y.Src1.OpKind ||
+          X.Src1.Payload != Y.Src1.Payload ||
+          X.Src2.OpKind != Y.Src2.OpKind ||
+          X.Src2.Payload != Y.Src2.Payload || X.Loc != Y.Loc ||
+          X.AddrDep != Y.AddrDep || X.FenceName != Y.FenceName)
+        return "P" + std::to_string(T) + " instruction " + std::to_string(I);
+    }
+  }
+  const auto &DA = A.Final.Disjuncts, &DB = B.Final.Disjuncts;
+  if (DA.size() != DB.size())
+    return "disjunct count";
+  for (size_t D = 0; D < DA.size(); ++D) {
+    if (DA[D].size() != DB[D].size())
+      return "length of disjunct " + std::to_string(D);
+    for (size_t I = 0; I < DA[D].size(); ++I) {
+      const ConditionAtom &X = DA[D][I], &Y = DB[D][I];
+      if (X.AtomKind != Y.AtomKind || X.Thread != Y.Thread ||
+          X.Reg != Y.Reg || X.Loc != Y.Loc || X.Val != Y.Val)
+        return "atom " + std::to_string(I) + " of disjunct " +
+               std::to_string(D);
+    }
+  }
+  return "";
+}
+
+} // namespace
+
+TEST(LitmusTest, RendersOddTestsAsBefore) {
+  // Tests no parser makes still render to the bytes they always did: a
+  // location name is cut at a NUL byte, an empty conjunction keeps its
+  // separators, and an unknown opcode is named as such.
+  Condition Final;
+  Final.addConjunction({ConditionAtom::memEquals(std::string("x\0y", 3), 1)});
+  Final.addConjunction({});
+  Final.addConjunction({ConditionAtom::regEquals(1, 2, -3),
+                        ConditionAtom::memEquals("z", 0)});
+  EXPECT_EQ(Final.toString(), "exists (x=1 \\/  \\/ 1:r2=-3 /\\ z=0)");
+  LitmusTest Test;
+  Test.Name = "odd";
+  Test.TargetArch = Arch::Power;
+  Test.Init[std::string("a\0b", 3)] = -7;
+  Test.Init["c"] = 0;
+  Test.Threads = {{Instruction::store(std::string("q\0r", 3), Operand::imm(4),
+                                      2),
+                   Instruction::move(3, Operand::reg(1))},
+                  {}};
+  Test.Final = Final;
+  EXPECT_EQ(Test.toString(), "Power odd\n{ a=-7; c=0 }\nP0:\n  st q[r2], #4\n"
+                             "  mov r3, r1\nP1:\n"
+                             "exists (x=1 \\/  \\/ 1:r2=-3 /\\ z=0)\n");
+  Instruction Unknown;
+  Unknown.Op = static_cast<Opcode>(42);
+  EXPECT_EQ(Unknown.toString(), "<bad instruction>");
+}
+
+TEST(Parser, RendersAndReadsBackEverySizeSixInternalPowerTest) {
+  // The 10,417 tests of the size-6 --internal Power corpus: each renders
+  // to text that parses back to the same test, and the rendered bytes
+  // are pinned as one 64-bit FNV-1a over their concatenation. Cache keys
+  // hash these bytes, so a rendering change would turn every stored
+  // entry into a miss.
+  EnumerateOptions Opts;
+  Opts.Target = Arch::Power;
+  Opts.MaxEdges = 6;
+  Opts.InternalCom = true;
+  auto Source = makeDiyTestSource(Opts);
+  ASSERT_TRUE(static_cast<bool>(Source)) << Source.message();
+  uint64_t Hash = 14695981039346656037ull;
+  size_t Count = 0;
+  for (LitmusTest Test; (*Source)(Test); ++Count) {
+    const std::string Text = Test.toString();
+    for (unsigned char C : Text) {
+      Hash ^= C;
+      Hash *= 1099511628211ull;
+    }
+    auto Again = parseLitmus(Text);
+    ASSERT_TRUE(static_cast<bool>(Again)) << Test.Name << Again.message();
+    ASSERT_EQ(firstDifference(*Again, Test), "") << Test.Name;
+  }
+  EXPECT_EQ(Count, 10417u);
+  EXPECT_EQ(Hash, 0x1d59eb46166ed7a3ull);
+}
+
+TEST(TestFilter, DirectoriesContributeTheirRegularLitmusFiles) {
+  // A subdirectory named like a test is not a test: it is skipped, and
+  // a sweep over the directory runs the files beside it.
+  namespace fs = std::filesystem;
+  const std::string Dir = ::testing::TempDir() + "cats_collect_litmus";
+  fs::remove_all(Dir);
+  ASSERT_TRUE(fs::create_directories(Dir + "/sub.litmus"));
+  for (const char *Name : {"b.litmus", "a.litmus", "notes.txt"})
+    std::ofstream(Dir + "/" + Name) << "SC t\nP0:\n  st x, #1\n";
+  std::vector<std::string> Files;
+  ASSERT_FALSE(collectLitmusFiles(Dir, Files).failed());
+  EXPECT_EQ(Files, (std::vector<std::string>{Dir + "/a.litmus",
+                                             Dir + "/b.litmus"}));
+
+  std::vector<std::string> Errors;
+  auto Source = streamCampaignTests({Dir}, false, "", &Errors);
+  ASSERT_TRUE(static_cast<bool>(Source)) << Source.message();
+  size_t Pulled = 0;
+  for (LitmusTest Test; (*Source)(Test);)
+    ++Pulled;
+  EXPECT_EQ(Pulled, 2u);
+  EXPECT_TRUE(Errors.empty());
+
+  // Named directly, a directory that is not a corpus is still an error,
+  // and so is a missing path.
+  EXPECT_FALSE(parseLitmusFile(Dir + "/sub.litmus"));
+  EXPECT_EQ(parseLitmusFile(Dir + "/sub.litmus").message(),
+            "cannot open litmus file " + Dir + "/sub.litmus");
+  EXPECT_TRUE(collectLitmusFiles(Dir + "/missing", Files).failed());
+  fs::remove_all(Dir);
 }
 
 //===----------------------------------------------------------------------===//

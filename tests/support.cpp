@@ -12,6 +12,9 @@
 
 #include <filesystem>
 #include <set>
+#include <thread>
+
+#include <sys/stat.h>
 
 using namespace cats;
 
@@ -96,6 +99,39 @@ TEST(StringUtils, WriteWholeFileChecksTheWriteAndTheClose) {
     EXPECT_TRUE(Full.failed()) << Payload.size();
     EXPECT_EQ(Full.message(), "cannot write /dev/full");
   }
+}
+
+TEST(StringUtils, ReadWholeFileTakesRegularFilesAndPipesOnly) {
+  namespace fs = std::filesystem;
+  const std::string Dir = ::testing::TempDir() + "cats_read_whole_file";
+  fs::remove_all(Dir);
+  ASSERT_TRUE(fs::create_directories(Dir + "/sub.litmus"));
+
+  // A regular file, empty or not, is read whole.
+  const std::string Text = "SC t\nP0:\n  st x, #1\n";
+  ASSERT_FALSE(writeWholeFile(Dir + "/t.litmus", Text).failed());
+  ASSERT_FALSE(writeWholeFile(Dir + "/empty", "").failed());
+  std::string Back = "stale";
+  ASSERT_TRUE(readWholeFile(Dir + "/t.litmus", Back));
+  EXPECT_EQ(Back, Text);
+  ASSERT_TRUE(readWholeFile(Dir + "/empty", Back));
+  EXPECT_EQ(Back, "");
+
+  // A directory is refused, not read as a huge file.
+  EXPECT_FALSE(readWholeFile(Dir + "/sub.litmus", Back));
+  EXPECT_FALSE(readWholeFile(Dir + "/missing", Back));
+
+  // A pipe is read to its end, across many reads.
+  const std::string Fifo = Dir + "/fifo";
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0);
+  const std::string Long(100000, 'p');
+  std::thread Writer([&] {
+    ASSERT_FALSE(writeWholeFile(Fifo, Long).failed());
+  });
+  EXPECT_TRUE(readWholeFile(Fifo, Back));
+  Writer.join();
+  EXPECT_EQ(Back, Long);
+  fs::remove_all(Dir);
 }
 
 TEST(Status, SuccessAndError) {

@@ -19,6 +19,7 @@
 #include "litmus/Compiler.h"
 #include "litmus/Parser.h"
 #include "model/Registry.h"
+#include "model/SimpleModels.h"
 #include "obs/Metrics.h"
 #include "support/StringUtils.h"
 #include "sweep/ReportIO.h"
@@ -442,6 +443,130 @@ TEST(SweepEngine, HooksRunOnTheCallingThread) {
     const std::set<std::thread::id> Caller = {std::this_thread::get_id()};
     for (const char *Hook : {"source", "lookup", "store", "batch"})
       EXPECT_EQ(Seen[Hook], Caller) << Hook << " at " << Workers << " workers";
+  }
+}
+
+namespace {
+
+/// SC, noting under a lock every thread that asks for its name: the
+/// judge does, and so does the check of a stored record's model list.
+class WatchedSc : public ScModel {
+public:
+  std::string name() const override {
+    std::lock_guard<std::mutex> L(Lock);
+    Threads.insert(std::this_thread::get_id());
+    return ScModel::name();
+  }
+  std::set<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> L(Lock);
+    return Threads;
+  }
+  void forget() {
+    std::lock_guard<std::mutex> L(Lock);
+    Threads.clear();
+  }
+
+private:
+  mutable std::mutex Lock;
+  mutable std::set<std::thread::id> Threads;
+};
+
+/// \p R's record with its wall time zeroed.
+std::string timeless(SweepTestResult R) {
+  R.WallSeconds = 0;
+  return sweepTestResultToJson(R).dump(0);
+}
+
+} // namespace
+
+TEST(SweepEngine, HitsGivenAsRecordsDecodeOnTheWorkers) {
+  // A lookup may answer with nothing but a stored record. The engine
+  // decodes and checks it where it would judge the test: on a worker, or
+  // on the calling thread at one worker. A record that does not answer
+  // its test is judged instead, counted as a miss, and stored.
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(24);
+  WatchedSc Sc;
+  const std::vector<const Model *> Models = {&Sc, modelByName("Power")};
+  std::vector<SweepTestResult> Judged;
+  StreamHooks Rendering;
+  Rendering.SinkWritesRecords = true;
+  Rendering.OnResult = [&](SweepTestResult &R) {
+    Judged.push_back(std::move(R));
+  };
+  SweepEngine({1}).runStreamed(vectorSource(Tests), Models, 4, Rendering);
+  ASSERT_EQ(Judged.size(), Tests.size());
+
+  // Every other test hits. These four records do not answer their test:
+  // another test's, one judged under the models in the other order, one
+  // whose Allow verdict its allowed states back turned into Forbid, and
+  // one cut in half.
+  std::map<size_t, std::string> Foreign = {
+      {1, Judged[3].Record},
+      {9, Judged[9].Record.substr(0, Judged[9].Record.size() / 2)}};
+  SweepTestResult Reordered = SweepEngine({1})
+                                  .run(makeJobs({Tests[5]}, {Models[1], &Sc}))
+                                  .Tests.at(0);
+  Foreign[5] = sweepTestResultToJson(Reordered).dump(0);
+  const std::string Allow = "\"verdict\":\"Allow\"";
+  for (size_t I = 3; I < Tests.size() && Foreign.size() < 4; I += 2) {
+    const size_t At = Judged[I].Record.find(Allow);
+    if (!Foreign.count(I) && At != std::string::npos)
+      Foreign[I] = std::string(Judged[I].Record).replace(
+          At, Allow.size(), "\"verdict\":\"Forbid\"");
+  }
+  ASSERT_EQ(Foreign.size(), 4u);
+
+  const std::thread::id Caller = std::this_thread::get_id();
+  for (unsigned Workers = 1; Workers <= 8; ++Workers) {
+    SCOPED_TRACE(std::to_string(Workers) + " workers");
+    size_t Calls = 0;
+    std::vector<SweepTestResult> Results;
+    std::map<std::string, std::string> Stored;
+    StreamHooks Hooks;
+    Hooks.CacheLookup = [&](const LitmusTest &, SweepTestResult &Out) {
+      const size_t Position = Calls++;
+      if (Position % 2 == 0)
+        return false;
+      const auto Bad = Foreign.find(Position);
+      Out.Record =
+          Bad != Foreign.end() ? Bad->second : Judged[Position].Record;
+      return true;
+    };
+    Hooks.CacheStore = [&](const LitmusTest &T, const SweepTestResult &R) {
+      EXPECT_EQ(R.Record, sweepTestResultToJson(R).dump(0)) << T.Name;
+      Stored[T.Name] = timeless(R);
+    };
+    Hooks.OnResult = [&](SweepTestResult &R) {
+      Results.push_back(std::move(R));
+    };
+    Sc.forget();
+    const SweepReport Report = SweepEngine({Workers}).runStreamed(
+        vectorSource(Tests), Models, 4, Hooks);
+
+    // The results and records of the judged run; a decoded hit lists its
+    // stored bytes.
+    ASSERT_EQ(Results.size(), Tests.size());
+    for (size_t I = 0; I < Tests.size(); ++I) {
+      EXPECT_EQ(timeless(Results[I]), timeless(Judged[I])) << I;
+      const bool Hit = I % 2 == 1 && !Foreign.count(I);
+      if (Hit)
+        EXPECT_EQ(Results[I].Record, Judged[I].Record) << I;
+      else
+        EXPECT_EQ(timeless(Results[I]), Stored[Tests[I].Name]) << I;
+    }
+    EXPECT_EQ(Report.CacheHits, Tests.size() / 2 - Foreign.size());
+    EXPECT_EQ(Report.CacheMisses, Tests.size() / 2 + Foreign.size());
+    EXPECT_EQ(Stored.size(), Tests.size() / 2 + Foreign.size());
+
+    // Off the calling thread on a pool; on it at one worker.
+    const std::set<std::thread::id> Asked = Sc.threads();
+    if (Workers == 1) {
+      EXPECT_EQ(Asked, std::set<std::thread::id>{Caller});
+    } else if (SweepEngine({Workers}).workerCount() > 1) {
+      EXPECT_FALSE(Asked.empty());
+      EXPECT_EQ(Asked.count(Caller), 0u);
+    }
   }
 }
 
@@ -1137,9 +1262,13 @@ TEST(Json, RandomTreesRoundTrip) {
 
 namespace {
 
-/// \p Text written to a file, for JsonFileReader.
+/// \p Text written to a file, for JsonFileReader. Each test has its own
+/// file: ctest runs tests at once, each in its own process.
 std::string fileHolding(const std::string &Text) {
-  const std::string Path = ::testing::TempDir() + "cats_json_reader.json";
+  const std::string Path =
+      ::testing::TempDir() + "cats_json_reader_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".json";
   EXPECT_FALSE(writeWholeFile(Path, Text).failed());
   return Path;
 }
