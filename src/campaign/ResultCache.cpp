@@ -40,12 +40,13 @@ constexpr const char *CacheFormatVersion = "cats-cache/4";
 constexpr size_t RecordAt = 32 + 1 + 16 + 1;
 
 constexpr uint64_t FnvBasis = 14695981039346656037ull;
-constexpr uint64_t FnvPrime = 1099511628211ull;
 
 /// Continues 64-bit FNV-1a state \p H over \p Text.
 uint64_t fnv1a64(std::string_view Text, uint64_t H) {
-  for (unsigned char C : Text)
-    H = (H ^ C) * FnvPrime;
+  for (unsigned char C : Text) {
+    H ^= C;
+    H *= 1099511628211ull;
+  }
   return H;
 }
 
@@ -66,13 +67,8 @@ struct KeyHash {
 };
 
 Key keyOf(const LitmusTest &Test, const CacheModelSet &Set) {
-  // Both halves continue over the test's text in one pass.
-  Key K{Set.Hi, Set.Lo};
-  for (unsigned char C : Test.toString()) {
-    K.High = (K.High ^ C) * FnvPrime;
-    K.Low = (K.Low ^ C) * FnvPrime;
-  }
-  return K;
+  const std::string Text = Test.toString();
+  return {fnv1a64(Text, Set.Hi), fnv1a64(Text, Set.Lo)};
 }
 
 std::string hexOf(const Key &K) {
@@ -114,16 +110,10 @@ struct ResultCache::State {
   uint64_t Size = 0;
   /// A store failed: store nothing more.
   bool Failed = false;
-  /// The last log a lookup read, kept open for the next one (a rerun
-  /// reads most of its lines from one log): its index and descriptor.
-  mutable uint32_t ReadLog = 0;
-  mutable int ReadFd = -1;
 
   ~State() {
     if (Fd >= 0)
       ::close(Fd);
-    if (ReadFd >= 0)
-      ::close(ReadFd);
   }
 
   /// Indexes the whole entry lines of log \p Path, in file order. Skips
@@ -264,20 +254,16 @@ bool ResultCache::State::find(const Key &K, std::string &Record) const {
   const auto Found = Index.find(K);
   if (Found == Index.end())
     return false;
-  // Read the line back, holding one descriptor at most, and take it only
-  // when its key and sum still match.
+  // Read the line back, holding no descriptor past the lookup, and take
+  // it only when its key and sum still match.
   const LineRef &At = Found->second;
-  if (ReadFd < 0 || ReadLog != At.Log) {
-    if (ReadFd >= 0)
-      ::close(ReadFd);
-    ReadFd = ::open(Logs[At.Log].c_str(), O_RDONLY | O_CLOEXEC);
-    ReadLog = At.Log;
-    if (ReadFd < 0)
-      return false;
-  }
   std::string Line(At.Length, '\0');
-  const ssize_t Got = ::pread(ReadFd, Line.data(), Line.size(),
+  const int In = ::open(Logs[At.Log].c_str(), O_RDONLY | O_CLOEXEC);
+  if (In < 0)
+    return false;
+  const ssize_t Got = ::pread(In, Line.data(), Line.size(),
                               static_cast<off_t>(At.Offset));
+  ::close(In);
   Key Stored;
   uint64_t Sum = 0;
   if (Got != static_cast<ssize_t>(Line.size()) ||
@@ -299,11 +285,7 @@ bool ResultCache::lookup(const LitmusTest &Test, const CacheModelSet &Set,
   }
   // The line's record is the one the writer rendered: served verbatim,
   // it is what a report lists.
-  auto Decoded = resultFromRecord(std::move(Record), Test, Set.Names);
-  if (!Decoded)
-    return false;
-  Out = Decoded.take();
-  return true;
+  return resultFromRecord(std::move(Record), Test, Set.Names, Out);
 }
 
 bool ResultCache::lookup(const LitmusTest &Test,

@@ -69,10 +69,9 @@ std::string resultCacheKey(const LitmusTest &Test, const CacheModelSet &Set);
 std::string resultCacheKey(const LitmusTest &Test,
                            const std::vector<const Model *> &Models);
 
-/// A handle on one cache directory: the index of its logs, this handle's
-/// own log, and the descriptor of the log it last read. Move-only; one
-/// handle is used from one thread at a time (the engine's hooks all run
-/// on the sweeping thread).
+/// A handle on one cache directory: the index of its logs, and this
+/// handle's own log. Move-only; one handle is used from one thread at a
+/// time (the engine's hooks all run on the sweeping thread).
 class ResultCache {
 public:
   /// Opens (creating if needed) the cache rooted at \p Dir and indexes

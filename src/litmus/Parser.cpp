@@ -22,19 +22,6 @@ constexpr size_t NoPos = std::string_view::npos;
 
 bool isSpace(char C) { return std::isspace(static_cast<unsigned char>(C)); }
 
-/// \p Text without its leading and trailing whitespace.
-std::string_view trimmed(std::string_view Text) {
-  while (!Text.empty() && isSpace(Text.front()))
-    Text.remove_prefix(1);
-  while (!Text.empty() && isSpace(Text.back()))
-    Text.remove_suffix(1);
-  return Text;
-}
-
-bool startsWithExists(std::string_view Line) {
-  return Line.substr(0, 6) == "exists";
-}
-
 /// Splits \p Line into the fields between runs of whitespace, and of
 /// commas too when \p Commas. Returns how many there are; the first
 /// N land in \p Fields.
@@ -86,7 +73,7 @@ public:
   explicit LitmusParser(std::string_view Text) {
     Lines.reserve(std::count(Text.begin(), Text.end(), '\n') + 1);
     eachPiece(Text, "\n", [this](std::string_view Line) {
-      Lines.push_back(trimmed(Line.substr(0, Line.find("//"))));
+      Lines.push_back(trimString(Line.substr(0, Line.find("//"))));
       return true;
     });
   }
@@ -179,11 +166,11 @@ private:
       return error("malformed initial state section");
     return eachPiece(
         Body.substr(1, Close - 1), ";", [&](std::string_view Piece) {
-          const std::string_view Field = trimmed(Piece);
+          const std::string_view Field = trimString(Piece);
           if (Field.empty())
             return true;
           const size_t Eq = Field.find('=');
-          const std::string_view Loc = trimmed(Field.substr(0, Eq));
+          const std::string_view Loc = trimString(Field.substr(0, Eq));
           Value V = 0;
           if (!oneEquals(Field) || Loc.empty() ||
               !parseValueToken(Field.substr(Eq + 1), V))
@@ -210,7 +197,7 @@ private:
     ThreadCode Code;
     while (!atEnd()) {
       skipBlank();
-      if (atEnd() || atThreadHeaderNoSkip() || startsWithExists(current()))
+      if (atEnd() || atThreadHeaderNoSkip() || startsWith(current(), "exists"))
         break;
       Instruction Instr;
       if (!parseInstruction(current(), Instr))
@@ -250,7 +237,7 @@ private:
   /// tests are small by construction; anything beyond +/-2^31 is a typo,
   /// not a test.
   static bool parseValueToken(std::string_view Token, Value &Out) {
-    std::string_view Digits = trimmed(Token);
+    std::string_view Digits = trimString(Token);
     bool Negative = false;
     if (!Digits.empty() && (Digits[0] == '-' || Digits[0] == '+')) {
       Negative = Digits[0] == '-';
@@ -378,7 +365,7 @@ private:
     if (atEnd())
       return true; // No final condition: trivially-true exists.
     const std::string_view Line = current();
-    if (!startsWithExists(Line))
+    if (!startsWith(Line, "exists"))
       return error("expected 'exists (...)' or end of file");
     const size_t Open = Line.find('(');
     const size_t Close = Line.rfind(')');
@@ -391,7 +378,7 @@ private:
           std::vector<ConditionAtom> Conj;
           if (!eachPiece(Disjunct, "/\\", [&](std::string_view Piece) {
                 ConditionAtom Atom;
-                if (!parseAtom(trimmed(Piece), Atom))
+                if (!parseAtom(trimString(Piece), Atom))
                   return false;
                 Conj.push_back(std::move(Atom));
                 return true;
@@ -408,7 +395,7 @@ private:
 
   bool parseAtom(std::string_view Text, ConditionAtom &Out) {
     const size_t Eq = Text.find('=');
-    const std::string_view Lhs = trimmed(Text.substr(0, Eq));
+    const std::string_view Lhs = trimString(Text.substr(0, Eq));
     Value V = 0;
     if (!oneEquals(Text) || !parseValueToken(Text.substr(Eq + 1), V))
       return error("malformed condition atom", Text);

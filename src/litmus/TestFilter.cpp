@@ -50,7 +50,7 @@ Status cats::collectLitmusFiles(const std::string &Path,
     std::error_code Ignored;
     for (const auto &Entry : fs::directory_iterator(Path, Ec))
       if (Entry.path().extension() == ".litmus" &&
-          Entry.is_regular_file(Ignored))
+          !Entry.is_directory(Ignored))
         Found.push_back(Entry.path().string());
     std::sort(Found.begin(), Found.end());
     Files.insert(Files.end(), Found.begin(), Found.end());

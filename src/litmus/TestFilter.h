@@ -39,9 +39,9 @@ filterTestsByName(const std::vector<LitmusTest> &Tests,
                   const std::string &Pattern);
 
 /// Expands \p Path into litmus files: a regular file is taken as-is, a
-/// directory contributes its regular *.litmus entries in sorted order (a
-/// subdirectory named like a test is skipped). Appends to \p Files; fails
-/// when the path is neither.
+/// directory contributes its *.litmus entries in sorted order, except
+/// the subdirectories named like a test. Appends to \p Files; fails when
+/// the path is neither.
 Status collectLitmusFiles(const std::string &Path,
                           std::vector<std::string> &Files);
 

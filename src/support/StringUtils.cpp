@@ -39,9 +39,9 @@ std::vector<std::string>
 cats::splitTrimmedNonEmpty(const std::string &Text, char Sep) {
   std::vector<std::string> Out;
   for (const std::string &Field : splitString(Text, Sep)) {
-    std::string Trimmed = trimString(Field);
+    const std::string_view Trimmed = trimString(Field);
     if (!Trimmed.empty())
-      Out.push_back(std::move(Trimmed));
+      Out.emplace_back(Trimmed);
   }
   return Out;
 }
@@ -64,24 +64,22 @@ std::vector<std::string> cats::splitWhitespace(const std::string &Text) {
   return Parts;
 }
 
-std::string cats::trimString(const std::string &Text) {
-  size_t Begin = 0, End = Text.size();
-  while (Begin < End && std::isspace(static_cast<unsigned char>(Text[Begin])))
-    ++Begin;
-  while (End > Begin &&
-         std::isspace(static_cast<unsigned char>(Text[End - 1])))
-    --End;
-  return Text.substr(Begin, End - Begin);
+std::string_view cats::trimString(std::string_view Text) {
+  while (!Text.empty() && std::isspace(static_cast<unsigned char>(Text[0])))
+    Text.remove_prefix(1);
+  while (!Text.empty() &&
+         std::isspace(static_cast<unsigned char>(Text.back())))
+    Text.remove_suffix(1);
+  return Text;
 }
 
-bool cats::startsWith(const std::string &Text, const std::string &Prefix) {
-  return Text.size() >= Prefix.size() &&
-         Text.compare(0, Prefix.size(), Prefix) == 0;
+bool cats::startsWith(std::string_view Text, std::string_view Prefix) {
+  return Text.substr(0, Prefix.size()) == Prefix;
 }
 
-bool cats::endsWith(const std::string &Text, const std::string &Suffix) {
+bool cats::endsWith(std::string_view Text, std::string_view Suffix) {
   return Text.size() >= Suffix.size() &&
-         Text.compare(Text.size() - Suffix.size(), Suffix.size(), Suffix) == 0;
+         Text.substr(Text.size() - Suffix.size()) == Suffix;
 }
 
 std::string cats::strFormat(const char *Fmt, ...) {

@@ -16,6 +16,7 @@
 #include "support/Error.h"
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cats {
@@ -31,14 +32,14 @@ std::vector<std::string> splitTrimmedNonEmpty(const std::string &Text,
 /// Splits \p Text on any whitespace; empty fields are dropped.
 std::vector<std::string> splitWhitespace(const std::string &Text);
 
-/// Removes leading and trailing whitespace.
-std::string trimString(const std::string &Text);
+/// \p Text without its leading and trailing whitespace: a view into it.
+std::string_view trimString(std::string_view Text);
 
 /// True if \p Text starts with \p Prefix.
-bool startsWith(const std::string &Text, const std::string &Prefix);
+bool startsWith(std::string_view Text, std::string_view Prefix);
 
 /// True if \p Text ends with \p Suffix.
-bool endsWith(const std::string &Text, const std::string &Suffix);
+bool endsWith(std::string_view Text, std::string_view Suffix);
 
 /// printf-style formatting into a std::string.
 std::string strFormat(const char *Fmt, ...)

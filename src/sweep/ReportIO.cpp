@@ -338,28 +338,24 @@ Expected<SweepTestResult> cats::sweepTestResultFromJson(const JsonValue &E) {
   return Out;
 }
 
-Expected<SweepTestResult>
-cats::resultFromRecord(std::string Record, const LitmusTest &Test,
-                       const std::vector<std::string> &ModelNames) {
-  using Ret = Expected<SweepTestResult>;
+bool cats::resultFromRecord(std::string Record, const LitmusTest &Test,
+                            const std::vector<std::string> &ModelNames,
+                            SweepTestResult &Out) {
   obs::Span DecodeSpan("cache.decode");
   auto Doc = JsonValue::parse(Record);
   if (!Doc)
-    return Ret::error(Doc.message());
+    return false;
   auto Parsed = sweepTestResultFromJson(*Doc);
   if (!Parsed)
-    return Ret::error(Parsed.message());
+    return false;
   // Guard against key collisions and hand-edited entries: the result
   // must belong to this very test, answer for exactly the requested
   // models in order, and every verdict must follow from its allowed
   // states and the test's condition. The reader already checked the
   // record's own invariants.
   const MultiSimulationResult &R = Parsed->Result;
-  if (Parsed->TestName != Test.Name)
-    return Ret::error("the record is of test '" + Parsed->TestName + "'");
-  if (R.PerModel.size() != ModelNames.size())
-    return Ret::error(strFormat("the record answers %zu models, not %zu",
-                                R.PerModel.size(), ModelNames.size()));
+  if (Parsed->TestName != Test.Name || R.PerModel.size() != ModelNames.size())
+    return false;
   // Only allowed states bear on a verdict, so only their keys are parsed,
   // each at most once (-1: not parsed yet).
   std::vector<signed char> Satisfies(R.ConsistentOutcomes.size(), -1);
@@ -373,19 +369,16 @@ cats::resultFromRecord(std::string Record, const LitmusTest &Test,
   for (size_t I = 0; I < ModelNames.size(); ++I) {
     const SimulationResult &M = R.PerModel[I];
     if (M.ModelName != ModelNames[I])
-      return Ret::error("model " + std::to_string(I) + " is " + M.ModelName +
-                        ", not " + ModelNames[I]);
+      return false;
     bool Reachable = false;
     for (size_t J = 0; J < M.AllowedOutcomes.size() && !Reachable; ++J)
       Reachable = SatisfiesAt(M.AllowedOutcomes[J]);
     if (Reachable != M.ConditionReachable)
-      return Ret::error("model " + M.ModelName +
-                        ": the verdict does not follow from its allowed "
-                        "states");
+      return false;
   }
-  SweepTestResult Out = Parsed.take();
+  Out = Parsed.take();
   Out.Record = std::move(Record);
-  return Out;
+  return true;
 }
 
 Status cats::sweepReportHeaderFromJson(const JsonValue &Root,

@@ -91,12 +91,13 @@ Expected<SweepTestResult> sweepTestResultFromJson(const JsonValue &Entry);
 /// stored record passes before it is served: it parses, keeps every
 /// reader invariant (sweepTestResultFromJson), names \p Test, lists
 /// exactly those models in that order, and each model's verdict follows
-/// from its allowed states and the test's condition. On success the
-/// result's Record is \p Record, so a report lists the stored bytes.
-/// Fails, saying why, otherwise: the caller judges the test instead.
-Expected<SweepTestResult>
-resultFromRecord(std::string Record, const LitmusTest &Test,
-                 const std::vector<std::string> &ModelNames);
+/// from its allowed states and the test's condition. On success fills
+/// \p Out, its Record \p Record so that a report lists the stored bytes,
+/// and returns true. Returns false otherwise, leaving \p Out as it was:
+/// the caller judges the test instead.
+bool resultFromRecord(std::string Record, const LitmusTest &Test,
+                      const std::vector<std::string> &ModelNames,
+                      SweepTestResult &Out);
 
 /// Checks record \p Entry with sweepTestResultFromJson and rewrites it in
 /// place as a /2 record: each /1 "allowed_states" list becomes, at the

@@ -90,8 +90,7 @@ SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts,
 struct Slot {
   SweepJob Job;
   SweepTestResult Result;
-  /// A cache hit: answered by the lookup, or, until settled, holding only
-  /// its stored record.
+  /// A cache hit: until settled, the result holds only its stored record.
   bool Hit = false;
   bool Done = false;
 };
@@ -105,12 +104,9 @@ void settle(Slot &S, const SimulateOptions &Opts, bool Render) {
     Names.reserve(S.Job.Models.size());
     for (const Model *M : S.Job.Models)
       Names.push_back(M->name());
-    auto Decoded =
-        resultFromRecord(std::move(S.Result.Record), S.Job.Test, Names);
-    if (Decoded) {
-      S.Result = Decoded.take();
+    if (resultFromRecord(std::move(S.Result.Record), S.Job.Test, Names,
+                         S.Result))
       return;
-    }
     S.Hit = false;
   }
   S.Result = runOneJob(S.Job, Opts, Render);
@@ -179,11 +175,10 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
   try {
     while (true) {
       {
-        // Fill the window: a hit the lookup answered whole is done at
-        // once; a hit that holds only its stored record, and a miss,
-        // queue for the pool, which decodes the one and judges the other.
-        // At one worker no thread starts: the window is settled below,
-        // after its pulls.
+        // Fill the window: hits and misses alike queue for the pool,
+        // which decodes a hit's stored record and judges a miss. At one
+        // worker no thread starts: the window is settled below, after its
+        // pulls.
         obs::Span PullSpan("pull");
         const auto PullStart = Clock::now();
         while (!Drained && Window.size() < WindowSize) {
@@ -193,11 +188,8 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
             Drained = true;
             break;
           }
-          if (Hooks.CacheLookup && Hooks.CacheLookup(S.Job.Test, S.Result)) {
-            S.Hit = true;
-            S.Done = S.Result.Record.empty();
-          }
-          if (!S.Done && Workers > 1) {
+          S.Hit = Hooks.CacheLookup && Hooks.CacheLookup(S.Job.Test, S.Result);
+          if (Workers > 1) {
             while (Pool.size() < Workers)
               Pool.emplace_back(Work);
             std::lock_guard<std::mutex> L(Lock);
@@ -210,11 +202,10 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
       if (Window.empty())
         break;
       if (Workers == 1)
-        for (Slot &S : Window)
-          if (!S.Done) {
-            settle(S, Judge, Render);
-            S.Done = true;
-          }
+        for (Slot &S : Window) {
+          settle(S, Judge, Render);
+          S.Done = true;
+        }
 
       // Wait for the oldest batch, sleeping on its last slot and then on
       // each straggler before it (about one wake-up per batch), and

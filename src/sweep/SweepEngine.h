@@ -111,13 +111,13 @@ struct SweepReport {
 /// runStreamed, so none needs to be thread-safe.
 struct StreamHooks {
   /// Consulted per pulled test before judging; return true to skip
-  /// judging it (a cache hit), having filled either the whole result or
-  /// only its Record, a stored cats-sweep-report/2 record. The engine
-  /// decodes such a record (resultFromRecord in sweep/ReportIO.h) where it
-  /// would judge the test: on a worker, or on the calling thread at one
-  /// worker. A record that does not decode to an answer for the test and
-  /// the model list is judged instead, and is a miss. Hit results land in
-  /// the report at the test's source position, exactly as if judged.
+  /// judging it (a cache hit), having set the result's Record to a stored
+  /// cats-sweep-report/2 record. The engine decodes that record
+  /// (resultFromRecord in sweep/ReportIO.h) where it would judge the
+  /// test: on a worker, or on the calling thread at one worker. A record
+  /// that does not decode to an answer for the test and the model list is
+  /// judged instead, and is a miss. Hit results land in the report at the
+  /// test's source position, exactly as if judged.
   std::function<bool(const LitmusTest &, SweepTestResult &)> CacheLookup;
   /// Offered every freshly judged result (cache population), in source
   /// order: the misses, including hits whose record was judged instead.

@@ -511,19 +511,22 @@ TEST(Parser, RendersAndReadsBackEverySizeSixInternalPowerTest) {
   EXPECT_EQ(Hash, 0x1d59eb46166ed7a3ull);
 }
 
-TEST(TestFilter, DirectoriesContributeTheirRegularLitmusFiles) {
+TEST(TestFilter, DirectoriesContributeTheirLitmusEntriesButNotSubdirectories) {
   // A subdirectory named like a test is not a test: it is skipped, and
-  // a sweep over the directory runs the files beside it.
+  // a sweep over the directory runs the files beside it. Any other entry
+  // is listed, so a dangling link is an error line of the sweep.
   namespace fs = std::filesystem;
   const std::string Dir = ::testing::TempDir() + "cats_collect_litmus";
   fs::remove_all(Dir);
   ASSERT_TRUE(fs::create_directories(Dir + "/sub.litmus"));
   for (const char *Name : {"b.litmus", "a.litmus", "notes.txt"})
     std::ofstream(Dir + "/" + Name) << "SC t\nP0:\n  st x, #1\n";
+  fs::create_symlink(Dir + "/gone.litmus", Dir + "/c.litmus");
   std::vector<std::string> Files;
   ASSERT_FALSE(collectLitmusFiles(Dir, Files).failed());
   EXPECT_EQ(Files, (std::vector<std::string>{Dir + "/a.litmus",
-                                             Dir + "/b.litmus"}));
+                                             Dir + "/b.litmus",
+                                             Dir + "/c.litmus"}));
 
   std::vector<std::string> Errors;
   auto Source = streamCampaignTests({Dir}, false, "", &Errors);
@@ -532,7 +535,9 @@ TEST(TestFilter, DirectoriesContributeTheirRegularLitmusFiles) {
   for (LitmusTest Test; (*Source)(Test);)
     ++Pulled;
   EXPECT_EQ(Pulled, 2u);
-  EXPECT_TRUE(Errors.empty());
+  EXPECT_EQ(Errors, (std::vector<std::string>{
+                        Dir + "/c.litmus: cannot open litmus file " + Dir +
+                        "/c.litmus"}));
 
   // Named directly, a directory that is not a corpus is still an error,
   // and so is a missing path.

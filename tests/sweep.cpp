@@ -351,8 +351,10 @@ TestSource vectorSource(const std::vector<LitmusTest> &Tests) {
   };
 }
 
-/// Cache hooks whose lookup hits every third test, answering with
-/// \p Hits' entry at the test's position; \p Calls counts lookups.
+/// Cache hooks whose lookup hits every third test from the third on,
+/// answering with the record of \p Hits' entry at the test's position;
+/// \p Calls counts lookups. (testsWithAnError puts its errored test at
+/// position 1, which never hits.)
 StreamHooks everyThirdHits(const std::vector<SweepTestResult> &Hits,
                            size_t &Calls) {
   StreamHooks Hooks;
@@ -361,7 +363,7 @@ StreamHooks everyThirdHits(const std::vector<SweepTestResult> &Hits,
     const size_t Position = Calls++;
     if (Position % 3 != 2)
       return false;
-    Out = Hits[Position];
+    Out.Record = sweepTestResultToJson(Hits[Position]).dump(0);
     return true;
   };
   Hooks.CacheStore = [](const LitmusTest &, const SweepTestResult &) {};
@@ -480,10 +482,10 @@ std::string timeless(SweepTestResult R) {
 } // namespace
 
 TEST(SweepEngine, HitsGivenAsRecordsDecodeOnTheWorkers) {
-  // A lookup may answer with nothing but a stored record. The engine
-  // decodes and checks it where it would judge the test: on a worker, or
-  // on the calling thread at one worker. A record that does not answer
-  // its test is judged instead, counted as a miss, and stored.
+  // A lookup answers a hit with a stored record. The engine decodes and
+  // checks it where it would judge the test: on a worker, or on the
+  // calling thread at one worker. A record that does not answer its test
+  // is judged instead, counted as a miss, and stored.
   std::vector<LitmusTest> Tests = catalogueTests();
   Tests.resize(24);
   WatchedSc Sc;
