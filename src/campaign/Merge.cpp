@@ -11,6 +11,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "obs/Witness.h"
+#include "support/OrderedWindow.h"
 #include "support/StringUtils.h"
 #include "sweep/ReportIO.h"
 
@@ -133,11 +134,54 @@ std::string readSweepTop(const JsonValue &Top, SweepInput &Part) {
   return std::string();
 }
 
+/// Records per worker between two waits of the merge's calling thread:
+/// its window holds workers times this many.
+constexpr size_t MergeBatch = 64;
+
+/// One record in the merge's window.
+struct RecordSlot {
+  /// The record's input, and its place there.
+  size_t Input = 0;
+  size_t Offset = 0;
+  MergeRecord Record;
+  /// Why the merge stops at this record; empty while it passes.
+  std::string Error;
+  /// False when the record could not be read or does not parse: its
+  /// input's rest then starts at it.
+  bool Taken = true;
+};
+
+/// A worker's step for one record of input \p Path: the parse of its
+/// bytes, the reader's check and upgrade, and \p Finish.
+void settleRecord(RecordSlot &S, const std::string &Path,
+                  const std::function<void(MergeRecord &)> &Finish) {
+  MergeRecord &R = S.Record;
+  if (!R.Text.empty()) {
+    auto Parsed = JsonValue::parse(R.Text, R.At);
+    if (!Parsed) {
+      S.Error = strFormat("input %zu: %s: %s", S.Input + 1, Path.c_str(),
+                          Parsed.message().c_str());
+      S.Taken = false;
+      return;
+    }
+    R.Value = Parsed.take();
+    R.Text.clear();
+  }
+  if (Status Checked = upgradeTestEntry(R.Value); Checked.failed()) {
+    S.Error = strFormat("input %zu: ", S.Input + 1) +
+              testEntryLabel(R.Value, S.Offset) + ": " + Checked.message();
+    return;
+  }
+  if (Finish)
+    Finish(R);
+}
+
 } // namespace
 
 Expected<JsonValue>
 cats::mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
-                       const std::function<void(JsonValue &)> &Emit) {
+                       const std::function<void(MergeRecord &)> &Finish,
+                       const std::function<void(MergeRecord &)> &Emit) {
   using Ret = Expected<JsonValue>;
   if (Inputs.empty())
     return Ret::error("nothing to merge");
@@ -153,6 +197,9 @@ cats::mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
   if (Sharded != 0 && Sharded != Parts.size())
     return Ret::error("cannot mix sharded and unsharded reports");
 
+  size_t Total = 0;
+  for (const SweepMergeInput &In : Inputs)
+    Total += In.Records;
   // The inputs in stream order: by shard index, or as given.
   std::vector<size_t> Order(Inputs.size());
   for (size_t I = 0; I < Order.size(); ++I)
@@ -175,6 +222,18 @@ cats::mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
             strFormat("duplicate shard %s", Shard.toString().c_str()));
       Seen[Shard.Index - 1] = true;
       Order[Shard.Index - 1] = I;
+    }
+    // Shard K of a campaign of Total records holds the positions
+    // K-1, K-1+N, ...: any other split interleaves to no single order.
+    for (unsigned K = 1; K <= N; ++K) {
+      const size_t Holds = Inputs[Order[K - 1]].Records;
+      const size_t Owns = K > Total ? 0 : (Total - K) / N + 1;
+      if (Holds != Owns)
+        return Ret::error(strFormat(
+            "shard %s holds %zu records, where one campaign of %zu records "
+            "puts %zu: the shards come from different campaigns",
+            Parts[Order[K - 1]].Shard.toString().c_str(), Holds, Total,
+            Owns));
     }
   }
 
@@ -209,33 +268,59 @@ cats::mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
     return Ret::error(Error);
 
   // The records: stream position Seq lived in shard (Seq % N) at offset
-  // Seq / N, so walking offsets round-robin over shards 1..N replays the
-  // stream; unsharded reports concatenate.
+  // Seq / N, so walking Seq round-robin over shards 1..N replays the
+  // stream; unsharded reports concatenate. The calling thread reads each
+  // record, a worker settles it, and the calling thread emits it.
   obs::Span RecordsSpan("merge.records");
-  auto Pass = [&](size_t I, size_t Offset) -> Status {
-    JsonValue Record;
-    if (Status S = Inputs[I].Next(Record); S.failed())
-      return Status::error(
-          strFormat("input %zu: %s", I + 1, S.message().c_str()));
-    if (Status S = upgradeTestEntry(Record); S.failed())
-      return Status::error(strFormat("input %zu: ", I + 1) +
-                           testEntryLabel(Record, Offset) + ": " +
-                           S.message());
-    Emit(Record);
-    return Status::success();
-  };
-  size_t Longest = 0;
-  for (const SweepMergeInput &In : Inputs)
-    Longest = std::max(Longest, In.Records);
-  for (size_t Offset = 0; Sharded && Offset < Longest; ++Offset)
-    for (size_t I : Order)
-      if (Offset < Inputs[I].Records)
-        if (Status S = Pass(I, Offset); S.failed())
-          return Ret::error(S.message());
-  for (size_t I = 0; !Sharded && I < Inputs.size(); ++I)
-    for (size_t Offset = 0; Offset < Inputs[I].Records; ++Offset)
-      if (Status S = Pass(I, Offset); S.failed())
-        return Ret::error(S.message());
+  size_t Seq = 0, Input = 0, Offset = 0;
+  bool Unreadable = false;
+  std::vector<size_t> Taken(Inputs.size(), 0);
+  std::string Error;
+  const OrderedWindow<RecordSlot> Window(0, MergeBatch);
+  Window.run(
+      [&](RecordSlot &S) {
+        if (Seq == Total || Unreadable)
+          return false;
+        if (Sharded) {
+          S.Input = Order[Seq % Order.size()];
+          S.Offset = Seq / Order.size();
+        } else {
+          while (Offset == Inputs[Input].Records) {
+            ++Input;
+            Offset = 0;
+          }
+          S.Input = Input;
+          S.Offset = Offset++;
+        }
+        ++Seq;
+        if (Status Read = Inputs[S.Input].Next(S.Record); Read.failed()) {
+          S.Error = strFormat("input %zu: %s", S.Input + 1,
+                              Read.message().c_str());
+          S.Taken = false;
+          Unreadable = true;
+        }
+        return true;
+      },
+      [&](RecordSlot &S) {
+        obs::Span SettleSpan("merge.settle");
+        if (S.Error.empty())
+          settleRecord(S, Inputs[S.Input].Path, Finish);
+      },
+      [&](RecordSlot &S) {
+        Taken[S.Input] += S.Taken;
+        if (!S.Error.empty()) {
+          Error = std::move(S.Error);
+          return false;
+        }
+        Emit(S.Record);
+        return true;
+      });
+  if (!Error.empty()) {
+    for (size_t I = 0; I < Inputs.size(); ++I)
+      if (Inputs[I].Rewind)
+        Inputs[I].Rewind(Taken[I]);
+    return Ret::error(Error);
+  }
   return Root;
 }
 
@@ -253,16 +338,17 @@ Expected<JsonValue> cats::mergeSweepReports(std::vector<JsonValue> Inputs) {
     Tests->elements().clear();
     In.Records = Records->size();
     Total += In.Records;
-    In.Next = [Records, Next = size_t(0)](JsonValue &Out) mutable {
-      Out = std::move((*Records)[Next++]);
+    In.Next = [Records, Next = size_t(0)](MergeRecord &Out) mutable {
+      Out.Value = std::move((*Records)[Next++]);
       return Status::success();
     };
   }
   JsonValue Tests = JsonValue::array();
   Tests.elements().reserve(Total);
-  auto Merged = mergeSweepInputs(
-      std::move(Streams),
-      [&Tests](JsonValue &Record) { Tests.push(std::move(Record)); });
+  auto Merged = mergeSweepInputs(std::move(Streams), {},
+                                 [&Tests](MergeRecord &Record) {
+                                   Tests.push(std::move(Record.Value));
+                                 });
   if (Merged)
     *Merged->get("tests") = std::move(Tests);
   return Merged;
@@ -418,7 +504,7 @@ Status ReportFile::scan() {
   return Status::success();
 }
 
-Status ReportFile::readRecord(JsonValue &Out) {
+bool ReportFile::toRecord() {
   JsonFileReader &R = *Reader;
   // The first record follows the array's '['; each later one a ','.
   bool Ok = !Failed && (Read || R.seek(RecordsAt));
@@ -426,12 +512,29 @@ Status ReportFile::readRecord(JsonValue &Out) {
     R.take();
   else if (Ok)
     Ok = R.fail(Read ? "expected ',' in array" : "expected '['");
-  Ok = Ok && R.parse(2, Out);
+  return Ok;
+}
+
+Status ReportFile::passed(bool Ok) {
   ++Read;
-  if (Ok && !R.readFailed())
+  if (Ok && !Reader->readFailed())
     return Status::success();
   Failed = true;
   return readError();
+}
+
+Status ReportFile::readRecord(MergeRecord &Out) {
+  return passed(toRecord() && Reader->copy(2, Out.Text, Out.At));
+}
+
+void ReportFile::rewind(size_t Taken) {
+  if (Failed || Taken == Read)
+    return;
+  // Found again from the array's start: only a failed merge comes here.
+  Read = 0;
+  bool Ok = true;
+  while (Ok && Read < Taken)
+    Ok = !passed(toRecord() && Reader->skip(2)).failed();
 }
 
 Status ReportFile::readRest() {
@@ -439,7 +542,7 @@ Status ReportFile::readRest() {
     return readError();
   JsonValue Record;
   while (Read < Records)
-    if (Status S = readRecord(Record); S.failed())
+    if (Status S = passed(toRecord() && Reader->parse(2, Record)); S.failed())
       return S;
   return Status::success();
 }
@@ -448,6 +551,8 @@ SweepMergeInput ReportFile::input() {
   SweepMergeInput In;
   In.Top = std::move(Top);
   In.Records = Records;
-  In.Next = [this](JsonValue &Out) { return readRecord(Out); };
+  In.Next = [this](MergeRecord &Out) { return readRecord(Out); };
+  In.Path = Path;
+  In.Rewind = [this](size_t Taken) { rewind(Taken); };
   return In;
 }

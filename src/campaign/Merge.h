@@ -28,10 +28,10 @@
 ///
 /// The sweep merge reads its inputs a record at a time (mergeSweepInputs):
 /// from each report's top-level members it checks the inputs and writes
-/// the merged top level, and each record passes through it on its own.
-/// cats_merge feeds it from files in bounded memory (ReportFile), so a
-/// merge never holds a whole report; mergeSweepReports feeds it from
-/// parsed documents.
+/// the merged top level, and each record passes through it on its own,
+/// checked on a worker of an ordered window. cats_merge feeds it record
+/// bytes from files in bounded memory (ReportFile), so a merge never
+/// holds a whole report; mergeSweepReports feeds it parsed documents.
 ///
 /// The merges and zeroWallTimes take their documents by value: a caller
 /// that moves its inputs in hands every test entry to the output without
@@ -57,6 +57,18 @@ namespace cats {
 /// replaced by 0 (in place, on the argument's own tree).
 JsonValue zeroWallTimes(JsonValue V);
 
+/// One record of the sweep merge on its way through.
+struct MergeRecord {
+  /// The record's bytes as its input read them, and their offset in the
+  /// input's file; a worker parses them. Empty when the input hands out
+  /// parsed records. Once the record is checked, the merge's Finish may
+  /// leave its rendering here.
+  std::string Text;
+  uint64_t At = 0;
+  /// The record: parsed from Text, or as the input handed it out.
+  JsonValue Value;
+};
+
 /// One input of the record-at-a-time sweep merge: a report's top-level
 /// members, and a forward reader over its records.
 struct SweepMergeInput {
@@ -65,24 +77,41 @@ struct SweepMergeInput {
   JsonValue Top;
   /// How many records Next reads.
   size_t Records = 0;
-  /// Reads the next record, in report order, into its argument.
-  std::function<Status(JsonValue &)> Next;
+  /// Reads the next record, in report order: its bytes or its value.
+  std::function<Status(MergeRecord &)> Next;
+  /// The file the bytes come from, named in their parse errors.
+  std::string Path;
+  /// Optional. Called when the merge fails, with the number of records
+  /// it took from this input before the failure, the refused record
+  /// included: the merge reads ahead, a window at a time, and the
+  /// input's next record is then the first one it did not take.
+  std::function<void(size_t Taken)> Rewind;
 };
 
-/// The sweep merge of mergeSweepReports, a record at a time. It checks
-/// every input's top level first (header, "tests" array, shard stanza,
-/// shard set), then reads the records in merged order, each checked and
-/// upgraded by upgradeTestEntry, and hands each to \p Emit. It returns
-/// the merged top level with an empty "tests" array, the records'
-/// place, and the folded metrics and witness sections after it. Errors
-/// name the input, and the test for a record.
+/// The sweep merge of mergeSweepReports, a record at a time, on a pool
+/// of the hardware's threads (support/OrderedWindow.h; inline at one).
+/// It checks every input's top level first: header, "tests" array,
+/// shard stanza, a complete shard set, and record counts that one
+/// campaign's shards have. Then the calling thread reads the records in
+/// merged order; a worker parses each one that comes as bytes, checks
+/// and upgrades it (upgradeTestEntry) and hands it to \p Finish, when
+/// set; and the calling thread hands the records to \p Emit in merged
+/// order. The first record in merged order that cannot be read, does
+/// not parse or is refused stops the merge, whichever worker gets to it
+/// first; the merge then emits nothing after it, and rewinds its inputs
+/// (SweepMergeInput::Rewind). It returns the merged top level with an
+/// empty "tests" array, the records' place, and the folded metrics and
+/// witness sections after it. Errors name the input, and the test for a
+/// record.
 Expected<JsonValue>
 mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
-                 const std::function<void(JsonValue &)> &Emit);
+                 const std::function<void(MergeRecord &)> &Finish,
+                 const std::function<void(MergeRecord &)> &Emit);
 
 /// Merges cats-sweep-report/1 and /2 documents, in any mix, into one /2
-/// document. All inputs sharded (a complete 1..N set, N == inputs)
-/// interleave back to source order; all inputs unsharded concatenate in
+/// document. All inputs sharded (a complete 1..N set, N == inputs, each
+/// shard holding what one campaign's would) interleave back to source
+/// order; all inputs unsharded concatenate in
 /// argument order; a mix of sharded and unsharded is an error. jobs is
 /// the max, wall_seconds the sum, cache hits/misses the sums (the stanza
 /// appears iff any input carries one), and the "shard" stanza is dropped
@@ -112,8 +141,8 @@ Expected<JsonValue> mergeReports(std::vector<JsonValue> Inputs);
 /// each ends (JsonFileReader), and notes where they start. ("shard"
 /// follows "tests" in every report, so the interleave needs this pass.)
 /// The records come in the second pass, through input(), one at a time,
-/// and are parsed there: a record that does not parse fails in that
-/// pass. Neither pass builds a node for a record it skips, nor recurses.
+/// as bytes that the merge parses: a record that does not parse fails
+/// there. Neither pass builds a node for a record it skips, nor recurses.
 class ReportFile {
 public:
   /// Fails with "cannot read PATH", or "PATH: " and the JSON error.
@@ -123,12 +152,12 @@ public:
   const JsonValue &top() const { return Top; }
   JsonValue &top() { return Top; }
   /// The merge input over this file: the top level, moved out, and the
-  /// records read one at a time. The file must outlive the input, and
-  /// stay where it is.
+  /// records' bytes read one at a time. The file must outlive the input,
+  /// and stay where it is.
   SweepMergeInput input();
-  /// Reads the records the second pass has not read, so a document that
-  /// does not parse fails here even when the merge stopped before its
-  /// broken record. Fails as open() does.
+  /// Parses the records the merge has not taken, so a document that does
+  /// not parse fails here even when the merge stopped before its broken
+  /// record. Fails as open() does.
   Status readRest();
 
   ReportFile(ReportFile &&) noexcept;
@@ -138,7 +167,13 @@ public:
 private:
   explicit ReportFile(const std::string &Path);
   Status scan();
-  Status readRecord(JsonValue &Out);
+  /// Passes the separator before the next record.
+  bool toRecord();
+  /// Counts a record read, and says why it failed when not \p Ok.
+  Status passed(bool Ok);
+  Status readRecord(MergeRecord &Out);
+  /// Goes back to the record after the first \p Taken.
+  void rewind(size_t Taken);
   /// The reader's error, as open() reports it.
   Status readError() const;
 

@@ -768,11 +768,16 @@ int JsonFileReader::peek() {
   }
 }
 
-bool JsonFileReader::parse(unsigned Depth, JsonValue &Out) {
+bool JsonFileReader::copy(unsigned Depth, std::string &Out, uint64_t &At) {
   peek();
-  const uint64_t At = offset();
-  Text.clear();
-  if (!value(Depth, &Text))
+  At = offset();
+  Out.clear();
+  return value(Depth, &Out);
+}
+
+bool JsonFileReader::parse(unsigned Depth, JsonValue &Out) {
+  uint64_t At = 0;
+  if (!copy(Depth, Text, At))
     return false;
   auto Parsed = JsonValue::parse(Text, At);
   if (!Parsed) {

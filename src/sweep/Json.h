@@ -151,8 +151,9 @@ private:
 /// too large to parse whole: a forward cursor over one fixed buffer that
 /// finds where each value ends. It knows strings (with their escapes),
 /// brackets and the nesting limit of parse(), and nothing else of the
-/// grammar: a value is skipped unchecked, or copied out and parsed on
-/// its own, with its errors at their offsets in the file. It can go
+/// grammar: a value is skipped unchecked, or its bytes are copied out
+/// to be parsed on their own, here or on another thread, with their
+/// errors at their offsets in the file. It can go
 /// back to an offset it has passed; a pipe or other stream is first
 /// copied to an unnamed file in the temporary directory to allow that.
 class JsonFileReader {
@@ -174,8 +175,14 @@ public:
   /// should start, the end of the file inside it, or nesting deeper than
   /// JsonValue::MaxDepth.
   bool skip(unsigned Depth) { return value(Depth, nullptr); }
+  /// Reads one value, which \p Depth containers enclose, and hands out
+  /// its bytes, unchecked, in \p Text (replacing what it held), and their
+  /// offset in the file in \p At: JsonValue::parse(Text, At) gives the
+  /// value and its errors at their offsets in the file. False after
+  /// recording skip()'s error.
+  bool copy(unsigned Depth, std::string &Text, uint64_t &At);
   /// Reads one value, which \p Depth containers enclose, and parses it
-  /// into \p Out. False after recording skip()'s or parse()'s error.
+  /// into \p Out. False after recording copy()'s or parse()'s error.
   bool parse(unsigned Depth, JsonValue &Out);
 
   /// Records the error \p Why at the current offset; returns false.

@@ -9,26 +9,15 @@
 #include "litmus/Compiler.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/OrderedWindow.h"
 #include "sweep/ReportIO.h"
 
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
 
 using namespace cats;
 
 SweepEngine::SweepEngine(SweepOptions Opts)
-    : Workers(Opts.Jobs), Judge{Opts.Backend, Opts.Witness} {
-  unsigned Hw = std::thread::hardware_concurrency();
-  if (Hw == 0)
-    Hw = 1;
-  // Sweep jobs are CPU-bound, so oversubscribing cores only adds context
-  // switching; clamp to the hardware (and default to it).
-  if (Workers == 0 || Workers > Hw)
-    Workers = Hw;
-}
+    : Workers(hardwareWorkers(Opts.Jobs)), Judge{Opts.Backend, Opts.Witness} {}
 
 namespace {
 
@@ -84,15 +73,12 @@ SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts,
   return Out;
 }
 
-/// One test of the sweep window. Deque elements keep their address while
-/// the window grows and shrinks at its ends, so a worker settles its slot
-/// without the lock; only Done is shared.
+/// One test of the sweep window.
 struct Slot {
   SweepJob Job;
   SweepTestResult Result;
   /// A cache hit: until settled, the result holds only its stored record.
   bool Hit = false;
-  bool Done = false;
 };
 
 /// Settles \p S on the thread that takes it: decodes a hit's stored
@@ -132,100 +118,19 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
         Report.Tests.push_back(std::move(R));
       };
 
-  std::deque<Slot> Window;
-  // Shared with the pool, under Lock: the misses no worker has claimed
-  // yet, every queued slot's Done flag, the slot the calling thread
-  // sleeps on, and the stop request.
-  std::mutex Lock;
-  std::condition_variable Queued, Finished;
-  std::deque<Slot *> Pending;
-  const Slot *Awaited = nullptr;
-  bool Stop = false;
-  auto Work = [&] {
-    std::unique_lock<std::mutex> L(Lock);
-    while (true) {
-      Queued.wait(L, [&] { return Stop || !Pending.empty(); });
-      if (Stop)
-        return;
-      Slot *S = Pending.front();
-      Pending.pop_front();
-      L.unlock();
-      settle(*S, Judge, Render);
-      L.lock();
-      S->Done = true;
-      if (S == Awaited)
-        Finished.notify_one();
-    }
-  };
-  // The pool starts whole at the first queued slot. It is stopped and
-  // joined on every way out of the loop, a hook's exception included.
-  std::vector<std::thread> Pool;
-  auto StopPool = [&] {
-    {
-      std::lock_guard<std::mutex> L(Lock);
-      Stop = true;
-    }
-    Queued.notify_all();
-    for (std::thread &T : Pool)
-      T.join();
-  };
-
-  const size_t WindowSize = static_cast<size_t>(Workers) * BatchSize;
-  bool Drained = false;
-  try {
-    while (true) {
-      {
-        // Fill the window: hits and misses alike queue for the pool,
-        // which decodes a hit's stored record and judges a miss. At one
-        // worker no thread starts: the window is settled below, after its
-        // pulls.
-        obs::Span PullSpan("pull");
-        const auto PullStart = Clock::now();
-        while (!Drained && Window.size() < WindowSize) {
-          Slot &S = Window.emplace_back();
-          if (!Pull(S.Job)) {
-            Window.pop_back();
-            Drained = true;
-            break;
-          }
-          S.Hit = Hooks.CacheLookup && Hooks.CacheLookup(S.Job.Test, S.Result);
-          if (Workers > 1) {
-            while (Pool.size() < Workers)
-              Pool.emplace_back(Work);
-            std::lock_guard<std::mutex> L(Lock);
-            Pending.push_back(&S);
-            Queued.notify_one();
-          }
-        }
-        PullSeconds += secondsSince(PullStart);
-      }
-      if (Window.empty())
-        break;
-      if (Workers == 1)
-        for (Slot &S : Window) {
-          settle(S, Judge, Render);
-          S.Done = true;
-        }
-
-      // Wait for the oldest batch, sleeping on its last slot and then on
-      // each straggler before it (about one wake-up per batch), and
-      // report the done prefix in pull order.
-      const size_t Want = std::min<size_t>(BatchSize, Window.size());
-      size_t Ready = 0;
-      {
-        std::unique_lock<std::mutex> L(Lock);
-        Finished.wait(L, [&] {
-          while (Ready < Window.size() && Window[Ready].Done)
-            ++Ready;
-          if (Ready >= Want)
-            Awaited = nullptr;
-          else
-            Awaited = &Window[Window[Want - 1].Done ? Ready : Want - 1];
-          return !Awaited;
-        });
-      }
-      for (; Ready; --Ready) {
-        Slot &S = Window.front();
+  // The calling thread pulls each test and looks it up, the pool decodes
+  // a hit's stored record or judges a miss, and the calling thread
+  // reports the results in pull order.
+  const OrderedWindow<Slot> Window(Workers, BatchSize);
+  Window.run(
+      [&](Slot &S) {
+        if (!Pull(S.Job))
+          return false;
+        S.Hit = Hooks.CacheLookup && Hooks.CacheLookup(S.Job.Test, S.Result);
+        return true;
+      },
+      [&](Slot &S) { settle(S, Judge, Render); },
+      [&](Slot &S) {
         if (S.Hit) {
           ++Report.CacheHits;
         } else {
@@ -237,18 +142,18 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
         ++Report.Reported;
         Report.Errored += !S.Result.Error.empty();
         Sink(S.Result);
-        Window.pop_front();
         if (Hooks.OnBatch && Report.Reported % BatchSize == 0)
           Hooks.OnBatch(Report);
-      }
-    }
-    if (Hooks.OnBatch && Report.Reported % BatchSize != 0)
-      Hooks.OnBatch(Report);
-  } catch (...) {
-    StopPool();
-    throw;
-  }
-  StopPool();
+        return true;
+      },
+      [&](auto &&Pulls) {
+        obs::Span PullSpan("pull");
+        const auto PullStart = Clock::now();
+        Pulls();
+        PullSeconds += secondsSince(PullStart);
+      });
+  if (Hooks.OnBatch && Report.Reported % BatchSize != 0)
+    Hooks.OnBatch(Report);
 
   Report.Jobs = judgingThreads(Workers, Report.Reported - Report.CacheHits);
   Report.WallSeconds = secondsSince(Start);

@@ -12,13 +12,14 @@
 /// (herd/Simulator's MultiModelChecker), instead of one full enumeration
 /// per model as the legacy per-model simulate() loop does.
 ///
-/// run() and runStreamed() share one loop. The calling thread pulls each
-/// test, looks it up in the cache, and reports results in pull order; a
-/// pool of worker threads, started once per sweep, judges the misses and
-/// decodes the hits that hand back a stored record, at most one window
-/// (workers x batch size) ahead of the oldest unreported test. So the
-/// report is byte-for-byte deterministic for any worker count, and every
-/// hook runs on the calling thread. A result leaves the loop at that
+/// run() and runStreamed() share one loop, an ordered window
+/// (support/OrderedWindow.h, which the sweep merge shares). The calling
+/// thread pulls each test, looks it up in the cache, and reports results
+/// in pull order; a pool of worker threads, started once per sweep, judges
+/// the misses and decodes the hits that hand back a stored record, at most
+/// one window (workers x batch size) ahead of the oldest unreported test.
+/// So the report is byte-for-byte deterministic for any worker count, and
+/// every hook runs on the calling thread. A result leaves the loop at that
 /// in-order frontier: into the report, or into a sink that writes it out,
 /// so that a campaign's results never exist whole in memory.
 ///
@@ -65,9 +66,9 @@ struct SweepTestResult {
 
 /// Engine configuration.
 struct SweepOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency(). Values
-  /// above the hardware concurrency are clamped to it: sweep jobs are
-  /// CPU-bound, so oversubscription only adds context switching.
+  /// Worker threads; 0 means the hardware's threads, and values above
+  /// them are clamped to them (hardwareWorkers): sweep jobs are CPU-bound,
+  /// so oversubscription only adds context switching.
   unsigned Jobs = 0;
   /// Judging backend for every job (docs/enumeration.md). Pruned is
   /// byte-identical to Naive, the reference it is checked against.

@@ -943,6 +943,13 @@ TEST(ResultCache, OpenSkipsOtherLayoutsAndHeaderlessFiles) {
 
 namespace {
 
+/// The first \p N catalogue tests.
+std::vector<LitmusTest> firstTests(size_t N) {
+  std::vector<LitmusTest> Tests = catalogueTests();
+  Tests.resize(N);
+  return Tests;
+}
+
 /// Runs one shard of the catalogue campaign and returns its report
 /// document with the shard stanza, exactly as cats_sweep --shard writes.
 JsonValue shardReportDoc(const std::vector<LitmusTest> &Tests,
@@ -1014,6 +1021,33 @@ TEST(Merge, RejectsBrokenShardSets) {
   auto Mixed =
       mergeSweepReports({shardReportDoc(Tests, Models, 1, 2), Plain});
   EXPECT_FALSE(static_cast<bool>(Mixed));
+
+  // A complete set whose shards come from different campaigns: shard 1/2
+  // of 10 tests holds 5 records and shard 2/2 of 20 tests 10, while one
+  // campaign of 15 records puts 8 and 7 in them.
+  auto Foreign = mergeSweepReports(
+      {shardReportDoc(firstTests(10), Models, 1, 2),
+       shardReportDoc(firstTests(20), Models, 2, 2)});
+  ASSERT_FALSE(static_cast<bool>(Foreign));
+  EXPECT_NE(Foreign.message().find("shard 1/2 holds 5 records"),
+            std::string::npos)
+      << Foreign.message();
+  // Shards of one campaign hold floor((T-K)/N)+1 records each, or none
+  // when K > T: a campaign shorter than its shard count merges.
+  std::vector<JsonValue> Short;
+  for (unsigned K = 1; K <= 4; ++K)
+    Short.push_back(shardReportDoc(firstTests(2), Models, K, 4));
+  auto Merged = mergeSweepReports(Short);
+  ASSERT_TRUE(static_cast<bool>(Merged)) << Merged.message();
+  EXPECT_EQ(Merged->get("tests")->elements().size(), 2u);
+  // A shard with a record too many, or one too few, is refused.
+  Short[3] = shardReportDoc(firstTests(2), Models, 1, 4);
+  Short[3].set("shard", shardToJson(ShardSpec{4, 4}));
+  EXPECT_FALSE(static_cast<bool>(mergeSweepReports(Short)));
+  Short[3] = shardReportDoc(firstTests(2), Models, 4, 4);
+  Short[0] = shardReportDoc(firstTests(2), Models, 4, 4);
+  Short[0].set("shard", shardToJson(ShardSpec{1, 4}));
+  EXPECT_FALSE(static_cast<bool>(mergeSweepReports(Short)));
 }
 
 TEST(Merge, RejectsCorruptEntries) {
@@ -1156,17 +1190,21 @@ TEST(Merge, DispatchRejectsMixedAndUnknownSchemas) {
 
 namespace {
 
-/// What cats_merge does with \p Docs written to files: the exit status,
-/// and the merged bytes in \p Out (written to a file, or captured from
-/// stdout when \p ToStdout). An output file is removed first, so it
-/// exists only when the merge wrote it.
-int mergeFiles(const std::vector<JsonValue> &Docs, bool ZeroWall,
+/// What cats_merge does with \p Texts written to files input-1.json,
+/// input-2.json, ...: the exit status, and the merged bytes in \p Out
+/// (written to a file, or captured from stdout when \p ToStdout). An
+/// output file is removed first, so it exists only when the merge wrote
+/// it. Each test has its own directory, so tests run at once (ctest -j)
+/// do not share files.
+int mergeTexts(const std::vector<std::string> &Texts, bool ZeroWall,
                std::string &Out, bool ToStdout = false) {
-  const std::string Dir = scratchDir("merge_files");
+  const std::string Dir = scratchDir(
+      std::string("merge_files_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name());
   std::vector<std::string> Paths;
-  for (size_t I = 0; I < Docs.size(); ++I) {
+  for (size_t I = 0; I < Texts.size(); ++I) {
     Paths.push_back(Dir + strFormat("/input-%zu.json", I + 1));
-    EXPECT_FALSE(writeWholeFile(Paths.back(), Docs[I].dump()).failed());
+    EXPECT_FALSE(writeWholeFile(Paths.back(), Texts[I]).failed());
   }
   const std::string OutPath = ToStdout ? std::string() : Dir + "/merged.json";
   obs::ProgressReporter Progress("cats_merge", 0, false);
@@ -1181,6 +1219,15 @@ int mergeFiles(const std::vector<JsonValue> &Docs, bool ZeroWall,
     EXPECT_TRUE(readWholeFile(OutPath, Out));
   }
   return Status;
+}
+
+/// mergeTexts over the renderings of \p Docs.
+int mergeFiles(const std::vector<JsonValue> &Docs, bool ZeroWall,
+               std::string &Out, bool ToStdout = false) {
+  std::vector<std::string> Texts;
+  for (const JsonValue &Doc : Docs)
+    Texts.push_back(Doc.dump());
+  return mergeTexts(Texts, ZeroWall, Out, ToStdout);
 }
 
 /// What the merge of parsed documents gives: mergeReports, zeroWallTimes
@@ -1260,6 +1307,9 @@ TEST(Merge, RefusedFileMergesWriteNothing) {
       {{shardReportDoc(Tests, Models, 1, 3),
         shardReportDoc(Tests, Models, 2, 3)},
        1},
+      {{shardReportDoc(firstTests(10), Models, 1, 2),
+        shardReportDoc(firstTests(20), Models, 2, 2)},
+       1},
       {{Doc, *JsonValue::parse(R"({"schema": "cats-run-report/1"})")}, 1}};
   for (const auto &[Docs, Want] : Cases)
     for (bool ToStdout : {false, true}) {
@@ -1303,6 +1353,184 @@ TEST(Merge, RefusedFileMergesWriteNothing) {
                                     Progress),
               2);
     EXPECT_FALSE(std::filesystem::exists(OutPath));
+  }
+}
+
+namespace {
+
+/// A campaign of \p Copies times the catalogue's records under SC and
+/// Power, each copy's tests renamed apart and every record given a wall
+/// time of its own: enough records for several merge windows at 8
+/// workers, which hold 8 x 64.
+std::vector<JsonValue> manyRecords(size_t Copies) {
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  const JsonValue Doc = sweepReportToJson(
+      SweepEngine({2}).run(makeJobs(catalogueTests(), Models)));
+  std::vector<JsonValue> Out;
+  for (size_t C = 0; C < Copies; ++C)
+    for (const JsonValue &Record : Doc.get("tests")->elements()) {
+      JsonValue Copy = Record;
+      Copy.set("name",
+               Record.get("name")->asString() + "." + std::to_string(C));
+      Copy.set("wall_seconds", 0.001 * static_cast<double>(Out.size() + 1));
+      Out.push_back(std::move(Copy));
+    }
+  return Out;
+}
+
+/// Shard \p K of \p N of the campaign \p Records as a report: the records
+/// at positions K-1, K-1+N, ..., its shard stanza, \p K jobs and a wall
+/// time of K / 4 seconds.
+JsonValue shardOf(const std::vector<JsonValue> &Records, unsigned K,
+                  unsigned N) {
+  JsonValue Doc = JsonValue::object();
+  Doc.set("schema", SweepReportSchema);
+  Doc.set("jobs", K);
+  Doc.set("wall_seconds", 0.25 * K);
+  JsonValue Tests = JsonValue::array();
+  for (size_t I = K - 1; I < Records.size(); I += N)
+    Tests.push(Records[I]);
+  Doc.set("tests", std::move(Tests));
+  Doc.set("shard", shardToJson(ShardSpec{K, N}));
+  return Doc;
+}
+
+/// The campaign \p Records split into 4 shards, the even ones as a /1
+/// build wrote them.
+std::vector<JsonValue> fourMixedShards(const std::vector<JsonValue> &Records) {
+  std::vector<JsonValue> Shards;
+  for (unsigned K = 1; K <= 4; ++K)
+    Shards.push_back(K % 2 ? shardOf(Records, K, 4)
+                           : asV1Report(shardOf(Records, K, 4)));
+  return Shards;
+}
+
+/// The bytes of a merge done serially: the top level of \p Jobs jobs and
+/// \p WallSeconds, and then, for each of \p Stream in order,
+/// upgradeTestEntry, zeroWallTimes under \p ZeroWall, and dump(0), each
+/// record on its own line of the "tests" array.
+std::string serialMerge(const std::vector<JsonValue> &Stream, unsigned Jobs,
+                        double WallSeconds, bool ZeroWall) {
+  JsonValue Top = JsonValue::object();
+  Top.set("schema", SweepReportSchema);
+  Top.set("jobs", Jobs);
+  Top.set("wall_seconds", ZeroWall ? 0.0 : WallSeconds);
+  Top.set("tests", JsonValue::array());
+  std::vector<std::string> Lines;
+  for (JsonValue Record : Stream) {
+    EXPECT_FALSE(upgradeTestEntry(Record).failed());
+    if (ZeroWall)
+      Record = zeroWallTimes(std::move(Record));
+    Lines.push_back(Record.dump(0));
+  }
+  std::string Text = Top.dump();
+  const std::string Empty = "\"tests\": []";
+  Text.replace(Text.find(Empty), Empty.size(),
+               "\"tests\": [\n    " + joinStrings(Lines, ",\n    ") +
+                   "\n  ]");
+  return Text;
+}
+
+/// \p Text with the record named \p Name made unparsable: its first ':'
+/// turned into ';'. \p At gets where the parse of the record fails.
+std::string breakRecord(std::string Text, const std::string &Name,
+                        size_t &At) {
+  At = Text.find("{\"name\":\"" + Name + "\"");
+  EXPECT_NE(At, std::string::npos) << Name;
+  At += 7;
+  Text[At] = ';';
+  return Text;
+}
+
+/// The name of record \p Record.
+std::string nameOf(const JsonValue &Record) {
+  return Record.get("name")->asString();
+}
+
+} // namespace
+
+TEST(Merge, ShardedFilesMergeAcrossWindowsToTheSerialBytes) {
+  // Four shards, /1 and /2 mixed, of a campaign several windows long:
+  // the file merge writes, for each record in stream order, its upgraded
+  // (and zeroed) dump(0), whatever order the workers settle them in.
+  const std::vector<JsonValue> Records = manyRecords(40);
+  ASSERT_GT(Records.size(), 3u * 8 * 64);
+  const std::vector<JsonValue> Shards = fourMixedShards(Records);
+  EXPECT_EQ(Shards[1].get("schema")->asString(), "cats-sweep-report/1");
+  // The records in stream order, as the shards hold them.
+  std::vector<JsonValue> Stream;
+  for (size_t Seq = 0; Seq < Records.size(); ++Seq)
+    Stream.push_back(Shards[Seq % 4].get("tests")->elements()[Seq / 4]);
+  for (bool ZeroWall : {false, true}) {
+    const std::string Expected = serialMerge(Stream, 4, 2.5, ZeroWall);
+    std::string Written;
+    EXPECT_EQ(mergeFiles(Shards, ZeroWall, Written), 0);
+    EXPECT_EQ(Written, Expected) << "zero-wall " << ZeroWall;
+    EXPECT_EQ(mergeFiles({Shards[3], Shards[1], Shards[0], Shards[2]},
+                         ZeroWall, Written),
+              0);
+    EXPECT_EQ(Written, Expected) << "zero-wall " << ZeroWall;
+    EXPECT_EQ(mergeFiles(Shards, ZeroWall, Written, true), 0);
+    EXPECT_EQ(Written, Expected + "\n") << "zero-wall " << ZeroWall;
+  }
+}
+
+TEST(Merge, TheFirstRefusalAcrossWindowsWins) {
+  // Refused records at positions P < Q, windows apart at 8 workers: the
+  // message names P's test, from files and from parsed documents, sharded
+  // and not.
+  std::vector<JsonValue> Records = manyRecords(40);
+  const size_t P = 100, Q = 1300;
+  Records[P].set("candidates_total", -1);
+  Records[Q].set("candidates_total", -1);
+  const std::vector<JsonValue> Shards = fourMixedShards(Records);
+  JsonValue Whole = shardOf(Records, 1, 1);
+  Whole.members().pop_back();
+  const std::string Want = "test '" + nameOf(Records[P]) + "': ";
+  for (const auto &[Docs, Input] :
+       std::vector<std::pair<std::vector<JsonValue>, std::string>>{
+           {Shards, "input 1: "}, {{Whole}, "input 1: "}}) {
+    std::string Written;
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(mergeFiles(Docs, true, Written), 1);
+    const std::string Said = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(Written, "");
+    EXPECT_EQ(Said.rfind("cats_merge: " + Input + Want, 0), 0u) << Said;
+    auto Merged = mergeReports(Docs);
+    ASSERT_FALSE(static_cast<bool>(Merged));
+    EXPECT_EQ(Merged.message().rfind(Input + Want, 0), 0u)
+        << Merged.message();
+  }
+}
+
+TEST(Merge, AnUnparsableRecordAnywhereBeatsARefusal) {
+  // A document that does not parse exits 2 whatever the merge refused
+  // first: a record refused in an early window with one that does not
+  // parse in a later window, and a record that does not parse before a
+  // refused one. The parse error names its file and offset.
+  std::vector<JsonValue> Records = manyRecords(40);
+  const size_t Early = 100, Late = 1301;
+  for (bool RefusedFirst : {true, false}) {
+    std::vector<JsonValue> Edited = Records;
+    const size_t Refused = RefusedFirst ? Early : Late;
+    const size_t Broken = RefusedFirst ? Late : Early;
+    Edited[Refused].set("candidates_total", -1);
+    std::vector<std::string> Texts;
+    for (unsigned K = 1; K <= 4; ++K)
+      Texts.push_back(shardOf(Edited, K, 4).dump());
+    size_t At = 0;
+    const size_t Shard = Broken % 4;
+    Texts[Shard] = breakRecord(Texts[Shard], nameOf(Edited[Broken]), At);
+    std::string Written;
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(mergeTexts(Texts, true, Written), 2) << RefusedFirst;
+    const std::string Said = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(Written, "");
+    EXPECT_NE(Said.find(strFormat("input-%zu.json: JSON error at offset %zu",
+                                  Shard + 1, At)),
+              std::string::npos)
+        << Said;
   }
 }
 

@@ -5,13 +5,19 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Error.h"
+#include "support/OrderedWindow.h"
 #include "support/Rng.h"
 #include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include <sys/stat.h>
@@ -179,4 +185,167 @@ TEST(Rng, BoundRespected) {
   }
   // With 1000 draws every residue should appear.
   EXPECT_EQ(Seen.size(), 7u);
+}
+
+//===----------------------------------------------------------------------===//
+// The ordered window
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A pass of an OrderedWindow<size_t> over the items 0, 1, ...: it counts
+/// each item's settles and the settles running, notes the threads of
+/// each step under a lock, and sleeps in the settle of every seventh item
+/// so that later items finish first.
+struct WindowProbe {
+  static constexpr size_t Items = 300;
+  std::atomic<unsigned> Settles[Items] = {};
+  std::atomic<int> Running{0};
+  std::mutex Lock;
+  std::map<std::string, std::set<std::thread::id>> Threads;
+  std::vector<size_t> Emitted;
+  size_t Pulled = 0;
+
+  void note(const char *Step) {
+    std::lock_guard<std::mutex> L(Lock);
+    Threads[Step].insert(std::this_thread::get_id());
+  }
+  bool pull(size_t &Item) {
+    note("pull");
+    if (Pulled == Items)
+      return false;
+    Item = Pulled++;
+    return true;
+  }
+  void settle(size_t Item) {
+    ++Running;
+    note("settle");
+    if (Item % 7 == 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    ++Settles[Item];
+    --Running;
+  }
+  void emit(size_t Item) {
+    note("emit");
+    Emitted.push_back(Item);
+  }
+  /// The settles so far, all items together.
+  unsigned settled() const {
+    unsigned N = 0;
+    for (const std::atomic<unsigned> &S : Settles)
+      N += S.load();
+    return N;
+  }
+};
+
+} // namespace
+
+TEST(OrderedWindow, EmitsInPullOrderWhateverSettlesFirst) {
+  for (unsigned Workers = 1; Workers <= 8; ++Workers)
+    for (size_t Batch : {1, 3, 64}) {
+      SCOPED_TRACE(std::to_string(Workers) + " workers, batch " +
+                   std::to_string(Batch));
+      WindowProbe Probe;
+      OrderedWindow<size_t>(Workers, Batch)
+          .run([&](size_t &I) { return Probe.pull(I); },
+               [&](size_t &I) { Probe.settle(I); },
+               [&](size_t &I) {
+                 Probe.emit(I);
+                 return true;
+               });
+      ASSERT_EQ(Probe.Emitted.size(), WindowProbe::Items);
+      for (size_t I = 0; I < WindowProbe::Items; ++I) {
+        EXPECT_EQ(Probe.Emitted[I], I);
+        EXPECT_EQ(Probe.Settles[I].load(), 1u) << I;
+      }
+    }
+}
+
+TEST(OrderedWindow, SettlesOnWorkersAndPullsAndEmitsOnTheCallingThread) {
+  const std::set<std::thread::id> Caller = {std::this_thread::get_id()};
+  for (unsigned Workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(Workers) + " workers");
+    WindowProbe Probe;
+    const OrderedWindow<size_t> Window(Workers, 4);
+    Window.run([&](size_t &I) { return Probe.pull(I); },
+               [&](size_t &I) { Probe.settle(I); },
+               [&](size_t &I) {
+                 Probe.emit(I);
+                 return true;
+               });
+    EXPECT_EQ(Probe.Threads["pull"], Caller);
+    EXPECT_EQ(Probe.Threads["emit"], Caller);
+    const std::set<std::thread::id> &Settled = Probe.Threads["settle"];
+    if (Window.workers() == 1) {
+      EXPECT_EQ(Settled, Caller);
+    } else {
+      EXPECT_FALSE(Settled.empty());
+      EXPECT_EQ(Settled.count(*Caller.begin()), 0u);
+      EXPECT_LE(Settled.size(), Window.workers());
+    }
+  }
+}
+
+TEST(OrderedWindow, AStopFromEmitSettlesNothingTwiceAndJoinsThePool) {
+  for (unsigned Workers = 1; Workers <= 8; ++Workers) {
+    SCOPED_TRACE(std::to_string(Workers) + " workers");
+    WindowProbe Probe;
+    const size_t StopAt = 70;
+    OrderedWindow<size_t>(Workers, 4)
+        .run([&](size_t &I) { return Probe.pull(I); },
+             [&](size_t &I) { Probe.settle(I); },
+             [&](size_t &I) {
+               Probe.emit(I);
+               return I != StopAt;
+             });
+    // Nothing after the stop is emitted, no item settles twice, and the
+    // pool has joined: no settle runs now, and none starts later.
+    ASSERT_EQ(Probe.Emitted.size(), StopAt + 1);
+    EXPECT_EQ(Probe.Emitted.back(), StopAt);
+    EXPECT_EQ(Probe.Running.load(), 0);
+    const unsigned Settled = Probe.settled();
+    for (size_t I = 0; I < WindowProbe::Items; ++I)
+      EXPECT_LE(Probe.Settles[I].load(), 1u) << I;
+    for (size_t I = 0; I <= StopAt; ++I)
+      EXPECT_EQ(Probe.Settles[I].load(), 1u) << I;
+    // The window never ran further ahead than workers x batch items.
+    EXPECT_LE(Probe.Pulled, StopAt + 1 + size_t(8) * 4);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(Probe.settled(), Settled);
+  }
+}
+
+TEST(OrderedWindow, AnExceptionFromPullOrEmitPropagatesAfterTheJoin) {
+  for (unsigned Workers : {1u, 4u, 8u})
+    for (bool FromPull : {true, false}) {
+      SCOPED_TRACE(std::to_string(Workers) + " workers, thrown by " +
+                   (FromPull ? "pull" : "emit"));
+      WindowProbe Probe;
+      auto Pass = [&] {
+        OrderedWindow<size_t>(Workers, 4)
+            .run(
+                [&](size_t &I) {
+                  if (FromPull && Probe.Pulled == 90)
+                    throw std::runtime_error("pull");
+                  return Probe.pull(I);
+                },
+                [&](size_t &I) { Probe.settle(I); },
+                [&](size_t &I) {
+                  if (!FromPull && I == 50)
+                    throw std::runtime_error("emit");
+                  Probe.emit(I);
+                  return true;
+                });
+      };
+      EXPECT_THROW(Pass(), std::runtime_error);
+      EXPECT_EQ(Probe.Running.load(), 0);
+      const unsigned Settled = Probe.settled();
+      for (size_t I = 0; I < WindowProbe::Items; ++I)
+        EXPECT_LE(Probe.Settles[I].load(), 1u) << I;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      EXPECT_EQ(Probe.settled(), Settled);
+      // What was emitted is a prefix of the stream.
+      for (size_t I = 0; I < Probe.Emitted.size(); ++I)
+        EXPECT_EQ(Probe.Emitted[I], I);
+    }
 }

@@ -38,6 +38,7 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
 #include <thread>
 
@@ -759,6 +760,38 @@ TEST(SweepEngine, RecordsAreRenderedOnlyWhenSomethingWritesThem) {
     for (const SweepTestResult &T : Kept.Tests)
       EXPECT_TRUE(T.Record.empty()) << T.TestName;
   }
+}
+
+TEST(SweepEngine, AHookThatThrowsStopsTheSweep) {
+  // A source or a sink that throws stops the sweep and joins its pool;
+  // the exception reaches the caller, and the sweep runs again after it.
+  const std::vector<LitmusTest> Tests = testsWithAnError(24);
+  const std::vector<const Model *> Models = {modelByName("SC")};
+  for (unsigned Workers : {1u, 4u})
+    for (bool FromSource : {true, false}) {
+      SCOPED_TRACE(std::to_string(Workers) + " workers, thrown by the " +
+                   (FromSource ? "source" : "sink"));
+      TestSource Inner = vectorSource(Tests);
+      size_t Pulled = 0, Taken = 0;
+      TestSource Source = [&](LitmusTest &Out) {
+        if (FromSource && Pulled == 10)
+          throw std::runtime_error("source");
+        ++Pulled;
+        return Inner(Out);
+      };
+      StreamHooks Hooks;
+      Hooks.OnResult = [&](SweepTestResult &) {
+        if (!FromSource && Taken == 5)
+          throw std::runtime_error("sink");
+        ++Taken;
+      };
+      const SweepEngine Engine({Workers});
+      EXPECT_THROW(Engine.runStreamed(Source, Models, 4, Hooks),
+                   std::runtime_error);
+      EXPECT_LE(Taken, FromSource ? 10u : 5u);
+      EXPECT_EQ(Engine.runStreamed(vectorSource(Tests), Models, 4).Reported,
+                Tests.size());
+    }
 }
 
 //===----------------------------------------------------------------------===//

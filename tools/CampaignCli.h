@@ -196,9 +196,9 @@ inline bool readRestOfFiles(const char *Tool,
 
 /// Says why the merge of \p Files was refused and returns the exit
 /// status: 1, or 2 when one of the files does not parse to its end. A
-/// merge stops at its first refusal, before the records after it; that
-/// a document does not parse is still what gets reported, as when every
-/// input is parsed before the merge.
+/// merge stops at its first refusal, before the records after it, and
+/// rewinds its files to there; that a document does not parse is still
+/// what gets reported, as when every input is parsed before the merge.
 inline int refuseMerge(const char *Tool, std::vector<ReportFile> &Files,
                        const std::string &Why) {
   if (!readRestOfFiles(Tool, Files))
@@ -229,7 +229,10 @@ inline int mergeMineFiles(const char *Tool, std::vector<ReportFile> &Files,
 }
 
 /// Merges the sweep reports \p Files a record at a time, through a
-/// spill, so that nothing is written unless the merge succeeds.
+/// spill, so that nothing is written unless the merge succeeds. The
+/// calling thread copies each record's bytes out of its file and appends
+/// the rendered records to the spill; a worker parses and checks each
+/// record, zeroes it under \p ZeroWall, and renders it.
 inline int mergeSweepFiles(const char *Tool, std::vector<ReportFile> &Files,
                            const std::string &OutPath, bool ZeroWall) {
   std::optional<SweepReportWriter> Writer = createReportWriter(Tool, OutPath);
@@ -238,11 +241,15 @@ inline int mergeSweepFiles(const char *Tool, std::vector<ReportFile> &Files,
   std::vector<SweepMergeInput> Inputs;
   for (ReportFile &File : Files)
     Inputs.push_back(File.input());
-  auto Top = mergeSweepInputs(std::move(Inputs), [&](JsonValue &Record) {
-    if (ZeroWall)
-      Record = zeroWallTimes(std::move(Record));
-    Writer->addRecord(Record.dump(0));
-  });
+  auto Top = mergeSweepInputs(
+      std::move(Inputs),
+      [ZeroWall](MergeRecord &Record) {
+        if (ZeroWall)
+          Record.Value = zeroWallTimes(std::move(Record.Value));
+        Record.Text = Record.Value.dump(0);
+        Record.Value = JsonValue();
+      },
+      [&Writer](MergeRecord &Record) { Writer->addRecord(Record.Text); });
   if (!Top)
     return refuseMerge(Tool, Files, Top.message());
   const JsonValue Root = ZeroWall ? zeroWallTimes(Top.take()) : Top.take();
