@@ -33,18 +33,25 @@ Expected<ShardSpec> cats::parseShardSpec(const std::string &Text) {
   return Spec;
 }
 
+StagedSource cats::shardSource(StagedSource Inner, ShardSpec Spec) {
+  if (!Spec.active())
+    return Inner;
+  // The position counter lives on the heap so the returned source stays
+  // copyable while all copies advance one shared stream.
+  auto Seq = std::make_shared<unsigned long long>(0);
+  Inner.Admit = [Admit = std::move(Inner.Admit), Spec,
+                 Seq](StagedTest &Item) {
+    if (Admit && !Admit(Item))
+      return false;
+    return Spec.owns((*Seq)++);
+  };
+  return Inner;
+}
+
 TestSource cats::shardTestSource(TestSource Inner, ShardSpec Spec) {
   if (!Spec.active())
     return Inner;
-  // The position counter lives on the heap so the returned std::function
-  // stays copyable while all copies advance one shared stream.
-  auto Seq = std::make_shared<unsigned long long>(0);
-  return [Inner = std::move(Inner), Spec, Seq](LitmusTest &Out) -> bool {
-    while (Inner(Out))
-      if (Spec.owns((*Seq)++))
-        return true;
-    return false;
-  };
+  return inlineSource(shardSource(std::move(Inner), Spec));
 }
 
 JsonValue cats::shardToJson(const ShardSpec &Spec) {

@@ -15,9 +15,9 @@
 /// cats_merge interleaves N shard reports back into source order by
 /// taking one entry per shard per round.
 ///
-/// The same spec shards anything positional: a pull-based TestSource
-/// (shardTestSource), a materialized corpus vector, or the diy cycle
-/// enumeration (cats_diy filters the enumerated records by index).
+/// The same spec shards anything positional: the admission of a staged
+/// source (shardSource), a pull-based TestSource (shardTestSource), or a
+/// materialized corpus vector.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,9 +57,14 @@ struct ShardSpec {
 /// diagnostic on anything else.
 Expected<ShardSpec> parseShardSpec(const std::string &Text);
 
-/// Wraps \p Inner so only the positions \p Spec owns are yielded, in
-/// their original relative order. The wrapper holds its own position
-/// counter; like every TestSource it is single-pass.
+/// Wraps \p Inner's admission so only the positions \p Spec owns are
+/// admitted, in their original relative order. Positions count the items
+/// \p Inner itself admits, so a test that fails to load or that the
+/// filter drops takes none. The wrapper holds its own position counter;
+/// like every source it is single-pass.
+StagedSource shardSource(StagedSource Inner, ShardSpec Spec);
+
+/// shardSource over a plain source, whose every pull is a position.
 TestSource shardTestSource(TestSource Inner, ShardSpec Spec);
 
 /// The "shard" stanza the campaign CLIs append to their JSON reports —

@@ -255,35 +255,49 @@ cats::enumerateMatching(const EnumerateOptions &Opts,
   return Cycles;
 }
 
+StagedSource
+cats::stageDiyTests(std::shared_ptr<const std::vector<EnumeratedCycle>> Cycles,
+                    Arch Target, std::vector<std::string> *SynthesisErrors) {
+  auto Next = std::make_shared<size_t>(0);
+  StagedSource Source;
+  Source.Pull = [Cycles, Next](StagedTest &Item) {
+    if (*Next == Cycles->size())
+      return false;
+    Item.Index = (*Next)++;
+    return true;
+  };
+  Source.Make = [Cycles, Target](StagedTest &Item) {
+    const EnumeratedCycle &Cycle = (*Cycles)[Item.Index];
+    obs::tick("diy.tests_synthesized");
+    auto Test = synthesizeTest(Cycle.Cycle, Target, Cycle.Name);
+    if (Test) {
+      Item.Test = Test.take();
+      Item.Error.clear();
+    } else {
+      Item.Error = Test.message();
+    }
+  };
+  Source.Admit = [Cycles, SynthesisErrors](StagedTest &Item) {
+    if (Item.Error.empty())
+      return true;
+    if (SynthesisErrors)
+      SynthesisErrors->push_back((*Cycles)[Item.Index].Name + ": " +
+                                 Item.Error);
+    return false;
+  };
+  return Source;
+}
+
 Expected<TestSource>
 cats::makeDiyTestSource(const EnumerateOptions &Opts,
                         const std::string &FilterRegex,
                         std::vector<std::string> *SynthesisErrors) {
-  using Fail = Expected<TestSource>;
   // Cycles are tiny; materialize the descriptors and synthesize lazily,
   // one test per pull.
   auto Matching = enumerateMatching(Opts, FilterRegex);
   if (!Matching)
-    return Fail::error(Matching.message());
-  auto Cycles = std::make_shared<std::vector<EnumeratedCycle>>(
-      Matching.take());
-
-  auto Index = std::make_shared<size_t>(0);
-  const Arch Target = Opts.Target;
-  return TestSource(
-      [Cycles, Index, Target, SynthesisErrors](LitmusTest &Out) -> bool {
-        while (*Index < Cycles->size()) {
-          const EnumeratedCycle &Next = (*Cycles)[(*Index)++];
-          obs::tick("diy.tests_synthesized");
-          auto Test = synthesizeTest(Next.Cycle, Target, Next.Name);
-          if (!Test) {
-            if (SynthesisErrors)
-              SynthesisErrors->push_back(Next.Name + ": " + Test.message());
-            continue;
-          }
-          Out = Test.take();
-          return true;
-        }
-        return false;
-      });
+    return Expected<TestSource>::error(Matching.message());
+  return inlineSource(stageDiyTests(
+      std::make_shared<const std::vector<EnumeratedCycle>>(Matching.take()),
+      Opts.Target, SynthesisErrors));
 }

@@ -17,9 +17,10 @@
 /// vocabulary index, and emits it in its canonical rotation
 /// (diy::canonicalizeCycle) under the name its synthesized test carries.
 /// Enumeration is streaming: the callback sees one canonical cycle at a
-/// time, tests are synthesized on demand (makeDiyTestSource), and the
-/// sweep engine consumes the corpus in batches (SweepEngine::runStreamed)
-/// — thousands of scenarios without thousands of LitmusTests in memory.
+/// time, tests are synthesized on demand (stageDiyTests, on the sweep's
+/// workers; makeDiyTestSource inline), and the sweep engine consumes the
+/// corpus in batches (SweepEngine::runStreamed) — thousands of scenarios
+/// without thousands of LitmusTests in memory.
 ///
 /// Well-formedness mirrors synthesizeTest plus the paper's criticality
 /// conditions (Sec. 8.1): directions chain around the cycle, at least two
@@ -36,6 +37,7 @@
 #include "litmus/TestFilter.h"
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -94,11 +96,19 @@ Expected<std::vector<EnumeratedCycle>>
 enumerateMatching(const EnumerateOptions &Opts,
                   const std::string &FilterRegex = "");
 
+/// \p Cycles as a staged test source (litmus/TestFilter.h): the pull
+/// takes the next cycle, the make synthesizes its test for \p Target
+/// under its enumerated name, and the admission drops a cycle that fails
+/// synthesis, appending "NAME: why" to \p SynthesisErrors when non-null.
+StagedSource
+stageDiyTests(std::shared_ptr<const std::vector<EnumeratedCycle>> Cycles,
+              Arch Target, std::vector<std::string> *SynthesisErrors = nullptr);
+
 /// A streaming test source over the enumeration: cycles whose canonical
 /// name matches \p FilterRegex (empty = all) are synthesized on demand,
-/// one test per pull. Cycles that fail synthesis are skipped; when
-/// \p SynthesisErrors is non-null each failure appends one diagnostic.
-/// Fails on a malformed regex.
+/// one test per pull (stageDiyTests, run inline). Cycles that fail
+/// synthesis are skipped; when \p SynthesisErrors is non-null each
+/// failure appends one diagnostic. Fails on a malformed regex.
 Expected<TestSource>
 makeDiyTestSource(const EnumerateOptions &Opts,
                   const std::string &FilterRegex = "",

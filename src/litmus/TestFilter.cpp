@@ -14,6 +14,8 @@
 #include <memory>
 #include <regex>
 
+#include <sys/stat.h>
+
 using namespace cats;
 
 Expected<std::regex> cats::compileFilterRegex(const std::string &Pattern) {
@@ -44,10 +46,12 @@ cats::filterTestsByName(const std::vector<LitmusTest> &Tests,
 Status cats::collectLitmusFiles(const std::string &Path,
                                 std::vector<std::string> &Files) {
   namespace fs = std::filesystem;
-  std::error_code Ec;
-  if (fs::is_directory(Path, Ec)) {
+  // One stat decides: a directory, a regular file, or neither.
+  struct stat Info;
+  const bool Exists = ::stat(Path.c_str(), &Info) == 0;
+  if (Exists && S_ISDIR(Info.st_mode)) {
     std::vector<std::string> Found;
-    std::error_code Ignored;
+    std::error_code Ec, Ignored;
     for (const auto &Entry : fs::directory_iterator(Path, Ec))
       if (Entry.path().extension() == ".litmus" &&
           !Entry.is_directory(Ignored))
@@ -56,10 +60,9 @@ Status cats::collectLitmusFiles(const std::string &Path,
     Files.insert(Files.end(), Found.begin(), Found.end());
     return Status::success();
   }
-  if (fs::is_regular_file(Path, Ec))
-    Files.push_back(Path);
-  else
+  if (!Exists || !S_ISREG(Info.st_mode))
     return Status::error("no such file or directory: " + Path);
+  Files.push_back(Path);
   return Status::success();
 }
 
@@ -82,11 +85,31 @@ cats::loadCampaignTests(const std::vector<std::string> &Paths,
   return Out;
 }
 
-Expected<TestSource>
-cats::streamCampaignTests(const std::vector<std::string> &Paths,
-                          bool UseCatalogue, const std::string &Filter,
-                          std::vector<std::string> *Errors) {
-  using Fail = Expected<TestSource>;
+StagedSource::StagedSource(TestSource Plain)
+    : Pull([Plain = std::move(Plain)](StagedTest &Item) {
+        return Plain(Item.Test);
+      }) {}
+
+TestSource cats::inlineSource(StagedSource Staged) {
+  auto Item = std::make_shared<StagedTest>();
+  return [Staged = std::move(Staged), Item](LitmusTest &Out) {
+    while (Staged.Pull(*Item)) {
+      if (Staged.Make)
+        Staged.Make(*Item);
+      if (!Staged.Admit || Staged.Admit(*Item)) {
+        Out = std::move(Item->Test);
+        return true;
+      }
+    }
+    return false;
+  };
+}
+
+Expected<StagedSource>
+cats::stageCampaignTests(const std::vector<std::string> &Paths,
+                         bool UseCatalogue, const std::string &Filter,
+                         std::vector<std::string> *Errors) {
+  using Fail = Expected<StagedSource>;
   auto Files = std::make_shared<std::vector<std::string>>();
   for (const std::string &Path : Paths) {
     Status Collected = collectLitmusFiles(Path, *Files);
@@ -102,37 +125,47 @@ cats::streamCampaignTests(const std::vector<std::string> &Paths,
     *Re = Compiled.take();
   }
 
-  // Pull state: next file index, then next catalogue index.
-  auto FileIdx = std::make_shared<size_t>(0);
-  auto CatIdx = std::make_shared<size_t>(0);
-  return TestSource([Files, Re, HasFilter, FileIdx, CatIdx, UseCatalogue,
-                     Errors](LitmusTest &Out) -> bool {
-    auto Keep = [&](const LitmusTest &Test) {
-      return !HasFilter || std::regex_search(Test.Name, *Re);
-    };
-    while (*FileIdx < Files->size()) {
-      const std::string &File = (*Files)[(*FileIdx)++];
-      auto Test = parseLitmusFile(File);
-      if (!Test) {
-        if (Errors)
-          Errors->push_back(File + ": " + Test.message());
-        continue;
-      }
-      if (!Keep(*Test))
-        continue;
-      Out = Test.take();
-      return true;
+  // Inputs are numbered files first, then catalogue entries.
+  const std::vector<CatalogEntry> *Catalog =
+      UseCatalogue ? &figureCatalog() : nullptr;
+  const size_t Inputs = Files->size() + (Catalog ? Catalog->size() : 0);
+  auto Next = std::make_shared<size_t>(0);
+  StagedSource Source;
+  Source.Pull = [Next, Inputs](StagedTest &Item) {
+    if (*Next == Inputs)
+      return false;
+    Item.Index = (*Next)++;
+    return true;
+  };
+  Source.Make = [Files, Catalog](StagedTest &Item) {
+    Item.Error.clear();
+    if (Item.Index >= Files->size()) {
+      Item.Test = (*Catalog)[Item.Index - Files->size()].Test;
+      return;
     }
-    if (UseCatalogue) {
-      const std::vector<CatalogEntry> &Catalog = figureCatalog();
-      while (*CatIdx < Catalog.size()) {
-        const CatalogEntry &Entry = Catalog[(*CatIdx)++];
-        if (!Keep(Entry.Test))
-          continue;
-        Out = Entry.Test;
-        return true;
-      }
+    auto Test = parseLitmusFile((*Files)[Item.Index]);
+    if (Test)
+      Item.Test = Test.take();
+    else
+      Item.Error = Test.message();
+  };
+  Source.Admit = [Files, Re, HasFilter, Errors](StagedTest &Item) {
+    if (!Item.Error.empty()) {
+      if (Errors)
+        Errors->push_back((*Files)[Item.Index] + ": " + Item.Error);
+      return false;
     }
-    return false;
-  });
+    return !HasFilter || std::regex_search(Item.Test.Name, *Re);
+  };
+  return Source;
+}
+
+Expected<TestSource>
+cats::streamCampaignTests(const std::vector<std::string> &Paths,
+                          bool UseCatalogue, const std::string &Filter,
+                          std::vector<std::string> *Errors) {
+  auto Staged = stageCampaignTests(Paths, UseCatalogue, Filter, Errors);
+  if (!Staged)
+    return Expected<TestSource>::error(Staged.message());
+  return inlineSource(Staged.take());
 }

@@ -69,12 +69,57 @@ Expected<CampaignTests> loadCampaignTests(
 /// in batches so a corpus of thousands never materializes at once.
 using TestSource = std::function<bool(LitmusTest &Out)>;
 
-/// The shared input pipeline of the campaign CLIs: \p Paths expanded to
-/// .litmus files (sorted per directory), then the catalogue, keeping the
-/// names matching \p Filter; each file is parsed lazily at pull time.
-/// Parse failures are skipped and, when \p Errors is non-null, appended
-/// there as they are encountered. Fails up front on a bad path or
-/// malformed \p Filter regex.
+/// One test of a StagedSource on its way through the steps.
+struct StagedTest {
+  /// What the pull took: the item's position in its source's inputs.
+  size_t Index = 0;
+  /// The test, once made.
+  LitmusTest Test;
+  /// Why the make step could not make the test (a load or synthesis
+  /// failure); empty when it could.
+  std::string Error;
+};
+
+/// A test source in three steps, so that a sweep can make its tests on
+/// its worker pool (SweepEngine::runStreamed):
+/// - Pull takes the next input in order, on the calling thread: it sets
+///   the item's Index, or returns false at the end;
+/// - Make reads and parses, or synthesizes, the item's test, or sets its
+///   Error. It runs on any thread, concurrently with other makes, and
+///   touches nothing but its item and what is safe to share. Empty when
+///   Pull makes the test itself, as a plain TestSource does;
+/// - Admit takes each made item in pull order, on the calling thread, and
+///   returns false to drop it. It must drop an item whose make failed.
+///   Empty admits every item.
+/// A plain TestSource is a staged source whose pull makes each test.
+/// Like a TestSource, a staged source is single-pass.
+struct StagedSource {
+  StagedSource() = default;
+  /// \p Plain as a staged source: no make step, every test admitted.
+  StagedSource(TestSource Plain);
+
+  std::function<bool(StagedTest &)> Pull;
+  std::function<void(StagedTest &)> Make;
+  std::function<bool(StagedTest &)> Admit;
+};
+
+/// \p Staged as a plain source, each pull running its steps on the
+/// calling thread: pull, make and admit until an item is admitted.
+TestSource inlineSource(StagedSource Staged);
+
+/// The staged input of the campaign CLIs: \p Paths expanded to .litmus
+/// files (sorted per directory), then the catalogue. The pull takes the
+/// next file or catalogue entry; the make parses the file, or copies the
+/// entry; the admission appends a file that failed to parse to \p Errors
+/// (when non-null) and drops it, and keeps the names matching \p Filter.
+/// Fails up front on a bad path or malformed \p Filter regex.
+Expected<StagedSource> stageCampaignTests(
+    const std::vector<std::string> &Paths, bool UseCatalogue,
+    const std::string &Filter, std::vector<std::string> *Errors = nullptr);
+
+/// stageCampaignTests with its steps run inline, at pull time: each file
+/// is parsed lazily, and parse failures are skipped and appended to
+/// \p Errors as they are encountered.
 Expected<TestSource> streamCampaignTests(
     const std::vector<std::string> &Paths, bool UseCatalogue,
     const std::string &Filter, std::vector<std::string> *Errors = nullptr);

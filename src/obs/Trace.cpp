@@ -103,23 +103,38 @@ Span::~Span() {
     append(std::move(Name), 'E');
 }
 
-JsonValue obs::traceToJson() {
-  JsonValue Events = JsonValue::array();
+namespace {
+
+/// One buffered event as its trace-event object.
+JsonValue eventToJson(const TraceEvent &E, unsigned Tid) {
+  JsonValue Event = JsonValue::object();
+  Event.set("name", E.Name);
+  Event.set("cat", "cats");
+  Event.set("ph", std::string(1, E.Phase));
+  Event.set("ts", E.TsUs);
+  Event.set("pid", 1);
+  Event.set("tid", Tid);
+  return Event;
+}
+
+/// Calls \p Fn(Event, Tid) for every buffered event, thread by thread.
+template <class Fn> void forEachEvent(Fn &&F) {
   TraceState &S = state();
   std::lock_guard<std::mutex> Lock(S.Mutex);
   for (const auto &B : S.Buffers) {
     std::lock_guard<std::mutex> BufferLock(B->Mutex);
-    for (const TraceEvent &E : B->Events) {
-      JsonValue Event = JsonValue::object();
-      Event.set("name", E.Name);
-      Event.set("cat", "cats");
-      Event.set("ph", std::string(1, E.Phase));
-      Event.set("ts", E.TsUs);
-      Event.set("pid", 1);
-      Event.set("tid", B->Tid);
-      Events.push(std::move(Event));
-    }
+    for (const TraceEvent &E : B->Events)
+      F(E, B->Tid);
   }
+}
+
+} // namespace
+
+JsonValue obs::traceToJson() {
+  JsonValue Events = JsonValue::array();
+  forEachEvent([&](const TraceEvent &E, unsigned Tid) {
+    Events.push(eventToJson(E, Tid));
+  });
   JsonValue Root = JsonValue::object();
   Root.set("traceEvents", std::move(Events));
   Root.set("displayTimeUnit", "ms");
@@ -132,8 +147,16 @@ bool obs::writeTrace(const std::string &Path, std::string &Error) {
     Error = "cannot write " + Path;
     return false;
   }
-  Out << traceToJson().dump();
-  if (!Out) {
+  // traceToJson()'s document, one event at a time: a long run's trace
+  // never exists whole in memory as a tree.
+  Out << "{\"traceEvents\": [";
+  const char *Separator = "\n";
+  forEachEvent([&](const TraceEvent &E, unsigned Tid) {
+    Out << Separator << eventToJson(E, Tid).dump(0);
+    Separator = ",\n";
+  });
+  Out << "\n], \"displayTimeUnit\": \"ms\"}\n";
+  if (!Out.flush()) {
     Error = "short write to " + Path;
     return false;
   }

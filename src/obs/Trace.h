@@ -66,8 +66,8 @@ private:
 /// microseconds from the first instrumented instant of the process.
 JsonValue traceToJson();
 
-/// Writes traceToJson() to \p Path; returns false and fills \p Error on
-/// I/O failure.
+/// Writes traceToJson()'s document to \p Path, rendering one event at a
+/// time; returns false and fills \p Error on I/O failure.
 bool writeTrace(const std::string &Path, std::string &Error);
 
 } // namespace obs

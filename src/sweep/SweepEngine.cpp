@@ -37,28 +37,30 @@ unsigned judgingThreads(unsigned Workers, unsigned long long Judged) {
   return static_cast<unsigned>(std::min<unsigned long long>(Workers, Judged));
 }
 
-/// Judges \p Job and, when \p Render, renders the result's record.
-SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts,
-                          bool Render) {
+/// Judges \p Test under \p Models and, when \p Render, renders the
+/// result's record.
+SweepTestResult runOneJob(const LitmusTest &Test,
+                          const std::vector<const Model *> &Models,
+                          const SimulateOptions &Opts, bool Render) {
   SweepTestResult Out;
-  Out.TestName = Job.Test.Name;
+  Out.TestName = Test.Name;
   const auto Start = Clock::now();
-  obs::Span JobSpan(obs::traceEnabled() ? "judge " + Job.Test.Name
+  obs::Span JobSpan(obs::traceEnabled() ? "judge " + Test.Name
                                         : std::string());
 
-  std::string Invalid = Job.Test.validate();
+  std::string Invalid = Test.validate();
   if (!Invalid.empty()) {
     Out.Error = Invalid;
   } else {
     auto Compiled = [&] {
       obs::Span CompileSpan("compile");
-      return CompiledTest::compile(Job.Test);
+      return CompiledTest::compile(Test);
     }();
     if (!Compiled) {
       Out.Error = Compiled.message();
     } else {
       obs::Span EnumerateSpan("enumerate+judge");
-      Out.Result = simulateAll(*Compiled, Job.Models, Opts);
+      Out.Result = simulateAll(*Compiled, Models, Opts);
     }
   }
   if (!Out.Error.empty())
@@ -73,9 +75,11 @@ SweepTestResult runOneJob(const SweepJob &Job, const SimulateOptions &Opts,
   return Out;
 }
 
-/// One test of the sweep window.
+/// One test of the sweep window, reused from test to test.
 struct Slot {
-  SweepJob Job;
+  StagedTest Item;
+  /// The models to judge it under.
+  const std::vector<const Model *> *Models = nullptr;
   SweepTestResult Result;
   /// A cache hit: until settled, the result holds only its stored record.
   bool Hit = false;
@@ -87,22 +91,23 @@ struct Slot {
 void settle(Slot &S, const SimulateOptions &Opts, bool Render) {
   if (S.Hit) {
     std::vector<std::string> Names;
-    Names.reserve(S.Job.Models.size());
-    for (const Model *M : S.Job.Models)
+    Names.reserve(S.Models->size());
+    for (const Model *M : *S.Models)
       Names.push_back(M->name());
-    if (resultFromRecord(std::move(S.Result.Record), S.Job.Test, Names,
+    if (resultFromRecord(std::move(S.Result.Record), S.Item.Test, Names,
                          S.Result))
       return;
     S.Hit = false;
   }
-  S.Result = runOneJob(S.Job, Opts, Render);
+  S.Result = runOneJob(S.Item.Test, *S.Models, Opts, Render);
 }
 
 } // namespace
 
-SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
-                               unsigned BatchSize,
-                               const StreamHooks &Hooks) const {
+SweepReport SweepEngine::sweep(
+    const StagedSource &Source,
+    const std::function<const std::vector<const Model *> &(size_t)> &ModelsOf,
+    unsigned BatchSize, const StreamHooks &Hooks) const {
   if (BatchSize == 0)
     BatchSize = 1;
   SweepReport Report;
@@ -118,40 +123,57 @@ SweepReport SweepEngine::sweep(const std::function<bool(SweepJob &)> &Pull,
         Report.Tests.push_back(std::move(R));
       };
 
-  // The calling thread pulls each test and looks it up, the pool decodes
-  // a hit's stored record or judges a miss, and the calling thread
-  // reports the results in pull order.
+  // The calling thread pulls each input, the pool makes a staged
+  // source's test, the calling thread admits it and looks it up, the pool
+  // decodes a hit's stored record or judges a miss, and the calling
+  // thread reports the results in pull order.
+  auto Pull = [&](Slot &S) {
+    if (!Source.Pull(S.Item))
+      return false;
+    S.Models = &ModelsOf(S.Item.Index);
+    return true;
+  };
+  auto Admit = [&](Slot &S) {
+    if (Source.Admit && !Source.Admit(S.Item))
+      return false;
+    S.Hit = Hooks.CacheLookup && Hooks.CacheLookup(S.Item.Test, S.Result);
+    return true;
+  };
+  auto Settle = [&](Slot &S) { settle(S, Judge, Render); };
+  auto Emit = [&](Slot &S) {
+    if (S.Hit) {
+      ++Report.CacheHits;
+    } else {
+      if (Report.CacheUsed)
+        ++Report.CacheMisses;
+      if (Hooks.CacheStore)
+        Hooks.CacheStore(S.Item.Test, S.Result);
+    }
+    ++Report.Reported;
+    Report.Errored += !S.Result.Error.empty();
+    Sink(S.Result);
+    if (Hooks.OnBatch && Report.Reported % BatchSize == 0)
+      Hooks.OnBatch(Report);
+    return true;
+  };
+  auto Fill = [&](auto &&Steps) {
+    obs::Span PullSpan("pull");
+    const auto PullStart = Clock::now();
+    Steps();
+    PullSeconds += secondsSince(PullStart);
+  };
   const OrderedWindow<Slot> Window(Workers, BatchSize);
-  Window.run(
-      [&](Slot &S) {
-        if (!Pull(S.Job))
-          return false;
-        S.Hit = Hooks.CacheLookup && Hooks.CacheLookup(S.Job.Test, S.Result);
-        return true;
-      },
-      [&](Slot &S) { settle(S, Judge, Render); },
-      [&](Slot &S) {
-        if (S.Hit) {
-          ++Report.CacheHits;
-        } else {
-          if (Report.CacheUsed)
-            ++Report.CacheMisses;
-          if (Hooks.CacheStore)
-            Hooks.CacheStore(S.Job.Test, S.Result);
-        }
-        ++Report.Reported;
-        Report.Errored += !S.Result.Error.empty();
-        Sink(S.Result);
-        if (Hooks.OnBatch && Report.Reported % BatchSize == 0)
-          Hooks.OnBatch(Report);
-        return true;
-      },
-      [&](auto &&Pulls) {
-        obs::Span PullSpan("pull");
-        const auto PullStart = Clock::now();
-        Pulls();
-        PullSeconds += secondsSince(PullStart);
-      });
+  if (Source.Make)
+    // The make also releases the slot's last result, on its worker.
+    Window.run(
+        Pull,
+        [&](Slot &S) {
+          S.Result = SweepTestResult();
+          Source.Make(S.Item);
+        },
+        Admit, Settle, Emit, Fill);
+  else
+    Window.run(Pull, NoMake(), Admit, Settle, Emit, Fill);
   if (Hooks.OnBatch && Report.Reported % BatchSize != 0)
     Hooks.OnBatch(Report);
 
@@ -178,25 +200,31 @@ SweepReport SweepEngine::run(const std::vector<SweepJob> &Jobs) const {
                                               " jobs)"
                                         : std::string());
   size_t Next = 0;
+  StagedSource Source;
+  Source.Pull = [&](StagedTest &Item) {
+    if (Next == Jobs.size())
+      return false;
+    Item.Index = Next;
+    Item.Test = Jobs[Next++].Test;
+    return true;
+  };
   return sweep(
-      [&](SweepJob &Out) {
-        if (Next == Jobs.size())
-          return false;
-        Out = Jobs[Next++];
-        return true;
+      Source,
+      [&Jobs](size_t I) -> const std::vector<const Model *> & {
+        return Jobs[I].Models;
       },
       StreamBatchSize, {});
 }
 
 SweepReport
-SweepEngine::runStreamed(const TestSource &Source,
+SweepEngine::runStreamed(const StagedSource &Source,
                          const std::vector<const Model *> &Models,
                          unsigned BatchSize,
                          const StreamHooks &Hooks) const {
   return sweep(
-      [&](SweepJob &Out) {
-        Out.Models = Models;
-        return Source(Out.Test);
+      Source,
+      [&Models](size_t) -> const std::vector<const Model *> & {
+        return Models;
       },
       BatchSize, Hooks);
 }

@@ -14,8 +14,11 @@
 ///
 /// run() and runStreamed() share one loop, an ordered window
 /// (support/OrderedWindow.h, which the sweep merge shares). The calling
-/// thread pulls each test, looks it up in the cache, and reports results
-/// in pull order; a pool of worker threads, started once per sweep, judges
+/// thread pulls each input (a job, a test, or for a staged source only a
+/// file or a cycle), admits the made tests in pull order (the source's
+/// own admission, then the cache lookup), and reports results in pull
+/// order; a pool of worker threads, started once per sweep, makes a
+/// staged source's tests (reads and parses, or synthesizes them), judges
 /// the misses and decodes the hits that hand back a stored record, at most
 /// one window (workers x batch size) ahead of the oldest unreported test.
 /// So the report is byte-for-byte deterministic for any worker count, and
@@ -111,14 +114,14 @@ struct SweepReport {
 /// depending on either. Every hook runs on the thread that called
 /// runStreamed, so none needs to be thread-safe.
 struct StreamHooks {
-  /// Consulted per pulled test before judging; return true to skip
-  /// judging it (a cache hit), having set the result's Record to a stored
-  /// cats-sweep-report/2 record. The engine decodes that record
-  /// (resultFromRecord in sweep/ReportIO.h) where it would judge the
-  /// test: on a worker, or on the calling thread at one worker. A record
-  /// that does not decode to an answer for the test and the model list is
-  /// judged instead, and is a miss. Hit results land in the report at the
-  /// test's source position, exactly as if judged.
+  /// Consulted per admitted test, in pull order, before judging; return
+  /// true to skip judging it (a cache hit), having set the result's
+  /// Record to a stored cats-sweep-report/2 record. The engine decodes
+  /// that record (resultFromRecord in sweep/ReportIO.h) where it would
+  /// judge the test: on a worker, or on the calling thread at one worker.
+  /// A record that does not decode to an answer for the test and the
+  /// model list is judged instead, and is a miss. Hit results land in the
+  /// report at the test's source position, exactly as if judged.
   std::function<bool(const LitmusTest &, SweepTestResult &)> CacheLookup;
   /// Offered every freshly judged result (cache population), in source
   /// order: the misses, including hits whose record was judged instead.
@@ -161,17 +164,24 @@ public:
   /// the diy enumeration feeds thousands of generated scenarios through
   /// the engine. \p Hooks adds the campaign-scale behaviours: result-cache
   /// lookup/store around each test, a sink at the frontier, and a
-  /// callback every \p BatchSize results.
-  SweepReport runStreamed(const TestSource &Source,
+  /// callback every \p BatchSize results. A staged source's pulls and
+  /// admissions run on the calling thread, in order, its admission before
+  /// the cache lookup, and its makes on the pool (inline at one worker);
+  /// a plain TestSource converts to a staged source whose pull makes each
+  /// test.
+  SweepReport runStreamed(const StagedSource &Source,
                           const std::vector<const Model *> &Models,
                           unsigned BatchSize = StreamBatchSize,
                           const StreamHooks &Hooks = {}) const;
 
 private:
-  /// The loop behind run() and runStreamed(): \p Pull fills the next job
-  /// or returns false at the end.
-  SweepReport sweep(const std::function<bool(SweepJob &)> &Pull,
-                    unsigned BatchSize, const StreamHooks &Hooks) const;
+  /// The loop behind run() and runStreamed(): the steps of \p Source,
+  /// each test judged under \p ModelsOf(its pulled index).
+  SweepReport
+  sweep(const StagedSource &Source,
+        const std::function<const std::vector<const Model *> &(size_t)>
+            &ModelsOf,
+        unsigned BatchSize, const StreamHooks &Hooks) const;
 
   unsigned Workers;
   SimulateOptions Judge;

@@ -232,6 +232,85 @@ TEST(Shard, StanzaRoundTrip) {
   EXPECT_FALSE(static_cast<bool>(shardFromJson(JsonValue(1))));
 }
 
+TEST(Shard, ParsedOnWorkersAStagedSweepKeepsItsReportsErrorsAndShards) {
+  // A directory of the catalogue's tests with unparsable files among
+  // them, swept under --filter, whole and as each shard of 3. The files
+  // are parsed on the workers and admitted in file order, so every worker
+  // count gives the one-worker reports and load errors, and those equal
+  // the parse-at-pull-time sweep of the same files.
+  const std::string Dir = scratchDir("staged_sweep");
+  const std::vector<LitmusTest> Tests = catalogueTests();
+  for (size_t I = 0; I < Tests.size(); ++I) {
+    const std::string Stem = Dir + strFormat("/%03zu", 2 * I);
+    ASSERT_FALSE(writeWholeFile(Stem + ".litmus", Tests[I].toString()).failed());
+    if (I % 9 == 4) {
+      ASSERT_FALSE(writeWholeFile(Dir + strFormat("/%03zu.litmus", 2 * I + 1),
+                                  "Power broken\n{ }\nP0:\n  frob x\n")
+                       .failed());
+    }
+  }
+  const std::string Filter = "^[^c]";
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+
+  struct Run {
+    std::string Report;
+    std::vector<std::string> Errors;
+    std::vector<std::string> Names;
+  };
+  auto Sweep = [&](ShardSpec Shard, unsigned Workers, bool Staged) {
+    Run Out;
+    cli::CampaignFlags Flags;
+    Flags.Shard = Shard;
+    StagedSource Source;
+    if (Staged) {
+      auto S = stageCampaignTests({Dir}, false, Filter, &Out.Errors);
+      EXPECT_TRUE(static_cast<bool>(S)) << S.message();
+      Source = S.take();
+    } else {
+      auto S = streamCampaignTests({Dir}, false, Filter, &Out.Errors);
+      EXPECT_TRUE(static_cast<bool>(S)) << S.message();
+      Source = S.take();
+    }
+    auto Report =
+        cli::runCampaignSweep(SweepEngine({Workers}), Source, Models, Flags);
+    EXPECT_TRUE(static_cast<bool>(Report)) << Report.message();
+    for (const SweepTestResult &T : Report->Tests)
+      Out.Names.push_back(T.TestName);
+    Report->Jobs = 1;
+    Out.Report = scrubbedDump(*Report);
+    return Out;
+  };
+
+  std::vector<std::string> WholeNames;
+  std::vector<std::vector<std::string>> ShardNames;
+  for (unsigned K = 0; K <= 3; ++K) {
+    const ShardSpec Shard = K ? ShardSpec{K, 3} : ShardSpec{};
+    SCOPED_TRACE("shard " + Shard.toString());
+    const Run Reference = Sweep(Shard, 1, false);
+    ASSERT_EQ(Reference.Errors.size(), 6u);
+    for (size_t I = 1; I < Reference.Errors.size(); ++I)
+      EXPECT_LT(Reference.Errors[I - 1], Reference.Errors[I]);
+    for (unsigned Workers = 1; Workers <= 8; ++Workers) {
+      const Run Staged = Sweep(Shard, Workers, true);
+      EXPECT_EQ(Staged.Report, Reference.Report) << Workers << " workers";
+      EXPECT_EQ(Staged.Errors, Reference.Errors) << Workers << " workers";
+      EXPECT_EQ(Staged.Names, Reference.Names) << Workers << " workers";
+    }
+    (K ? ShardNames.emplace_back() : WholeNames) = Reference.Names;
+  }
+  // The filter kept some and dropped some, and the shards interleave
+  // back to the whole sweep, as cats_merge takes them.
+  EXPECT_GT(WholeNames.size(), 30u);
+  EXPECT_LT(WholeNames.size(), Tests.size());
+  std::vector<std::string> Interleaved;
+  for (size_t Offset = 0; Interleaved.size() < WholeNames.size(); ++Offset)
+    for (const std::vector<std::string> &Names : ShardNames)
+      if (Offset < Names.size())
+        Interleaved.push_back(Names[Offset]);
+  EXPECT_EQ(Interleaved, WholeNames);
+}
+
 //===----------------------------------------------------------------------===//
 // Report IO: outcome keys and the sweep-report reader
 //===----------------------------------------------------------------------===//

@@ -544,7 +544,18 @@ TEST(TestFilter, DirectoriesContributeTheirLitmusEntriesButNotSubdirectories) {
   EXPECT_FALSE(parseLitmusFile(Dir + "/sub.litmus"));
   EXPECT_EQ(parseLitmusFile(Dir + "/sub.litmus").message(),
             "cannot open litmus file " + Dir + "/sub.litmus");
-  EXPECT_TRUE(collectLitmusFiles(Dir + "/missing", Files).failed());
+  EXPECT_EQ(collectLitmusFiles(Dir + "/missing", Files).message(),
+            "no such file or directory: " + Dir + "/missing");
+  // A file named directly is taken as it is, also through a link; a
+  // dangling link is missing.
+  Files.clear();
+  fs::create_symlink(Dir + "/a.litmus", Dir + "/link");
+  ASSERT_FALSE(collectLitmusFiles(Dir + "/notes.txt", Files).failed());
+  ASSERT_FALSE(collectLitmusFiles(Dir + "/link", Files).failed());
+  EXPECT_EQ(Files, (std::vector<std::string>{Dir + "/notes.txt",
+                                             Dir + "/link"}));
+  EXPECT_EQ(collectLitmusFiles(Dir + "/c.litmus", Files).message(),
+            "no such file or directory: " + Dir + "/c.litmus");
   fs::remove_all(Dir);
 }
 

@@ -24,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -267,6 +269,32 @@ TEST(Trace, BalancedEventsParseableAndPerThreadOrdered) {
   }
   for (const auto &[Tid, Stack] : PerTid)
     EXPECT_TRUE(Stack.empty()) << "unclosed B events on tid " << Tid;
+}
+
+TEST(Trace, TheWrittenFileParsesToTheBufferedEvents) {
+  // writeTrace renders one event at a time; what it writes is still the
+  // document traceToJson() builds, names that need escaping included.
+  ObsSandbox Sandbox;
+  obs::setTraceEnabled(true);
+  {
+    obs::Span Outer("judge \"quoted\\name\"\t");
+    obs::Span Inner("inner");
+  }
+  std::thread Worker([] { obs::Span T("worker span"); });
+  Worker.join();
+  obs::setTraceEnabled(false);
+
+  const std::string Path = ::testing::TempDir() + "cats_trace_stream.json";
+  std::string Error;
+  ASSERT_TRUE(obs::writeTrace(Path, Error)) << Error;
+  std::ifstream In(Path);
+  const std::string Text((std::istreambuf_iterator<char>(In)),
+                         std::istreambuf_iterator<char>());
+  auto Parsed = JsonValue::parse(Text);
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.message();
+  EXPECT_TRUE(*Parsed == obs::traceToJson());
+  EXPECT_EQ(Parsed->get("traceEvents")->elements().size(), 6u);
+  std::remove(Path.c_str());
 }
 
 TEST(Trace, DisabledSpansEmitNothing) {

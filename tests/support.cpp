@@ -349,3 +349,130 @@ TEST(OrderedWindow, AnExceptionFromPullOrEmitPropagatesAfterTheJoin) {
         EXPECT_EQ(Probe.Emitted[I], I);
     }
 }
+
+namespace {
+
+/// A pass of an OrderedWindow<size_t> with a make step over the items 0,
+/// 1, ...: the pull takes the next index, the make sleeps in every fifth
+/// item and the settle in every seventh, so both finish out of order,
+/// and the admission drops every fourth item. It counts each item's
+/// makes and settles and notes the threads of each step.
+struct MakeProbe : WindowProbe {
+  std::atomic<unsigned> Makes[Items] = {};
+  std::vector<size_t> Admitted;
+
+  void make(size_t Item) {
+    ++Running;
+    note("make");
+    if (Item % 5 == 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    ++Makes[Item];
+    --Running;
+  }
+  bool admit(size_t Item) {
+    note("admit");
+    // Admitted only once made, in pull order.
+    EXPECT_EQ(Makes[Item].load(), 1u) << Item;
+    Admitted.push_back(Item);
+    return Item % 4 != 3;
+  }
+  unsigned made() const {
+    unsigned N = 0;
+    for (const std::atomic<unsigned> &M : Makes)
+      N += M.load();
+    return N;
+  }
+  /// Runs the five steps through a window of \p Workers x \p Batch.
+  void run(unsigned Workers, size_t Batch) {
+    OrderedWindow<size_t>(Workers, Batch)
+        .run([&](size_t &I) { return pull(I); }, [&](size_t &I) { make(I); },
+             [&](size_t &I) { return admit(I); },
+             [&](size_t &I) { settle(I); },
+             [&](size_t &I) {
+               emit(I);
+               return true;
+             });
+  }
+};
+
+} // namespace
+
+TEST(OrderedWindow, AdmitsInPullOrderWhateverMakesFirst) {
+  const std::set<std::thread::id> Caller = {std::this_thread::get_id()};
+  for (unsigned Workers = 1; Workers <= 8; ++Workers)
+    for (size_t Batch : {1, 3, 64}) {
+      SCOPED_TRACE(std::to_string(Workers) + " workers, batch " +
+                   std::to_string(Batch));
+      MakeProbe Probe;
+      Probe.run(Workers, Batch);
+      ASSERT_EQ(Probe.Admitted.size(), MakeProbe::Items);
+      std::vector<size_t> Kept;
+      for (size_t I = 0; I < MakeProbe::Items; ++I) {
+        EXPECT_EQ(Probe.Admitted[I], I);
+        EXPECT_EQ(Probe.Makes[I].load(), 1u) << I;
+        // A dropped item is never settled or emitted.
+        EXPECT_EQ(Probe.Settles[I].load(), I % 4 != 3 ? 1u : 0u) << I;
+        if (I % 4 != 3)
+          Kept.push_back(I);
+      }
+      EXPECT_EQ(Probe.Emitted, Kept);
+      for (const char *Step : {"pull", "admit", "emit"})
+        EXPECT_EQ(Probe.Threads[Step], Caller) << Step;
+      // Makes and settles run on the workers, or all on the calling
+      // thread at one worker.
+      for (const char *Step : {"make", "settle"}) {
+        const std::set<std::thread::id> &On = Probe.Threads[Step];
+        if (hardwareWorkers(Workers) == 1) {
+          EXPECT_EQ(On, Caller) << Step;
+        } else {
+          EXPECT_EQ(On.count(*Caller.begin()), 0u) << Step;
+          EXPECT_LE(On.size(), hardwareWorkers(Workers)) << Step;
+        }
+      }
+    }
+}
+
+TEST(OrderedWindow, AnExceptionFromMakeAdmitOrEmitPropagatesAfterTheJoin) {
+  for (unsigned Workers : {1u, 2u, 4u, 8u})
+    for (const char *From : {"make", "admit", "emit"}) {
+      SCOPED_TRACE(std::to_string(Workers) + " workers, thrown by " + From);
+      const std::string Step = From;
+      MakeProbe Probe;
+      auto Pass = [&] {
+        OrderedWindow<size_t>(Workers, 4)
+            .run([&](size_t &I) { return Probe.pull(I); },
+                 [&](size_t &I) {
+                   if (Step == "make" && I == 60)
+                     throw std::runtime_error("make");
+                   Probe.make(I);
+                 },
+                 [&](size_t &I) {
+                   if (Step == "admit" && I == 70)
+                     throw std::runtime_error("admit");
+                   return Probe.admit(I);
+                 },
+                 [&](size_t &I) { Probe.settle(I); },
+                 [&](size_t &I) {
+                   if (Step == "emit" && I == 50)
+                     throw std::runtime_error("emit");
+                   Probe.emit(I);
+                   return true;
+                 });
+      };
+      EXPECT_THROW(Pass(), std::runtime_error);
+      // The pool has joined: nothing runs now, and nothing starts later.
+      EXPECT_EQ(Probe.Running.load(), 0);
+      const unsigned Made = Probe.made(), Settled = Probe.settled();
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      EXPECT_EQ(Probe.made(), Made);
+      EXPECT_EQ(Probe.settled(), Settled);
+      // Items are admitted up to the failure, and nothing after it is.
+      const size_t Failed = Step == "make" ? 60 : Step == "admit" ? 70 : 50;
+      EXPECT_LE(Probe.Admitted.size(), Step == "emit" ? MakeProbe::Items
+                                                      : Failed);
+      for (size_t I = 0; I < Probe.Admitted.size(); ++I)
+        EXPECT_EQ(Probe.Admitted[I], I);
+      for (size_t I : Probe.Emitted)
+        EXPECT_LT(I, Failed);
+    }
+}

@@ -81,20 +81,20 @@ inline int parseCampaignFlag(ArgCursor &Args, const char *Tool,
 }
 
 /// Runs \p Source through the engine in batches of StreamBatchSize with
-/// the campaign behaviours attached: the source is shard-filtered and
-/// cache hooks wrap every test. Each result leaves at the in-order
-/// frontier: its record to \p Writer when one is given, and then the
-/// result, without its witnesses, to \p Sink. With neither, the report
-/// keeps the results. An enabled \p Progress reporter is fed from the
-/// per-batch hook and finished before returning.
+/// the campaign behaviours attached: the shard joins the source's
+/// admission and cache hooks wrap every admitted test. Each result leaves
+/// at the in-order frontier: its record to \p Writer when one is given,
+/// and then the result, without its witnesses, to \p Sink. With neither,
+/// the report keeps the results. An enabled \p Progress reporter is fed
+/// from the per-batch hook and finished before returning.
 inline Expected<SweepReport>
-runCampaignSweep(const SweepEngine &Engine, TestSource Source,
+runCampaignSweep(const SweepEngine &Engine, StagedSource Source,
                  const std::vector<const Model *> &Models,
                  const CampaignFlags &Flags,
                  obs::ProgressReporter *Progress = nullptr,
                  std::function<void(SweepTestResult &)> Sink = {},
                  SweepReportWriter *Writer = nullptr) {
-  Source = shardTestSource(std::move(Source), Flags.Shard);
+  Source = shardSource(std::move(Source), Flags.Shard);
 
   std::optional<ResultCache> Cache;
   StreamHooks Hooks;

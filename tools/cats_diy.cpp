@@ -70,11 +70,13 @@ int usage(const char *Argv0) {
       Flags);
 }
 
-/// Per-cycle record accumulated across the phases.
+/// What became of one enumerated cycle, kept beside it.
 struct CycleRecord {
-  EnumeratedCycle Cycle;
   bool Synthesized = false;
   std::string Error;
+  /// Why its --export failed, as the make step found it; reported at its
+  /// admission, in cycle order.
+  std::string ExportError;
   /// One letter per sweep model, in model order: 'A' for Allow, 'F' for
   /// Forbid. Kept for every cycle, so kept small.
   std::string Verdicts;
@@ -188,20 +190,14 @@ int main(int argc, char **argv) {
   cli::applyObsFlags(Obs);
 
   // Phase 1: enumerate the matching cycles (a bad --filter fails here).
-  std::vector<CycleRecord> Records;
-  {
-    auto Matching = enumerateMatching(Opts, Filter);
-    if (!Matching) {
-      std::fprintf(stderr, "cats_diy: %s\n", Matching.message().c_str());
-      return 2;
-    }
-    Records.reserve(Matching->size());
-    for (EnumeratedCycle &Cycle : *Matching) {
-      CycleRecord R;
-      R.Cycle = std::move(Cycle);
-      Records.push_back(std::move(R));
-    }
+  auto Matching = enumerateMatching(Opts, Filter);
+  if (!Matching) {
+    std::fprintf(stderr, "cats_diy: %s\n", Matching.message().c_str());
+    return 2;
   }
+  const auto Cycles =
+      std::make_shared<const std::vector<EnumeratedCycle>>(Matching.take());
+  std::vector<CycleRecord> Records(Cycles->size());
 
   if (!ExportDir.empty()) {
     std::error_code Ec;
@@ -212,44 +208,51 @@ int main(int argc, char **argv) {
       return 1;
     }
   }
-  unsigned SynthesisErrors = 0;
-  bool ExportFailed = false;
-  auto ExportTest = [&](const LitmusTest &Test) {
-    const std::string Path = ExportDir + "/" + Test.Name + ".litmus";
-    if (!cli::writeReport("cats_diy", Path, Test.toString()))
-      ExportFailed = true;
-  };
 
   // The enumeration is done, so the total is known either way.
   obs::ProgressReporter Progress("cats_diy", Records.size(), Obs.Progress);
 
-  // Phase 2: one source synthesizes (and exports) the enumerated records
-  // on demand, so each cycle is synthesized exactly once: --sweep feeds
-  // it to the engine, --synthesize or --export alone drain it.
-  size_t Cursor = 0;
-  TestSource Source = [&](LitmusTest &Out) -> bool {
-    while (Cursor < Records.size()) {
-      CycleRecord &R = Records[Cursor++];
-      auto Test = synthesizeTest(R.Cycle.Cycle, Opts.Target, R.Cycle.Name);
-      if (!Test) {
-        R.Error = Test.message();
-        ++SynthesisErrors;
-        continue;
-      }
-      R.Synthesized = true;
-      if (!ExportDir.empty())
-        ExportTest(*Test);
-      Out = Test.take();
-      return true;
+  // Phase 2: one staged source synthesizes (and exports) each cycle in
+  // its make step, so each cycle is synthesized exactly once, and folds
+  // the outcome into its record at admission, in cycle order: --sweep
+  // feeds it to the engine, whose workers make the tests; --synthesize or
+  // --export alone drain it inline.
+  unsigned SynthesisErrors = 0;
+  bool ExportFailed = false;
+  size_t Admitted = 0;
+  StagedSource Source = stageDiyTests(Cycles, Opts.Target);
+  if (!ExportDir.empty())
+    Source.Make = [Make = std::move(Source.Make), &ExportDir,
+                   &Records](StagedTest &Item) {
+      Make(Item);
+      if (!Item.Error.empty())
+        return;
+      Status Wrote = writeWholeFile(
+          ExportDir + "/" + Item.Test.Name + ".litmus", Item.Test.toString());
+      Records[Item.Index].ExportError = Wrote.message();
+    };
+  Source.Admit = [&](StagedTest &Item) {
+    CycleRecord &R = Records[Item.Index];
+    Admitted = Item.Index + 1;
+    if (!Item.Error.empty()) {
+      R.Error = Item.Error;
+      ++SynthesisErrors;
+      return false;
     }
-    return false;
+    R.Synthesized = true;
+    if (!R.ExportError.empty()) {
+      std::fprintf(stderr, "cats_diy: %s\n", R.ExportError.c_str());
+      ExportFailed = true;
+    }
+    return true;
   };
   if (NeedTests && !Sweep) {
+    TestSource Drain = inlineSource(Source);
     LitmusTest Test;
     bool More = true;
     while (More) {
-      More = Source(Test);
-      Progress.update(Cursor);
+      More = Drain(Test);
+      Progress.update(Admitted);
     }
   }
 
@@ -270,12 +273,12 @@ int main(int argc, char **argv) {
       return 1;
     // Each verdict, or sweep-time validate/compile error, is attached to
     // its record at the frontier. Results come in source order, which is
-    // record order less the records the source skipped (synthesis
+    // record order less the records the source dropped (synthesis
     // failures, other shards), so the record is the next one by name.
     size_t Attach = 0;
     auto AttachResult = [&](SweepTestResult &T) {
       size_t I = Attach;
-      while (I < Records.size() && Records[I].Cycle.Name != T.TestName)
+      while (I < Records.size() && (*Cycles)[I].Name != T.TestName)
         ++I;
       if (I == Records.size())
         return;
@@ -311,15 +314,16 @@ int main(int argc, char **argv) {
       for (const Model *M : Models)
         std::printf(" %-10s", M->name().c_str());
     std::printf("\n");
-    for (const CycleRecord &R : Records) {
-      std::printf("%-40s %5zu %8u", R.Cycle.Name.c_str(),
-                  R.Cycle.Cycle.size(), [&] {
-                    unsigned External = 0;
-                    for (const DiyEdge &E : R.Cycle.Cycle)
-                      if (isExternalEdge(E.Kind))
-                        ++External;
-                    return External;
-                  }());
+    for (size_t I = 0; I < Records.size(); ++I) {
+      const EnumeratedCycle &C = (*Cycles)[I];
+      const CycleRecord &R = Records[I];
+      std::printf("%-40s %5zu %8u", C.Name.c_str(), C.Cycle.size(), [&] {
+        unsigned External = 0;
+        for (const DiyEdge &E : C.Cycle)
+          if (isExternalEdge(E.Kind))
+            ++External;
+        return External;
+      }());
       if (!R.Error.empty())
         std::printf("  SYNTHESIS ERROR: %s", R.Error.c_str());
       for (char Verdict : R.Verdicts)
@@ -355,15 +359,17 @@ int main(int argc, char **argv) {
     Root.set("internal_com", Opts.InternalCom);
     Root.set("enumerated", static_cast<unsigned>(Records.size()));
     Root.set("synthesis_errors", SynthesisErrors);
-    JsonValue Cycles = JsonValue::array();
-    for (const CycleRecord &R : Records) {
+    JsonValue Entries = JsonValue::array();
+    for (size_t At = 0; At < Records.size(); ++At) {
+      const EnumeratedCycle &C = (*Cycles)[At];
+      const CycleRecord &R = Records[At];
       JsonValue Entry = JsonValue::object();
-      Entry.set("name", R.Cycle.Name);
+      Entry.set("name", C.Name);
       JsonValue Edges = JsonValue::array();
-      for (const DiyEdge &E : R.Cycle.Cycle)
+      for (const DiyEdge &E : C.Cycle)
         Edges.push(E.toString());
       Entry.set("edges", std::move(Edges));
-      Entry.set("size", static_cast<unsigned>(R.Cycle.Cycle.size()));
+      Entry.set("size", static_cast<unsigned>(C.Cycle.size()));
       if (NeedTests)
         Entry.set("synthesized", R.Synthesized);
       if (!R.Error.empty())
@@ -374,9 +380,9 @@ int main(int argc, char **argv) {
           Verdicts.set(Models[I]->name(), verdictName(R.Verdicts[I]));
         Entry.set("verdicts", std::move(Verdicts));
       }
-      Cycles.push(std::move(Entry));
+      Entries.push(std::move(Entry));
     }
-    Root.set("cycles", std::move(Cycles));
+    Root.set("cycles", std::move(Entries));
     cli::attachMetrics(Root, Obs);
     if (!cli::writeReport("cats_diy", JsonPath, Root.dump()))
       return 1;

@@ -174,23 +174,26 @@ int main(int argc, char **argv) {
   EngineOpts.Witness = Witness;
   SweepEngine Engine(EngineOpts);
 
-  // Tests parse lazily at pull time and flow through the shard filter
-  // and the result cache.
+  // Each file is read and parsed on the engine's workers, then admitted
+  // in file order: load errors, the filter, the shard and the result
+  // cache.
   std::vector<std::string> LoadErrors;
-  auto Source = streamCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
-  if (!Source) {
-    std::fprintf(stderr, "cats_sweep: %s\n", Source.message().c_str());
+  auto Staged = stageCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
+  if (!Staged) {
+    std::fprintf(stderr, "cats_sweep: %s\n", Staged.message().c_str());
     return 2;
   }
-  TestSource Pull = Source.take();
-  // --herd keeps each pulled test's final condition for its footer. It
-  // runs without the campaign flags, so every pull is judged, in order.
+  StagedSource Source = Staged.take();
+  // --herd keeps each admitted test's final condition for its footer. It
+  // runs without the campaign flags, so every admitted test is judged, in
+  // order.
   std::vector<Condition> Finals;
   if (Herd)
-    Pull = [Inner = std::move(Pull), &Finals](LitmusTest &Out) {
-      if (!Inner(Out))
+    Source.Admit = [Admit = std::move(Source.Admit),
+                    &Finals](StagedTest &Item) {
+      if (!Admit(Item))
         return false;
-      Finals.push_back(Out.Final);
+      Finals.push_back(Item.Test.Final);
       return true;
     };
   std::optional<SweepReportWriter> Writer;
@@ -222,7 +225,7 @@ int main(int argc, char **argv) {
                                              Finals[I]);
   };
   auto Swept =
-      cli::runCampaignSweep(Engine, std::move(Pull), Models, Campaign,
+      cli::runCampaignSweep(Engine, std::move(Source), Models, Campaign,
                             &Progress, Keep, Writer ? &*Writer : nullptr);
   for (const std::string &Problem : LoadErrors)
     std::fprintf(stderr, "cats_sweep: %s\n", Problem.c_str());
