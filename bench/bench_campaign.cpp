@@ -109,7 +109,8 @@ int main(int argc, char **argv) {
     return 2;
   }
   auto Tests = std::make_shared<std::vector<LitmusTest>>();
-  for (LitmusTest T; (*Source)(T);)
+  TestSource Drain = inlineSource(Source.take());
+  for (LitmusTest T; Drain(T);)
     Tests->push_back(std::move(T));
   std::vector<const Model *> Models = resolveModels({}).take();
 

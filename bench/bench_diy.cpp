@@ -128,8 +128,9 @@ std::vector<SweepJob> materializeJobs(const EnumerateOptions &Opts) {
     std::exit(1);
   }
   std::vector<LitmusTest> Tests;
+  TestSource Drain = inlineSource(Source.take());
   LitmusTest Test;
-  while ((*Source)(Test))
+  while (Drain(Test))
     Tests.push_back(Test);
   return makeJobs(Tests, allModels());
 }

@@ -146,9 +146,6 @@ struct RecordSlot {
   MergeRecord Record;
   /// Why the merge stops at this record; empty while it passes.
   std::string Error;
-  /// False when the record could not be read or does not parse: its
-  /// input's rest then starts at it.
-  bool Taken = true;
 };
 
 /// A worker's step for one record of input \p Path: the parse of its
@@ -161,7 +158,6 @@ void settleRecord(RecordSlot &S, const std::string &Path,
     if (!Parsed) {
       S.Error = strFormat("input %zu: %s: %s", S.Input + 1, Path.c_str(),
                           Parsed.message().c_str());
-      S.Taken = false;
       return;
     }
     R.Value = Parsed.take();
@@ -274,7 +270,6 @@ cats::mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
   obs::Span RecordsSpan("merge.records");
   size_t Seq = 0, Input = 0, Offset = 0;
   bool Unreadable = false;
-  std::vector<size_t> Taken(Inputs.size(), 0);
   std::string Error;
   const OrderedWindow<RecordSlot> Window(0, MergeBatch);
   Window.run(
@@ -296,7 +291,6 @@ cats::mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
         if (Status Read = Inputs[S.Input].Next(S.Record); Read.failed()) {
           S.Error = strFormat("input %zu: %s", S.Input + 1,
                               Read.message().c_str());
-          S.Taken = false;
           Unreadable = true;
         }
         return true;
@@ -307,7 +301,6 @@ cats::mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
           settleRecord(S, Inputs[S.Input].Path, Finish);
       },
       [&](RecordSlot &S) {
-        Taken[S.Input] += S.Taken;
         if (!S.Error.empty()) {
           Error = std::move(S.Error);
           return false;
@@ -315,12 +308,8 @@ cats::mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
         Emit(S.Record);
         return true;
       });
-  if (!Error.empty()) {
-    for (size_t I = 0; I < Inputs.size(); ++I)
-      if (Inputs[I].Rewind)
-        Inputs[I].Rewind(Taken[I]);
+  if (!Error.empty())
     return Ret::error(Error);
-  }
   return Root;
 }
 
@@ -527,20 +516,13 @@ Status ReportFile::readRecord(MergeRecord &Out) {
   return passed(toRecord() && Reader->copy(2, Out.Text, Out.At));
 }
 
-void ReportFile::rewind(size_t Taken) {
-  if (Failed || Taken == Read)
-    return;
-  // Found again from the array's start: only a failed merge comes here.
-  Read = 0;
-  bool Ok = true;
-  while (Ok && Read < Taken)
-    Ok = !passed(toRecord() && Reader->skip(2)).failed();
-}
-
 Status ReportFile::readRest() {
   if (Failed)
     return readError();
   JsonValue Record;
+  // From the array's start: the records a merge read before it was
+  // refused parsed then, and parse again.
+  Read = 0;
   while (Read < Records)
     if (Status S = passed(toRecord() && Reader->parse(2, Record)); S.failed())
       return S;
@@ -553,6 +535,5 @@ SweepMergeInput ReportFile::input() {
   In.Records = Records;
   In.Next = [this](MergeRecord &Out) { return readRecord(Out); };
   In.Path = Path;
-  In.Rewind = [this](size_t Taken) { rewind(Taken); };
   return In;
 }

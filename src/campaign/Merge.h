@@ -81,11 +81,6 @@ struct SweepMergeInput {
   std::function<Status(MergeRecord &)> Next;
   /// The file the bytes come from, named in their parse errors.
   std::string Path;
-  /// Optional. Called when the merge fails, with the number of records
-  /// it took from this input before the failure, the refused record
-  /// included: the merge reads ahead, a window at a time, and the
-  /// input's next record is then the first one it did not take.
-  std::function<void(size_t Taken)> Rewind;
 };
 
 /// The sweep merge of mergeSweepReports, a record at a time, on a pool
@@ -98,11 +93,10 @@ struct SweepMergeInput {
 /// set; and the calling thread hands the records to \p Emit in merged
 /// order. The first record in merged order that cannot be read, does
 /// not parse or is refused stops the merge, whichever worker gets to it
-/// first; the merge then emits nothing after it, and rewinds its inputs
-/// (SweepMergeInput::Rewind). It returns the merged top level with an
-/// empty "tests" array, the records' place, and the folded metrics and
-/// witness sections after it. Errors name the input, and the test for a
-/// record.
+/// first; the merge then emits nothing after it. It returns the merged
+/// top level with an empty "tests" array, the records' place, and the
+/// folded metrics and witness sections after it. Errors name the input,
+/// and the test for a record.
 Expected<JsonValue>
 mergeSweepInputs(std::vector<SweepMergeInput> Inputs,
                  const std::function<void(MergeRecord &)> &Finish,
@@ -155,7 +149,7 @@ public:
   /// records' bytes read one at a time. The file must outlive the input,
   /// and stay where it is.
   SweepMergeInput input();
-  /// Parses the records the merge has not taken, so a document that does
+  /// Parses every record again, from the first, so a document that does
   /// not parse fails here even when the merge stopped before its broken
   /// record. Fails as open() does.
   Status readRest();
@@ -172,8 +166,6 @@ private:
   /// Counts a record read, and says why it failed when not \p Ok.
   Status passed(bool Ok);
   Status readRecord(MergeRecord &Out);
-  /// Goes back to the record after the first \p Taken.
-  void rewind(size_t Taken);
   /// The reader's error, as open() reports it.
   Status readError() const;
 

@@ -121,9 +121,11 @@ struct ResultCache::State {
   void indexLog(const std::string &Path);
 
   /// Reads the record stored under key \p K into \p Record. False when
-  /// the index holds no line for it, or its line cannot be read back or
-  /// no longer carries that key and the sum of its record.
-  bool find(const Key &K, std::string &Record) const;
+  /// the index holds no line for it before \p End, in log and then file
+  /// order, or its line cannot be read back or no longer carries that key
+  /// and the sum of its record.
+  bool find(const Key &K, std::string &Record,
+            LineRef End = {UINT32_MAX, 0, 0}) const;
 
   /// Creates this handle's log, under a name no other writer holds that
   /// sorts by creation: the time in nanoseconds, the process id and a
@@ -250,13 +252,16 @@ Expected<ResultCache> cats::ResultCache::open(const std::string &Dir) {
   return ResultCache(std::move(S));
 }
 
-bool ResultCache::State::find(const Key &K, std::string &Record) const {
+bool ResultCache::State::find(const Key &K, std::string &Record,
+                              LineRef End) const {
   const auto Found = Index.find(K);
   if (Found == Index.end())
     return false;
   // Read the line back, holding no descriptor past the lookup, and take
   // it only when its key and sum still match.
   const LineRef &At = Found->second;
+  if (At.Log > End.Log || (At.Log == End.Log && At.Offset >= End.Offset))
+    return false;
   std::string Line(At.Length, '\0');
   const int In = ::open(Logs[At.Log].c_str(), O_RDONLY | O_CLOEXEC);
   if (In < 0)
@@ -344,11 +349,16 @@ ResultCache::hooks(const std::vector<const Model *> &Models) const {
   StreamHooks Hooks;
   // The lookup only reads, on the calling thread: it hands back the
   // record, and the engine decodes and checks it (resultFromRecord) where
-  // it would judge the test, on a worker.
-  Hooks.CacheLookup = [this, Set](const LitmusTest &Test,
-                                  SweepTestResult &Out) {
+  // it would judge the test, on a worker. It serves only the lines stored
+  // before the hooks were made, which end in this handle's own log, the
+  // last one once its first store creates it: whether a sweep stored a
+  // test's earlier copy before its lookup depends on the worker count.
+  const LineRef End{static_cast<uint32_t>(S->Logs.size() - (S->Fd >= 0)), 0,
+                    S->Size};
+  Hooks.CacheLookup = [this, Set, End](const LitmusTest &Test,
+                                       SweepTestResult &Out) {
     obs::Span LookupSpan("cache.lookup");
-    return S->find(keyOf(Test, *Set), Out.Record);
+    return S->find(keyOf(Test, *Set), Out.Record, End);
   };
   Hooks.CacheStore = [this, Set](const LitmusTest &Test,
                                  const SweepTestResult &Result) {

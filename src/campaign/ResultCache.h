@@ -106,7 +106,9 @@ public:
   /// (SweepEngine::runStreamed), sharing one CacheModelSet of \p Models.
   /// The lookup hook only reads: on a hit it sets the result's Record to
   /// the line's record and leaves the decode and its checks to the engine,
-  /// which runs them on a worker and touches no cache state there. The
+  /// which runs them on a worker and touches no cache state there. It
+  /// serves only the lines stored before the hooks were made, so a test
+  /// that a sweep holds twice misses twice at any worker count. The
   /// cache must outlive the hooks and stay where it is.
   StreamHooks hooks(const std::vector<const Model *> &Models) const;
 

@@ -48,12 +48,6 @@ StagedSource cats::shardSource(StagedSource Inner, ShardSpec Spec) {
   return Inner;
 }
 
-TestSource cats::shardTestSource(TestSource Inner, ShardSpec Spec) {
-  if (!Spec.active())
-    return Inner;
-  return inlineSource(shardSource(std::move(Inner), Spec));
-}
-
 JsonValue cats::shardToJson(const ShardSpec &Spec) {
   JsonValue Stanza = JsonValue::object();
   Stanza.set("index", Spec.Index);

@@ -16,8 +16,7 @@
 /// taking one entry per shard per round.
 ///
 /// The same spec shards anything positional: the admission of a staged
-/// source (shardSource), a pull-based TestSource (shardTestSource), or a
-/// materialized corpus vector.
+/// source (shardSource), or a materialized corpus vector.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,9 +62,6 @@ Expected<ShardSpec> parseShardSpec(const std::string &Text);
 /// filter drops takes none. The wrapper holds its own position counter;
 /// like every source it is single-pass.
 StagedSource shardSource(StagedSource Inner, ShardSpec Spec);
-
-/// shardSource over a plain source, whose every pull is a position.
-TestSource shardTestSource(TestSource Inner, ShardSpec Spec);
 
 /// The "shard" stanza the campaign CLIs append to their JSON reports —
 /// {"index": K, "count": N} — which cats_merge reads to interleave shard

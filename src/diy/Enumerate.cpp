@@ -288,16 +288,16 @@ cats::stageDiyTests(std::shared_ptr<const std::vector<EnumeratedCycle>> Cycles,
   return Source;
 }
 
-Expected<TestSource>
+Expected<StagedSource>
 cats::makeDiyTestSource(const EnumerateOptions &Opts,
                         const std::string &FilterRegex,
                         std::vector<std::string> *SynthesisErrors) {
   // Cycles are tiny; materialize the descriptors and synthesize lazily,
-  // one test per pull.
+  // one test per make.
   auto Matching = enumerateMatching(Opts, FilterRegex);
   if (!Matching)
-    return Expected<TestSource>::error(Matching.message());
-  return inlineSource(stageDiyTests(
+    return Expected<StagedSource>::error(Matching.message());
+  return stageDiyTests(
       std::make_shared<const std::vector<EnumeratedCycle>>(Matching.take()),
-      Opts.Target, SynthesisErrors));
+      Opts.Target, SynthesisErrors);
 }

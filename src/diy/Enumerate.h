@@ -18,9 +18,9 @@
 /// (diy::canonicalizeCycle) under the name its synthesized test carries.
 /// Enumeration is streaming: the callback sees one canonical cycle at a
 /// time, tests are synthesized on demand (stageDiyTests, on the sweep's
-/// workers; makeDiyTestSource inline), and the sweep engine consumes the
-/// corpus in batches (SweepEngine::runStreamed) — thousands of scenarios
-/// without thousands of LitmusTests in memory.
+/// workers), and the sweep engine consumes the corpus in batches
+/// (SweepEngine::runStreamed) — thousands of scenarios without thousands
+/// of LitmusTests in memory.
 ///
 /// Well-formedness mirrors synthesizeTest plus the paper's criticality
 /// conditions (Sec. 8.1): directions chain around the cycle, at least two
@@ -104,12 +104,12 @@ StagedSource
 stageDiyTests(std::shared_ptr<const std::vector<EnumeratedCycle>> Cycles,
               Arch Target, std::vector<std::string> *SynthesisErrors = nullptr);
 
-/// A streaming test source over the enumeration: cycles whose canonical
-/// name matches \p FilterRegex (empty = all) are synthesized on demand,
-/// one test per pull (stageDiyTests, run inline). Cycles that fail
-/// synthesis are skipped; when \p SynthesisErrors is non-null each
+/// The staged source over the enumeration: stageDiyTests over the cycles
+/// whose canonical name matches \p FilterRegex (empty = all;
+/// enumerateMatching), each synthesized in its make step. Cycles that
+/// fail synthesis are dropped; when \p SynthesisErrors is non-null each
 /// failure appends one diagnostic. Fails on a malformed regex.
-Expected<TestSource>
+Expected<StagedSource>
 makeDiyTestSource(const EnumerateOptions &Opts,
                   const std::string &FilterRegex = "",
                   std::vector<std::string> *SynthesisErrors = nullptr);

@@ -72,10 +72,11 @@ cats::loadCampaignTests(const std::vector<std::string> &Paths,
                         std::vector<LitmusTest> Extra) {
   using Fail = Expected<CampaignTests>;
   CampaignTests Out;
-  auto Source = streamCampaignTests(Paths, UseCatalogue, Filter, &Out.Errors);
-  if (!Source)
-    return Fail::error(Source.message());
-  for (LitmusTest Test; (*Source)(Test);)
+  auto Staged = stageCampaignTests(Paths, UseCatalogue, Filter, &Out.Errors);
+  if (!Staged)
+    return Fail::error(Staged.message());
+  TestSource Source = inlineSource(Staged.take());
+  for (LitmusTest Test; Source(Test);)
     Out.Tests.push_back(std::move(Test));
   auto Kept = filterTestsByName(Extra, Filter);
   if (!Kept)
@@ -86,8 +87,12 @@ cats::loadCampaignTests(const std::vector<std::string> &Paths,
 }
 
 StagedSource::StagedSource(TestSource Plain)
-    : Pull([Plain = std::move(Plain)](StagedTest &Item) {
-        return Plain(Item.Test);
+    : Pull([Plain = std::move(Plain),
+            Next = std::make_shared<size_t>(0)](StagedTest &Item) {
+        if (!Plain(Item.Test))
+          return false;
+        Item.Index = (*Next)++;
+        return true;
       }) {}
 
 TestSource cats::inlineSource(StagedSource Staged) {
@@ -160,12 +165,31 @@ cats::stageCampaignTests(const std::vector<std::string> &Paths,
   return Source;
 }
 
-Expected<TestSource>
-cats::streamCampaignTests(const std::vector<std::string> &Paths,
-                          bool UseCatalogue, const std::string &Filter,
-                          std::vector<std::string> *Errors) {
-  auto Staged = stageCampaignTests(Paths, UseCatalogue, Filter, Errors);
-  if (!Staged)
-    return Expected<TestSource>::error(Staged.message());
-  return inlineSource(Staged.take());
+StagedSource cats::concatSources(StagedSource First, StagedSource Then) {
+  // Set once the first part runs dry, and shared by every copy.
+  auto InThen = std::make_shared<bool>(false);
+  StagedSource Both;
+  Both.Pull = [First = std::move(First.Pull), Then = std::move(Then.Pull),
+               InThen](StagedTest &Item) {
+    if (!*InThen && First(Item)) {
+      Item.Part = 0;
+      return true;
+    }
+    *InThen = true;
+    Item.Part = 1;
+    return Then(Item);
+  };
+  if (First.Make || Then.Make)
+    Both.Make = [First = std::move(First.Make),
+                 Then = std::move(Then.Make)](StagedTest &Item) {
+      if (const auto &Make = Item.Part ? Then : First)
+        Make(Item);
+    };
+  if (First.Admit || Then.Admit)
+    Both.Admit = [First = std::move(First.Admit),
+                  Then = std::move(Then.Admit)](StagedTest &Item) {
+      const auto &Admit = Item.Part ? Then : First;
+      return !Admit || Admit(Item);
+    };
+  return Both;
 }

@@ -54,11 +54,11 @@ struct CampaignTests {
 };
 
 /// The materialized input of cats_repair and cats_run: a
-/// drain of streamCampaignTests (\p Paths expanded to sorted .litmus
-/// files, then the built-in figure catalogue when \p UseCatalogue), then
-/// the \p Extra tests (e.g. a diy battery), all kept by \p Filter. A bad
-/// path or a malformed regex fails the whole call; per-file parse
-/// failures only land in CampaignTests::Errors.
+/// drain of stageCampaignTests through inlineSource (\p Paths expanded
+/// to sorted .litmus files, then the built-in figure catalogue when
+/// \p UseCatalogue), then the \p Extra tests (e.g. a diy battery), all
+/// kept by \p Filter. A bad path or a malformed regex fails the whole
+/// call; per-file parse failures only land in CampaignTests::Errors.
 Expected<CampaignTests> loadCampaignTests(
     const std::vector<std::string> &Paths, bool UseCatalogue,
     const std::string &Filter, std::vector<LitmusTest> Extra = {});
@@ -73,6 +73,9 @@ using TestSource = std::function<bool(LitmusTest &Out)>;
 struct StagedTest {
   /// What the pull took: the item's position in its source's inputs.
   size_t Index = 0;
+  /// The part of a concatenation the item came from: 0 for the first,
+  /// 1 for the second (concatSources).
+  unsigned Part = 0;
   /// The test, once made.
   LitmusTest Test;
   /// Why the make step could not make the test (a load or synthesis
@@ -95,7 +98,8 @@ struct StagedTest {
 /// Like a TestSource, a staged source is single-pass.
 struct StagedSource {
   StagedSource() = default;
-  /// \p Plain as a staged source: no make step, every test admitted.
+  /// \p Plain as a staged source: each pull makes its test and numbers
+  /// it from 0, no make step, every test admitted.
   StagedSource(TestSource Plain);
 
   std::function<bool(StagedTest &)> Pull;
@@ -117,12 +121,11 @@ Expected<StagedSource> stageCampaignTests(
     const std::vector<std::string> &Paths, bool UseCatalogue,
     const std::string &Filter, std::vector<std::string> *Errors = nullptr);
 
-/// stageCampaignTests with its steps run inline, at pull time: each file
-/// is parsed lazily, and parse failures are skipped and appended to
-/// \p Errors as they are encountered.
-Expected<TestSource> streamCampaignTests(
-    const std::vector<std::string> &Paths, bool UseCatalogue,
-    const std::string &Filter, std::vector<std::string> *Errors = nullptr);
+/// \p First's items, then \p Then's. Each item keeps the index its own
+/// part's pull gave it, is tagged with its part (StagedTest::Part), and
+/// goes through that part's make and admission only. Neither part may be
+/// a concatenation itself.
+StagedSource concatSources(StagedSource First, StagedSource Then);
 
 } // namespace cats
 

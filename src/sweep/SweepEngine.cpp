@@ -117,11 +117,12 @@ SweepReport SweepEngine::sweep(
   // Records are rendered only for a store or a sink that writes them.
   const bool Render = Hooks.SinkWritesRecords || Hooks.CacheStore;
   // Without a sink, the report keeps each result, without its record.
-  const std::function<void(SweepTestResult &)> Sink =
-      Hooks.OnResult ? Hooks.OnResult : [&Report](SweepTestResult &R) {
-        R.Record = std::string();
-        Report.Tests.push_back(std::move(R));
-      };
+  const std::function<void(StagedTest &, SweepTestResult &)> Sink =
+      Hooks.OnResult ? Hooks.OnResult
+                     : [&Report](StagedTest &, SweepTestResult &R) {
+                         R.Record = std::string();
+                         Report.Tests.push_back(std::move(R));
+                       };
 
   // The calling thread pulls each input, the pool makes a staged
   // source's test, the calling thread admits it and looks it up, the pool
@@ -151,7 +152,7 @@ SweepReport SweepEngine::sweep(
     }
     ++Report.Reported;
     Report.Errored += !S.Result.Error.empty();
-    Sink(S.Result);
+    Sink(S.Item, S.Result);
     if (Hooks.OnBatch && Report.Reported % BatchSize == 0)
       Hooks.OnBatch(Report);
     return true;

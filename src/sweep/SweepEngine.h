@@ -127,10 +127,11 @@ struct StreamHooks {
   /// order: the misses, including hits whose record was judged instead.
   std::function<void(const LitmusTest &, const SweepTestResult &)> CacheStore;
   /// The sink: takes each result at the in-order frontier, in source
-  /// order, after the cache store, and may move from it. When set, the
-  /// report keeps no results, only its counts. When unset, the results
-  /// land in SweepReport::Tests.
-  std::function<void(SweepTestResult &)> OnResult;
+  /// order, after the cache store, with the item it was made from (its
+  /// pulled index and its test, also for a cache hit), and may move from
+  /// both. When set, the report keeps no results, only its counts. When
+  /// unset, the results land in SweepReport::Tests.
+  std::function<void(StagedTest &, SweepTestResult &)> OnResult;
   /// Set when the sink writes each result's record: the worker that
   /// judges a test then renders its SweepTestResult::Record, as it does
   /// when a cache store is attached. Nothing else renders records.
@@ -167,8 +168,8 @@ public:
   /// callback every \p BatchSize results. A staged source's pulls and
   /// admissions run on the calling thread, in order, its admission before
   /// the cache lookup, and its makes on the pool (inline at one worker);
-  /// a plain TestSource converts to a staged source whose pull makes each
-  /// test.
+  /// a plain TestSource converts to a staged source whose pull makes and
+  /// numbers each test.
   SweepReport runStreamed(const StagedSource &Source,
                           const std::vector<const Model *> &Models,
                           unsigned BatchSize = StreamBatchSize,

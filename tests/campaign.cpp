@@ -22,6 +22,7 @@
 #include "campaign/ResultCache.h"
 #include "campaign/Shard.h"
 #include "cat/CatAdapter.h"
+#include "diy/Enumerate.h"
 #include "litmus/Catalog.h"
 #include "model/Registry.h"
 #include "mole/Mine.h"
@@ -36,6 +37,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <set>
 
@@ -184,7 +186,8 @@ TEST(Shard, SourcePartitionIsCompleteDisjointAndDeterministic) {
 
   auto ShardNames = [&](unsigned K) {
     std::vector<std::string> Names;
-    TestSource Src = shardTestSource(vectorSource(Tests), ShardSpec{K, N});
+    TestSource Src =
+        inlineSource(shardSource(vectorSource(Tests), ShardSpec{K, N}));
     LitmusTest T;
     while (Src(T))
       Names.push_back(T.Name);
@@ -268,9 +271,9 @@ TEST(Shard, ParsedOnWorkersAStagedSweepKeepsItsReportsErrorsAndShards) {
       EXPECT_TRUE(static_cast<bool>(S)) << S.message();
       Source = S.take();
     } else {
-      auto S = streamCampaignTests({Dir}, false, Filter, &Out.Errors);
+      auto S = stageCampaignTests({Dir}, false, Filter, &Out.Errors);
       EXPECT_TRUE(static_cast<bool>(S)) << S.message();
-      Source = S.take();
+      Source = inlineSource(S.take());
     }
     auto Report =
         cli::runCampaignSweep(SweepEngine({Workers}), Source, Models, Flags);
@@ -309,6 +312,143 @@ TEST(Shard, ParsedOnWorkersAStagedSweepKeepsItsReportsErrorsAndShards) {
       if (Offset < Names.size())
         Interleaved.push_back(Names[Offset]);
   EXPECT_EQ(Interleaved, WholeNames);
+}
+
+//===----------------------------------------------------------------------===//
+// Concatenated sources
+//===----------------------------------------------------------------------===//
+
+TEST(Concat, EachPartKeepsItsIndicesStepsAndDrops) {
+  // Two staged parts of the catalogue, each with its own make and
+  // admission: the first part's admission drops every third item, and
+  // the second part's make fails on every fourth item, which its
+  // admission records and drops. The sweep emits the first part's items,
+  // then the second's, each under its own part's index, and each part's
+  // make and admission see only their own items, in order.
+  const std::vector<LitmusTest> Tests = catalogueTests();
+  const std::vector<std::vector<LitmusTest>> Parts = {
+      {Tests.begin(), Tests.begin() + 20}, {Tests.begin() + 20, Tests.end()}};
+  const std::vector<const Model *> Models = {modelByName("SC")};
+  for (unsigned Workers = 1; Workers <= 8; ++Workers) {
+    SCOPED_TRACE(std::to_string(Workers) + " workers");
+    std::mutex Lock;
+    std::vector<std::multiset<size_t>> Made(2);
+    std::vector<std::vector<size_t>> Admitted(2);
+    std::vector<std::string> Errors;
+    auto Part = [&](unsigned P) {
+      auto Next = std::make_shared<size_t>(0);
+      StagedSource Source;
+      Source.Pull = [&, P, Next](StagedTest &Item) {
+        if (*Next == Parts[P].size())
+          return false;
+        Item.Index = (*Next)++;
+        return true;
+      };
+      Source.Make = [&, P](StagedTest &Item) {
+        {
+          std::lock_guard<std::mutex> L(Lock);
+          Made[P].insert(Item.Index);
+        }
+        Item.Test = Parts[P][Item.Index];
+        Item.Error = P == 1 && Item.Index % 4 == 1 ? "cannot make" : "";
+      };
+      Source.Admit = [&, P](StagedTest &Item) {
+        Admitted[P].push_back(Item.Index);
+        if (!Item.Error.empty()) {
+          Errors.push_back(Item.Test.Name + ": " + Item.Error);
+          return false;
+        }
+        return P == 1 || Item.Index % 3 != 2;
+      };
+      return Source;
+    };
+    std::vector<std::string> Emitted;
+    StreamHooks Hooks;
+    Hooks.OnResult = [&](StagedTest &Item, SweepTestResult &R) {
+      EXPECT_EQ(R.TestName, Parts[Item.Part][Item.Index].Name);
+      Emitted.push_back(strFormat("%u:%zu:", Item.Part, Item.Index) +
+                        R.TestName);
+    };
+    const SweepReport Report = SweepEngine({Workers}).runStreamed(
+        concatSources(Part(0), Part(1)), Models, 4, Hooks);
+
+    std::vector<std::string> Expected, ExpectedErrors;
+    for (unsigned P = 0; P < 2; ++P) {
+      std::vector<size_t> Each;
+      for (size_t I = 0; I < Parts[P].size(); ++I) {
+        Each.push_back(I);
+        EXPECT_EQ(Made[P].count(I), 1u) << P << ":" << I;
+        if (P == 1 && I % 4 == 1)
+          ExpectedErrors.push_back(Parts[P][I].Name + ": cannot make");
+        else if (P == 1 || I % 3 != 2)
+          Expected.push_back(strFormat("%u:%zu:", P, I) + Parts[P][I].Name);
+      }
+      EXPECT_EQ(Made[P].size(), Parts[P].size()) << P;
+      EXPECT_EQ(Admitted[P], Each) << P;
+    }
+    EXPECT_EQ(Emitted, Expected);
+    EXPECT_EQ(Errors, ExpectedErrors);
+    EXPECT_EQ(Report.Reported, Expected.size());
+  }
+}
+
+TEST(Concat, LoadAndSynthesisErrorsComeInOrder) {
+  // A filtered directory with unparsable files among the catalogue's,
+  // then diy cycles with unsynthesizable ones among them, both reporting
+  // into one list: the load errors come in file order, then the
+  // synthesis errors in cycle order, and the tests in the same order as
+  // an inline drain of the concatenation, at every worker count.
+  const std::string Dir = scratchDir("concat_errors");
+  const std::vector<LitmusTest> Tests = catalogueTests();
+  for (size_t I = 0; I < Tests.size(); ++I) {
+    ASSERT_FALSE(writeWholeFile(Dir + strFormat("/%03zu.litmus", 2 * I),
+                                Tests[I].toString())
+                     .failed());
+    if (I % 9 == 4) {
+      ASSERT_FALSE(writeWholeFile(Dir + strFormat("/%03zu.litmus", 2 * I + 1),
+                                  "Power broken\n{ }\nP0:\n  frob x\n")
+                       .failed());
+    }
+  }
+  EnumerateOptions Opts;
+  Opts.MaxEdges = 4;
+  std::vector<EnumeratedCycle> Cycles = enumerateAll(Opts);
+  size_t Bad = 0;
+  for (size_t I = 3; I < Cycles.size(); I += 7, ++Bad)
+    Cycles.insert(Cycles.begin() + I,
+                  EnumeratedCycle{DiyCycle(), strFormat("bad%zu", I)});
+  const auto Shared =
+      std::make_shared<const std::vector<EnumeratedCycle>>(Cycles);
+  auto Corpus = [&](std::vector<std::string> &Errors) {
+    auto Files = stageCampaignTests({Dir}, false, "^[^c]", &Errors);
+    EXPECT_TRUE(static_cast<bool>(Files)) << Files.message();
+    return concatSources(Files.take(),
+                         stageDiyTests(Shared, Arch::Power, &Errors));
+  };
+
+  std::vector<std::string> InlineErrors, InlineNames;
+  TestSource Drain = inlineSource(Corpus(InlineErrors));
+  for (LitmusTest Test; Drain(Test);)
+    InlineNames.push_back(Test.Name);
+  ASSERT_GT(Bad, 5u);
+  ASSERT_EQ(InlineErrors.size(), 6u + Bad);
+  for (size_t I = 0; I < 6; ++I)
+    EXPECT_EQ(InlineErrors[I].rfind(Dir + "/", 0), 0u) << InlineErrors[I];
+  for (size_t I = 6; I < InlineErrors.size(); ++I)
+    EXPECT_EQ(InlineErrors[I].rfind("bad", 0), 0u) << InlineErrors[I];
+  EXPECT_TRUE(std::is_sorted(InlineErrors.begin(), InlineErrors.begin() + 6));
+
+  const std::vector<const Model *> Models = {modelByName("SC")};
+  for (unsigned Workers = 1; Workers <= 8; ++Workers) {
+    std::vector<std::string> Errors, Names;
+    StreamHooks Hooks;
+    Hooks.OnResult = [&](StagedTest &, SweepTestResult &R) {
+      Names.push_back(R.TestName);
+    };
+    SweepEngine({Workers}).runStreamed(Corpus(Errors), Models, 4, Hooks);
+    EXPECT_EQ(Errors, InlineErrors) << Workers << " workers";
+    EXPECT_EQ(Names, InlineNames) << Workers << " workers";
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -551,6 +691,46 @@ TEST(ResultCache, EntriesAreBackendIndependent) {
     EXPECT_EQ(zeroWallTimes(sweepTestResultToJson(Warm.Tests[I])).dump(),
               zeroWallTimes(sweepTestResultToJson(Fresh.Tests[I])).dump())
         << Fresh.Tests[I].TestName;
+}
+
+TEST(ResultCache, ATestTwiceInOneSweepMissesTwiceAtAnyWorkerCount) {
+  // The catalogue twice into an empty cache: whether the first copy's
+  // store comes before the second copy's lookup depends on the worker
+  // count and the batch, so the lookups serve only what was stored
+  // before the sweep, and every copy misses and is stored. A warm rerun
+  // hits every test.
+  std::vector<LitmusTest> Tests = catalogueTests();
+  const size_t Once = Tests.size();
+  for (size_t I = 0; I < Once; ++I)
+    Tests.push_back(Tests[I]);
+  const std::vector<const Model *> Models = {modelByName("SC"),
+                                             modelByName("Power")};
+  for (unsigned Batch : {4u, 64u})
+    for (unsigned Workers : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(strFormat("%u workers, batches of %u", Workers, Batch));
+      const std::string Dir = scratchDir("cache_twice");
+      auto Cache = ResultCache::open(Dir);
+      ASSERT_TRUE(static_cast<bool>(Cache)) << Cache.message();
+      const SweepReport Cold = SweepEngine({Workers}).runStreamed(
+          vectorSource(Tests), Models, Batch, Cache->hooks(Models));
+      EXPECT_EQ(Cold.CacheHits, 0u);
+      EXPECT_EQ(Cold.CacheMisses, 2 * Once);
+      size_t Lines = 0;
+      for (const auto &Log : std::filesystem::directory_iterator(Dir)) {
+        std::string Text;
+        ASSERT_TRUE(readWholeFile(Log.path().string(), Text));
+        Lines += std::count(Text.begin(), Text.end(), '\n') - 1;
+      }
+      EXPECT_EQ(Lines, 2 * Once);
+      const SweepReport Warm = SweepEngine({Workers}).runStreamed(
+          vectorSource(Tests), Models, Batch, Cache->hooks(Models));
+      EXPECT_EQ(Warm.CacheHits, 2 * Once);
+      ASSERT_EQ(Warm.Tests.size(), Cold.Tests.size());
+      for (size_t I = 0; I < Cold.Tests.size(); ++I)
+        EXPECT_EQ(zeroWallTimes(sweepTestResultToJson(Warm.Tests[I])).dump(),
+                  zeroWallTimes(sweepTestResultToJson(Cold.Tests[I])).dump())
+            << I;
+    }
 }
 
 TEST(ResultCache, ModelDefinitionEditsMiss) {
@@ -1035,7 +1215,7 @@ JsonValue shardReportDoc(const std::vector<LitmusTest> &Tests,
                          const std::vector<const Model *> &Models,
                          unsigned K, unsigned N) {
   SweepReport Report = SweepEngine({2}).runStreamed(
-      shardTestSource(vectorSource(Tests), ShardSpec{K, N}), Models, 8);
+      shardSource(vectorSource(Tests), ShardSpec{K, N}), Models, 8);
   JsonValue Doc = sweepReportToJson(Report);
   Doc.set("shard", shardToJson(ShardSpec{K, N}));
   return Doc;
@@ -1237,7 +1417,7 @@ TEST(Merge, CacheCountersSumAcrossShards) {
   std::vector<JsonValue> Docs;
   for (unsigned K = 1; K <= 2; ++K) {
     SweepReport R = SweepEngine({1}).runStreamed(
-        shardTestSource(vectorSource(Tests), ShardSpec{K, 2}), Models, 4,
+        shardSource(vectorSource(Tests), ShardSpec{K, 2}), Models, 4,
         Cache->hooks(Models));
     JsonValue Doc = sweepReportToJson(R);
     Doc.set("shard", shardToJson(ShardSpec{K, 2}));
@@ -1626,7 +1806,7 @@ TEST(Merge, PipesAndRepeatedMembersMergeAsParsedDocuments) {
   for (unsigned K = 1; K <= 2; ++K) {
     Shards.push_back(shardReportDoc(Tests, Models, K, 2));
     Mines.push_back(mineReportToJson(mineSweepReport(SweepEngine({1}).runStreamed(
-        shardTestSource(vectorSource(Tests), ShardSpec{K, 2}), Models, 8))));
+        shardSource(vectorSource(Tests), ShardSpec{K, 2}), Models, 8))));
   }
   const std::string Dir = scratchDir("merge_pipes");
   const std::string OutPath = Dir + "/merged.json";
@@ -1705,7 +1885,7 @@ TEST(MineMerge, ShardAggregatesEqualTheFullMine) {
   std::vector<MineReport> Parts;
   for (unsigned K = 1; K <= 3; ++K)
     Parts.push_back(mineSweepReport(Engine.runStreamed(
-        shardTestSource(vectorSource(Tests), ShardSpec{K, 3}), Models, 16)));
+        shardSource(vectorSource(Tests), ShardSpec{K, 3}), Models, 16)));
   auto Merged = mergeMineReports(Parts);
   ASSERT_TRUE(static_cast<bool>(Merged)) << Merged.message();
 
@@ -1760,7 +1940,7 @@ TEST(MineMerge, JsonLevelMergeMatchesStructMerge) {
   std::vector<MineReport> Parts;
   for (unsigned K = 1; K <= 2; ++K) {
     MineReport Part = mineSweepReport(Engine.runStreamed(
-        shardTestSource(vectorSource(Tests), ShardSpec{K, 2}), Models, 8));
+        shardSource(vectorSource(Tests), ShardSpec{K, 2}), Models, 8));
     Docs.push_back(mineReportToJson(Part));
     Parts.push_back(std::move(Part));
   }

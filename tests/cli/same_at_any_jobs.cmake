@@ -2,16 +2,19 @@
 # (parsed or synthesized) on the workers and admitted in order, so only
 # the line with the worker count and the wall time may differ.
 #
-#   cmake -DCATS_DIY=... -DCATS_SWEEP=... -DLITMUS_DIR=... -DWORK=... -P same_at_any_jobs.cmake
+#   cmake -DCATS_DIY=... -DCATS_SWEEP=... -DCATS_MINE=... -DLITMUS_DIR=...
+#         -DWORK=... -P same_at_any_jobs.cmake
 
 # Runs a tool at one and at four workers and fails unless stdout, with
-# the lines matching DROP removed, and stderr agree.
+# the lines matching DROP (when not empty) removed, and stderr agree.
 function(same_at_any_jobs what drop)
   foreach(jobs 1 4)
     execute_process(COMMAND ${ARGN} --jobs ${jobs}
                     OUTPUT_VARIABLE out_${jobs} ERROR_VARIABLE err_${jobs}
                     RESULT_VARIABLE rc_${jobs})
-    string(REGEX REPLACE "${drop}[^\n]*\n" "" out_${jobs} "${out_${jobs}}")
+    if(drop)
+      string(REGEX REPLACE "${drop}[^\n]*\n" "" out_${jobs} "${out_${jobs}}")
+    endif()
   endforeach()
   if(NOT rc_1 STREQUAL rc_4)
     message(FATAL_ERROR "${what}: exit ${rc_1} at one worker, ${rc_4} at four")
@@ -26,6 +29,11 @@ endfunction()
 
 same_at_any_jobs("cats_diy --size 5 --sweep" "swept "
                  ${CATS_DIY} --size 5 --sweep)
+
+# The corpus files, then a diy slice: one staged sweep of two parts.
+same_at_any_jobs("cats_mine over files and a diy slice" ""
+                 ${CATS_MINE} ${LITMUS_DIR} --diy power --size 5
+                 --models SC,Power)
 
 # A directory with unparsable files among the catalogue's, filtered, with
 # herd blocks: the load errors come in file order and the herd blocks

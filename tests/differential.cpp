@@ -132,8 +132,9 @@ std::vector<LitmusTest> diySlice(const EnumerateOptions &Opts, unsigned Cap,
   std::vector<LitmusTest> Tests;
   if (!Source)
     return Tests;
+  TestSource Drain = inlineSource(Source.take());
   LitmusTest Test;
-  while (Tests.size() < Cap && (*Source)(Test)) {
+  while (Tests.size() < Cap && Drain(Test)) {
     auto Compiled = CompiledTest::compile(Test);
     if (Compiled && Compiled->candidateCount() <= MaxCandidates)
       Tests.push_back(Test);

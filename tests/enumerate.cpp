@@ -286,17 +286,19 @@ TEST(Enumerate, DiySourceStreamsSynthesizedTests) {
   std::vector<std::string> Errors;
   auto Source = makeDiyTestSource(Opts, "", &Errors);
   ASSERT_TRUE(static_cast<bool>(Source)) << Source.message();
+  TestSource Drain = inlineSource(Source.take());
   std::vector<std::string> Names;
   LitmusTest Test;
-  while ((*Source)(Test))
+  while (Drain(Test))
     Names.push_back(Test.Name);
   EXPECT_EQ(Names.size(), 6u);
   EXPECT_TRUE(Errors.empty());
   // A filtered source yields the matching subset.
   auto Filtered = makeDiyTestSource(Opts, "^(mp|sb)$");
   ASSERT_TRUE(static_cast<bool>(Filtered));
+  TestSource FilteredDrain = inlineSource(Filtered.take());
   unsigned Matched = 0;
-  while ((*Filtered)(Test))
+  while (FilteredDrain(Test))
     ++Matched;
   EXPECT_EQ(Matched, 2u);
   EXPECT_FALSE(static_cast<bool>(makeDiyTestSource(Opts, "(unclosed")));
@@ -316,8 +318,9 @@ TEST(Enumerate, StreamedSweepMatchesMaterializedSweep) {
   {
     auto Source = makeDiyTestSource(Opts);
     ASSERT_TRUE(static_cast<bool>(Source));
+    TestSource Drain = inlineSource(Source.take());
     LitmusTest Test;
-    while ((*Source)(Test))
+    while (Drain(Test))
       Tests.push_back(Test);
   }
   ASSERT_EQ(Tests.size(), 21u);

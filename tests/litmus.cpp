@@ -495,9 +495,10 @@ TEST(Parser, RendersAndReadsBackEverySizeSixInternalPowerTest) {
   Opts.InternalCom = true;
   auto Source = makeDiyTestSource(Opts);
   ASSERT_TRUE(static_cast<bool>(Source)) << Source.message();
+  TestSource Drain = inlineSource(Source.take());
   uint64_t Hash = 14695981039346656037ull;
   size_t Count = 0;
-  for (LitmusTest Test; (*Source)(Test); ++Count) {
+  for (LitmusTest Test; Drain(Test); ++Count) {
     const std::string Text = Test.toString();
     for (unsigned char C : Text) {
       Hash ^= C;
@@ -529,10 +530,11 @@ TEST(TestFilter, DirectoriesContributeTheirLitmusEntriesButNotSubdirectories) {
                                              Dir + "/c.litmus"}));
 
   std::vector<std::string> Errors;
-  auto Source = streamCampaignTests({Dir}, false, "", &Errors);
+  auto Source = stageCampaignTests({Dir}, false, "", &Errors);
   ASSERT_TRUE(static_cast<bool>(Source)) << Source.message();
+  TestSource Drain = inlineSource(Source.take());
   size_t Pulled = 0;
-  for (LitmusTest Test; (*Source)(Test);)
+  for (LitmusTest Test; Drain(Test);)
     ++Pulled;
   EXPECT_EQ(Pulled, 2u);
   EXPECT_EQ(Errors, (std::vector<std::string>{

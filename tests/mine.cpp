@@ -147,11 +147,11 @@ TEST(Mine, JsonReportRoundTripsAndCrossReferences) {
 }
 
 TEST(Mine, StreamedFileCorpusMines) {
-  // streamCampaignTests over the on-disk corpus feeds the miner the same
+  // stageCampaignTests over the on-disk corpus feeds the miner the same
   // way the generated corpus does.
   std::vector<std::string> Errors;
   auto Source =
-      streamCampaignTests({CATS_LITMUS_DIR}, false, "^(mp|sb)", &Errors);
+      stageCampaignTests({CATS_LITMUS_DIR}, false, "^(mp|sb)", &Errors);
   ASSERT_TRUE(static_cast<bool>(Source)) << Source.message();
   SweepEngine Engine(SweepOptions{2});
   SweepReport Report = Engine.runStreamed(

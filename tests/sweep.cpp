@@ -192,8 +192,11 @@ std::vector<LitmusTest> diySlice(unsigned Edges, unsigned Cap) {
   auto Source = makeDiyTestSource(Opts);
   EXPECT_TRUE(static_cast<bool>(Source)) << Source.message();
   std::vector<LitmusTest> Tests;
+  if (!Source)
+    return Tests;
+  TestSource Drain = inlineSource(Source.take());
   LitmusTest Test;
-  while (Source && Tests.size() < Cap && (*Source)(Test))
+  while (Tests.size() < Cap && Drain(Test))
     Tests.push_back(Test);
   return Tests;
 }
@@ -391,7 +394,7 @@ TEST(SweepEngine, DeterministicAcrossWorkerCounts) {
     size_t Calls = 0;
     StreamHooks Hooks = everyThirdHits(Reference.Tests, Calls);
     std::vector<SweepTestResult> Taken;
-    Hooks.OnResult = [&Taken](SweepTestResult &R) {
+    Hooks.OnResult = [&Taken](StagedTest &, SweepTestResult &R) {
       Taken.push_back(std::move(R));
     };
     SweepReport Counts = SweepEngine({Workers}).runStreamed(
@@ -494,7 +497,7 @@ TEST(SweepEngine, HitsGivenAsRecordsDecodeOnTheWorkers) {
   std::vector<SweepTestResult> Judged;
   StreamHooks Rendering;
   Rendering.SinkWritesRecords = true;
-  Rendering.OnResult = [&](SweepTestResult &R) {
+  Rendering.OnResult = [&](StagedTest &, SweepTestResult &R) {
     Judged.push_back(std::move(R));
   };
   SweepEngine({1}).runStreamed(vectorSource(Tests), Models, 4, Rendering);
@@ -540,7 +543,7 @@ TEST(SweepEngine, HitsGivenAsRecordsDecodeOnTheWorkers) {
       EXPECT_EQ(R.Record, sweepTestResultToJson(R).dump(0)) << T.Name;
       Stored[T.Name] = timeless(R);
     };
-    Hooks.OnResult = [&](SweepTestResult &R) {
+    Hooks.OnResult = [&](StagedTest &, SweepTestResult &R) {
       Results.push_back(std::move(R));
     };
     Sc.forget();
@@ -685,7 +688,11 @@ TEST(SweepEngine, SinkTakesEachResultOnceInSourceOrderOnTheCallingThread) {
     StreamHooks Hooks = everyThirdHits(Reference.Tests, Calls);
     std::vector<std::string> Names;
     std::set<std::thread::id> Threads;
-    Hooks.OnResult = [&](SweepTestResult &R) {
+    Hooks.OnResult = [&](StagedTest &Item, SweepTestResult &R) {
+      // The item the result was made from, a cache hit's too: its pull
+      // position and its test.
+      EXPECT_EQ(Item.Index, Names.size());
+      EXPECT_EQ(Item.Test.Name, R.TestName);
       Names.push_back(R.TestName);
       Threads.insert(std::this_thread::get_id());
       R = SweepTestResult();
@@ -727,7 +734,7 @@ TEST(SweepEngine, RecordsAreRenderedOnlyWhenSomethingWritesThem) {
       EXPECT_TRUE(T.Record.empty()) << T.TestName;
     StreamHooks Reading;
     size_t Read = 0;
-    Reading.OnResult = [&](SweepTestResult &R) {
+    Reading.OnResult = [&](StagedTest &, SweepTestResult &R) {
       EXPECT_TRUE(R.Record.empty()) << R.TestName;
       ++Read;
     };
@@ -738,7 +745,7 @@ TEST(SweepEngine, RecordsAreRenderedOnlyWhenSomethingWritesThem) {
     StreamHooks Writing;
     Writing.SinkWritesRecords = true;
     size_t Written = 0;
-    Writing.OnResult = [&](SweepTestResult &R) {
+    Writing.OnResult = [&](StagedTest &, SweepTestResult &R) {
       EXPECT_EQ(R.Record, sweepTestResultToJson(R).dump(0));
       ++Written;
     };
@@ -780,7 +787,7 @@ TEST(SweepEngine, AHookThatThrowsStopsTheSweep) {
         return Inner(Out);
       };
       StreamHooks Hooks;
-      Hooks.OnResult = [&](SweepTestResult &) {
+      Hooks.OnResult = [&](StagedTest &, SweepTestResult &) {
         if (!FromSource && Taken == 5)
           throw std::runtime_error("sink");
         ++Taken;
@@ -933,7 +940,7 @@ TEST(SweepReportWriter, WritesTheBytesOfTheWholeDocument) {
     ASSERT_TRUE(static_cast<bool>(Writer)) << Writer.message();
     std::vector<SweepTestResult> Kept;
     Hooks.SinkWritesRecords = true;
-    Hooks.OnResult = [&](SweepTestResult &R) {
+    Hooks.OnResult = [&](StagedTest &, SweepTestResult &R) {
       Kept.push_back(R);
       Writer->add(R);
     };

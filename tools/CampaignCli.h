@@ -84,15 +84,16 @@ inline int parseCampaignFlag(ArgCursor &Args, const char *Tool,
 /// the campaign behaviours attached: the shard joins the source's
 /// admission and cache hooks wrap every admitted test. Each result leaves
 /// at the in-order frontier: its record to \p Writer when one is given,
-/// and then the result, without its witnesses, to \p Sink. With neither,
-/// the report keeps the results. An enabled \p Progress reporter is fed
-/// from the per-batch hook and finished before returning.
+/// and then the result, without its witnesses, to \p Sink, with the item
+/// it was made from. With neither, the report keeps the results. An
+/// enabled \p Progress reporter is fed from the per-batch hook and
+/// finished before returning.
 inline Expected<SweepReport>
 runCampaignSweep(const SweepEngine &Engine, StagedSource Source,
                  const std::vector<const Model *> &Models,
                  const CampaignFlags &Flags,
                  obs::ProgressReporter *Progress = nullptr,
-                 std::function<void(SweepTestResult &)> Sink = {},
+                 std::function<void(StagedTest &, SweepTestResult &)> Sink = {},
                  SweepReportWriter *Writer = nullptr) {
   Source = shardSource(std::move(Source), Flags.Shard);
 
@@ -107,10 +108,11 @@ runCampaignSweep(const SweepEngine &Engine, StagedSource Source,
   }
   if (Writer) {
     Hooks.SinkWritesRecords = true;
-    Hooks.OnResult = [Writer, Sink](SweepTestResult &Result) {
+    Hooks.OnResult = [Writer, Sink](StagedTest &Item,
+                                    SweepTestResult &Result) {
       Writer->add(Result);
       if (Sink)
-        Sink(Result);
+        Sink(Item, Result);
     };
   } else {
     Hooks.OnResult = std::move(Sink);
@@ -182,8 +184,8 @@ inline bool writeSweepReport(const char *Tool, const std::string &Path,
   return Ok;
 }
 
-/// Reads the records of \p Files that the merge has not read. False,
-/// after saying why, when one of them does not parse: the tool exits 2.
+/// Parses the records of \p Files. False, after saying why, when one of
+/// them does not parse: the tool exits 2.
 inline bool readRestOfFiles(const char *Tool,
                             std::vector<ReportFile> &Files) {
   for (ReportFile &File : Files)
@@ -196,9 +198,10 @@ inline bool readRestOfFiles(const char *Tool,
 
 /// Says why the merge of \p Files was refused and returns the exit
 /// status: 1, or 2 when one of the files does not parse to its end. A
-/// merge stops at its first refusal, before the records after it, and
-/// rewinds its files to there; that a document does not parse is still
-/// what gets reported, as when every input is parsed before the merge.
+/// merge stops at its first refusal, before the records after it, so
+/// every record of every file is parsed again here: that a document does
+/// not parse is still what gets reported, as when every input is parsed
+/// before the merge.
 inline int refuseMerge(const char *Tool, std::vector<ReportFile> &Files,
                        const std::string &Why) {
   if (!readRestOfFiles(Tool, Files))

@@ -271,19 +271,10 @@ int main(int argc, char **argv) {
     if (!SweepJsonPath.empty() &&
         !(Writer = cli::createReportWriter("cats_diy", SweepJsonPath)))
       return 1;
-    // Each verdict, or sweep-time validate/compile error, is attached to
-    // its record at the frontier. Results come in source order, which is
-    // record order less the records the source dropped (synthesis
-    // failures, other shards), so the record is the next one by name.
-    size_t Attach = 0;
-    auto AttachResult = [&](SweepTestResult &T) {
-      size_t I = Attach;
-      while (I < Records.size() && (*Cycles)[I].Name != T.TestName)
-        ++I;
-      if (I == Records.size())
-        return;
-      CycleRecord &R = Records[I];
-      Attach = I + 1;
+    // Each verdict, or sweep-time validate/compile error, is attached at
+    // the frontier to the record of the cycle its item was pulled for.
+    auto AttachResult = [&](StagedTest &Item, SweepTestResult &T) {
+      CycleRecord &R = Records[Item.Index];
       if (!T.Error.empty()) {
         SweepErrors += strFormat("cats_diy: %s: %s\n", T.TestName.c_str(),
                                  T.Error.c_str());

@@ -205,34 +205,31 @@ int main(int argc, char **argv) {
   if (Paths.empty() && !UseCatalogue && !UseDiy)
     UseCatalogue = true;
 
-  // Stream the files and the catalogue first, then the diy tests whose
-  // name also matches --test.
+  // The files and the catalogue first, then the diy tests whose name
+  // also matches --test, each read and parsed or synthesized on a worker.
   std::vector<std::string> LoadErrors;
-  auto Files = streamCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
+  auto Files = stageCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
   if (!Files) {
     std::fprintf(stderr, "cats_explain: %s\n", Files.message().c_str());
     return 2;
   }
-  // streamCampaignTests has already rejected a malformed --test pattern.
-  const std::regex Keep = compileFilterRegex(Filter).take();
-  TestSource Diy;
+  StagedSource Corpus = Files.take();
   if (UseDiy) {
-    auto Source = makeDiyTestSource(EnumerateOptions(), DiyFilter,
-                                    &LoadErrors);
-    if (!Source) {
-      std::fprintf(stderr, "cats_explain: %s\n", Source.message().c_str());
+    auto Diy = makeDiyTestSource(EnumerateOptions(), DiyFilter, &LoadErrors);
+    if (!Diy) {
+      std::fprintf(stderr, "cats_explain: %s\n", Diy.message().c_str());
       return 2;
     }
-    Diy = Source.take();
+    StagedSource DiyPart = Diy.take();
+    if (!Filter.empty())
+      // stageCampaignTests has already rejected a malformed --test.
+      DiyPart.Admit = [Admit = std::move(DiyPart.Admit),
+                       Keep = compileFilterRegex(Filter).take()](
+                          StagedTest &Item) {
+        return Admit(Item) && std::regex_search(Item.Test.Name, Keep);
+      };
+    Corpus = concatSources(std::move(Corpus), std::move(DiyPart));
   }
-  TestSource Corpus = [&](LitmusTest &Out) {
-    if ((*Files)(Out))
-      return true;
-    while (Diy && Diy(Out))
-      if (Filter.empty() || std::regex_search(Out.Name, Keep))
-        return true;
-    return false;
-  };
 
   // Judge every test with witnesses on, then render the results in
   // order.

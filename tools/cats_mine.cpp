@@ -212,21 +212,21 @@ int main(int argc, char **argv) {
   if (!HasCorpus && MolePrograms.empty())
     UseCatalogue = true;
 
-  // Build both corpus sources before sweeping, so a bad path, regex or
-  // architecture fails before any judging. --shard partitions each source
-  // on its own (the shards' unions cover each source exactly), and --run
-  // tees the tests this shard owns into a corpus for the native execution
-  // pass (the only place the whole corpus materializes, which --run
-  // implies anyway).
+  // Build both corpus parts before sweeping, so a bad path, regex or
+  // architecture fails before any judging; the sweep's workers read,
+  // parse and synthesize their tests. --shard partitions each part on its
+  // own (the shards' unions cover each part exactly), and --run tees the
+  // tests this shard owns into a corpus for the native execution pass
+  // (the only place the whole corpus materializes, which --run implies
+  // anyway).
   cli::applyObsFlags(Obs);
   std::vector<std::string> LoadErrors;
-  auto Files = streamCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
+  auto Files = stageCampaignTests(Paths, UseCatalogue, Filter, &LoadErrors);
   if (!Files) {
     std::fprintf(stderr, "cats_mine: %s\n", Files.message().c_str());
     return 2;
   }
-  TestSource FileShard = shardTestSource(Files.take(), Campaign.Shard);
-  TestSource DiyShard;
+  StagedSource Corpus = shardSource(Files.take(), Campaign.Shard);
   if (!DiyArch.empty()) {
     if (!parseArch(DiyArch, DiyOpts.Target)) {
       std::fprintf(stderr, "cats_mine: unknown architecture '%s'\n",
@@ -238,19 +238,21 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "cats_mine: %s\n", Diy.message().c_str());
       return 2;
     }
-    DiyShard = shardTestSource(Diy.take(), Campaign.Shard);
+    Corpus = concatSources(std::move(Corpus),
+                           shardSource(Diy.take(), Campaign.Shard));
   }
   std::vector<LitmusTest> RunCorpus;
-  TestSource Corpus = [&](LitmusTest &Out) {
-    if (!FileShard(Out) && !(DiyShard && DiyShard(Out)))
-      return false;
-    if (RunNative)
-      RunCorpus.push_back(Out);
-    return true;
-  };
+  if (RunNative)
+    Corpus.Admit = [Admit = std::move(Corpus.Admit),
+                    &RunCorpus](StagedTest &Item) {
+      if (!Admit(Item))
+        return false;
+      RunCorpus.push_back(Item.Test);
+      return true;
+    };
 
   // Sweep the concatenation once, files/catalogue first, with the cache
-  // and progress attached; the sources are already sharded.
+  // and progress attached; the parts are already sharded.
   obs::ProgressReporter Progress("cats_mine", 0, Obs.Progress);
   cli::CampaignFlags SweepFlags = Campaign;
   SweepFlags.Shard = ShardSpec();

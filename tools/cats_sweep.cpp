@@ -138,14 +138,6 @@ int main(int argc, char **argv) {
       Paths.push_back(Args.arg());
     }
   }
-  if (Campaign.active() && Herd) {
-    // The herd blocks pair each judged test with its pulled final
-    // condition; a shard skips pulls, and a cache hit comes back without
-    // its test.
-    std::fprintf(stderr, "cats_sweep: --herd does not combine with the "
-                         "campaign flags\n");
-    return 2;
-  }
   if (Witness && !Campaign.CacheDir.empty()) {
     // Cache entries store verdicts, not witnesses: a hit would come back
     // without its evidence.
@@ -183,30 +175,15 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "cats_sweep: %s\n", Staged.message().c_str());
     return 2;
   }
-  StagedSource Source = Staged.take();
-  // --herd keeps each admitted test's final condition for its footer. It
-  // runs without the campaign flags, so every admitted test is judged, in
-  // order.
-  std::vector<Condition> Finals;
-  if (Herd)
-    Source.Admit = [Admit = std::move(Source.Admit),
-                    &Finals](StagedTest &Item) {
-      if (!Admit(Item))
-        return false;
-      Finals.push_back(Item.Test.Final);
-      return true;
-    };
   std::optional<SweepReportWriter> Writer;
   if (!JsonPath.empty() &&
       !(Writer = cli::createReportWriter("cats_sweep", JsonPath)))
     return 1;
   // The text output is kept as the results pass the frontier: one
   // summary row per test, one verdict column per model, and under --herd
-  // each judged test's herd blocks.
+  // each test's herd blocks, with its final condition.
   std::string Rows, HerdBlocks;
-  size_t Seen = 0;
-  auto Keep = [&](SweepTestResult &T) {
-    const size_t I = Seen++;
+  auto Keep = [&](StagedTest &Item, SweepTestResult &T) {
     if (!Quiet) {
       Rows += strFormat("%-34s", T.TestName.c_str());
       if (!T.Error.empty()) {
@@ -222,10 +199,10 @@ int main(int argc, char **argv) {
     if (Herd && T.Error.empty())
       for (const SimulationResult &R : T.Result.PerModel)
         HerdBlocks += "\n" + herdStyleReport(R, T.Result.ConsistentOutcomes,
-                                             Finals[I]);
+                                             Item.Test.Final);
   };
   auto Swept =
-      cli::runCampaignSweep(Engine, std::move(Source), Models, Campaign,
+      cli::runCampaignSweep(Engine, Staged.take(), Models, Campaign,
                             &Progress, Keep, Writer ? &*Writer : nullptr);
   for (const std::string &Problem : LoadErrors)
     std::fprintf(stderr, "cats_sweep: %s\n", Problem.c_str());
